@@ -10,8 +10,10 @@ experiment command then also writes a JSON metadata sidecar).
 Exit codes: 0 success, 2 invalid input, 3 enumeration cap exceeded,
 4 I/O failure.  Validation always precedes computation, so invalid
 invocations never leave partial output files.  The ``--threads`` flag
-(fallback: the PROJGRAPH_THREADS environment variable) caps worker
-counts; every output body is identical for any thread count.
+(fallback: the PROJGRAPH_THREADS environment variable) caps the worker
+count of ``experiment``; every output body is identical for any thread
+count.  ``check-projectivity`` runs single-threaded and validates the
+flag only for compatibility.
 """
 
 from __future__ import annotations
@@ -208,6 +210,7 @@ def _cmd_check_projectivity(args: argparse.Namespace) -> int:
             ParamVector(theta=point)
             for point in itertools.product(axis, repeat=spec.stat_dim)
         )
+    _resolve_threads(args.threads)
     report = projectivity_check(
         spec,
         grid,
@@ -215,7 +218,6 @@ def _cmd_check_projectivity(args: argparse.Namespace) -> int:
         n_sub=args.n_sub,
         tolerance=args.tolerance,
         enum_cap=args.enum_cap,
-        threads=_resolve_threads(args.threads),
     )
     _emit(report.to_csv(), args.out)
     return 0
@@ -322,7 +324,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated per-component axis values (product grid)",
     )
     p_proj.add_argument("--tolerance", type=float, default=PROJECTIVITY_TOLERANCE)
-    p_proj.add_argument("--threads", type=int, default=None)
+    p_proj.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="accepted for compatibility; the check runs single-threaded",
+    )
     add_common(p_proj)
     p_proj.set_defaults(handler=_cmd_check_projectivity)
 

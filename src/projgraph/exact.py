@@ -2,10 +2,13 @@
 
 Everything here is exhaustive: a distribution is a table with one entry
 per graph, indexed by the graph/integer bijection from
-:mod:`projgraph.graph`.  Log-space arithmetic is used throughout
-(max-shifted logsumexp) so large parameter values cannot overflow.
-Independent-dyad families additionally get closed-form normalizers and
-moments valid at any size.
+:mod:`projgraph.graph`.  Normalizers and moments depend on a graph only
+through its statistics, so they run on the statistic histogram: the
+distinct statistic vectors of all graphs of size n with the log of their
+counts, built once per (family, n).  Log-space arithmetic is used
+throughout (max-shifted logsumexp) so large parameter values cannot
+overflow.  Independent-dyad families additionally get closed-form
+normalizers and moments valid at any size.
 
 Enumeration is capped at n <= 7 by default (2^21 graphs); the cap can be
 raised to n = 8 explicitly, which emits a memory warning (the tables
@@ -18,7 +21,6 @@ import csv
 import io
 import itertools
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -28,6 +30,7 @@ from scipy.special import logsumexp
 
 from .graph import Graph, NodeSubset, dyad_count, dyad_index, graph_from_index
 from .models import (
+    Family,
     ModelSpec,
     NaturalParams,
     ParamVector,
@@ -101,10 +104,7 @@ def resolve_enum_cap(n: int, enum_cap: Optional[int] = None) -> int:
 
 
 @lru_cache(maxsize=8)
-def _enumerated_stats_cached(family_name: str, n: int) -> np.ndarray:
-    from .models import _REGISTRY
-
-    fam = _REGISTRY[family_name]
+def _enumerated_stats_cached(fam: Family, n: int) -> np.ndarray:
     if fam.bulk_stats is not None:
         table = fam.bulk_stats(n)
     else:
@@ -114,7 +114,7 @@ def _enumerated_stats_cached(family_name: str, n: int) -> np.ndarray:
             table[k] = fam.stats(graph_from_index(n, k))
     if table.shape != (1 << dyad_count(n), fam.stat_dim):
         raise ValueError(
-            f"bulk statistics for family {family_name!r} have shape "
+            f"bulk statistics for family {fam.name!r} have shape "
             f"{table.shape}, expected ({1 << dyad_count(n)}, {fam.stat_dim})"
         )
     table.flags.writeable = False
@@ -126,13 +126,59 @@ def enumerated_stats(
 ) -> np.ndarray:
     """Statistic table for all graphs of size n, row k = stats of graph k."""
     resolve_enum_cap(n, enum_cap)
-    return _enumerated_stats_cached(spec.family, n)
+    return _enumerated_stats_cached(spec.definition, n)
 
 
-def _kernel(spec: ModelSpec, theta: ParamVector, n: int, enum_cap: Optional[int]) -> np.ndarray:
+def _histogram(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a statistic table and the log of each row's count.
+
+    Each column is coded by its sorted distinct values and the codes are
+    packed into one int64 key, renumbered after every column so that it
+    stays below the row count.  Rows come out in lexicographic order.
+    """
+    key = np.zeros(table.shape[0], dtype=np.int64)
+    for column in table.T:
+        values = np.unique(column)
+        key = key * len(values) + np.searchsorted(values, column)
+        key = np.searchsorted(np.unique(key), key)
+    counts = np.bincount(key)
+    rows = np.empty(len(counts), dtype=np.int64)
+    rows[key] = np.arange(len(key))
+    return table[rows].astype(np.float64), np.log(counts)
+
+
+@lru_cache(maxsize=8)
+def _statistic_histogram(fam: Family, n: int) -> tuple[np.ndarray, np.ndarray]:
+    points, log_counts = _histogram(_enumerated_stats_cached(fam, n))
+    points.flags.writeable = False
+    log_counts.flags.writeable = False
+    return points, log_counts
+
+
+def _moments(
+    points: np.ndarray, log_counts: np.ndarray, eta: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """(log Z, mean, covariance) of the statistics under the weights
+    count * exp(eta . s) over the histogram rows ``points``.
+
+    The covariance is summed over centered rows: the raw second moment
+    minus the squared mean cancels catastrophically near a vertex of the
+    statistic hull.
+    """
+    kernel = log_counts + points @ eta
+    log_z = float(logsumexp(kernel))
+    w = np.exp(kernel - log_z)
+    mu = w @ points
+    centered = points - mu
+    return log_z, mu, centered.T @ (centered * w[:, None])
+
+
+def _enumerated_moments(
+    spec: ModelSpec, theta: ParamVector, n: int, enum_cap: Optional[int]
+) -> tuple[float, np.ndarray, np.ndarray]:
+    resolve_enum_cap(n, enum_cap)
     eta = natural_params(spec, theta, n).as_array()
-    stats = enumerated_stats(spec, n, enum_cap)
-    return stats.astype(np.float64, copy=False) @ eta
+    return _moments(*_statistic_histogram(spec.definition, n), eta)
 
 
 def log_normalizer(
@@ -146,7 +192,7 @@ def log_normalizer(
     if spec.definition.bernoulli:
         eta = natural_params(spec, theta, n).eta[0]
         return float(dyad_count(n) * np.logaddexp(0.0, eta))
-    return float(logsumexp(_kernel(spec, theta, n, enum_cap)))
+    return _enumerated_moments(spec, theta, n, enum_cap)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,35 +224,21 @@ def build_distribution(
     theta: ParamVector,
     n: int,
     enum_cap: Optional[int] = None,
-    threads: int = 1,
 ) -> ExactDistribution:
     """Enumerate the exact distribution table (cap applies to all families).
 
-    With ``threads > 1`` the kernel is filled over disjoint index ranges in
-    a thread pool; the normalizing reduction always runs over the full
-    table in index order, so the result is identical for any thread count.
+    The normalizer comes from the statistic histogram.  The per-graph
+    table is filled in slices of ``_CHUNK`` rows, so no float copy of the
+    whole statistic table is made.
     """
-    resolve_enum_cap(n, enum_cap)
+    log_z, _, _ = _enumerated_moments(spec, theta, n, enum_cap)
     eta = natural_params(spec, theta, n).as_array()
     stats = enumerated_stats(spec, n, enum_cap)
-    total = stats.shape[0]
-    kernel = np.empty(total, dtype=np.float64)
-    spans = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
-
-    def fill(span: tuple[int, int]) -> None:
-        lo, hi = span
-        kernel[lo:hi] = stats[lo:hi].astype(np.float64, copy=False) @ eta
-
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, spans))
-    else:
-        for span in spans:
-            fill(span)
-    log_z = float(logsumexp(kernel))
-    kernel -= log_z
-    kernel.flags.writeable = False
-    return ExactDistribution(n=n, spec=spec, theta=theta, log_probs=kernel, log_z=log_z)
+    log_probs = np.empty(stats.shape[0], dtype=np.float64)
+    for lo in range(0, stats.shape[0], _CHUNK):
+        log_probs[lo : lo + _CHUNK] = stats[lo : lo + _CHUNK] @ eta - log_z
+    log_probs.flags.writeable = False
+    return ExactDistribution(n=n, spec=spec, theta=theta, log_probs=log_probs, log_z=log_z)
 
 
 def expected_stats(
@@ -216,10 +248,7 @@ def expected_stats(
     if spec.definition.bernoulli:
         pi = edge_prob(spec, theta, n)
         return StatsVector(values=(dyad_count(n) * pi,))
-    kernel = _kernel(spec, theta, n, enum_cap)
-    w = np.exp(kernel - logsumexp(kernel))
-    stats = enumerated_stats(spec, n, enum_cap).astype(np.float64, copy=False)
-    return StatsVector(values=tuple(w @ stats))
+    return StatsVector(values=tuple(_enumerated_moments(spec, theta, n, enum_cap)[1]))
 
 
 def stat_covariance(
@@ -229,12 +258,7 @@ def stat_covariance(
     if spec.definition.bernoulli:
         pi = edge_prob(spec, theta, n)
         return np.array([[dyad_count(n) * pi * (1.0 - pi)]])
-    kernel = _kernel(spec, theta, n, enum_cap)
-    w = np.exp(kernel - logsumexp(kernel))
-    stats = enumerated_stats(spec, n, enum_cap).astype(np.float64, copy=False)
-    mu = w @ stats
-    second = stats.T @ (stats * w[:, None])
-    return second - np.outer(mu, mu)
+    return _enumerated_moments(spec, theta, n, enum_cap)[2]
 
 
 def marginal_distribution(d: ExactDistribution, s: NodeSubset) -> np.ndarray:
@@ -334,7 +358,6 @@ def projectivity_check(
     n_sub: int,
     tolerance: float = PROJECTIVITY_TOLERANCE,
     enum_cap: Optional[int] = None,
-    threads: int = 1,
 ) -> ProjectivityReport:
     """Compare the size-n_sub model with the size-n marginal over a theta grid."""
     if not 1 <= n_sub < n:
@@ -346,9 +369,9 @@ def projectivity_check(
     tvs = []
     param_equal = True
     for theta in grid:
-        big = build_distribution(spec, theta, n, enum_cap, threads=threads)
+        big = build_distribution(spec, theta, n, enum_cap)
         marginal = marginal_distribution(big, subset)
-        small = build_distribution(spec, theta, n_sub, enum_cap, threads=threads)
+        small = build_distribution(spec, theta, n_sub, enum_cap)
         tvs.append(tv_distance(marginal, small.probs()))
         if natural_params(spec, theta, n_sub).eta != natural_params(spec, theta, n).eta:
             param_equal = False

@@ -16,6 +16,9 @@ Independent-dyad families admit closed forms everywhere (the proper
 likelihood is binomial in the population edge probability).  Other
 families are handled by exhaustive enumeration: the proper likelihood
 sums the population model over all completions of the unobserved dyads.
+Normalizers, moments and both solvers run on statistic histograms (the
+distinct statistic vectors with their counts) of the population graphs
+and of the completion set, never on per-graph tables.
 Estimation uses closed-form logit estimators where available and damped
 Newton iteration on the moment equation elsewhere.  Data whose
 sufficient statistics lie on the boundary of the attainable range have
@@ -37,6 +40,9 @@ from scipy.spatial import ConvexHull, QhullError
 from scipy.special import logsumexp
 
 from .exact import (
+    _histogram,
+    _moments,
+    _statistic_histogram,
     enumerated_stats,
     log_normalizer,
     resolve_enum_cap,
@@ -44,6 +50,7 @@ from .exact import (
 )
 from .graph import Graph, dyad_count, edge_count
 from .models import (
+    Family,
     ModelSpec,
     ParamVector,
     natural_params,
@@ -63,7 +70,6 @@ __all__ = [
     "log_likelihood",
     "mle",
     "fisher_information",
-    "finite_difference_hessian",
     "mle_csv_header",
     "mle_csv_row",
     "format_mle_csv",
@@ -76,7 +82,6 @@ NEWTON_MAX_ITERATIONS = 100
 _DIVERGENCE_NORM = 25.0
 _SATURATION_TOL = 1e-10
 _RECESSION_VALUE_TOL = 1e-9
-_HESSIAN_STEP = 1e-4
 _HULL_INTERIOR_TOL = 1e-9
 
 
@@ -197,15 +202,10 @@ def completion_log_likelihood(
         raise ValueError(
             f"subgraph size {y_sub.n} must be smaller than population size {population_n}"
         )
-    resolve_enum_cap(population_n, enum_cap)
-    stats = enumerated_stats(spec, population_n, enum_cap)
+    comp = _completion_histogram(spec, y_sub, population_n, enum_cap)
     eta = natural_params(spec, theta, population_n).as_array()
-    sub_d = dyad_count(y_sub.n)
-    free_d = dyad_count(population_n) - sub_d
-    idx = y_sub.dyads + (np.arange(1 << free_d, dtype=np.int64) << sub_d)
-    kernel = stats[idx].astype(np.float64, copy=False) @ eta
     log_z = log_normalizer(spec, theta, population_n, enum_cap)
-    return float(logsumexp(kernel) - log_z)
+    return _moments(*comp, eta)[0] - log_z
 
 
 def misspecified_log_likelihood(
@@ -259,7 +259,7 @@ def fisher_information(
 
 
 @lru_cache(maxsize=32)
-def _attainable_hull(family_name: str, n: int) -> tuple:
+def _attainable_hull(fam: Family, n: int) -> tuple:
     """Interior-test data for the attainable statistic set of a family at n.
 
     Returns ("interval", lo, hi) for one-dimensional statistics and
@@ -267,10 +267,7 @@ def _attainable_hull(family_name: str, n: int) -> tuple:
     with empty interior (every observation is then boundary).  Callers
     validate the enumeration cap before reaching this helper.
     """
-    from .exact import _enumerated_stats_cached
-
-    stats = _enumerated_stats_cached(family_name, n)
-    points = np.unique(stats.astype(np.float64, copy=False), axis=0)
+    points, _ = _statistic_histogram(fam, n)
     if points.shape[1] == 1:
         return ("interval", float(points.min()), float(points.max()))
     try:
@@ -287,7 +284,7 @@ def _stats_interior(
 ) -> bool:
     """True iff s lies strictly inside the hull of attainable statistics."""
     resolve_enum_cap(n, enum_cap)
-    data = _attainable_hull(spec.family, n)
+    data = _attainable_hull(spec.definition, n)
     if data[0] == "interval":
         _, lo, hi = data
         return lo < float(s[0]) < hi
@@ -296,20 +293,6 @@ def _stats_interior(
     _, equations = data
     slack = equations[:, :-1] @ s + equations[:, -1]
     return bool(np.max(slack) < -_HULL_INTERIOR_TOL)
-
-
-def _moments(
-    spec: ModelSpec, theta: ParamVector, n: int, enum_cap: Optional[int]
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """(log normalizer, mean, covariance) of the statistics at (theta, n)."""
-    stats = enumerated_stats(spec, n, enum_cap).astype(np.float64, copy=False)
-    eta = natural_params(spec, theta, n).as_array()
-    kernel = stats @ eta
-    log_z = float(logsumexp(kernel))
-    w = np.exp(kernel - log_z)
-    mu = w @ stats
-    cov = stats.T @ (stats * w[:, None]) - np.outer(mu, mu)
-    return log_z, mu, cov
 
 
 def _newton_moment_solve(
@@ -324,17 +307,17 @@ def _newton_moment_solve(
     log likelihood does not decrease.  Convergence requires the moment
     residual to drop below NEWTON_TOLERANCE in the max norm.
     """
-    dim = len(s_target)
-    theta = np.zeros(dim)
+    resolve_enum_cap(n, enum_cap)
+    hist = _statistic_histogram(spec.definition, n)
 
-    def objective(t: np.ndarray) -> float:
-        pv = ParamVector(theta=tuple(t))
-        eta = natural_params(spec, pv, n).as_array()
-        return float(eta @ s_target) - log_normalizer(spec, pv, n, enum_cap)
+    def parts(t: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        eta = natural_params(spec, ParamVector(theta=tuple(t)), n).as_array()
+        log_z, mu, cov = _moments(*hist, eta)
+        return float(eta @ s_target) - log_z, mu, cov
 
-    current = objective(theta)
+    theta = np.zeros(len(s_target))
+    current, mu, cov = parts(theta)
     for iteration in range(1, NEWTON_MAX_ITERATIONS + 1):
-        _, mu, cov = _moments(spec, ParamVector(theta=tuple(theta)), n, enum_cap)
         resid = s_target - mu
         if float(np.max(np.abs(resid))) <= NEWTON_TOLERANCE:
             return theta, True, iteration - 1
@@ -345,10 +328,9 @@ def _newton_moment_solve(
         scale = 1.0
         for _ in range(60):
             candidate = theta + scale * step
-            value = objective(candidate)
+            value, cand_mu, cand_cov = parts(candidate)
             if value >= current - 1e-15:
-                theta = candidate
-                current = value
+                theta, current, mu, cov = candidate, value, cand_mu, cand_cov
                 break
             scale *= 0.5
         else:
@@ -356,60 +338,58 @@ def _newton_moment_solve(
     return theta, False, NEWTON_MAX_ITERATIONS
 
 
-def _completion_tables(
+_Histogram = tuple[np.ndarray, np.ndarray]
+
+
+def _completion_histogram(
     spec: ModelSpec,
     y_sub: Graph,
     population_n: int,
     enum_cap: Optional[int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Statistic rows of the completion set and of all population graphs."""
-    stats = enumerated_stats(spec, population_n, enum_cap).astype(np.float64, copy=False)
+) -> _Histogram:
+    """Statistic histogram of the population graphs completing y_sub, with
+    y_sub embedded as the prefix (see ``completion_log_likelihood``)."""
+    stats = enumerated_stats(spec, population_n, enum_cap)
     sub_d = dyad_count(y_sub.n)
     free_d = dyad_count(population_n) - sub_d
     idx = y_sub.dyads + (np.arange(1 << free_d, dtype=np.int64) << sub_d)
-    return stats[idx], stats
+    return _histogram(stats[idx])
 
 
 def _log_ratio_parts(
-    comp: np.ndarray, full: np.ndarray, eta: np.ndarray
+    comp: _Histogram, full: _Histogram, eta: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """(value, gradient, Hessian) of eta -> lse(comp @ eta) − lse(full @ eta)."""
-
-    def side(table: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        kernel = table @ eta
-        lse = float(logsumexp(kernel))
-        w = np.exp(kernel - lse)
-        mu = w @ table
-        cov = table.T @ (table * w[:, None]) - np.outer(mu, mu)
-        return lse, mu, cov
-
-    lse_c, mu_c, cov_c = side(comp)
-    lse_f, mu_f, cov_f = side(full)
+    """(value, gradient, Hessian) of eta -> log P_eta(completion set)."""
+    lse_c, mu_c, cov_c = _moments(*comp, eta)
+    lse_f, mu_f, cov_f = _moments(*full, eta)
     return lse_c - lse_f, mu_c - mu_f, cov_c - cov_f
 
 
-def _recession_sup(comp: np.ndarray, full: np.ndarray) -> float:
+def _recession_sup(comp: _Histogram, full: _Histogram) -> float:
     """Best limit of the log probability ratio along coordinate rays.
 
     As eta_j -> ±inf the ratio lse(comp) − lse(full) tends to −inf unless
-    the completion rows attain the full table's extreme of statistic j,
+    the completion rows attain the full histogram's extreme of statistic j,
     in which case it tends to the same ratio objective restricted to the
     extreme face with coordinate j removed.  The supremum of each limit
     family is again interior-or-recession, handled recursively; −inf is
     returned when no face is attainable from the completion set.
     """
-    dim = full.shape[1]
+    (comp_points, comp_lc), (full_points, full_lc) = comp, full
+    dim = full_points.shape[1]
     best = -math.inf
     for j in range(dim):
         for extreme in (np.max, np.min):
-            target = float(extreme(full[:, j]))
-            if comp.shape[0] == 0 or float(extreme(comp[:, j])) != target:
+            target = float(extreme(full_points[:, j]))
+            if float(extreme(comp_points[:, j])) != target:
                 continue
-            comp_face = np.delete(comp[comp[:, j] == target], j, axis=1)
-            full_face = np.delete(full[full[:, j] == target], j, axis=1)
+            on_c = comp_points[:, j] == target
+            on_f = full_points[:, j] == target
             if dim == 1:
-                cand = math.log(comp_face.shape[0]) - math.log(full_face.shape[0])
+                cand = float(logsumexp(comp_lc[on_c]) - logsumexp(full_lc[on_f]))
             else:
+                comp_face = (np.delete(comp_points[on_c], j, axis=1), comp_lc[on_c])
+                full_face = (np.delete(full_points[on_f], j, axis=1), full_lc[on_f])
                 _, value, _, _, _ = _ascend_log_ratio(comp_face, full_face)
                 cand = max(value, _recession_sup(comp_face, full_face))
             best = max(best, cand)
@@ -417,9 +397,9 @@ def _recession_sup(comp: np.ndarray, full: np.ndarray) -> float:
 
 
 def _ascend_log_ratio(
-    comp: np.ndarray, full: np.ndarray
+    comp: _Histogram, full: _Histogram
 ) -> tuple[np.ndarray, float, bool, bool, int]:
-    """Damped ascent of eta -> lse(comp @ eta) − lse(full @ eta) from 0.
+    """Damped ascent of eta -> log P_eta(completion set) from 0.
 
     Returns (eta, value, converged, boundary, iterations).  The objective
     is a log probability of the completion event, not an exponential-
@@ -436,8 +416,7 @@ def _ascend_log_ratio(
     curvature is usable, with gradient ascent and step halving as
     fallback.
     """
-    dim = full.shape[1]
-    eta = np.zeros(dim)
+    eta = np.zeros(full[0].shape[1])
     value, grad, hess = _log_ratio_parts(comp, full, eta)
     for iteration in range(1, NEWTON_MAX_ITERATIONS + 1):
         if value >= -_SATURATION_TOL:
@@ -475,37 +454,20 @@ def _proper_mle_enumerated(
     y_sub: Graph,
     population_n: int,
     enum_cap: Optional[int],
-) -> tuple[np.ndarray, bool, bool, int]:
-    """Maximize the completion log likelihood over theta."""
-    resolve_enum_cap(population_n, enum_cap)
-    comp, full = _completion_tables(spec, y_sub, population_n, enum_cap)
+) -> tuple[np.ndarray, np.ndarray, bool, bool, int]:
+    """Maximize the completion log likelihood over theta.
+
+    Returns (theta, observed information, converged, boundary,
+    iterations).  Theta and eta differ by a constant shift, so the
+    observed information is minus the log-ratio Hessian at the maximizer.
+    """
+    comp = _completion_histogram(spec, y_sub, population_n, enum_cap)
+    full = _statistic_histogram(spec.definition, population_n)
     eta, _, converged, boundary, iterations = _ascend_log_ratio(comp, full)
+    _, _, hess = _log_ratio_parts(comp, full, eta)
     zero = ParamVector(theta=(0.0,) * spec.stat_dim)
     shift = natural_params(spec, zero, population_n).as_array()
-    return eta - shift, converged, boundary, iterations
-
-
-def finite_difference_hessian(fn, theta: np.ndarray, step: float = _HESSIAN_STEP) -> np.ndarray:
-    """Central finite-difference Hessian of a scalar function."""
-    dim = len(theta)
-    hess = np.empty((dim, dim))
-    for i in range(dim):
-        for j in range(i, dim):
-            ei = np.zeros(dim)
-            ej = np.zeros(dim)
-            ei[i] = step
-            ej[j] = step
-            if i == j:
-                val = (fn(theta + ei) - 2.0 * fn(theta) + fn(theta - ei)) / step**2
-            else:
-                val = (
-                    fn(theta + ei + ej)
-                    - fn(theta + ei - ej)
-                    - fn(theta - ei + ej)
-                    + fn(theta - ei - ej)
-                ) / (4.0 * step**2)
-            hess[i, j] = hess[j, i] = val
-    return hess
+    return eta - shift, -hess, converged, boundary, iterations
 
 
 def _std_errors_from_information(information: np.ndarray) -> Optional[tuple[float, ...]]:
@@ -586,7 +548,7 @@ def _enumerated_mle(
 ) -> MLEResult:
     dim = spec.stat_dim
     if isinstance(data, InducedSubgraph) and kind is LikelihoodKind.PROPER:
-        theta, converged, boundary, iterations = _proper_mle_enumerated(
+        theta, observed_info, converged, boundary, iterations = _proper_mle_enumerated(
             spec, data.subgraph, data.population_n, enum_cap
         )
         if boundary:
@@ -595,23 +557,9 @@ def _enumerated_mle(
         value = proper_log_likelihood(
             spec, pv, data.subgraph, data.population_n, enum_cap
         )
-        std_err = None
-        if converged:
-
-            def objective(t: np.ndarray) -> float:
-                return proper_log_likelihood(
-                    spec,
-                    ParamVector(theta=tuple(t)),
-                    data.subgraph,
-                    data.population_n,
-                    enum_cap,
-                )
-
-            observed_info = -finite_difference_hessian(objective, theta)
-            std_err = _std_errors_from_information(observed_info)
         return MLEResult(
             theta_hat=tuple(float(v) for v in theta),
-            std_err=std_err,
+            std_err=_std_errors_from_information(observed_info) if converged else None,
             log_lik=value,
             converged=converged,
             boundary=False,

@@ -21,7 +21,7 @@ eta-gradients throughout the inference code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -117,15 +117,17 @@ class Family:
     back to a per-graph loop during enumeration.  ``bernoulli`` marks
     single-edge-statistic families with independent dyads, which unlocks
     closed-form normalizers, marginals, and estimators at any size.
+
+    Equality and hashing include the statistic callables (by identity), so
+    a family registered again under the same name with other statistics
+    never shares a cache entry with the one it replaced.
     """
 
     name: str
     stat_dim: int
     offset_edges: bool
-    stats: Callable[[Graph], tuple[float, ...]] = field(compare=False)
-    bulk_stats: Optional[Callable[[int], np.ndarray]] = field(
-        default=None, compare=False
-    )
+    stats: Callable[[Graph], tuple[float, ...]]
+    bulk_stats: Optional[Callable[[int], np.ndarray]] = None
     bernoulli: bool = False
 
     def __post_init__(self) -> None:

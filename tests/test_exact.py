@@ -34,6 +34,7 @@ from projgraph import (
     stat_covariance,
     substream,
     sufficient_stats,
+    triangle_count,
     tv_distance,
     unregister_family,
 )
@@ -161,6 +162,28 @@ def test_log_normalizer_edge_triangle_three_nodes():
         assert got == pytest.approx(math.log(7 + math.exp(t)), abs=1e-12)
 
 
+def test_reregistered_family_does_not_reuse_cached_statistics():
+    """A name registered again with other statistics gets its own tables."""
+    register_family(
+        Family(name="Tmp", stat_dim=1, offset_edges=False, stats=lambda g: (float(edge_count(g)),))
+    )
+    try:
+        edges = log_normalizer(model_spec("Tmp"), ParamVector(theta=(0.5,)), 4)
+    finally:
+        unregister_family("Tmp")
+    assert edges == pytest.approx(6 * math.log1p(math.exp(0.5)), abs=1e-12)
+    register_family(
+        Family(name="Tmp", stat_dim=1, offset_edges=False, stats=lambda g: (float(triangle_count(g)),))
+    )
+    try:
+        triangles = log_normalizer(model_spec("Tmp"), ParamVector(theta=(0.5,)), 4)
+    finally:
+        unregister_family("Tmp")
+    # on 4 nodes: 41 graphs without a triangle, 16 with one, 6 with two, 1 with four
+    want = math.log(41 + 16 * math.exp(0.5) + 6 * math.exp(1.0) + math.exp(2.0))
+    assert triangles == pytest.approx(want, abs=1e-12)
+
+
 def test_log_normalizer_single_node():
     assert log_normalizer(INVARIANT, ParamVector(theta=(2.0,)), 1) == 0.0
     assert log_normalizer(EDGE_TRI, ParamVector(theta=(2.0, 2.0)), 1) == 0.0
@@ -206,14 +229,6 @@ def test_offset_distribution_equals_invariant_at_shifted_parameter():
     off = build_distribution(OFFSET, ParamVector(theta=(1.0,)), n)
     inv = build_distribution(INVARIANT, ParamVector(theta=(1.0 - math.log(n),)), n)
     np.testing.assert_allclose(off.probs(), inv.probs(), atol=1e-13)
-
-
-def test_distribution_thread_count_does_not_change_result():
-    theta = ParamVector(theta=(0.4, -0.2))
-    one = build_distribution(EDGE_TRI, theta, 6, threads=1)
-    many = build_distribution(EDGE_TRI, theta, 6, threads=8)
-    assert one.log_probs.tobytes() == many.log_probs.tobytes()
-    assert one.log_z == many.log_z
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from projgraph import (
     edge_prob,
     empty_graph,
     expected_stats,
-    finite_difference_hessian,
     fisher_information,
     format_mle_csv,
     graph_from_edges,
@@ -230,12 +229,6 @@ def test_fisher_information_is_stat_covariance():
     )
 
 
-def test_finite_difference_hessian_recovers_quadratic():
-    a = np.array([[2.0, 0.5], [0.5, 1.0]])
-    hess = finite_difference_hessian(lambda t: 0.5 * float(t @ a @ t), np.array([0.3, -0.7]))
-    np.testing.assert_allclose(hess, a, atol=1e-6)
-
-
 # --------------------------------------------------------------------------
 # closed-form estimation for independent-dyad families
 # --------------------------------------------------------------------------
@@ -346,6 +339,20 @@ def test_edge_triangle_full_graph_mle_solves_the_moment_equation():
     assert result.std_err == pytest.approx(expected_se, rel=1e-9)
 
 
+def test_edge_triangle_full_graph_mle_converges_near_the_complete_graph():
+    """K7 minus three edges, two of them adjacent: statistics (18, 21).  The
+    moment residual must fall below the Newton tolerance."""
+    g = graph_from_edges(
+        7,
+        [(a, b) for b in range(7) for a in range(b) if (a, b) not in ((0, 1), (0, 2), (3, 4))],
+    )
+    assert sufficient_stats(EDGE_TRI, g).values == (18.0, 21.0)
+    result = mle(EDGE_TRI, FullGraph(g))
+    assert result.converged and not result.boundary
+    mu = expected_stats(EDGE_TRI, ParamVector(theta=result.theta_hat), 7)
+    assert mu.values == pytest.approx((18.0, 21.0), abs=1e-9)
+
+
 def test_edge_triangle_replicates_mle_matches_mean_statistics():
     graphs = (
         graph_from_edges(4, [(0, 1), (0, 2), (1, 2)]),
@@ -438,6 +445,31 @@ def test_proper_mle_is_a_stationary_point():
             - proper_log_likelihood(EDGE_TRI, ParamVector(theta=tuple(lo)), y, 5)
         ) / (2 * step)
         assert abs(fd) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "edges", [[(0, 1), (0, 2), (1, 2)], [(0, 1), (2, 3)]], ids=["triangle", "matching"]
+)
+def test_proper_mle_std_err_inverts_the_observed_information(edges):
+    """Standard errors against a central-difference Hessian of the proper
+    log likelihood at the estimate (six population nodes, four observed)."""
+    y = graph_from_edges(4, edges)
+    result = mle(EDGE_TRI, InducedSubgraph(y, 6), LikelihoodKind.PROPER)
+    assert result.converged
+
+    def loglik(t):
+        return proper_log_likelihood(EDGE_TRI, ParamVector(theta=tuple(t)), y, 6)
+
+    def second_difference(a, b):
+        return (loglik(theta + a + b) - loglik(theta + a - b)
+                - loglik(theta - a + b) + loglik(theta - a - b)) / (4 * h * h)
+
+    theta = np.array(result.theta_hat)
+    h = 1e-4
+    steps = h * np.eye(2)
+    hess = np.array([[second_difference(a, b) for b in steps] for a in steps])
+    expected = np.sqrt(np.diag(np.linalg.inv(-hess)))
+    assert result.std_err == pytest.approx(tuple(expected), rel=1e-3)
 
 
 def test_proper_mle_log_lik_matches_direct_evaluation():
