@@ -5,10 +5,13 @@ per graph, indexed by the graph/integer bijection from
 :mod:`projgraph.graph`.  Normalizers and moments depend on a graph only
 through its statistics, so they run on the statistic histogram: the
 distinct statistic vectors of all graphs of size n with the log of their
-counts, built once per (family, n).  Log-space arithmetic is used
-throughout (max-shifted logsumexp) so large parameter values cannot
-overflow.  Independent-dyad families additionally get closed-form
-normalizers and moments valid at any size.
+counts, built once per (family, n).  The projectivity check runs on
+grouped joint counts, built once per (family, n, n_sub): for each group
+of n_sub-node prefix subgraphs, how many completions to n nodes fall in
+each statistic class.  Log-space arithmetic is used throughout
+(max-shifted logsumexp) so large parameter values cannot overflow.
+Independent-dyad families additionally get closed-form normalizers and
+moments valid at any size.
 
 Enumeration is capped at n <= 7 by default (2^21 graphs); the cap can be
 raised to n = 8 explicitly, which emits a memory warning (the tables
@@ -129,18 +132,26 @@ def enumerated_stats(
     return _enumerated_stats_cached(spec.definition, n)
 
 
-def _histogram(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a statistic table and the log of each row's count.
+def _class_codes(table: np.ndarray) -> np.ndarray:
+    """Rank of each row of a statistic table among its distinct rows.
 
     Each column is coded by its sorted distinct values and the codes are
     packed into one int64 key, renumbered after every column so that it
-    stays below the row count.  Rows come out in lexicographic order.
+    stays below the row count.  Distinct rows are ranked in lexicographic
+    order.
     """
     key = np.zeros(table.shape[0], dtype=np.int64)
     for column in table.T:
         values = np.unique(column)
         key = key * len(values) + np.searchsorted(values, column)
         key = np.searchsorted(np.unique(key), key)
+    return key
+
+
+def _histogram(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a statistic table, in lexicographic order, and the
+    log of each row's count."""
+    key = _class_codes(table)
     counts = np.bincount(key)
     rows = np.empty(len(counts), dtype=np.int64)
     rows[key] = np.arange(len(key))
@@ -171,6 +182,49 @@ def _moments(
     mu = w @ points
     centered = points - mu
     return log_z, mu, centered.T @ (centered * w[:, None])
+
+
+def _graph_probs(points: np.ndarray, log_counts: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Probability of one graph in each histogram class under ``eta``."""
+    energy = points @ eta
+    return np.exp(energy - logsumexp(log_counts + energy))
+
+
+@lru_cache(maxsize=8)
+def _joint_counts(fam: Family, n: int, n_sub: int) -> tuple[np.ndarray, ...]:
+    """Grouped joint (prefix subgraph, statistic class) counts.
+
+    The prefix dyads are the low index bits, so graph k on n nodes has
+    the prefix subgraph k mod 2^C(n_sub, 2).  Viewed as a matrix with one
+    column per prefix subgraph y, the class codes of all graphs on n
+    nodes hold in column y the classes of y's completions.  The marginal
+    probability of y depends only on the multiset of that column and the
+    n_sub-node model only on y's own class, so prefix subgraphs with equal
+    sorted columns and equal classes form one group, for any family.
+
+    Returns each group's multiplicity, its completion count per class at
+    n (one row per group), and its class at n_sub.
+    """
+    codes = _class_codes(_enumerated_stats_cached(fam, n))
+    sub_codes = _class_codes(_enumerated_stats_cached(fam, n_sub))
+    classes = int(codes.max()) + 1
+    # One row per prefix subgraph: its class, then its completions' classes.
+    rows = np.empty((len(sub_codes), 1 + len(codes) // len(sub_codes)),
+                    dtype=np.min_scalar_type(max(classes - 1, int(sub_codes.max()))))
+    rows[:, 0] = sub_codes
+    rows[:, 1:] = codes.reshape(-1, len(sub_codes)).T
+    del codes
+    rows[:, 1:].sort(axis=1)
+    key = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, multiplicity = np.unique(key, return_index=True, return_counts=True)
+    group = np.repeat(np.arange(len(first)), rows.shape[1] - 1)
+    counts = np.bincount(group * classes + rows[first, 1:].ravel(),
+                         minlength=len(first) * classes)
+    return (
+        multiplicity.astype(np.float64),
+        counts.reshape(len(first), classes).astype(np.float64),
+        rows[first, 0],
+    )
 
 
 def _enumerated_moments(
@@ -359,21 +413,30 @@ def projectivity_check(
     tolerance: float = PROJECTIVITY_TOLERANCE,
     enum_cap: Optional[int] = None,
 ) -> ProjectivityReport:
-    """Compare the size-n_sub model with the size-n marginal over a theta grid."""
+    """Compare the size-n_sub model with the size-n marginal over a theta grid.
+
+    The marginal is taken on the first n_sub nodes.  Each theta costs one
+    product of the grouped joint counts (see :func:`_joint_counts`) with
+    the per-graph class probabilities at n; no per-graph table is built.
+    """
     if not 1 <= n_sub < n:
         raise ValueError(f"need 1 <= n_sub < n, got n_sub={n_sub}, n={n}")
     grid = tuple(theta_grid) if theta_grid is not None else default_theta_grid(spec)
     if not grid:
         raise ValueError("theta grid must be non-empty")
-    subset = NodeSubset(parent_n=n, members=tuple(range(n_sub)))
+    resolve_enum_cap(n, enum_cap)
+    resolve_enum_cap(n_sub, enum_cap)
+    fam = spec.definition
+    multiplicity, counts, sub_class = _joint_counts(fam, n, n_sub)
+    big, small = _statistic_histogram(fam, n), _statistic_histogram(fam, n_sub)
     tvs = []
     param_equal = True
     for theta in grid:
-        big = build_distribution(spec, theta, n, enum_cap)
-        marginal = marginal_distribution(big, subset)
-        small = build_distribution(spec, theta, n_sub, enum_cap)
-        tvs.append(tv_distance(marginal, small.probs()))
-        if natural_params(spec, theta, n_sub).eta != natural_params(spec, theta, n).eta:
+        params, sub_params = natural_params(spec, theta, n), natural_params(spec, theta, n_sub)
+        marginal = multiplicity * (counts @ _graph_probs(*big, params.as_array()))
+        model = multiplicity * _graph_probs(*small, sub_params.as_array())[sub_class]
+        tvs.append(tv_distance(marginal, model))
+        if sub_params.eta != params.eta:
             param_equal = False
     max_tv = max(tvs)
     projective = param_equal and max_tv <= tolerance

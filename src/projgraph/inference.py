@@ -215,10 +215,21 @@ def misspecified_log_likelihood(
     enum_cap: Optional[int] = None,
 ) -> float:
     """Log probability of y_sub under the subgraph-sized model."""
-    n = y_sub.n
+    rows = [sufficient_stats(spec, y_sub).as_array()]
+    return _independent_log_likelihood(spec, theta, y_sub.n, rows, enum_cap)
+
+
+def _independent_log_likelihood(
+    spec: ModelSpec,
+    theta: ParamVector,
+    n: int,
+    rows: Sequence[np.ndarray],
+    enum_cap: Optional[int],
+) -> float:
+    """Log likelihood of independent size-n graphs with statistic ``rows``."""
     eta = natural_params(spec, theta, n).as_array()
-    s = sufficient_stats(spec, y_sub).as_array()
-    return float(eta @ s) - log_normalizer(spec, theta, n, enum_cap)
+    total = sum(float(eta @ row) for row in rows)
+    return total - len(rows) * log_normalizer(spec, theta, n, enum_cap)
 
 
 def log_likelihood(
@@ -239,15 +250,11 @@ def log_likelihood(
     if kind is not LikelihoodKind.PROPER:
         raise ValueError("misspecified likelihood applies only to induced-subgraph data")
     if isinstance(data, FullGraph):
-        g = data.graph
-        eta = natural_params(spec, theta, g.n).as_array()
-        s = sufficient_stats(spec, g).as_array()
-        return float(eta @ s) - log_normalizer(spec, theta, g.n, enum_cap)
+        rows = [sufficient_stats(spec, data.graph).as_array()]
+        return _independent_log_likelihood(spec, theta, data.graph.n, rows, enum_cap)
     if isinstance(data, Replicates):
-        n = data.n
-        eta = natural_params(spec, theta, n).as_array()
-        total = sum(float(eta @ sufficient_stats(spec, g).as_array()) for g in data.graphs)
-        return total - len(data.graphs) * log_normalizer(spec, theta, n, enum_cap)
+        rows = [sufficient_stats(spec, g).as_array() for g in data.graphs]
+        return _independent_log_likelihood(spec, theta, data.n, rows, enum_cap)
     raise TypeError(f"unsupported observed-data type {type(data).__name__}")
 
 
@@ -566,25 +573,22 @@ def _enumerated_mle(
             iterations=iterations,
         )
 
-    if isinstance(data, FullGraph):
-        s_target = sufficient_stats(spec, data.graph).as_array()
-        size, weight = data.graph.n, 1
-    elif isinstance(data, Replicates):
-        stacked = np.stack(
-            [sufficient_stats(spec, g).as_array() for g in data.graphs]
-        )
-        s_target = stacked.mean(axis=0)
-        size, weight = data.n, len(data.graphs)
+    # Full graph, replicates, or the misspecified likelihood of a subgraph:
+    # independent graphs of one size, whose statistics are computed once.
+    if isinstance(data, Replicates):
+        graphs, size = data.graphs, data.n
     else:
-        s_target = sufficient_stats(spec, data.subgraph).as_array()
-        size, weight = data.subgraph.n, 1
+        graph = data.graph if isinstance(data, FullGraph) else data.subgraph
+        graphs, size = (graph,), graph.n
+    rows = np.stack([sufficient_stats(spec, g).as_array() for g in graphs])
+    s_target = rows.mean(axis=0)
 
     if not _stats_interior(spec, size, s_target, enum_cap):
         return _boundary_result(dim)
     theta, converged, iterations = _newton_moment_solve(spec, s_target, size, enum_cap)
     pv = ParamVector(theta=tuple(theta))
-    value = log_likelihood(spec, pv, data, kind, enum_cap)
-    information = weight * fisher_information(spec, pv, size, enum_cap)
+    value = _independent_log_likelihood(spec, pv, size, rows, enum_cap)
+    information = len(graphs) * fisher_information(spec, pv, size, enum_cap)
     return MLEResult(
         theta_hat=tuple(float(v) for v in theta),
         std_err=_std_errors_from_information(information) if converged else None,

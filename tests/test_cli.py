@@ -292,6 +292,18 @@ def test_check_projectivity_thread_invariance(capsys):
     assert serial == parallel
 
 
+def test_check_projectivity_enumeration_cap(capsys):
+    from projgraph.exact import _enumerated_stats_cached
+
+    built = _enumerated_stats_cached.cache_info().misses
+    code = main(["check-projectivity", "--family", "edge-triangle", "--n", "8", "--n-sub", "7"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "error: n=8 exceeds the enumeration cap 7" in err
+    assert "override up to 8 is possible but costly" in err
+    assert _enumerated_stats_cached.cache_info().misses == built  # refused before building
+
+
 # --------------------------------------------------------------------------
 # experiment
 # --------------------------------------------------------------------------

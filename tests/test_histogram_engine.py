@@ -1,5 +1,6 @@
-"""Property tests: normalizers, moments and the completion likelihood, which
-run on statistic histograms, against direct sums over every graph."""
+"""Property tests: normalizers, moments, the completion likelihood and the
+projectivity check, which run on statistic histograms and grouped joint
+counts, against direct sums over every graph."""
 
 import math
 from functools import lru_cache
@@ -13,6 +14,7 @@ from projgraph import (
     NodeSubset,
     ParamVector,
     completion_log_likelihood,
+    degree_sequence,
     dyad_count,
     edge_count,
     expected_stats,
@@ -20,6 +22,7 @@ from projgraph import (
     induced_subgraph,
     log_normalizer,
     model_spec,
+    projectivity_check,
     register_family,
     stat_covariance,
     triangle_count,
@@ -39,22 +42,36 @@ def _float_stats(g):
     return (m / 3.0, math.sqrt(1.0 + t), 0.1 * m * t - 0.5)
 
 
+def _node_zero_stats(g):
+    """Label-dependent statistics: the degree of node 0 and the parity of the
+    edge count.  Under the parity, prefix subgraphs of different classes can
+    have the same multiset of completion classes."""
+    return (float(degree_sequence(g)[0]), float(edge_count(g) % 2))
+
+
+# Families whose statistics are invariant under relabelling the nodes, as the
+# completion likelihood assumes.
 FAMILIES = {"EdgeTriangle": _edge_triangle, "FloatStatsProbe": _float_stats}
+LABELLED = {"NodeZeroProbe": _node_zero_stats}
 
 
 @pytest.fixture(scope="module", autouse=True)
-def float_family():
+def probe_families():
     register_family(
         Family(name="FloatStatsProbe", stat_dim=3, offset_edges=False, stats=_float_stats)
     )
+    register_family(
+        Family(name="NodeZeroProbe", stat_dim=2, offset_edges=False, stats=_node_zero_stats)
+    )
     yield
     unregister_family("FloatStatsProbe")
+    unregister_family("NodeZeroProbe")
 
 
 @lru_cache(maxsize=None)
 def _graph_table(family, n):
     """Statistics of every graph on n nodes, one row per graph index."""
-    stats = FAMILIES[family]
+    stats = {**FAMILIES, **LABELLED}[family]
     return np.array([stats(graph_from_index(n, k)) for k in range(1 << dyad_count(n))])
 
 
@@ -130,3 +147,25 @@ def test_completion_likelihood_matches_per_completion_sum(data, family):
     want = _log_sum_exp(log_w[completions]) - _log_sum_exp(log_w)
     got = completion_log_likelihood(spec, ParamVector(theta=theta), y_sub, population_n)
     _assert_close(got, want)
+
+
+def _oracle_tv(family, n, n_sub, eta):
+    """TV between the n-node model summed over each prefix subgraph, found by
+    masking the graph index, and the n_sub-node model."""
+    big = _graph_table(family, n) @ eta
+    prefix = np.arange(len(big)) & ((1 << dyad_count(n_sub)) - 1)
+    marginal = np.bincount(prefix, weights=np.exp(big - _log_sum_exp(big)))
+    small = _graph_table(family, n_sub) @ eta
+    return 0.5 * float(np.abs(marginal - np.exp(small - _log_sum_exp(small))).sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), family=st.sampled_from(sorted(FAMILIES) + sorted(LABELLED)))
+def test_projectivity_tv_matches_per_graph_marginal(data, family):
+    spec = model_spec(family)
+    n = data.draw(st.integers(2, 5), label="n")
+    n_sub = data.draw(st.integers(1, n - 1), label="n_sub")
+    grid = data.draw(st.lists(_thetas(spec.stat_dim), min_size=1, max_size=3), label="grid")
+    report = projectivity_check(spec, [ParamVector(theta=t) for t in grid], n=n, n_sub=n_sub)
+    for theta, tv in zip(grid, report.tv_per_theta):
+        assert abs(tv - _oracle_tv(family, n, n_sub, np.array(theta))) <= 1e-12

@@ -113,6 +113,37 @@ def test_replicates_likelihood_is_additive():
     assert total == pytest.approx(parts, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "data, kind",
+    [
+        (FullGraph(_triangle_with_tail()), LikelihoodKind.PROPER),
+        (Replicates(graphs=(_triangle_with_tail(),) * 4), LikelihoodKind.PROPER),
+        (
+            InducedSubgraph(subgraph=_triangle_with_tail(), population_n=6),
+            LikelihoodKind.MISSPECIFIED,
+        ),
+    ],
+    ids=["full", "replicates", "misspecified"],
+)
+def test_enumerated_mle_computes_each_graphs_statistics_once(monkeypatch, data, kind):
+    import projgraph.inference as inference
+
+    calls = []
+
+    def counting(spec, g):
+        calls.append(g)
+        return sufficient_stats(spec, g)
+
+    monkeypatch.setattr(inference, "sufficient_stats", counting)
+    result = mle(EDGE_TRI, data, kind)
+    graphs = data.graphs if isinstance(data, Replicates) else (_triangle_with_tail(),)
+    assert result.converged
+    assert len(calls) == len(graphs)
+    monkeypatch.undo()
+    direct = log_likelihood(EDGE_TRI, ParamVector(theta=result.theta_hat), data, kind)
+    assert result.log_lik == direct
+
+
 def test_proper_likelihood_closed_form_matches_enumeration():
     """Dual route: the binomial closed form for independent dyads against the
     explicit sum over all completions of the unobserved dyads."""
