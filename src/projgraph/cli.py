@@ -9,11 +9,11 @@ experiment command then also writes a JSON metadata sidecar).
 
 Exit codes: 0 success, 2 invalid input, 3 enumeration cap exceeded,
 4 I/O failure.  Validation always precedes computation, so invalid
-invocations never leave partial output files.  The ``--threads`` flag
-(fallback: the PROJGRAPH_THREADS environment variable) caps the worker
-count of ``experiment``; every output body is identical for any thread
-count.  ``check-projectivity`` runs single-threaded and validates the
-flag only for compatibility.
+invocations never leave partial output files.  ``experiment`` and
+``check-projectivity`` accept ``--threads`` (fallback: the
+PROJGRAPH_THREADS environment variable) for compatibility and validate
+it, but both run serially, so every output body is the same for any
+value.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 
 from .exact import (
     EnumerationCapError,
+    _product_grid,
     build_distribution,
     default_theta_grid,
     exact_sample,
@@ -74,11 +75,12 @@ def _parse_theta(text: str, spec: ModelSpec, flag: str = "--theta") -> ParamVect
     return ParamVector(theta=values)
 
 
-def _resolve_threads(value: Optional[int]) -> int:
+def _validate_threads(value: Optional[int]) -> None:
+    """Check ``--threads``, or PROJGRAPH_THREADS when the flag is absent."""
     if value is None:
         env = os.environ.get(THREADS_ENV_VAR)
         if env is None:
-            return 1
+            return
         try:
             value = int(env)
         except ValueError:
@@ -87,7 +89,6 @@ def _resolve_threads(value: Optional[int]) -> int:
             ) from None
     if value < 1:
         raise ValueError("--threads must be >= 1")
-    return value
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -204,13 +205,8 @@ def _cmd_check_projectivity(args: argparse.Namespace) -> int:
             ) from None
         if not axis:
             raise ValueError("--theta-grid must be non-empty")
-        import itertools
-
-        grid = tuple(
-            ParamVector(theta=point)
-            for point in itertools.product(axis, repeat=spec.stat_dim)
-        )
-    _resolve_threads(args.threads)
+        grid = _product_grid(spec, axis)
+    _validate_threads(args.threads)
     report = projectivity_check(
         spec,
         grid,
@@ -230,8 +226,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON in {args.config}: {exc}") from None
     cfg = ExperimentConfig.from_dict(payload)
-    threads = _resolve_threads(args.threads)
-    report = run_experiment(cfg, threads=threads)
+    _validate_threads(args.threads)
+    report = run_experiment(cfg)
     if args.out is None:
         sys.stdout.write(report.csv_body())
         return 0
@@ -324,20 +320,21 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated per-component axis values (product grid)",
     )
     p_proj.add_argument("--tolerance", type=float, default=PROJECTIVITY_TOLERANCE)
-    p_proj.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="accepted for compatibility; the check runs single-threaded",
-    )
     add_common(p_proj)
     p_proj.set_defaults(handler=_cmd_check_projectivity)
 
     p_exp = sub.add_parser("experiment", help="run a configured study")
     p_exp.add_argument("config", help="JSON config file")
-    p_exp.add_argument("--threads", type=int, default=None)
     add_common(p_exp, enum_cap=False)
     p_exp.set_defaults(handler=_cmd_experiment)
+
+    for p in (p_proj, p_exp):
+        p.add_argument(
+            "--threads",
+            type=int,
+            default=None,
+            help="accepted for compatibility and validated; the work runs serially",
+        )
 
     return parser
 

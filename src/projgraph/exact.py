@@ -5,11 +5,12 @@ per graph, indexed by the graph/integer bijection from
 :mod:`projgraph.graph`.  Normalizers and moments depend on a graph only
 through its statistics, so they run on the statistic histogram: the
 distinct statistic vectors of all graphs of size n with the log of their
-counts, built once per (family, n).  The projectivity check runs on
-grouped joint counts, built once per (family, n, n_sub): for each group
-of n_sub-node prefix subgraphs, how many completions to n nodes fall in
-each statistic class.  Log-space arithmetic is used throughout
-(max-shifted logsumexp) so large parameter values cannot overflow.
+counts, built once per (family, n) from each graph's cached class code.
+The projectivity check runs on grouped joint counts, built once per
+(family, n, n_sub): for each group of n_sub-node prefix subgraphs, how
+many completions to n nodes fall in each statistic class.  Log-space
+arithmetic is used throughout (max-shifted logsumexp) so large parameter
+values cannot overflow.
 Independent-dyad families additionally get closed-form normalizers and
 moments valid at any size.
 
@@ -132,35 +133,38 @@ def enumerated_stats(
     return _enumerated_stats_cached(spec.definition, n)
 
 
-def _class_codes(table: np.ndarray) -> np.ndarray:
-    """Rank of each row of a statistic table among its distinct rows.
+@lru_cache(maxsize=8)
+def _class_codes(fam: Family, n: int) -> np.ndarray:
+    """Rank of each graph's statistic vector among the distinct vectors of
+    all graphs of size n, in the smallest unsigned dtype that holds it.
 
     Each column is coded by its sorted distinct values and the codes are
     packed into one int64 key, renumbered after every column so that it
     stays below the row count.  Distinct rows are ranked in lexicographic
     order.
     """
+    table = _enumerated_stats_cached(fam, n)
     key = np.zeros(table.shape[0], dtype=np.int64)
     for column in table.T:
         values = np.unique(column)
         key = key * len(values) + np.searchsorted(values, column)
         key = np.searchsorted(np.unique(key), key)
-    return key
-
-
-def _histogram(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a statistic table, in lexicographic order, and the
-    log of each row's count."""
-    key = _class_codes(table)
-    counts = np.bincount(key)
-    rows = np.empty(len(counts), dtype=np.int64)
-    rows[key] = np.arange(len(key))
-    return table[rows].astype(np.float64), np.log(counts)
+    codes = key.astype(np.min_scalar_type(int(key.max())))
+    codes.flags.writeable = False
+    return codes
 
 
 @lru_cache(maxsize=8)
 def _statistic_histogram(fam: Family, n: int) -> tuple[np.ndarray, np.ndarray]:
-    points, log_counts = _histogram(_enumerated_stats_cached(fam, n))
+    """Distinct statistic vectors of all graphs of size n, in lexicographic
+    order (row c is class c of :func:`_class_codes`), and the log of each
+    vector's count."""
+    codes = _class_codes(fam, n)
+    counts = np.bincount(codes)
+    rows = np.empty(len(counts), dtype=np.int64)
+    rows[codes] = np.arange(len(codes))
+    points = _enumerated_stats_cached(fam, n)[rows].astype(np.float64)
+    log_counts = np.log(counts)
     points.flags.writeable = False
     log_counts.flags.writeable = False
     return points, log_counts
@@ -205,15 +209,14 @@ def _joint_counts(fam: Family, n: int, n_sub: int) -> tuple[np.ndarray, ...]:
     Returns each group's multiplicity, its completion count per class at
     n (one row per group), and its class at n_sub.
     """
-    codes = _class_codes(_enumerated_stats_cached(fam, n))
-    sub_codes = _class_codes(_enumerated_stats_cached(fam, n_sub))
+    codes = _class_codes(fam, n)
+    sub_codes = _class_codes(fam, n_sub)
     classes = int(codes.max()) + 1
     # One row per prefix subgraph: its class, then its completions' classes.
     rows = np.empty((len(sub_codes), 1 + len(codes) // len(sub_codes)),
                     dtype=np.min_scalar_type(max(classes - 1, int(sub_codes.max()))))
     rows[:, 0] = sub_codes
     rows[:, 1:] = codes.reshape(-1, len(sub_codes)).T
-    del codes
     rows[:, 1:].sort(axis=1)
     key = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     _, first, multiplicity = np.unique(key, return_index=True, return_counts=True)
@@ -395,13 +398,17 @@ class ProjectivityReport:
         return buf.getvalue()
 
 
-def default_theta_grid(spec: ModelSpec) -> tuple[ParamVector, ...]:
-    """Product grid over {-2, -1, 0, 1, 2} per statistic component."""
-    axis = (-2.0, -1.0, 0.0, 1.0, 2.0)
+def _product_grid(spec: ModelSpec, axis: Sequence[float]) -> tuple[ParamVector, ...]:
+    """Product grid over ``axis`` per statistic component."""
     return tuple(
         ParamVector(theta=point)
         for point in itertools.product(axis, repeat=spec.stat_dim)
     )
+
+
+def default_theta_grid(spec: ModelSpec) -> tuple[ParamVector, ...]:
+    """Product grid over {-2, -1, 0, 1, 2} per statistic component."""
+    return _product_grid(spec, (-2.0, -1.0, 0.0, 1.0, 2.0))
 
 
 def projectivity_check(

@@ -13,10 +13,13 @@ Four studies ship, all driven by one :class:`ExperimentConfig`:
 
 Every replicate derives its own random stream from the master seed and
 the path (experiment tag, cell index, replicate indices), so results do
-not depend on execution order or worker count; report CSV bodies are
-byte-identical across runs and thread counts.  Replicates with no finite
-estimate (boundary data) are excluded from bias/RMSE and counted in the
-``n_boundary`` column, with ``units = used + n_boundary`` per row.
+not depend on execution order; report CSV bodies are byte-identical
+across runs.  Replicates run serially: each is milliseconds of GIL-bound
+Python, and a thread pool made two workers slower than one.  The runners
+keep their ``threads`` keyword for compatibility; it schedules nothing.
+Replicates with no finite estimate (boundary data) are excluded from
+bias/RMSE and counted in the ``n_boundary`` column, with
+``units = used + n_boundary`` per row.
 """
 
 from __future__ import annotations
@@ -26,9 +29,8 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -241,7 +243,7 @@ class ExperimentReport:
     """Per-cell summaries plus reproducibility metadata.
 
     ``csv_body()`` is the deterministic artifact: identical configs give
-    byte-identical bodies for any worker count.  Metadata echoes the
+    byte-identical bodies.  Metadata echoes the
     config and records wall-clock runtime, which naturally varies.
     """
 
@@ -270,14 +272,6 @@ def _format_cell(value: Any) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _parallel_map(fn: Callable, items: Iterable, threads: int) -> list:
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _estimate_columns(dim: int) -> list[str]:
@@ -351,19 +345,17 @@ def run_growth_consistency(cfg: ExperimentConfig, threads: int = 1) -> Experimen
     rows = []
     for cell_index, n in enumerate(cfg.sizes):
         pi = edge_prob(cfg.spec, cfg.theta_star, n)
-
-        def one(replicate: int, n: int = n, cell_index: int = cell_index, pi: float = pi):
+        results, degrees, edges = [], [], []
+        for replicate in range(cfg.replicates):
             rng = substream(cfg.master_seed, "growth", cell_index, replicate)
             g = sample_bernoulli(n, pi, rng)
-            result = mle(cfg.spec, FullGraph(g), LikelihoodKind.PROPER)
-            return result, mean_degree(g), edge_count(g)
-
-        outcomes = _parallel_map(one, range(cfg.replicates), threads)
-        results = [o[0] for o in outcomes]
+            results.append(mle(cfg.spec, FullGraph(g), LikelihoodKind.PROPER))
+            degrees.append(mean_degree(g))
+            edges.append(edge_count(g))
         row = {"cell": f"n={n}", "n": n}
         row.update(_summarize_estimates(results, cfg.theta_star))
-        row["mean_degree"] = float(np.mean([o[1] for o in outcomes]))
-        row["mean_edges"] = float(np.mean([o[2] for o in outcomes]))
+        row["mean_degree"] = float(np.mean(degrees))
+        row["mean_edges"] = float(np.mean(edges))
         rows.append(row)
     columns = (
         ["cell", "n", "units", "used", "n_boundary"]
@@ -395,15 +387,13 @@ def run_replication_consistency(
     draw = _cell_sampler(cfg, n)
     rows = []
     for cell_index, count in enumerate(cfg.replicates):
-
-        def one_study(study: int, count: int = count, cell_index: int = cell_index):
+        results = []
+        for study in range(cfg.studies_per_cell):
             graphs = tuple(
                 draw(substream(cfg.master_seed, "replication", cell_index, study, r))
                 for r in range(count)
             )
-            return mle(cfg.spec, Replicates(graphs), LikelihoodKind.PROPER)
-
-        results = _parallel_map(one_study, range(cfg.studies_per_cell), threads)
+            results.append(mle(cfg.spec, Replicates(graphs), LikelihoodKind.PROPER))
         row = {"cell": f"R={count}", "n": n, "R": count}
         row.update(_summarize_estimates(results, cfg.theta_star))
         rows.append(row)
@@ -421,8 +411,8 @@ def run_subsample_bias(cfg: ExperimentConfig, threads: int = 1) -> ExperimentRep
     rows = []
     for cell_index, population_n in enumerate(cfg.sizes):
         draw = _cell_sampler(cfg, population_n)
-
-        def one(replicate: int, population_n: int = population_n, cell_index: int = cell_index, draw=draw):
+        proper, misspecified = [], []
+        for replicate in range(cfg.replicates):
             rng = substream(cfg.master_seed, "subsample", cell_index, replicate)
             g = draw(rng)
             members = tuple(
@@ -435,16 +425,9 @@ def run_subsample_bias(cfg: ExperimentConfig, threads: int = 1) -> ExperimentRep
             )
             y_sub = induced_subgraph(g, NodeSubset(population_n, members))
             data = InducedSubgraph(y_sub, population_n)
-            return (
-                mle(cfg.spec, data, LikelihoodKind.PROPER),
-                mle(cfg.spec, data, LikelihoodKind.MISSPECIFIED),
-            )
-
-        outcomes = _parallel_map(one, range(cfg.replicates), threads)
-        for kind, results in (
-            ("proper", [o[0] for o in outcomes]),
-            ("misspecified", [o[1] for o in outcomes]),
-        ):
+            proper.append(mle(cfg.spec, data, LikelihoodKind.PROPER))
+            misspecified.append(mle(cfg.spec, data, LikelihoodKind.MISSPECIFIED))
+        for kind, results in (("proper", proper), ("misspecified", misspecified)):
             row = {
                 "cell": f"N={population_n}|{kind}",
                 "n": population_n,
@@ -478,12 +461,10 @@ def run_connectivity_threshold(
     cells = [(n, c) for n in cfg.sizes for c in cfg.multipliers]
     for cell_index, (n, c) in enumerate(cells):
         pi = min(1.0, c * math.log(n) / n)
-
-        def one(replicate: int, n: int = n, pi: float = pi, cell_index: int = cell_index):
+        connected = []
+        for replicate in range(cfg.replicates):
             rng = substream(cfg.master_seed, "threshold", cell_index, replicate)
-            return is_connected(sample_bernoulli(n, pi, rng))
-
-        connected = _parallel_map(one, range(cfg.replicates), threads)
+            connected.append(is_connected(sample_bernoulli(n, pi, rng)))
         rows.append(
             {
                 "cell": f"n={n},c={_format_cell(float(c))}",
@@ -507,5 +488,9 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
-    """Dispatch a config to its study runner."""
+    """Dispatch a config to its study runner.
+
+    ``threads`` is accepted for compatibility and ignored: replicates run
+    serially, and the report is the same for any value.
+    """
     return _RUNNERS[cfg.experiment](cfg, threads=threads)

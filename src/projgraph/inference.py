@@ -40,10 +40,9 @@ from scipy.spatial import ConvexHull, QhullError
 from scipy.special import logsumexp
 
 from .exact import (
-    _histogram,
+    _class_codes,
     _moments,
     _statistic_histogram,
-    enumerated_stats,
     log_normalizer,
     resolve_enum_cap,
     stat_covariance,
@@ -355,12 +354,20 @@ def _completion_histogram(
     enum_cap: Optional[int],
 ) -> _Histogram:
     """Statistic histogram of the population graphs completing y_sub, with
-    y_sub embedded as the prefix (see ``completion_log_likelihood``)."""
-    stats = enumerated_stats(spec, population_n, enum_cap)
+    y_sub embedded as the prefix (see ``completion_log_likelihood``).
+
+    Its rows are the population histogram's rows that some completion
+    reaches, in the same order.
+    """
+    resolve_enum_cap(population_n, enum_cap)
+    points, _ = _statistic_histogram(spec.definition, population_n)
     sub_d = dyad_count(y_sub.n)
     free_d = dyad_count(population_n) - sub_d
     idx = y_sub.dyads + (np.arange(1 << free_d, dtype=np.int64) << sub_d)
-    return _histogram(stats[idx])
+    counts = np.bincount(_class_codes(spec.definition, population_n)[idx],
+                         minlength=len(points))
+    present = counts > 0
+    return points[present], np.log(counts[present])
 
 
 def _log_ratio_parts(

@@ -2,6 +2,7 @@
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -570,6 +571,18 @@ def test_reports_are_thread_count_invariant():
         serial = run_experiment(cfg, threads=1).csv_body()
         parallel = run_experiment(cfg, threads=4).csv_body()
         assert serial == parallel, f"{cfg.experiment} body changed with thread count"
+
+
+def test_replicates_run_serially_for_any_thread_count(monkeypatch):
+    """A worker pool made 2 threads slower than 1 in the benchmark; bring one
+    back only with benchmark evidence that it pays."""
+    expected = run_experiment(_growth_cfg(), threads=1).csv_body()
+
+    def refuse(self):
+        raise AssertionError("an experiment started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert run_experiment(_growth_cfg(), threads=8).csv_body() == expected
 
 
 def test_report_metadata_contents():
