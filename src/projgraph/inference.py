@@ -16,13 +16,16 @@ Independent-dyad families admit closed forms everywhere (the proper
 likelihood is binomial in the population edge probability).  Other
 families are handled by exhaustive enumeration: the proper likelihood
 sums the population model over all completions of the unobserved dyads.
-Normalizers, moments and both solvers run on statistic histograms (the
+Normalizers, moments and the solver run on statistic histograms (the
 distinct statistic vectors with their counts) of the population graphs
-and of the completion set, never on per-graph tables.
-Estimation uses closed-form logit estimators where available and damped
-Newton iteration on the moment equation elsewhere.  Data whose
-sufficient statistics lie on the boundary of the attainable range have
-no finite maximizer and are reported with ``boundary=True``.
+and of the observed event, never on per-graph tables.
+Estimation uses closed-form logit estimators where available.  Elsewhere
+one damped Newton ascent maximizes the log probability of the observed
+event: the completion set of a subgraph, or, for independent same-size
+graphs, one graph at their mean statistics, where the ascent solves the
+moment equation.  Data with no finite maximizer (for independent graphs,
+mean statistics on the boundary of the attainable range) are reported
+with ``boundary=True``.
 """
 
 from __future__ import annotations
@@ -37,10 +40,10 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
-from scipy.special import logsumexp
 
 from .exact import (
     _class_codes,
+    _logsumexp,
     _moments,
     _statistic_histogram,
     log_normalizer,
@@ -301,49 +304,6 @@ def _stats_interior(
     return bool(np.max(slack) < -_HULL_INTERIOR_TOL)
 
 
-def _newton_moment_solve(
-    spec: ModelSpec,
-    s_target: np.ndarray,
-    n: int,
-    enum_cap: Optional[int],
-) -> tuple[np.ndarray, bool, int]:
-    """Damped Newton iteration for E_theta[s] = s_target at size n.
-
-    Starts at theta = 0; each step is damped by halving until the
-    log likelihood does not decrease.  Convergence requires the moment
-    residual to drop below NEWTON_TOLERANCE in the max norm.
-    """
-    resolve_enum_cap(n, enum_cap)
-    hist = _statistic_histogram(spec.definition, n)
-
-    def parts(t: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        eta = natural_params(spec, ParamVector(theta=tuple(t)), n).as_array()
-        log_z, mu, cov = _moments(*hist, eta)
-        return float(eta @ s_target) - log_z, mu, cov
-
-    theta = np.zeros(len(s_target))
-    current, mu, cov = parts(theta)
-    for iteration in range(1, NEWTON_MAX_ITERATIONS + 1):
-        resid = s_target - mu
-        if float(np.max(np.abs(resid))) <= NEWTON_TOLERANCE:
-            return theta, True, iteration - 1
-        try:
-            step = np.linalg.solve(cov, resid)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(cov, resid, rcond=None)[0]
-        scale = 1.0
-        for _ in range(60):
-            candidate = theta + scale * step
-            value, cand_mu, cand_cov = parts(candidate)
-            if value >= current - 1e-15:
-                theta, current, mu, cov = candidate, value, cand_mu, cand_cov
-                break
-            scale *= 0.5
-        else:
-            return theta, False, iteration
-    return theta, False, NEWTON_MAX_ITERATIONS
-
-
 _Histogram = tuple[np.ndarray, np.ndarray]
 
 
@@ -400,35 +360,40 @@ def _recession_sup(comp: _Histogram, full: _Histogram) -> float:
             on_c = comp_points[:, j] == target
             on_f = full_points[:, j] == target
             if dim == 1:
-                cand = float(logsumexp(comp_lc[on_c]) - logsumexp(full_lc[on_f]))
+                cand = _logsumexp(comp_lc[on_c]) - _logsumexp(full_lc[on_f])
             else:
                 comp_face = (np.delete(comp_points[on_c], j, axis=1), comp_lc[on_c])
                 full_face = (np.delete(full_points[on_f], j, axis=1), full_lc[on_f])
-                _, value, _, _, _ = _ascend_log_ratio(comp_face, full_face)
+                _, value, _, _, _ = _ascend_log_ratio(
+                    comp_face, full_face, _DIVERGENCE_NORM
+                )
                 cand = max(value, _recession_sup(comp_face, full_face))
             best = max(best, cand)
     return best
 
 
 def _ascend_log_ratio(
-    comp: _Histogram, full: _Histogram
+    comp: _Histogram, full: _Histogram, radius: float
 ) -> tuple[np.ndarray, float, bool, bool, int]:
     """Damped ascent of eta -> log P_eta(completion set) from 0.
 
-    Returns (eta, value, converged, boundary, iterations).  The objective
-    is a log probability of the completion event, not an exponential-
-    family log likelihood, so no exact pre-iteration boundary test
-    exists; a supremum at infinity is detected by three signs instead.
+    Returns (eta, value, converged, boundary, iterations).  For a
+    completion set of more than one statistic class the objective is a
+    log probability of an event, not an exponential-family log
+    likelihood, so no exact pre-iteration boundary test exists; a
+    supremum at infinity is detected by three signs instead.
     Saturation: the probability of a strict subset of graphs stays below
     1 at every finite eta, so a value within rounding distance of zero
     certifies divergence (the gradient underflows on such a plateau, so
     this is tested before stationarity).  Recession dominance: a
     stationary point is accepted only if it beats every attainable
     coordinate-face limit of the objective, else the apparent stall is a
-    ridge running to infinity.  Radius: iterates whose norm exceeds a
-    fixed bound are declared divergent.  Newton steps are used while the
-    curvature is usable, with gradient ascent and step halving as
-    fallback.
+    ridge running to infinity.  Radius: iterates whose max norm exceeds
+    ``radius`` are declared divergent.  Callers pass ``_DIVERGENCE_NORM``
+    unless a finite maximizer is certified, as the hull test does for a
+    one-row completion set at interior mean statistics; they then pass
+    ``math.inf``.  Newton steps are used while the curvature is usable,
+    with gradient ascent and step halving as fallback.
     """
     eta = np.zeros(full[0].shape[1])
     value, grad, hess = _log_ratio_parts(comp, full, eta)
@@ -458,30 +423,9 @@ def _ascend_log_ratio(
             scale *= 0.5
         if not moved:
             return eta, value, False, False, iteration
-        if float(np.max(np.abs(eta))) > _DIVERGENCE_NORM:
+        if float(np.max(np.abs(eta))) > radius:
             return eta, value, False, True, iteration
     return eta, value, False, False, NEWTON_MAX_ITERATIONS
-
-
-def _proper_mle_enumerated(
-    spec: ModelSpec,
-    y_sub: Graph,
-    population_n: int,
-    enum_cap: Optional[int],
-) -> tuple[np.ndarray, np.ndarray, bool, bool, int]:
-    """Maximize the completion log likelihood over theta.
-
-    Returns (theta, observed information, converged, boundary,
-    iterations).  Theta and eta differ by a constant shift, so the
-    observed information is minus the log-ratio Hessian at the maximizer.
-    """
-    comp = _completion_histogram(spec, y_sub, population_n, enum_cap)
-    full = _statistic_histogram(spec.definition, population_n)
-    eta, _, converged, boundary, iterations = _ascend_log_ratio(comp, full)
-    _, _, hess = _log_ratio_parts(comp, full, eta)
-    zero = ParamVector(theta=(0.0,) * spec.stat_dim)
-    shift = natural_params(spec, zero, population_n).as_array()
-    return eta - shift, -hess, converged, boundary, iterations
 
 
 def _std_errors_from_information(information: np.ndarray) -> Optional[tuple[float, ...]]:
@@ -560,45 +504,50 @@ def _enumerated_mle(
     kind: LikelihoodKind,
     enum_cap: Optional[int],
 ) -> MLEResult:
+    """Ascend the log probability of the observed event over eta.
+
+    For the proper likelihood of a subgraph the event is its completion
+    set.  Independent same-size graphs (a full graph, replicates, or the
+    misspecified likelihood of a subgraph) have the log likelihood
+    ``weight`` times that of one graph at their mean statistics: a one-row
+    event with log count 0, after the exact hull test for a finite
+    maximizer.  Theta and eta differ by a constant shift, so the observed
+    information is ``weight`` times minus the log-ratio Hessian at the
+    maximizer.
+    """
     dim = spec.stat_dim
-    if isinstance(data, InducedSubgraph) and kind is LikelihoodKind.PROPER:
-        theta, observed_info, converged, boundary, iterations = _proper_mle_enumerated(
-            spec, data.subgraph, data.population_n, enum_cap
-        )
-        if boundary:
-            return _boundary_result(dim)
-        pv = ParamVector(theta=tuple(theta))
-        value = proper_log_likelihood(
-            spec, pv, data.subgraph, data.population_n, enum_cap
-        )
-        return MLEResult(
-            theta_hat=tuple(float(v) for v in theta),
-            std_err=_std_errors_from_information(observed_info) if converged else None,
-            log_lik=value,
-            converged=converged,
-            boundary=False,
-            iterations=iterations,
-        )
-
-    # Full graph, replicates, or the misspecified likelihood of a subgraph:
-    # independent graphs of one size, whose statistics are computed once.
-    if isinstance(data, Replicates):
-        graphs, size = data.graphs, data.n
+    proper = isinstance(data, InducedSubgraph) and kind is LikelihoodKind.PROPER
+    if proper:
+        size = data.population_n
+        comp = _completion_histogram(spec, data.subgraph, size, enum_cap)
+        weight, radius = 1, _DIVERGENCE_NORM
     else:
-        graph = data.graph if isinstance(data, FullGraph) else data.subgraph
-        graphs, size = (graph,), graph.n
-    rows = np.stack([sufficient_stats(spec, g).as_array() for g in graphs])
-    s_target = rows.mean(axis=0)
-
-    if not _stats_interior(spec, size, s_target, enum_cap):
+        if isinstance(data, Replicates):
+            graphs, size = data.graphs, data.n
+        else:
+            graph = data.graph if isinstance(data, FullGraph) else data.subgraph
+            graphs, size = (graph,), graph.n
+        rows = np.stack([sufficient_stats(spec, g).as_array() for g in graphs])
+        s_target = rows.mean(axis=0)
+        if not _stats_interior(spec, size, s_target, enum_cap):
+            return _boundary_result(dim)
+        comp = (s_target[None, :], np.zeros(1))
+        weight, radius = len(graphs), math.inf
+    full = _statistic_histogram(spec.definition, size)
+    eta, _, converged, boundary, iterations = _ascend_log_ratio(comp, full, radius)
+    if boundary:
         return _boundary_result(dim)
-    theta, converged, iterations = _newton_moment_solve(spec, s_target, size, enum_cap)
+    zero = ParamVector(theta=(0.0,) * dim)
+    theta = eta - natural_params(spec, zero, size).as_array()
     pv = ParamVector(theta=tuple(theta))
-    value = _independent_log_likelihood(spec, pv, size, rows, enum_cap)
-    information = len(graphs) * fisher_information(spec, pv, size, enum_cap)
+    if proper:
+        value = proper_log_likelihood(spec, pv, data.subgraph, size, enum_cap)
+    else:
+        value = _independent_log_likelihood(spec, pv, size, rows, enum_cap)
+    _, _, hess = _log_ratio_parts(comp, full, eta)
     return MLEResult(
         theta_hat=tuple(float(v) for v in theta),
-        std_err=_std_errors_from_information(information) if converged else None,
+        std_err=_std_errors_from_information(weight * -hess) if converged else None,
         log_lik=value,
         converged=converged,
         boundary=False,
@@ -614,10 +563,12 @@ def mle(
 ) -> MLEResult:
     """Maximize the selected log likelihood for the observed data.
 
-    Independent-dyad families use the logit closed form; other families
-    solve the moment equation by damped Newton iteration (boundary data
-    detected against the attainable-statistics hull before iterating) or,
-    for the proper subgraph likelihood, ascend the enumerated objective.
+    Independent-dyad families use the logit closed form.  Other families
+    ascend the enumerated log probability of the observed event by damped
+    Newton steps: the completion set for the proper subgraph likelihood,
+    else one graph at the mean statistics, which solves the moment
+    equation (boundary data are detected against the attainable-statistics
+    hull before iterating).
     """
     kind = LikelihoodKind(kind)
     if not isinstance(data, InducedSubgraph) and kind is LikelihoodKind.MISSPECIFIED:

@@ -7,7 +7,9 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from projgraph import (
     Family,
@@ -28,6 +30,7 @@ from projgraph import (
     triangle_count,
     unregister_family,
 )
+from projgraph.exact import _logsumexp
 
 RTOL = 1e-12
 
@@ -169,3 +172,17 @@ def test_projectivity_tv_matches_per_graph_marginal(data, family):
     report = projectivity_check(spec, [ParamVector(theta=t) for t in grid], n=n, n_sub=n_sub)
     for theta, tv in zip(grid, report.tv_per_theta):
         assert abs(tv - _oracle_tv(family, n, n_sub, np.array(theta))) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=arrays(np.float64, st.integers(1, 40),
+                  elements=st.floats(-700.0, 700.0, allow_nan=False)),
+    repeats=st.integers(0, 5),
+)
+def test_logsumexp_agrees_with_scipy(values, repeats):
+    """The engine's log-sum-exp, against SciPy's as the oracle, with the
+    maximum repeated up to five more times."""
+    values = np.concatenate([values, np.full(repeats, values.max())])
+    got, want = _logsumexp(values), float(scipy.special.logsumexp(values))
+    assert abs(got - want) <= 2 * np.spacing(max(abs(got), abs(want)))

@@ -64,6 +64,23 @@ def edges_newton():
     unregister_family("EdgesNewton")
 
 
+@pytest.fixture
+def edge_triangle_over_50():
+    """EdgeTriangle with both statistics divided by 50: the same models, with
+    natural parameters 50 times as large."""
+    base = EDGE_TRI.definition
+    fam = Family(
+        name="EdgeTriangleOver50",
+        stat_dim=2,
+        offset_edges=False,
+        stats=lambda g: tuple(v / 50.0 for v in base.stats(g)),
+        bulk_stats=lambda n: base.bulk_stats(n) / 50.0,
+    )
+    register_family(fam)
+    yield model_spec("EdgeTriangleOver50")
+    unregister_family("EdgeTriangleOver50")
+
+
 # --------------------------------------------------------------------------
 # observed-data containers
 # --------------------------------------------------------------------------
@@ -397,6 +414,18 @@ def test_edge_triangle_replicates_mle_matches_mean_statistics():
     info = 2 * fisher_information(EDGE_TRI, ParamVector(theta=result.theta_hat), 4)
     expected_se = tuple(math.sqrt(v) for v in np.diag(np.linalg.inv(info)))
     assert result.std_err == pytest.approx(expected_se, rel=1e-9)
+
+
+@pytest.mark.parametrize("index", [700, 1020])
+def test_hull_certified_estimates_are_not_capped_by_a_radius(edge_triangle_over_50, index):
+    """The statistics of 5-node graphs 700 and 1020 are interior, so a finite
+    estimate exists.  Under the statistics divided by 50 its first component
+    is about 32 and 93, beyond the divergence radius of the proper ascent."""
+    g = graph_from_index(5, index)
+    scaled = mle(edge_triangle_over_50, FullGraph(g))
+    assert scaled.converged and not scaled.boundary
+    base = mle(EDGE_TRI, FullGraph(g)).theta_hat
+    assert scaled.theta_hat == pytest.approx(tuple(50 * v for v in base), rel=1e-8)
 
 
 def test_edge_triangle_boundary_full_graphs():
