@@ -84,6 +84,7 @@ NEWTON_MAX_ITERATIONS = 100
 _DIVERGENCE_NORM = 25.0
 _SATURATION_TOL = 1e-10
 _RECESSION_VALUE_TOL = 1e-9
+_VALUE_SLACK = 1e-15
 _HULL_INTERIOR_TOL = 1e-9
 
 
@@ -393,7 +394,11 @@ def _ascend_log_ratio(
     unless a finite maximizer is certified, as the hull test does for a
     one-row completion set at interior mean statistics; they then pass
     ``math.inf``.  Newton steps are used while the curvature is usable,
-    with gradient ascent and step halving as fallback.
+    with gradient ascent and step halving as fallback.  A step is accepted
+    if the value falls by at most ``_VALUE_SLACK``; a full step whose
+    predicted gain (grad . direction / 2) is below that slack is lost in
+    the value's rounding, so it is accepted if it lowers the gradient's
+    max norm instead.
     """
     eta = np.zeros(full[0].shape[1])
     value, grad, hess = _log_ratio_parts(comp, full, eta)
@@ -411,12 +416,17 @@ def _ascend_log_ratio(
             direction = None
         if direction is None or float(grad @ direction) <= 0.0:
             direction = grad
+        resolved = float(grad @ direction) >= 2.0 * _VALUE_SLACK
         scale = 1.0
         moved = False
         for _ in range(60):
             candidate = eta + scale * direction
             cand_value, cand_grad, cand_hess = _log_ratio_parts(comp, full, candidate)
-            if cand_value >= value - 1e-15:
+            if cand_value >= value - _VALUE_SLACK or (
+                scale == 1.0
+                and not resolved
+                and float(np.max(np.abs(cand_grad))) < float(np.max(np.abs(grad)))
+            ):
                 eta, value, grad, hess = candidate, cand_value, cand_grad, cand_hess
                 moved = True
                 break

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from projgraph import (
     Family,
@@ -426,6 +427,35 @@ def test_hull_certified_estimates_are_not_capped_by_a_radius(edge_triangle_over_
     assert scaled.converged and not scaled.boundary
     base = mle(EDGE_TRI, FullGraph(g)).theta_hat
     assert scaled.theta_hat == pytest.approx(tuple(50 * v for v in base), rel=1e-8)
+
+
+@st.composite
+def _edge_triangle_pools(draw):
+    n = draw(st.integers(3, 6), label="n")
+    indices = draw(st.lists(st.integers(0, (1 << dyad_count(n)) - 1),
+                            min_size=1, max_size=50), label="indices")
+    return tuple(graph_from_index(n, k) for k in indices)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs=_edge_triangle_pools())
+@example(graphs=(graph_from_index(6, 22767),))
+def test_edge_triangle_pooled_mle_solves_the_moment_equation(graphs):
+    """Every pool of 1-50 graphs on at most 6 nodes with interior mean
+    statistics converges to the root of the moment equation, with standard
+    errors from R times the Fisher information.  The example, statistics
+    (10, 5), needs a last Newton step whose gain is below the rounding of
+    the likelihood value."""
+    result = mle(EDGE_TRI, Replicates(graphs))
+    if result.boundary:
+        return
+    assert result.converged
+    n, theta = graphs[0].n, ParamVector(theta=result.theta_hat)
+    mean = np.mean([sufficient_stats(EDGE_TRI, g).as_array() for g in graphs], axis=0)
+    assert expected_stats(EDGE_TRI, theta, n).values == pytest.approx(tuple(mean), abs=1e-8)
+    info = len(graphs) * stat_covariance(EDGE_TRI, theta, n)
+    expected_se = tuple(np.sqrt(np.diag(np.linalg.inv(info))))
+    assert result.std_err == pytest.approx(expected_se, rel=1e-9)
 
 
 def test_edge_triangle_boundary_full_graphs():
