@@ -205,10 +205,21 @@ def completion_log_likelihood(
         raise ValueError(
             f"subgraph size {y_sub.n} must be smaller than population size {population_n}"
         )
-    comp = _completion_histogram(spec, y_sub, population_n, enum_cap)
-    eta = natural_params(spec, theta, population_n).as_array()
-    log_z = log_normalizer(spec, theta, population_n, enum_cap)
-    return _moments(*comp, eta)[0] - log_z
+    counts = _completion_counts(spec, y_sub, population_n, enum_cap)
+    points, log_counts = _statistic_histogram(spec.definition, population_n)
+    energy = points @ natural_params(spec, theta, population_n).as_array()
+    kernel = log_counts + energy
+    present = counts > 0
+    log_p = _logsumexp(np.log(counts[present]) + energy[present]) - _logsumexp(kernel)
+    if log_p <= -math.log(2.0):
+        return log_p
+    # Above probability 1/2 the difference of the two log-normalizers cancels;
+    # the complement's weight, summed over exact class counts, does not.  The
+    # histogram's log counts are logs of integers below 2^29, so rounding
+    # their exponentials recovers the counts exactly.
+    weight = np.exp(energy - kernel.max())
+    full = np.rint(np.exp(log_counts))
+    return math.log1p(-float((full - counts) @ weight) / float(full @ weight))
 
 
 def misspecified_log_likelihood(
@@ -308,26 +319,38 @@ def _stats_interior(
 _Histogram = tuple[np.ndarray, np.ndarray]
 
 
+def _completion_counts(
+    spec: ModelSpec,
+    y_sub: Graph,
+    population_n: int,
+    enum_cap: Optional[int],
+) -> np.ndarray:
+    """Number of population graphs completing y_sub in each class of the
+    population statistic histogram, with y_sub embedded as the prefix (see
+    ``completion_log_likelihood``)."""
+    resolve_enum_cap(population_n, enum_cap)
+    points, _ = _statistic_histogram(spec.definition, population_n)
+    sub_d = dyad_count(y_sub.n)
+    free_d = dyad_count(population_n) - sub_d
+    idx = y_sub.dyads + (np.arange(1 << free_d, dtype=np.int64) << sub_d)
+    return np.bincount(_class_codes(spec.definition, population_n)[idx],
+                       minlength=len(points))
+
+
 def _completion_histogram(
     spec: ModelSpec,
     y_sub: Graph,
     population_n: int,
     enum_cap: Optional[int],
 ) -> _Histogram:
-    """Statistic histogram of the population graphs completing y_sub, with
-    y_sub embedded as the prefix (see ``completion_log_likelihood``).
+    """Statistic histogram of the population graphs completing y_sub.
 
     Its rows are the population histogram's rows that some completion
     reaches, in the same order.
     """
-    resolve_enum_cap(population_n, enum_cap)
-    points, _ = _statistic_histogram(spec.definition, population_n)
-    sub_d = dyad_count(y_sub.n)
-    free_d = dyad_count(population_n) - sub_d
-    idx = y_sub.dyads + (np.arange(1 << free_d, dtype=np.int64) << sub_d)
-    counts = np.bincount(_class_codes(spec.definition, population_n)[idx],
-                         minlength=len(points))
+    counts = _completion_counts(spec, y_sub, population_n, enum_cap)
     present = counts > 0
+    points, _ = _statistic_histogram(spec.definition, population_n)
     return points[present], np.log(counts[present])
 
 
