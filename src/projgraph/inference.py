@@ -23,9 +23,9 @@ Estimation uses closed-form logit estimators where available.  Elsewhere
 one damped Newton ascent maximizes the log probability of the observed
 event: the completion set of a subgraph, or, for independent same-size
 graphs, one graph at their mean statistics, where the ascent solves the
-moment equation.  Data with no finite maximizer (for independent graphs,
-mean statistics on the boundary of the attainable range) are reported
-with ``boundary=True``.
+moment equation.  Data with no finite maximizer, as decided by one exact
+test on the facets of the attainable-statistics hull, are reported with
+``boundary=True``.
 """
 
 from __future__ import annotations
@@ -81,11 +81,11 @@ __all__ = [
 
 NEWTON_TOLERANCE = 1e-10
 NEWTON_MAX_ITERATIONS = 100
-_DIVERGENCE_NORM = 25.0
 _SATURATION_TOL = 1e-10
 _RECESSION_VALUE_TOL = 1e-9
 _VALUE_SLACK = 1e-15
-_HULL_INTERIOR_TOL = 1e-9
+_FACET_TOL = 1e-9
+_ROUNDING = 16 * float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -213,10 +213,8 @@ def completion_log_likelihood(
     log_p = _logsumexp(np.log(counts[present]) + energy[present]) - _logsumexp(kernel)
     if log_p <= -math.log(2.0):
         return log_p
-    # Above probability 1/2 the difference of the two log-normalizers cancels;
-    # the complement's weight, summed over exact class counts, does not.  The
-    # histogram's log counts are logs of integers below 2^29, so rounding
-    # their exponentials recovers the counts exactly.
+    # Above probability 1/2 the difference of log-normalizers cancels; the
+    # complement's weight does not.  Rounding recovers the integer counts.
     weight = np.exp(energy - kernel.max())
     full = np.rint(np.exp(log_counts))
     return math.log1p(-float((full - counts) @ weight) / float(full @ weight))
@@ -279,44 +277,41 @@ def fisher_information(
     return stat_covariance(spec, theta, n, enum_cap)
 
 
-@lru_cache(maxsize=32)
-def _attainable_hull(fam: Family, n: int) -> tuple:
-    """Interior-test data for the attainable statistic set of a family at n.
-
-    Returns ("interval", lo, hi) for one-dimensional statistics and
-    ("hull", equations) otherwise; ("none",) marks a degenerate point set
-    with empty interior (every observation is then boundary).  Callers
-    validate the enumeration cap before reaching this helper.
-    """
-    points, _ = _statistic_histogram(fam, n)
-    if points.shape[1] == 1:
-        return ("interval", float(points.min()), float(points.max()))
-    try:
-        hull = ConvexHull(points)
-    except QhullError:
-        return ("none",)
-    equations = hull.equations.copy()
-    equations.flags.writeable = False
-    return ("hull", equations)
-
-
-def _stats_interior(
-    spec: ModelSpec, n: int, s: np.ndarray, enum_cap: Optional[int] = None
-) -> bool:
-    """True iff s lies strictly inside the hull of attainable statistics."""
-    resolve_enum_cap(n, enum_cap)
-    data = _attainable_hull(spec.definition, n)
-    if data[0] == "interval":
-        _, lo, hi = data
-        return lo < float(s[0]) < hi
-    if data[0] == "none":
-        return False
-    _, equations = data
-    slack = equations[:, :-1] @ s + equations[:, -1]
-    return bool(np.max(slack) < -_HULL_INTERIOR_TOL)
-
-
 _Histogram = tuple[np.ndarray, np.ndarray]
+# Outward unit normals (one row each), offsets, and the on-facet tolerance.
+_Facets = tuple[np.ndarray, np.ndarray, float]
+
+
+def _hull_facets(points: np.ndarray) -> _Facets:
+    """Facets a . s <= b of the convex hull of ``points``, on which a point
+    lies within ``_FACET_TOL`` times the points' extent.  One column has two,
+    its minimum and maximum; Qhull repeats a facet split into simplices.
+    Points with empty interior lie in one hyperplane, their only facet."""
+    if points.shape[1] == 1:
+        normals = np.array([[-1.0], [1.0]])
+    else:
+        try:
+            normals = ConvexHull(points).equations[:, :-1]
+        except QhullError:
+            normals = np.linalg.svd(points - points[0])[2][-1:]
+    offsets = (points @ normals.T).max(axis=0)
+    return normals, offsets, _FACET_TOL * float(np.ptp(points, axis=0).max())
+
+
+@lru_cache(maxsize=32)
+def _statistic_facets(fam: Family, n: int) -> _Facets:
+    """Facets of the hull of the statistics of all graphs of size n.
+    Callers validate the enumeration cap before reaching this helper."""
+    facets = _hull_facets(_statistic_histogram(fam, n)[0])
+    for array in facets[:2]:
+        array.flags.writeable = False
+    return facets
+
+
+def _on_facets(points: np.ndarray, facets: _Facets) -> np.ndarray:
+    """Whether each point (row) lies on each facet (column)."""
+    normals, offsets, tol = facets
+    return points @ normals.T >= offsets - tol
 
 
 def _completion_counts(
@@ -337,23 +332,6 @@ def _completion_counts(
                        minlength=len(points))
 
 
-def _completion_histogram(
-    spec: ModelSpec,
-    y_sub: Graph,
-    population_n: int,
-    enum_cap: Optional[int],
-) -> _Histogram:
-    """Statistic histogram of the population graphs completing y_sub.
-
-    Its rows are the population histogram's rows that some completion
-    reaches, in the same order.
-    """
-    counts = _completion_counts(spec, y_sub, population_n, enum_cap)
-    present = counts > 0
-    points, _ = _statistic_histogram(spec.definition, population_n)
-    return points[present], np.log(counts[present])
-
-
 def _log_ratio_parts(
     comp: _Histogram, full: _Histogram, eta: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -363,85 +341,68 @@ def _log_ratio_parts(
     return lse_c - lse_f, mu_c - mu_f, cov_c - cov_f
 
 
-def _recession_sup(comp: _Histogram, full: _Histogram) -> float:
-    """Best limit of the log probability ratio along coordinate rays.
-
-    As eta_j -> ±inf the ratio lse(comp) − lse(full) tends to −inf unless
-    the completion rows attain the full histogram's extreme of statistic j,
-    in which case it tends to the same ratio objective restricted to the
-    extreme face with coordinate j removed.  The supremum of each limit
-    family is again interior-or-recession, handled recursively; −inf is
-    returned when no face is attainable from the completion set.
+def _faces_reach(
+    comp: _Histogram, full: _Histogram, facets: _Facets, eta: np.ndarray, target: float
+) -> bool:
+    """Whether the supremum over some facet that the event ``comp`` reaches
+    is at least ``target``.  Along eta + t * a, for a facet's normal a, the
+    objective tends to the same ratio over the facet's rows, a function of
+    eta's projection onto the facet's span; every other limit at infinity
+    is a limit of these.  Facets are tried from the one eta points toward,
+    each from eta's projection, where its value is the limit along the ray.
     """
-    (comp_points, comp_lc), (full_points, full_lc) = comp, full
-    dim = full_points.shape[1]
-    best = -math.inf
-    for j in range(dim):
-        for extreme in (np.max, np.min):
-            target = float(extreme(full_points[:, j]))
-            if float(extreme(comp_points[:, j])) != target:
-                continue
-            on_c = comp_points[:, j] == target
-            on_f = full_points[:, j] == target
-            if dim == 1:
-                cand = _logsumexp(comp_lc[on_c]) - _logsumexp(full_lc[on_f])
-            else:
-                comp_face = (np.delete(comp_points[on_c], j, axis=1), comp_lc[on_c])
-                full_face = (np.delete(full_points[on_f], j, axis=1), full_lc[on_f])
-                _, value, _, _, _ = _ascend_log_ratio(
-                    comp_face, full_face, _DIVERGENCE_NORM
-                )
-                cand = max(value, _recession_sup(comp_face, full_face))
-            best = max(best, cand)
-    return best
+    normals = facets[0]
+    comp_on, full_on = _on_facets(comp[0], facets), _on_facets(full[0], facets)
+    for k in np.argsort(-(normals @ eta), kind="stable"):
+        if comp_on[:, k].any():
+            basis = np.linalg.svd(normals[k][None, :])[2][1:]  # the facet's span
+            face_comp = (comp[0][comp_on[:, k]] @ basis.T, comp[1][comp_on[:, k]])
+            face_full = (full[0][full_on[:, k]] @ basis.T, full[1][full_on[:, k]])
+            if _reaches(face_comp, face_full, target, basis @ eta):
+                return True
+    return False
 
 
-def _ascend_log_ratio(
-    comp: _Histogram, full: _Histogram, radius: float
-) -> tuple[np.ndarray, float, bool, bool, int]:
-    """Damped ascent of eta -> log P_eta(completion set) from 0.
+def _reaches(comp: _Histogram, full: _Histogram, target: float, eta: np.ndarray) -> bool:
+    """Whether the ascent from ``eta``, then the facets, find a value of
+    eta -> log P_eta(comp) of at least ``target``.  A point has the constant
+    lse(comp) - lse(full); an event on one facet rises toward it unclimbed."""
+    if full[0].shape[1] == 0:
+        return _logsumexp(comp[1]) - _logsumexp(full[1]) >= target
+    facets = _hull_facets(full[0])
+    if not _on_facets(comp[0], facets).all(axis=0).any():
+        eta, value, _, _ = _climb(comp, full, target, eta)
+        if value >= target:
+            return True
+    return _faces_reach(comp, full, facets, eta, target)
 
-    Returns (eta, value, converged, boundary, iterations).  For a
-    completion set of more than one statistic class the objective is a
-    log probability of an event, not an exponential-family log
-    likelihood, so no exact pre-iteration boundary test exists; a
-    supremum at infinity is detected by three signs instead.
-    Saturation: the probability of a strict subset of graphs stays below
-    1 at every finite eta, so a value within rounding distance of zero
-    certifies divergence (the gradient underflows on such a plateau, so
-    this is tested before stationarity).  Recession dominance: a
-    stationary point is accepted only if it beats every attainable
-    coordinate-face limit of the objective, else the apparent stall is a
-    ridge running to infinity.  Radius: iterates whose max norm exceeds
-    ``radius`` are declared divergent.  Callers pass ``_DIVERGENCE_NORM``
-    unless a finite maximizer is certified, as the hull test does for a
-    one-row completion set at interior mean statistics; they then pass
-    ``math.inf``.  Newton steps are used while the curvature is usable,
-    with gradient ascent and step halving as fallback.  A step is accepted
-    if the value falls by at most ``_VALUE_SLACK``; a full step whose
-    predicted gain (grad . direction / 2) is below that slack is lost in
-    the value's rounding, so it is accepted if it lowers the gradient's
-    max norm instead.
+
+def _climb(
+    comp: _Histogram, full: _Histogram, target: float, eta: np.ndarray
+) -> tuple[np.ndarray, float, bool, int]:
+    """Damped ascent of eta -> log P_eta(comp) from ``eta`` until the value
+    reaches ``target`` (tested first: the gradient underflows on a plateau)
+    or the gradient's max norm falls to ``NEWTON_TOLERANCE``.  Returns
+    (eta, value, stationary, iterations).
+
+    Newton steps are used while the curvature is usable, with gradient
+    ascent and step halving as fallback.  A step is accepted if the value
+    falls by at most ``_VALUE_SLACK``; a full step whose predicted gain
+    (grad . direction / 2) is below that slack is lost in the value's
+    rounding, so it is accepted if it lowers the gradient's max norm.
     """
-    eta = np.zeros(full[0].shape[1])
     value, grad, hess = _log_ratio_parts(comp, full, eta)
     for iteration in range(1, NEWTON_MAX_ITERATIONS + 1):
-        if value >= -_SATURATION_TOL:
-            return eta, value, False, True, iteration - 1
-        if float(np.max(np.abs(grad))) <= NEWTON_TOLERANCE:
-            if _recession_sup(comp, full) >= value - _RECESSION_VALUE_TOL:
-                return eta, value, False, True, iteration - 1
-            return eta, value, True, False, iteration - 1
-        direction: Optional[np.ndarray]
+        if value >= target or float(np.max(np.abs(grad))) <= NEWTON_TOLERANCE:
+            return eta, value, value < target, iteration - 1
         try:
             direction = np.linalg.solve(-hess, grad)
         except np.linalg.LinAlgError:
-            direction = None
-        if direction is None or float(grad @ direction) <= 0.0:
+            direction = grad
+        if float(grad @ direction) <= 0.0:
             direction = grad
         resolved = float(grad @ direction) >= 2.0 * _VALUE_SLACK
         scale = 1.0
-        moved = False
         for _ in range(60):
             candidate = eta + scale * direction
             cand_value, cand_grad, cand_hess = _log_ratio_parts(comp, full, candidate)
@@ -450,15 +411,42 @@ def _ascend_log_ratio(
                 and not resolved
                 and float(np.max(np.abs(cand_grad))) < float(np.max(np.abs(grad)))
             ):
-                eta, value, grad, hess = candidate, cand_value, cand_grad, cand_hess
-                moved = True
                 break
             scale *= 0.5
-        if not moved:
-            return eta, value, False, False, iteration
-        if float(np.max(np.abs(eta))) > radius:
-            return eta, value, False, True, iteration
-    return eta, value, False, False, NEWTON_MAX_ITERATIONS
+        else:
+            return eta, value, False, iteration
+        eta, value, grad, hess = candidate, cand_value, cand_grad, cand_hess
+    return eta, value, False, NEWTON_MAX_ITERATIONS
+
+
+def _ascend_log_ratio(
+    comp: _Histogram, full: _Histogram, facets: _Facets
+) -> tuple[np.ndarray, bool, bool, int]:
+    """Maximize eta -> log P_eta(comp), the log probability of the observed
+    event, from 0.  Returns (eta, converged, boundary, iterations).
+
+    One scale-free test on the facets of the hull of ``full``'s statistics
+    decides whether the maximum is finite.  An event on one facet is
+    boundary: its probability rises strictly toward the facet (for one row,
+    the statistics are on the hull's boundary).  So is a value within
+    ``_SATURATION_TOL`` of 0.  Wherever the ascent stops, the fit is
+    boundary if the supremum over a facet the event reaches, found by the
+    same ascent on the facet's rows, recursively, comes within
+    ``_RECESSION_VALUE_TOL`` of the value (Geyer 2009; Rinaldo, Fienberg &
+    Zhou 2009).  Otherwise it has converged if it stopped at a stationary
+    point.
+    """
+    eta = np.zeros(full[0].shape[1])
+    if _on_facets(comp[0], facets).all(axis=0).any():
+        return eta, False, True, 0
+    eta, value, stationary, iterations = _climb(comp, full, -_SATURATION_TOL, eta)
+    # Energies s . eta round relative to |s| . |eta|: far along a ridge that
+    # outgrows the tolerance and can lift the value above its facet's limit.
+    rounding = _ROUNDING * float(np.max(np.abs(full[0]) @ np.abs(eta)))
+    boundary = value >= -_SATURATION_TOL or _faces_reach(
+        comp, full, facets, eta, value - _RECESSION_VALUE_TOL - rounding
+    )
+    return eta, stationary and not boundary, boundary, iterations
 
 
 def _std_errors_from_information(information: np.ndarray) -> Optional[tuple[float, ...]]:
@@ -520,17 +508,6 @@ def _bernoulli_closed_form(
     )
 
 
-def _boundary_result(dim: int) -> MLEResult:
-    return MLEResult(
-        theta_hat=(math.nan,) * dim,
-        std_err=None,
-        log_lik=math.nan,
-        converged=False,
-        boundary=True,
-        iterations=0,
-    )
-
-
 def _enumerated_mle(
     spec: ModelSpec,
     data: ObservedData,
@@ -543,33 +520,38 @@ def _enumerated_mle(
     set.  Independent same-size graphs (a full graph, replicates, or the
     misspecified likelihood of a subgraph) have the log likelihood
     ``weight`` times that of one graph at their mean statistics: a one-row
-    event with log count 0, after the exact hull test for a finite
-    maximizer.  Theta and eta differ by a constant shift, so the observed
-    information is ``weight`` times minus the log-ratio Hessian at the
-    maximizer.
+    event with log count 0.  Theta and eta differ by a constant shift, so
+    the observed information is ``weight`` times minus the log-ratio
+    Hessian at the maximizer.
     """
     dim = spec.stat_dim
     proper = isinstance(data, InducedSubgraph) and kind is LikelihoodKind.PROPER
-    if proper:
-        size = data.population_n
-        comp = _completion_histogram(spec, data.subgraph, size, enum_cap)
-        weight, radius = 1, _DIVERGENCE_NORM
+    if isinstance(data, Replicates):
+        graphs, size = data.graphs, data.n
     else:
-        if isinstance(data, Replicates):
-            graphs, size = data.graphs, data.n
-        else:
-            graph = data.graph if isinstance(data, FullGraph) else data.subgraph
-            graphs, size = (graph,), graph.n
-        rows = np.stack([sufficient_stats(spec, g).as_array() for g in graphs])
-        s_target = rows.mean(axis=0)
-        if not _stats_interior(spec, size, s_target, enum_cap):
-            return _boundary_result(dim)
-        comp = (s_target[None, :], np.zeros(1))
-        weight, radius = len(graphs), math.inf
+        graph = data.graph if isinstance(data, FullGraph) else data.subgraph
+        graphs, size = (graph,), data.population_n if proper else graph.n
+    resolve_enum_cap(size, enum_cap)
     full = _statistic_histogram(spec.definition, size)
-    eta, _, converged, boundary, iterations = _ascend_log_ratio(comp, full, radius)
+    if proper:
+        counts = _completion_counts(spec, data.subgraph, size, enum_cap)
+        comp = (full[0][counts > 0], np.log(counts[counts > 0]))
+        weight = 1
+    else:
+        rows = np.stack([sufficient_stats(spec, g).as_array() for g in graphs])
+        comp = (rows.mean(axis=0)[None, :], np.zeros(1))
+        weight = len(graphs)
+    facets = _statistic_facets(spec.definition, size)
+    eta, converged, boundary, iterations = _ascend_log_ratio(comp, full, facets)
     if boundary:
-        return _boundary_result(dim)
+        return MLEResult(
+            theta_hat=(math.nan,) * dim,
+            std_err=None,
+            log_lik=math.nan,
+            converged=False,
+            boundary=True,
+            iterations=0,
+        )
     zero = ParamVector(theta=(0.0,) * dim)
     theta = eta - natural_params(spec, zero, size).as_array()
     pv = ParamVector(theta=tuple(theta))
@@ -600,8 +582,8 @@ def mle(
     ascend the enumerated log probability of the observed event by damped
     Newton steps: the completion set for the proper subgraph likelihood,
     else one graph at the mean statistics, which solves the moment
-    equation (boundary data are detected against the attainable-statistics
-    hull before iterating).
+    equation.  Whether the maximum is finite is decided exactly on the
+    facets of the attainable-statistics hull (see ``_ascend_log_ratio``).
     """
     kind = LikelihoodKind(kind)
     if not isinstance(data, InducedSubgraph) and kind is LikelihoodKind.MISSPECIFIED:

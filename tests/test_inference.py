@@ -1,5 +1,6 @@
 """Likelihoods (proper, misspecified) and maximum likelihood estimation."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from projgraph import (
+    EnumerationCapError,
     Family,
     FullGraph,
     InducedSubgraph,
@@ -40,6 +42,8 @@ from projgraph import (
     sufficient_stats,
     unregister_family,
 )
+from projgraph.exact import _enumerated_stats_cached, _logsumexp, _statistic_histogram
+from projgraph.inference import _ascend_log_ratio, _statistic_facets
 
 INVARIANT = model_spec("BernoulliInvariant")
 OFFSET = model_spec("BernoulliOffset")
@@ -421,7 +425,7 @@ def test_edge_triangle_replicates_mle_matches_mean_statistics():
 def test_hull_certified_estimates_are_not_capped_by_a_radius(edge_triangle_over_50, index):
     """The statistics of 5-node graphs 700 and 1020 are interior, so a finite
     estimate exists.  Under the statistics divided by 50 its first component
-    is about 32 and 93, beyond the divergence radius of the proper ascent."""
+    is about 32 and 93: no bound on eta may stop the ascent."""
     g = graph_from_index(5, index)
     scaled = mle(edge_triangle_over_50, FullGraph(g))
     assert scaled.converged and not scaled.boundary
@@ -463,6 +467,23 @@ def test_edge_triangle_boundary_full_graphs():
         result = mle(EDGE_TRI, FullGraph(g))
         assert result.boundary
         assert all(math.isnan(v) for v in result.theta_hat)
+
+
+@pytest.mark.parametrize(
+    "data, kind",
+    [
+        (FullGraph(complete_graph(8)), LikelihoodKind.PROPER),
+        (Replicates(graphs=(complete_graph(8), empty_graph(8))), LikelihoodKind.PROPER),
+        (InducedSubgraph(subgraph=complete_graph(8), population_n=9),
+         LikelihoodKind.MISSPECIFIED),
+    ],
+    ids=["full", "replicates", "misspecified"],
+)
+def test_enumerated_mle_refuses_graphs_beyond_the_cap(data, kind):
+    built = _enumerated_stats_cached.cache_info().misses
+    with pytest.raises(EnumerationCapError, match="n=8 exceeds the enumeration cap 7"):
+        mle(EDGE_TRI, data, kind)
+    assert _enumerated_stats_cached.cache_info().misses == built  # refused before building
 
 
 # --------------------------------------------------------------------------
@@ -560,6 +581,89 @@ def test_proper_mle_std_err_inverts_the_observed_information(edges):
     hess = np.array([[second_difference(a, b) for b in steps] for a in steps])
     expected = np.sqrt(np.diag(np.linalg.inv(-hess)))
     assert result.std_err == pytest.approx(tuple(expected), rel=1e-3)
+
+
+def test_proper_mle_verdicts_do_not_depend_on_the_statistics_scale(edge_triangle_over_50):
+    """Every 4-node subgraph of a 6-node population.  Dividing the statistics
+    by 50 multiplies eta by 50 and leaves every likelihood value unchanged,
+    so no verdict may change."""
+    for k in range(64):
+        data = InducedSubgraph(graph_from_index(4, k), 6)
+        base = mle(EDGE_TRI, data, LikelihoodKind.PROPER)
+        scaled = mle(edge_triangle_over_50, data, LikelihoodKind.PROPER)
+        assert base.converged or base.boundary
+        assert (scaled.converged, scaled.boundary) == (base.converged, base.boundary), k
+        if base.converged:
+            want = tuple(50 * v for v in base.theta_hat)
+            assert scaled.theta_hat == pytest.approx(want, rel=1e-6), k
+
+
+def _brute_force_facets(points):
+    """(outward normal, indices of the points on it) for each facet of the
+    hull of integer 2-D points: every line through two points that leaves
+    all points on one side."""
+    facets = {}
+    for i, j in itertools.combinations(range(len(points)), 2):
+        d = points[j] - points[i]
+        normal = np.array([d[1], -d[0]])
+        side = (points - points[i]) @ normal
+        for sign in (1.0, -1.0):
+            if np.all(sign * side <= 0):
+                facets[tuple(np.flatnonzero(side == 0))] = sign * normal
+    return [(normal, list(on)) for on, normal in facets.items()]
+
+
+@st.composite
+def _sub_histograms(draw):
+    """A population size n <= 6 and an event: some rows of the EdgeTriangle
+    histogram at n, each with a count between 1 and the row's full count."""
+    n = draw(st.integers(3, 6), label="n")
+    points, log_counts = _statistic_histogram(EDGE_TRI.definition, n)
+    full_counts = np.rint(np.exp(log_counts)).astype(int)
+    rows = sorted(draw(st.sets(st.integers(0, len(points) - 1), min_size=1), label="rows"))
+    counts = [draw(st.integers(1, int(full_counts[r])), label="count") for r in rows]
+    return n, rows, np.log(np.array(counts, dtype=np.float64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_sub_histograms())
+@example(case=(5, [1, 7, 13], np.log([1.0, 2.0, 1.0])))
+@example(case=(5, [4, 5, 13, 14, 17], np.log([1.0, 1.0, 1.0, 1.0, 7.0])))
+def test_converged_ascent_beats_every_facet_limit(case):
+    """Along eta + t * a, with a a facet's outward normal, the log probability
+    of the event tends to the log probability of its rows on the facet among
+    the population's rows on the facet.  A converged maximum must beat that
+    limit on every facet the event reaches, and at every vertex.
+
+    In the first example the ascent runs toward the facet of triangle-free
+    graphs, where the objective has two local maxima; the one an ascent from
+    0 finds lies below the limit at the estimate.  In the second it runs to
+    |eta| near 1e11 along a ridge, where rounding lifts the value 5e-5 above
+    the facet's limit."""
+    n, rows, comp_log_counts = case
+    full = _statistic_histogram(EDGE_TRI.definition, n)
+    points, log_counts = full
+    comp = (points[rows], comp_log_counts)
+    eta, converged, _, _ = _ascend_log_ratio(comp, full, _statistic_facets(EDGE_TRI.definition, n))
+    if not converged:
+        return
+
+    def log_ratio(comp_on, full_on):
+        """log P_eta(event rows among ``comp_on`` | population rows ``full_on``)."""
+        return (_logsumexp(comp[1][comp_on] + comp[0][comp_on] @ eta)
+                - _logsumexp(log_counts[full_on] + points[full_on] @ eta))
+
+    value = log_ratio(list(range(len(rows))), list(range(len(points))))
+    vertices = set()
+    for normal, on in _brute_force_facets(points):
+        comp_on = [i for i, r in enumerate(rows) if r in on]
+        if comp_on:
+            assert log_ratio(comp_on, on) < value - 1e-9, (normal, on)
+        vertices.update((on[0], on[-1]))
+    for v in vertices:
+        if v in rows:
+            limit = comp[1][rows.index(v)] - log_counts[v]
+            assert limit < value - 1e-9, v
 
 
 def test_proper_mle_log_lik_matches_direct_evaluation():
