@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -132,41 +133,78 @@ def enumerated_stats(
     return _enumerated_stats_cached(spec.definition, n)
 
 
-@lru_cache(maxsize=8)
-def _class_codes(fam: Family, n: int) -> np.ndarray:
-    """Rank of each graph's statistic vector among the distinct vectors of
-    all graphs of size n, in the smallest unsigned dtype that holds it.
+def _packed_radices(table: np.ndarray) -> Optional[tuple[int, ...]]:
+    """Per-column radix (maximum + 1) of a table of unsigned integers whose
+    mixed-radix row keys number at most its rows; None for any other table."""
+    if table.dtype.kind != "u":
+        return None
+    radices = tuple(int(column.max()) + 1 for column in table.T)
+    return radices if math.prod(radices) <= len(table) else None
 
-    Each column is coded by its sorted distinct values and the codes are
-    packed into one int64 key, renumbered after every column so that it
-    stays below the row count.  Distinct rows are ranked in lexicographic
-    order.
+
+def _code_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Class codes of a statistic table's rows, its distinct rows in
+    lexicographic order (row c is class c) as floats, and each row's count.
+
+    Small unsigned-integer tables get one mixed-radix key per row, in the
+    smallest unsigned dtype that holds the radices' product, ranked by
+    which keys are present (``cumsum(bincount(key) > 0) - 1``); the distinct
+    rows are decoded from the present keys.  Other tables code each column
+    by its sorted distinct values and pack the codes into one int64 key,
+    renumbered after every column so that it stays below the row count.
+    Both rank the distinct rows lexicographically.
     """
-    table = _enumerated_stats_cached(fam, n)
+    radices = _packed_radices(table)
+    if radices is not None:
+        key = np.zeros(len(table), dtype=np.min_scalar_type(math.prod(radices)))
+        for column, radix in zip(table.T, radices):
+            key *= radix
+            key += column
+        counts = np.bincount(key)
+        present = np.flatnonzero(counts)
+        rank = np.cumsum(counts > 0) - 1
+        codes = rank.astype(np.min_scalar_type(len(present) - 1))[key]
+        points = np.empty((len(present), len(radices)), dtype=np.float64)
+        rest = present
+        for j in reversed(range(len(radices))):
+            rest, points[:, j] = np.divmod(rest, radices[j])
+        return codes, points, counts[present]
     key = np.zeros(table.shape[0], dtype=np.int64)
     for column in table.T:
         values = np.unique(column)
         key = key * len(values) + np.searchsorted(values, column)
         key = np.searchsorted(np.unique(key), key)
     codes = key.astype(np.min_scalar_type(int(key.max())))
-    codes.flags.writeable = False
-    return codes
+    counts = np.bincount(codes)
+    rows = np.empty(len(counts), dtype=np.int64)
+    rows[codes] = np.arange(len(codes))
+    return codes, table[rows].astype(np.float64), counts
 
 
 @lru_cache(maxsize=8)
+def _classes(fam: Family, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_code_table` of the statistics of all graphs of size n, with
+    the log of the counts; read-only."""
+    codes, points, counts = _code_table(_enumerated_stats_cached(fam, n))
+    log_counts = np.log(counts)
+    for array in (codes, points, log_counts):
+        array.flags.writeable = False
+    return codes, points, log_counts
+
+
+def _class_codes(fam: Family, n: int) -> np.ndarray:
+    """Rank of each graph's statistic vector among the distinct vectors of
+    all graphs of size n, in lexicographic order, in the smallest unsigned
+    dtype that holds it.  Coded by one packed key per graph when the table
+    holds small unsigned integers, else by sorting (see :func:`_code_table`)."""
+    return _classes(fam, n)[0]
+
+
 def _statistic_histogram(fam: Family, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct statistic vectors of all graphs of size n, in lexicographic
     order (row c is class c of :func:`_class_codes`), and the log of each
     vector's count."""
-    codes = _class_codes(fam, n)
-    counts = np.bincount(codes)
-    rows = np.empty(len(counts), dtype=np.int64)
-    rows[codes] = np.arange(len(codes))
-    points = _enumerated_stats_cached(fam, n)[rows].astype(np.float64)
-    log_counts = np.log(counts)
-    points.flags.writeable = False
-    log_counts.flags.writeable = False
-    return points, log_counts
+    return _classes(fam, n)[1:]
 
 
 def _logsumexp(a: np.ndarray) -> float:

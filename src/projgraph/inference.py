@@ -39,7 +39,6 @@ from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .exact import (
     _class_codes,
@@ -85,6 +84,7 @@ _SATURATION_TOL = 1e-10
 _RECESSION_VALUE_TOL = 1e-9
 _VALUE_SLACK = 1e-15
 _FACET_TOL = 1e-9
+_COLLINEAR_TOL = 1e-12
 _ROUNDING = 16 * float(np.finfo(np.float64).eps)
 
 
@@ -285,17 +285,53 @@ _Facets = tuple[np.ndarray, np.ndarray, float]
 def _hull_facets(points: np.ndarray) -> _Facets:
     """Facets a . s <= b of the convex hull of ``points``, on which a point
     lies within ``_FACET_TOL`` times the points' extent.  One column has two,
-    its minimum and maximum; Qhull repeats a facet split into simplices.
-    Points with empty interior lie in one hyperplane, their only facet."""
+    its minimum and maximum; two columns have the polygon's edges, from
+    :func:`_polygon_normals`.  Three or more go to Qhull, imported from SciPy
+    only then, which repeats a facet split into simplices.  Points with empty
+    interior lie in one hyperplane, their only facet."""
     if points.shape[1] == 1:
         normals = np.array([[-1.0], [1.0]])
+    elif points.shape[1] == 2:
+        normals = _polygon_normals(points)
     else:
+        from scipy.spatial import ConvexHull, QhullError
+
         try:
             normals = ConvexHull(points).equations[:, :-1]
         except QhullError:
-            normals = np.linalg.svd(points - points[0])[2][-1:]
+            normals = None
+    if normals is None:
+        normals = np.linalg.svd(points - points[0])[2][-1:]
     offsets = (points @ normals.T).max(axis=0)
     return normals, offsets, _FACET_TOL * float(np.ptp(points, axis=0).max())
+
+
+def _polygon_normals(points: np.ndarray) -> Optional[np.ndarray]:
+    """Outward unit normals of the edges of the convex hull of 2-D points,
+    by Andrew's monotone chain, or None when the hull has no interior.  A
+    turn whose sine is below ``_COLLINEAR_TOL`` is straight, so points that
+    are collinear up to rounding are not vertices."""
+    ordered = sorted(map(tuple, points.tolist()))
+
+    def chain(sequence: list) -> list:
+        hull: list = []
+        for c in sequence:
+            while len(hull) >= 2:
+                (ax, ay), (bx, by) = hull[-2], hull[-1]
+                u, v = (bx - ax, by - ay), (c[0] - ax, c[1] - ay)
+                cross = u[0] * v[1] - u[1] * v[0]
+                if cross > _COLLINEAR_TOL * math.hypot(*u) * math.hypot(*v):
+                    break
+                hull.pop()
+            hull.append(c)
+        return hull[:-1]
+
+    ring = np.array(chain(ordered) + chain(ordered[::-1]))  # counterclockwise
+    if len(ring) < 3:
+        return None
+    edges = np.roll(ring, -1, axis=0) - ring
+    normals = np.column_stack([edges[:, 1], -edges[:, 0]])
+    return normals / np.linalg.norm(normals, axis=1, keepdims=True)
 
 
 @lru_cache(maxsize=32)

@@ -16,18 +16,23 @@ New families can be added through :func:`register_family`.  Natural-
 parameter maps are restricted to per-component shifts of theta (the
 offset applies to the edge term), which keeps theta-gradients equal to
 eta-gradients throughout the inference code.
+
+The built-in families also build the statistic table of all graphs of a
+size in bulk, as small unsigned integers: edge counts by popcount, and
+EdgeTriangle's table node by node from the table one size down.  The
+logistic is computed here, so importing this module needs NumPy only.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import expit
 
-from .graph import Graph, edge_count, triangle_count
+from .graph import Graph, dyad_count, dyad_index, edge_count, triangle_count
 
 __all__ = [
     "Family",
@@ -233,11 +238,18 @@ def natural_params(spec: ModelSpec, theta: ParamVector, n: int) -> NaturalParams
 
 
 def edge_prob(spec: ModelSpec, theta: ParamVector, n: int) -> float:
-    """Dyad probability logistic(eta_edge) for independent-dyad families."""
+    """Dyad probability logistic(eta_edge) for independent-dyad families.
+
+    Computed as 1 / (1 + exp(-eta)), bit for bit SciPy's ``expit``; where
+    exp(-eta) overflows the probability rounds to 0.
+    """
     if not spec.definition.bernoulli:
         raise ValueError(f"edge_prob is unsupported for family {spec.family!r}")
     eta = natural_params(spec, theta, n).eta[0]
-    return float(expit(eta))
+    try:
+        return 1.0 / (1.0 + math.exp(-eta))
+    except OverflowError:
+        return 0.0
 
 
 def sufficient_stats(spec: ModelSpec, g: Graph) -> StatsVector:
@@ -257,8 +269,6 @@ _ENUM_CHUNK = 1 << 20
 
 
 def _bulk_edge_counts(n: int) -> np.ndarray:
-    from .graph import dyad_count
-
     total = 1 << dyad_count(n)
     out = np.empty((total, 1), dtype=np.uint8)
     for lo in range(0, total, _ENUM_CHUNK):
@@ -269,29 +279,22 @@ def _bulk_edge_counts(n: int) -> np.ndarray:
 
 
 def _bulk_edge_triangle_counts(n: int) -> np.ndarray:
-    from .graph import dyad_count, dyad_index
-
-    total = 1 << dyad_count(n)
-    masks = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                masks.append(
-                    (1 << dyad_index(i, j))
-                    | (1 << dyad_index(i, k))
-                    | (1 << dyad_index(j, k))
-                )
-    mask_arr = np.asarray(masks, dtype=np.uint64)
-    out = np.empty((total, 2), dtype=np.uint8)
-    for lo in range(0, total, _ENUM_CHUNK):
-        hi = min(lo + _ENUM_CHUNK, total)
-        idx = np.arange(lo, hi, dtype=np.uint64)
-        out[lo:hi, 0] = np.bitwise_count(idx).astype(np.uint8)
-        tri = np.zeros(hi - lo, dtype=np.uint8)
-        for mask in mask_arr:
-            tri += (idx & mask) == mask
-        out[lo:hi, 1] = tri
-    return out
+    """(edges, triangles) of every graph on n nodes, built from the table on
+    n - 1 nodes.  Graph k is a prefix p, its low C(n-1, 2) bits, plus the
+    star S of dyads (i, n-1) in its top n - 1 bits, so its edges are
+    e(p) + |S| and its triangles t(p) + popcount(p & M_S), where M_S masks
+    the dyads with both ends in S."""
+    if n == 1:
+        return np.zeros((1, 2), dtype=np.uint8)
+    prefix = _bulk_edge_triangle_counts(n - 1)
+    p = np.arange(len(prefix), dtype=np.uint64)
+    out = np.empty((1 << (n - 1), len(prefix), 2), dtype=np.uint8)
+    for star in range(1 << (n - 1)):
+        ends = [i for i in range(n - 1) if star >> i & 1]
+        inside = sum(1 << dyad_index(i, j) for i, j in itertools.combinations(ends, 2))
+        out[star, :, 0] = prefix[:, 0] + len(ends)
+        out[star, :, 1] = prefix[:, 1] + np.bitwise_count(p & np.uint64(inside))
+    return out.reshape(-1, 2)
 
 
 register_family(

@@ -2,10 +2,33 @@
 
 Collects the outcome of every ``test_criterion_*`` test in
 ``test_acceptance.py`` and prints one PASS/FAIL line per criterion at the
-end of the run, so the acceptance gate is readable at a glance.
+end of the run, so the acceptance gate is readable at a glance.  Also
+holds fixtures shared by several test modules.
 """
 
 import re
+
+import pytest
+
+from projgraph import Family, model_spec, register_family, unregister_family
+
+
+@pytest.fixture
+def edge_triangle_over_50():
+    """EdgeTriangle with both statistics divided by 50: the same models, with
+    natural parameters 50 times as large."""
+    base = model_spec("EdgeTriangle").definition
+    fam = Family(
+        name="EdgeTriangleOver50",
+        stat_dim=2,
+        offset_edges=False,
+        stats=lambda g: tuple(v / 50.0 for v in base.stats(g)),
+        bulk_stats=lambda n: base.bulk_stats(n) / 50.0,
+    )
+    register_family(fam)
+    yield model_spec("EdgeTriangleOver50")
+    unregister_family("EdgeTriangleOver50")
+
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_(\w+)")
 

@@ -2,15 +2,22 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import projgraph
 from projgraph import (
     ParamVector,
     complete_graph,
     empty_graph,
     format_edge_list,
     graph_from_edges,
+    graph_from_index,
     misspecified_log_likelihood,
     model_spec,
     parse_edge_list,
@@ -398,3 +405,53 @@ def test_threads_flag_validation(tmp_path, capsys):
     config = _growth_config(tmp_path)
     assert main(["experiment", config, "--threads", "0"]) == 2
     assert "--threads must be >= 1" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------
+# import path
+# --------------------------------------------------------------------------
+
+
+_IMPORT_PATH_SCRIPT = """
+import contextlib, io, math, sys
+
+import projgraph.cli
+from projgraph import Family, edge_count, register_family, triangle_count
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert projgraph.cli.main(argv) == 0, argv
+    return out.getvalue()
+
+run(["mle", "--family", "edge-triangle", "--population-n", "6", sys.argv[1]])
+run(["mle", "--family", "edge-triangle", sys.argv[1]])
+run(["check-projectivity", "--family", "edge-triangle", "--n", "5", "--n-sub", "4"])
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+
+def float_stats(g):
+    m, t = edge_count(g), triangle_count(g)
+    return (m / 3.0, math.sqrt(1.0 + t), 0.1 * m * t - 0.5)
+
+register_family(Family(name="FloatStatsProbe", stat_dim=3, offset_edges=False,
+                       stats=float_stats))
+fit = run(["mle", "--family", "float-stats-probe", "--population-n", "6", sys.argv[2]])
+assert ",true,false," in fit, fit
+assert "scipy.spatial" in sys.modules
+"""
+
+
+def test_two_statistic_work_does_not_import_scipy(tmp_path):
+    """In a fresh interpreter, the CLI's import, two-statistic fits and the
+    projectivity check leave SciPy unloaded.  A three-statistic fit loads
+    scipy.spatial for its hull, and a proper one (two disjoint edges on 4
+    nodes, in a population of 6) converges."""
+    src = str(Path(projgraph.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(_IMPORT_PATH_SCRIPT),
+         _write_graph(tmp_path, _triangle_with_tail()),
+         _write_graph(tmp_path, graph_from_index(4, 12), "sub.edgelist")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr

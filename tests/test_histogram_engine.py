@@ -1,6 +1,7 @@
 """Property tests: normalizers, moments, the completion likelihood and the
 projectivity check, which run on statistic histograms and grouped joint
-counts, against direct sums over every graph."""
+counts, against direct sums over every graph; and the two ways of coding a
+statistic table into histogram classes, against each other."""
 
 import math
 from functools import lru_cache
@@ -30,7 +31,14 @@ from projgraph import (
     triangle_count,
     unregister_family,
 )
-from projgraph.exact import _logsumexp
+from projgraph.exact import (
+    _class_codes,
+    _code_table,
+    _enumerated_stats_cached,
+    _logsumexp,
+    _packed_radices,
+    _statistic_histogram,
+)
 
 RTOL = 1e-12
 
@@ -199,3 +207,56 @@ def test_logsumexp_agrees_with_scipy(values, repeats):
     values = np.concatenate([values, np.full(repeats, values.max())])
     got, want = _logsumexp(values), float(scipy.special.logsumexp(values))
     assert abs(got - want) <= 2 * np.spacing(max(abs(got), abs(want)))
+
+
+def _assert_same_coding(table):
+    """The packed-key coding of an unsigned table equals the sort path's on
+    the same table cast to float64: codes (and their dtype), rows, counts."""
+    assert _packed_radices(table) is not None
+    floats = table.astype(np.float64)
+    assert _packed_radices(floats) is None
+    for got, want in zip(_code_table(table), _code_table(floats)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("family", ["EdgeTriangle", "BernoulliInvariant"])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_packed_key_coding_matches_the_sort_path(family, n):
+    fam = model_spec(family).definition
+    table = _enumerated_stats_cached(fam, n)
+    _assert_same_coding(table)
+    codes, points, counts = _code_table(table.astype(np.float64))
+    assert np.array_equal(_class_codes(fam, n), codes)
+    got_points, got_log_counts = _statistic_histogram(fam, n)
+    assert np.array_equal(got_points, points)
+    assert np.array_equal(got_log_counts, np.log(counts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    table=st.one_of(st.just(16), st.integers(0, 255)).flatmap(
+        lambda top: arrays(np.uint8, st.tuples(st.integers(1, 300), st.integers(1, 3)),
+                           elements=st.integers(0, top))
+    ),
+)
+@example(table=np.array([[3, 0], [0, 1], [3, 0], [1, 1], [2, 0], [0, 0], [1, 0], [3, 1]],
+                        dtype=np.uint8))
+def test_small_unsigned_tables_code_like_the_sort_path(table):
+    """Tables whose radix product exceeds their rows, where a key count per
+    radix product would outgrow the table, take the sort path."""
+    small = math.prod(int(c.max()) + 1 for c in table.T) <= len(table)
+    assert (_packed_radices(table) is not None) == small
+    if small:
+        _assert_same_coding(table)
+
+
+def test_a_full_byte_column_codes_like_the_sort_path():
+    """The radix 256 of a uint8 column needs a wider key."""
+    _assert_same_coding(np.random.default_rng(0).permutation(256).astype(np.uint8)[:, None])
+
+
+def test_float_tables_take_the_sort_path(edge_triangle_over_50):
+    for spec in (edge_triangle_over_50, model_spec("FloatStatsProbe")):
+        for n in range(1, 6):
+            assert _packed_radices(_enumerated_stats_cached(spec.definition, n)) is None

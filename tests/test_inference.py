@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
 from projgraph import (
     EnumerationCapError,
@@ -20,6 +21,7 @@ from projgraph import (
     complete_graph,
     completion_log_likelihood,
     dyad_count,
+    dyad_index,
     edge_count,
     edge_prob,
     empty_graph,
@@ -42,8 +44,13 @@ from projgraph import (
     sufficient_stats,
     unregister_family,
 )
-from projgraph.exact import _enumerated_stats_cached, _logsumexp, _statistic_histogram
-from projgraph.inference import _ascend_log_ratio, _statistic_facets
+from projgraph.exact import (
+    _code_table,
+    _enumerated_stats_cached,
+    _logsumexp,
+    _statistic_histogram,
+)
+from projgraph.inference import _ascend_log_ratio, _hull_facets, _statistic_facets
 
 INVARIANT = model_spec("BernoulliInvariant")
 OFFSET = model_spec("BernoulliOffset")
@@ -67,23 +74,6 @@ def edges_newton():
     register_family(fam)
     yield model_spec("EdgesNewton")
     unregister_family("EdgesNewton")
-
-
-@pytest.fixture
-def edge_triangle_over_50():
-    """EdgeTriangle with both statistics divided by 50: the same models, with
-    natural parameters 50 times as large."""
-    base = EDGE_TRI.definition
-    fam = Family(
-        name="EdgeTriangleOver50",
-        stat_dim=2,
-        offset_edges=False,
-        stats=lambda g: tuple(v / 50.0 for v in base.stats(g)),
-        bulk_stats=lambda n: base.bulk_stats(n) / 50.0,
-    )
-    register_family(fam)
-    yield model_spec("EdgeTriangleOver50")
-    unregister_family("EdgeTriangleOver50")
 
 
 # --------------------------------------------------------------------------
@@ -664,6 +654,67 @@ def test_converged_ascent_beats_every_facet_limit(case):
         if v in rows:
             limit = comp[1][rows.index(v)] - log_counts[v]
             assert limit < value - 1e-9, v
+
+
+def _qhull_facets(points):
+    """Unit normals and offsets of the hull of 2-D points by Qhull, each
+    facet once, or the hyperplane of points with empty interior."""
+    try:
+        normals = ConvexHull(points).equations[:, :-1]
+    except QhullError:
+        normals = np.linalg.svd(points - points[0])[2][-1:]
+    distinct = []
+    for normal in normals:
+        if all(np.abs(normal - kept).max() > 1e-9 for kept in distinct):
+            distinct.append(normal)
+    normals = np.array(distinct)
+    return normals, (points @ normals.T).max(axis=0)
+
+
+def _assert_hull_matches_qhull(points):
+    normals, offsets, _ = _hull_facets(points)
+    want_normals, want_offsets = _qhull_facets(points)
+    assert len(normals) == len(want_normals)
+    for a, b, others, other_offsets in ((normals, offsets, want_normals, want_offsets),
+                                        (want_normals, want_offsets, normals, offsets)):
+        for normal, offset in zip(a, b):
+            k = np.argmin(np.abs(others - normal).max(axis=1))
+            assert np.abs(others[k] - normal).max() <= 1e-12, (normal, others)
+            assert abs(other_offsets[k] - offset) <= 1e-12
+
+
+@st.composite
+def _planar_points(draw):
+    """Integer 2-D points with a collinear run and repeated points."""
+    coordinate = st.integers(-6, 6)
+    points = draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=10))
+    x, y, dx, dy = draw(st.tuples(coordinate, coordinate, st.integers(-2, 2), st.integers(-2, 2)))
+    points += [(x + k * dx, y + k * dy) for k in range(draw(st.integers(0, 6)))]
+    points += draw(st.lists(st.sampled_from(points), max_size=4))
+    return np.array(draw(st.permutations(points)), dtype=np.float64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=_planar_points())
+@example(points=np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [1.0, 1.0]]))
+@example(points=np.array([[3.0, -1.0]]))
+def test_planar_hull_matches_qhull(points):
+    _assert_hull_matches_qhull(points)
+
+
+def _node_zero_table(n):
+    """Statistics of test_histogram_engine's NodeZeroProbe for every graph on
+    n nodes: the degree of node 0 and the parity of the edge count."""
+    idx = np.arange(1 << dyad_count(n), dtype=np.uint64)
+    star = np.uint64(sum(1 << dyad_index(0, j) for j in range(1, n)))
+    return np.column_stack([np.bitwise_count(idx & star), np.bitwise_count(idx) % 2])
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_planar_statistic_hulls_match_qhull(edge_triangle_over_50, n):
+    for spec in (EDGE_TRI, edge_triangle_over_50):
+        _assert_hull_matches_qhull(_statistic_histogram(spec.definition, n)[0])
+    _assert_hull_matches_qhull(_code_table(_node_zero_table(n))[1])
 
 
 def test_proper_mle_log_lik_matches_direct_evaluation():

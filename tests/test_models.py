@@ -1,9 +1,13 @@
 """Model families: sufficient statistics, natural parameters, edge probabilities."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import example, given, settings, strategies as st
 
 from projgraph import (
     BERNOULLI_INVARIANT,
@@ -14,6 +18,8 @@ from projgraph import (
     ParamVector,
     complete_graph,
     dyad_count,
+    dyad_index,
+    edge_count,
     edge_prob,
     empty_graph,
     graph_from_edges,
@@ -25,6 +31,7 @@ from projgraph import (
     registered_families,
     resolve_family_name,
     sufficient_stats,
+    triangle_count,
     unregister_family,
 )
 
@@ -127,6 +134,27 @@ def test_edge_prob_round_trips_through_logit():
     for theta in (-3.0, -0.5, 0.0, 0.5, 3.0):
         p = edge_prob(INVARIANT, ParamVector(theta=(theta,)), 5)
         assert math.log(p / (1 - p)) == pytest.approx(theta, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    theta=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-800.0, 800.0),
+        st.sampled_from([0.0, -0.0, 709.78, -709.78, 745.2, -745.2, 1e308, -1e308]),
+    ),
+    spec=st.sampled_from([INVARIANT, OFFSET]),
+    n=st.integers(1, 10_000),
+)
+@example(theta=-710.0, spec=INVARIANT, n=1)
+def test_edge_prob_is_scipy_expit_bit_for_bit(theta, spec, n):
+    """The in-house logistic equals SciPy's ``expit`` in every bit, also
+    where exp(-eta) overflows, and raises and warns nowhere."""
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        got = edge_prob(spec, ParamVector(theta=(theta,)), n)
+    want = scipy.special.expit(natural_params(spec, ParamVector(theta=(theta,)), n).eta[0])
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_edge_prob_rejects_dyad_dependent_family():
@@ -237,3 +265,33 @@ def test_bulk_stats_agree_with_scalar_stats():
             for k in range(table.shape[0]):
                 expected = sufficient_stats(spec, graph_from_index(n, k)).values
                 assert tuple(table[k]) == expected
+
+
+def _mask_loop_edge_triangle_counts(n):
+    """The EdgeTriangle table by one mask compare per node triple and row,
+    the builder the node-recursive one replaced."""
+    idx = np.arange(1 << dyad_count(n), dtype=np.uint64)
+    out = np.empty((len(idx), 2), dtype=np.uint8)
+    out[:, 0] = np.bitwise_count(idx)
+    tri = np.zeros(len(idx), dtype=np.uint8)
+    for i, j, k in itertools.combinations(range(n), 3):
+        mask = np.uint64(sum(1 << dyad_index(a, b) for a, b in ((i, j), (i, k), (j, k))))
+        tri += (idx & mask) == mask
+    out[:, 1] = tri
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_edge_triangle_table_matches_per_graph_counts(n):
+    table = EDGE_TRI.definition.bulk_stats(n)
+    assert table.dtype == np.uint8
+    want = [(edge_count(g), triangle_count(g))
+            for g in (graph_from_index(n, k) for k in range(1 << dyad_count(n)))]
+    assert table.tolist() == [list(row) for row in want]
+
+
+def test_edge_triangle_table_matches_the_mask_loop_at_seven_nodes():
+    table = EDGE_TRI.definition.bulk_stats(7)
+    want = _mask_loop_edge_triangle_counts(7)
+    assert table.dtype == want.dtype
+    assert np.array_equal(table, want)
