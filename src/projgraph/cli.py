@@ -29,10 +29,10 @@ from typing import Optional, Sequence
 
 from .exact import (
     EnumerationCapError,
+    _bulk_sample,
     _product_grid,
     build_distribution,
     default_theta_grid,
-    exact_sample,
     projectivity_check,
     sample_bernoulli,
     PROJECTIVITY_TOLERANCE,
@@ -109,15 +109,17 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         raise ValueError("--seed must be >= 0")
     if args.count > 1 and args.out is None:
         raise ValueError("--out is required when --count > 1")
+    # Draw i comes from substream(seed, "sample", i); table draws are
+    # evaluated in bulk with the same bits.
     if spec.definition.bernoulli:
         pi = edge_prob(spec, theta, args.n)
-        draw = lambda rng: sample_bernoulli(args.n, pi, rng)
+        graphs = [
+            sample_bernoulli(args.n, pi, substream(args.seed, "sample", index))
+            for index in range(args.count)
+        ]
     else:
         dist = build_distribution(spec, theta, args.n, args.enum_cap)
-        draw = lambda rng: exact_sample(dist, rng)
-    graphs = [
-        draw(substream(args.seed, "sample", index)) for index in range(args.count)
-    ]
+        graphs = list(_bulk_sample(dist, args.seed, ("sample",), (args.count,)))
     if args.out is None:
         sys.stdout.write(format_edge_list(graphs[0]))
         return 0

@@ -28,7 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .models import (
     natural_params,
     edge_prob,
 )
+from .rng import _first_uniforms
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -69,6 +70,7 @@ MAX_ENUMERATION_CAP = 8
 PROJECTIVITY_TOLERANCE = 1e-9
 
 _CHUNK = 1 << 20
+_DRAW_CHUNK = 4096
 
 
 class EnumerationCapError(Exception):
@@ -511,12 +513,43 @@ def projectivity_check(
     )
 
 
-def exact_sample(d: ExactDistribution, rng: np.random.Generator) -> Graph:
-    """Draw one graph from the table by inverse CDF; one uniform per draw."""
+def _inverse_cdf(d: ExactDistribution, u):
+    """Graph indices of ``d`` at uniforms ``u`` (a float or an array) by
+    inverse CDF: the first index whose cumulative weight exceeds ``u``
+    times the total, clipped to the last index."""
     cdf = d._cumulative()
-    u = rng.random() * cdf[-1]
-    k = int(np.searchsorted(cdf, u, side="right"))
-    return graph_from_index(d.n, min(k, len(cdf) - 1))
+    return np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"), len(cdf) - 1)
+
+
+def exact_sample(d: ExactDistribution, rng: np.random.Generator) -> Graph:
+    """Draw one graph from the table by inverse CDF.
+
+    Consumes exactly one uniform from ``rng``, so a stream that serves one
+    draw can be evaluated without building it (see :func:`_bulk_sample`).
+    """
+    return graph_from_index(d.n, _inverse_cdf(d, rng.random()))
+
+
+def _bulk_sample(
+    d: ExactDistribution,
+    master_seed: int,
+    prefix: tuple[int | str, ...],
+    shape: tuple[int, ...],
+) -> Iterator[Graph]:
+    """Yield ``exact_sample(d, substream(master_seed, *prefix, *tail))`` for
+    each ``tail`` in ``np.ndindex(shape)``, in that order, with the same bits.
+
+    The streams' first uniforms are evaluated ``_DRAW_CHUNK`` tails at a
+    time by :func:`projgraph.rng._first_uniforms`, so memory stays bounded
+    for any shape.  Each part of a tail must lie below 2^32.
+    """
+    total = math.prod(shape)
+    for lo in range(0, total, _DRAW_CHUNK):
+        rows = np.arange(lo, min(lo + _DRAW_CHUNK, total))
+        tails = np.stack(np.unravel_index(rows, shape), axis=1)
+        u = _first_uniforms(master_seed, prefix, tails)
+        for k in _inverse_cdf(d, u).tolist():
+            yield Graph(d.n, k)
 
 
 def sample_bernoulli(n: int, pi: float, rng: np.random.Generator) -> Graph:

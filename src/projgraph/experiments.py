@@ -14,9 +14,12 @@ Four studies ship, all driven by one :class:`ExperimentConfig`:
 Every replicate derives its own random stream from the master seed and
 the path (experiment tag, cell index, replicate indices), so results do
 not depend on execution order; report CSV bodies are byte-identical
-across runs.  Replicates run serially: each is milliseconds of GIL-bound
-Python, and a thread pool made two workers slower than one.  The runners
-keep their ``threads`` keyword for compatibility; it schedules nothing.
+across runs.  Where a replicate needs only one table draw (replication
+with a dyad-dependent family), a cell's streams are not built: their
+first uniforms are evaluated together, with the same bits.  Replicates
+are fitted serially: each fit is milliseconds of GIL-bound Python, and a
+thread pool made two workers slower than one.  The runners keep their
+``threads`` keyword for compatibility; it schedules nothing.
 Replicates with no finite estimate (boundary data) are excluded from
 bias/RMSE and counted in the ``n_boundary`` column, with
 ``units = used + n_boundary`` per row.
@@ -26,16 +29,17 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from ._version import __version__
-from .exact import build_distribution, exact_sample, sample_bernoulli
+from .exact import _bulk_sample, build_distribution, exact_sample, sample_bernoulli
 from .graph import Graph, NodeSubset, induced_subgraph, is_connected, mean_degree, edge_count
 from .inference import (
     FullGraph,
@@ -376,6 +380,30 @@ def _cell_sampler(
     return lambda rng: exact_sample(dist, rng)
 
 
+def _replication_draws(
+    cfg: ExperimentConfig, n: int
+) -> Callable[[int, int], Iterator[Graph]]:
+    """Per-cell draws of the replication study: for (cell, R), the cell's
+    graphs study by study, replicate r of study s drawn from
+    ``substream(seed, "replication", cell, s, r)``.
+
+    Independent-dyad families draw C(n,2) uniforms from each stream.  A
+    table family draws one, so a cell's first uniforms are evaluated in
+    bulk (see :func:`projgraph.exact._bulk_sample`), with the same bits.
+    """
+    seed, studies = cfg.master_seed, cfg.studies_per_cell
+    if cfg.spec.definition.bernoulli:
+        pi = edge_prob(cfg.spec, cfg.theta_star, n)
+        return lambda cell, count: (
+            sample_bernoulli(n, pi, substream(seed, "replication", cell, *tail))
+            for tail in np.ndindex(studies, count)
+        )
+    dist = build_distribution(cfg.spec, cfg.theta_star, n)
+    return lambda cell, count: _bulk_sample(
+        dist, seed, ("replication", cell), (studies, count)
+    )
+
+
 def run_replication_consistency(
     cfg: ExperimentConfig, threads: int = 1
 ) -> ExperimentReport:
@@ -384,16 +412,15 @@ def run_replication_consistency(
         raise ValueError(f"config is for {cfg.experiment!r}, expected 'replication'")
     started = time.perf_counter()
     n = cfg.sizes[0]
-    draw = _cell_sampler(cfg, n)
+    cell_draws = _replication_draws(cfg, n)
     rows = []
     for cell_index, count in enumerate(cfg.replicates):
-        results = []
-        for study in range(cfg.studies_per_cell):
-            graphs = tuple(
-                draw(substream(cfg.master_seed, "replication", cell_index, study, r))
-                for r in range(count)
-            )
-            results.append(mle(cfg.spec, Replicates(graphs), LikelihoodKind.PROPER))
+        draws = cell_draws(cell_index, count)
+        results = [
+            mle(cfg.spec, Replicates(tuple(itertools.islice(draws, count))),
+                LikelihoodKind.PROPER)
+            for _ in range(cfg.studies_per_cell)
+        ]
         row = {"cell": f"R={count}", "n": n, "R": count}
         row.update(_summarize_estimates(results, cfg.theta_star))
         rows.append(row)

@@ -11,6 +11,7 @@ on a prefix node set {0, ..., m-1} is simply the low C(m,2) bits.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -68,12 +69,19 @@ def dyad_endpoints(k: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph on nodes {0, ..., n-1} with bit-packed dyads."""
+    """Undirected simple graph on nodes {0, ..., n-1} with bit-packed dyads.
+
+    ``n`` and ``dyads`` are stored as Python integers: NumPy integers are
+    converted, and other types (floats included) raise ``TypeError``.
+    """
 
     n: int
     dyads: int
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int or type(self.dyads) is not int:
+            object.__setattr__(self, "n", operator.index(self.n))
+            object.__setattr__(self, "dyads", operator.index(self.dyads))
         if self.n < 1:
             raise ValueError("node count must be >= 1")
         if not 0 <= self.dyads < (1 << dyad_count(self.n)):

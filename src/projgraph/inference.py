@@ -42,6 +42,7 @@ import numpy as np
 
 from .exact import (
     _class_codes,
+    _enumerated_stats_cached,
     _logsumexp,
     _moments,
     _statistic_histogram,
@@ -556,9 +557,11 @@ def _enumerated_mle(
     set.  Independent same-size graphs (a full graph, replicates, or the
     misspecified likelihood of a subgraph) have the log likelihood
     ``weight`` times that of one graph at their mean statistics: a one-row
-    event with log count 0.  Theta and eta differ by a constant shift, so
-    the observed information is ``weight`` times minus the log-ratio
-    Hessian at the maximizer.
+    event with log count 0.  Their statistics are read from the cached
+    statistic table, so the event is built from the same rows as the
+    histogram whose facets decide finiteness.  Theta and eta differ by a
+    constant shift, so the observed information is ``weight`` times minus
+    the log-ratio Hessian at the maximizer.
     """
     dim = spec.stat_dim
     proper = isinstance(data, InducedSubgraph) and kind is LikelihoodKind.PROPER
@@ -574,7 +577,8 @@ def _enumerated_mle(
         comp = (full[0][counts > 0], np.log(counts[counts > 0]))
         weight = 1
     else:
-        rows = np.stack([sufficient_stats(spec, g).as_array() for g in graphs])
+        table = _enumerated_stats_cached(spec.definition, size)
+        rows = table[[g.dyads for g in graphs]].astype(np.float64)
         comp = (rows.mean(axis=0)[None, :], np.zeros(1))
         weight = len(graphs)
     facets = _statistic_facets(spec.definition, size)

@@ -13,8 +13,10 @@ import pytest
 import projgraph
 from projgraph import (
     ParamVector,
+    build_distribution,
     complete_graph,
     empty_graph,
+    exact_sample,
     format_edge_list,
     graph_from_edges,
     graph_from_index,
@@ -22,6 +24,7 @@ from projgraph import (
     model_spec,
     parse_edge_list,
     proper_log_likelihood,
+    substream,
 )
 from projgraph.cli import THREADS_ENV_VAR, main
 
@@ -78,6 +81,23 @@ def test_sample_count_writes_indexed_files(tmp_path, capsys):
     assert names == ["sample_0000.edgelist", "sample_0001.edgelist", "sample_0002.edgelist"]
     graphs = [parse_edge_list((out / n).read_text()) for n in names]
     assert all(g.n == 5 for g in graphs)
+
+
+@pytest.mark.parametrize("count", [1, 50])
+def test_table_sample_files_match_one_stream_per_draw(tmp_path, count):
+    """Table draws are evaluated in bulk; each file must still be byte for
+    byte the graph that draw k's own stream (seed, "sample", k) gives."""
+    out = tmp_path / "draws"
+    argv = ["sample", "--family", "edge-triangle", "--theta=-0.5,0.3", "--n", "5",
+            "--count", str(count), "--seed", "12", "--out", str(out)]
+    assert main(argv) == 0
+    dist = build_distribution(model_spec("EdgeTriangle"), ParamVector(theta=(-0.5, 0.3)), 5)
+    files = sorted(out.iterdir())
+    assert len(files) == count
+    for k, path in enumerate(files):
+        assert path.name == f"sample_{k:04d}.edgelist"
+        expected = format_edge_list(exact_sample(dist, substream(12, "sample", k)))
+        assert path.read_bytes() == expected.encode("utf-8")
 
 
 def test_sample_draws_are_indexed_by_replicate_not_order(tmp_path):

@@ -38,6 +38,7 @@ from projgraph import (
     tv_distance,
     unregister_family,
 )
+from projgraph.exact import _DRAW_CHUNK, _bulk_sample
 
 INVARIANT = model_spec("BernoulliInvariant")
 OFFSET = model_spec("BernoulliOffset")
@@ -445,6 +446,30 @@ def test_exact_sample_is_deterministic_per_stream():
     draws_a = [exact_sample(d, substream(5, "draws", i)) for i in range(20)]
     draws_b = [exact_sample(d, substream(5, "draws", i)) for i in range(20)]
     assert draws_a == draws_b
+
+
+def test_exact_sample_consumes_one_uniform():
+    """A stream that serves one table draw is spent by exactly one uniform,
+    which is what lets bulk draws evaluate only each stream's first value."""
+    d = build_distribution(EDGE_TRI, ParamVector(theta=(-0.5, 0.3)), 5)
+    for index in range(5):
+        rng = substream(11, "one-uniform", index)
+        exact_sample(d, rng)
+        assert rng.random() == substream(11, "one-uniform", index).random(2)[1]
+
+
+def test_bulk_sample_matches_one_stream_per_draw_across_chunks():
+    """Bulk draws give each tail the graph its own stream draws, in
+    ``np.ndindex`` order, also across the boundary between two chunks."""
+    d = build_distribution(EDGE_TRI, ParamVector(theta=(-0.5, 0.3)), 5)
+    shape = (3, _DRAW_CHUNK // 2 + 5)
+    bulk = list(_bulk_sample(d, 2, ("bulk", 4), shape))
+    assert len(bulk) == math.prod(shape) > _DRAW_CHUNK
+    for i in (0, 1, _DRAW_CHUNK - 1, _DRAW_CHUNK, len(bulk) - 1):
+        tail = np.unravel_index(i, shape)
+        assert bulk[i] == exact_sample(d, substream(2, "bulk", 4, *map(int, tail)))
+    head = [exact_sample(d, substream(2, "bulk", 4, 0, r)) for r in range(300)]
+    assert bulk[:300] == head
 
 
 def test_exact_sample_uniform_goodness_of_fit():

@@ -9,17 +9,24 @@ import pytest
 
 from projgraph import (
     ExperimentConfig,
+    ExperimentReport,
+    Family,
     FullGraph,
     InducedSubgraph,
     LikelihoodKind,
     NodeSubset,
     ParamVector,
+    Replicates,
     build_distribution,
+    degree_sequence,
+    edge_count,
     edge_prob,
+    exact_sample,
     graph_from_index,
     marginal_distribution,
     mle,
     model_spec,
+    register_family,
     run_connectivity_threshold,
     run_experiment,
     run_growth_consistency,
@@ -27,7 +34,9 @@ from projgraph import (
     run_subsample_bias,
     sample_bernoulli,
     substream,
+    unregister_family,
 )
+from projgraph.experiments import _estimate_columns, _summarize_estimates
 
 INVARIANT = model_spec("BernoulliInvariant")
 OFFSET = model_spec("BernoulliOffset")
@@ -399,6 +408,68 @@ def test_replication_handles_the_dyad_dependent_family():
         assert row["units"] == row["used"] + row["n_boundary"]
     assert report.rows[1]["rmse_1"] < report.rows[0]["rmse_1"]
     assert report.rows[1]["rmse_2"] < report.rows[0]["rmse_2"]
+
+
+def _replication_by_substreams(cfg):
+    """The replication study with one generator per replicate, as it ran
+    before table draws were evaluated in bulk: the reference for
+    ``run_replication_consistency``."""
+    n = cfg.sizes[0]
+    dist = build_distribution(cfg.spec, cfg.theta_star, n)
+    rows = []
+    for cell_index, count in enumerate(cfg.replicates):
+        results = []
+        for study in range(cfg.studies_per_cell):
+            graphs = tuple(
+                exact_sample(dist, substream(cfg.master_seed, "replication", cell_index, study, r))
+                for r in range(count)
+            )
+            results.append(mle(cfg.spec, Replicates(graphs), LikelihoodKind.PROPER))
+        row = {"cell": f"R={count}", "n": n, "R": count}
+        row.update(_summarize_estimates(results, cfg.theta_star))
+        rows.append(row)
+    columns = ["cell", "n", "R", "units", "used", "n_boundary"] + _estimate_columns(
+        cfg.spec.stat_dim
+    )
+    return ExperimentReport("replication", tuple(columns), tuple(rows), {}).csv_body()
+
+
+@pytest.fixture
+def node_zero_probe():
+    """A label-dependent family: the degree of node 0 and the parity of the
+    edge count."""
+    register_family(Family(
+        name="NodeZeroProbe", stat_dim=2, offset_edges=False,
+        stats=lambda g: (float(degree_sequence(g)[0]), float(edge_count(g) % 2)),
+    ))
+    yield model_spec("NodeZeroProbe")
+    unregister_family("NodeZeroProbe")
+
+
+@pytest.mark.parametrize("seed", [0, 7, (1 << 63) + 17, (1 << 64) - 1])
+@pytest.mark.parametrize(
+    "family, theta",
+    [
+        ("EdgeTriangle", (-0.5, 0.3)),
+        ("edge_triangle_over_50", (-25.0, 15.0)),
+        ("node_zero_probe", (0.2, -0.4)),
+    ],
+    ids=["EdgeTriangle", "over50", "NodeZeroProbe"],
+)
+def test_replication_bulk_draws_match_one_stream_per_replicate(request, family, theta, seed):
+    """Byte-identical report bodies from the bulk draws and from the
+    per-replicate loop, for integer, float and label-dependent tables."""
+    spec = model_spec(family) if family == "EdgeTriangle" else request.getfixturevalue(family)
+    cfg = ExperimentConfig(
+        experiment="replication",
+        spec=spec,
+        theta_star=ParamVector(theta=theta),
+        sizes=(5,),
+        replicates=(1, 4, 12),
+        master_seed=seed,
+        studies_per_cell=4,
+    )
+    assert run_replication_consistency(cfg).csv_body() == _replication_by_substreams(cfg)
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from projgraph import (
@@ -91,6 +92,26 @@ def test_graph_validates_dyad_range():
         Graph(n=3, dyads=-1)
     with pytest.raises(ValueError):
         Graph(n=0, dyads=0)
+
+
+def test_graph_stores_python_integers():
+    """NumPy integers (as bulk draws hand back) become Python ints, so the
+    bit operations on ``dyads`` work; floats are refused."""
+    g = graph_from_index(4, np.int64(7))
+    assert type(g.dyads) is int and type(g.n) is int
+    assert g == graph_from_edges(4, [(0, 1), (0, 2), (1, 2)])
+    assert list(g.edges()) == [(0, 1), (0, 2), (1, 2)]
+    assert triangle_count(g) == 1
+    assert not is_connected(g)
+    assert format_edge_list(g) == format_edge_list(graph_from_index(4, 7))
+    assert Graph(np.intp(5), np.uint64(3)) == Graph(5, 3)
+
+
+def test_graph_rejects_float_fields():
+    with pytest.raises(TypeError):
+        Graph(3, 2.0)
+    with pytest.raises(TypeError):
+        Graph(3.0, 2)
 
 
 def test_graph_from_edges_rejects_bad_edges():

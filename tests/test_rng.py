@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from projgraph import substream
+from projgraph.rng import _first_uniforms
 
 
 def test_same_path_yields_identical_stream():
@@ -67,3 +69,58 @@ def test_bool_part_rejected():
 def test_negative_int_part_rejected():
     with pytest.raises(ValueError):
         substream(3, -1)
+
+
+# --------------------------------------------------------------------------
+# bulk first uniforms
+# --------------------------------------------------------------------------
+
+_SEEDS = st.sampled_from([0, 1 << 32, (1 << 64) - 1]) | st.integers(0, (1 << 64) - 1)
+_PARTS = (
+    st.text(max_size=6)
+    | st.integers(0, (1 << 64) + 5)
+    | st.sampled_from([0, (1 << 32) - 1, 1 << 32])
+)
+_TAIL = st.sampled_from([0, (1 << 32) - 1]) | st.integers(0, (1 << 32) - 1)
+
+
+@st.composite
+def _tails(draw):
+    width = draw(st.integers(0, 3))
+    row = st.lists(_TAIL, min_size=width, max_size=width)
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    return np.array(rows, dtype=np.uint64).reshape(len(rows), width)
+
+
+_EXTREME_TAILS = np.array([[0, 0], [(1 << 32) - 1, 0], [7, (1 << 32) - 1]], dtype=np.uint64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=_SEEDS, prefix=st.lists(_PARTS, max_size=3), tails=_tails())
+@example(seed=0, prefix=["replication", 3], tails=_EXTREME_TAILS)
+@example(seed=1 << 32, prefix=["sample"], tails=_EXTREME_TAILS)
+@example(seed=(1 << 64) - 1, prefix=[1 << 40, "x"], tails=_EXTREME_TAILS)
+@example(seed=(1 << 64) - 1, prefix=[], tails=_EXTREME_TAILS)
+def test_first_uniforms_equal_each_streams_first_draw(seed, prefix, tails):
+    """The array evaluation of NumPy's seeding and Philox agrees bit for bit
+    with building each stream and drawing once."""
+    bulk = _first_uniforms(seed, tuple(prefix), tails)
+    expected = [substream(seed, *prefix, *row).random() for row in tails.tolist()]
+    assert bulk.tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "tails",
+    [
+        np.array([[-1]]),
+        np.array([[1 << 32]]),
+        np.array([[3, (1 << 40)]], dtype=np.uint64),
+        np.array([[True]]),
+        np.array([[0.0]]),
+        np.array([0, 1]),
+    ],
+    ids=["negative", "2**32", "above-2**32", "bool", "float", "one-dimensional"],
+)
+def test_first_uniforms_reject_tails_outside_one_word(tails):
+    with pytest.raises(ValueError):
+        _first_uniforms(1, ("tag",), tails)
