@@ -10,10 +10,9 @@ experiment command then also writes a JSON metadata sidecar).
 Exit codes: 0 success, 2 invalid input, 3 enumeration cap exceeded,
 4 I/O failure.  Validation always precedes computation, so invalid
 invocations never leave partial output files.  ``experiment`` and
-``check-projectivity`` accept ``--threads`` (fallback: the
-PROJGRAPH_THREADS environment variable) for compatibility and validate
-it, but both run serially, so every output body is the same for any
-value.
+``check-projectivity`` accept ``--threads`` for compatibility and
+validate it, but both run serially, so every output body is the same for
+any value.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -54,15 +52,13 @@ from .inference import (
     log_likelihood,
     mle,
 )
-from .models import ModelSpec, ParamVector, edge_prob, model_spec
+from .models import Family, ParamVector, edge_prob, model_spec
 from .rng import substream
 
 __all__ = ["main"]
 
-THREADS_ENV_VAR = "PROJGRAPH_THREADS"
 
-
-def _parse_theta(text: str, spec: ModelSpec, flag: str = "--theta") -> ParamVector:
+def _parse_theta(text: str, spec: Family, flag: str = "--theta") -> ParamVector:
     try:
         values = tuple(float(part) for part in text.split(","))
     except ValueError:
@@ -70,24 +66,14 @@ def _parse_theta(text: str, spec: ModelSpec, flag: str = "--theta") -> ParamVect
     if len(values) != spec.stat_dim:
         raise ValueError(
             f"{flag} must have {spec.stat_dim} component(s) for family "
-            f"{spec.family}, got {len(values)}"
+            f"{spec.name}, got {len(values)}"
         )
     return ParamVector(theta=values)
 
 
 def _validate_threads(value: Optional[int]) -> None:
-    """Check ``--threads``, or PROJGRAPH_THREADS when the flag is absent."""
-    if value is None:
-        env = os.environ.get(THREADS_ENV_VAR)
-        if env is None:
-            return
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(
-                f"{THREADS_ENV_VAR} must be an integer, got {env!r}"
-            ) from None
-    if value < 1:
+    """Check ``--threads`` when it is given."""
+    if value is not None and value < 1:
         raise ValueError("--threads must be >= 1")
 
 
@@ -111,7 +97,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         raise ValueError("--out is required when --count > 1")
     # Draw i comes from substream(seed, "sample", i); table draws are
     # evaluated in bulk with the same bits.
-    if spec.definition.bernoulli:
+    if spec.bernoulli:
         pi = edge_prob(spec, theta, args.n)
         graphs = [
             sample_bernoulli(args.n, pi, substream(args.seed, "sample", index))

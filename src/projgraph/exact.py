@@ -35,8 +35,6 @@ import numpy as np
 from .graph import Graph, NodeSubset, dyad_count, dyad_index, graph_from_index
 from .models import (
     Family,
-    ModelSpec,
-    NaturalParams,
     ParamVector,
     StatsVector,
     natural_params,
@@ -128,11 +126,11 @@ def _enumerated_stats_cached(fam: Family, n: int) -> np.ndarray:
 
 
 def enumerated_stats(
-    spec: ModelSpec, n: int, enum_cap: Optional[int] = None
+    spec: Family, n: int, enum_cap: Optional[int] = None
 ) -> np.ndarray:
     """Statistic table for all graphs of size n, row k = stats of graph k."""
     resolve_enum_cap(n, enum_cap)
-    return _enumerated_stats_cached(spec.definition, n)
+    return _enumerated_stats_cached(spec, n)
 
 
 def _packed_radices(table: np.ndarray) -> Optional[tuple[int, ...]]:
@@ -286,23 +284,23 @@ def _joint_counts(fam: Family, n: int, n_sub: int) -> tuple[np.ndarray, ...]:
 
 
 def _enumerated_moments(
-    spec: ModelSpec, theta: ParamVector, n: int, enum_cap: Optional[int]
+    spec: Family, theta: ParamVector, n: int, enum_cap: Optional[int]
 ) -> tuple[float, np.ndarray, np.ndarray]:
     resolve_enum_cap(n, enum_cap)
-    eta = natural_params(spec, theta, n).as_array()
-    return _moments(*_statistic_histogram(spec.definition, n), eta)
+    eta = natural_params(spec, theta, n)
+    return _moments(*_statistic_histogram(spec, n), eta)
 
 
 def log_normalizer(
-    spec: ModelSpec, theta: ParamVector, n: int, enum_cap: Optional[int] = None
+    spec: Family, theta: ParamVector, n: int, enum_cap: Optional[int] = None
 ) -> float:
     """log sum over all graphs of exp(eta . s(g)).
 
     Independent-dyad families use the closed form C(n,2)*log(1+e^eta) at
     any size; other families enumerate (cap applies).
     """
-    if spec.definition.bernoulli:
-        eta = natural_params(spec, theta, n).eta[0]
+    if spec.bernoulli:
+        eta = natural_params(spec, theta, n)[0]
         return float(dyad_count(n) * np.logaddexp(0.0, eta))
     return _enumerated_moments(spec, theta, n, enum_cap)[0]
 
@@ -316,7 +314,7 @@ class ExactDistribution:
     """
 
     n: int
-    spec: ModelSpec
+    spec: Family
     theta: ParamVector
     log_probs: np.ndarray
     log_z: float
@@ -332,7 +330,7 @@ class ExactDistribution:
 
 
 def build_distribution(
-    spec: ModelSpec,
+    spec: Family,
     theta: ParamVector,
     n: int,
     enum_cap: Optional[int] = None,
@@ -344,7 +342,7 @@ def build_distribution(
     whole statistic table is made.
     """
     log_z, _, _ = _enumerated_moments(spec, theta, n, enum_cap)
-    eta = natural_params(spec, theta, n).as_array()
+    eta = natural_params(spec, theta, n)
     stats = enumerated_stats(spec, n, enum_cap)
     log_probs = np.empty(stats.shape[0], dtype=np.float64)
     for lo in range(0, stats.shape[0], _CHUNK):
@@ -354,20 +352,20 @@ def build_distribution(
 
 
 def expected_stats(
-    spec: ModelSpec, theta: ParamVector, n: int, enum_cap: Optional[int] = None
+    spec: Family, theta: ParamVector, n: int, enum_cap: Optional[int] = None
 ) -> StatsVector:
     """Mean sufficient statistics under the model at (theta, n)."""
-    if spec.definition.bernoulli:
+    if spec.bernoulli:
         pi = edge_prob(spec, theta, n)
         return StatsVector(values=(dyad_count(n) * pi,))
     return StatsVector(values=tuple(_enumerated_moments(spec, theta, n, enum_cap)[1]))
 
 
 def stat_covariance(
-    spec: ModelSpec, theta: ParamVector, n: int, enum_cap: Optional[int] = None
+    spec: Family, theta: ParamVector, n: int, enum_cap: Optional[int] = None
 ) -> np.ndarray:
     """Covariance matrix of the sufficient statistics at (theta, n)."""
-    if spec.definition.bernoulli:
+    if spec.bernoulli:
         pi = edge_prob(spec, theta, n)
         return np.array([[dyad_count(n) * pi * (1.0 - pi)]])
     return _enumerated_moments(spec, theta, n, enum_cap)[2]
@@ -453,7 +451,7 @@ class ProjectivityReport:
         return buf.getvalue()
 
 
-def _product_grid(spec: ModelSpec, axis: Sequence[float]) -> tuple[ParamVector, ...]:
+def _product_grid(spec: Family, axis: Sequence[float]) -> tuple[ParamVector, ...]:
     """Product grid over ``axis`` per statistic component."""
     return tuple(
         ParamVector(theta=point)
@@ -461,13 +459,13 @@ def _product_grid(spec: ModelSpec, axis: Sequence[float]) -> tuple[ParamVector, 
     )
 
 
-def default_theta_grid(spec: ModelSpec) -> tuple[ParamVector, ...]:
+def default_theta_grid(spec: Family) -> tuple[ParamVector, ...]:
     """Product grid over {-2, -1, 0, 1, 2} per statistic component."""
     return _product_grid(spec, (-2.0, -1.0, 0.0, 1.0, 2.0))
 
 
 def projectivity_check(
-    spec: ModelSpec,
+    spec: Family,
     theta_grid: Optional[Sequence[ParamVector]] = None,
     *,
     n: int,
@@ -488,17 +486,16 @@ def projectivity_check(
         raise ValueError("theta grid must be non-empty")
     resolve_enum_cap(n, enum_cap)
     resolve_enum_cap(n_sub, enum_cap)
-    fam = spec.definition
-    multiplicity, counts, sub_class = _joint_counts(fam, n, n_sub)
-    big, small = _statistic_histogram(fam, n), _statistic_histogram(fam, n_sub)
+    multiplicity, counts, sub_class = _joint_counts(spec, n, n_sub)
+    big, small = _statistic_histogram(spec, n), _statistic_histogram(spec, n_sub)
     tvs = []
     param_equal = True
     for theta in grid:
-        params, sub_params = natural_params(spec, theta, n), natural_params(spec, theta, n_sub)
-        marginal = multiplicity * (counts @ _graph_probs(*big, params.as_array()))
-        model = multiplicity * _graph_probs(*small, sub_params.as_array())[sub_class]
+        eta, sub_eta = natural_params(spec, theta, n), natural_params(spec, theta, n_sub)
+        marginal = multiplicity * (counts @ _graph_probs(*big, eta))
+        model = multiplicity * _graph_probs(*small, sub_eta)[sub_class]
         tvs.append(tv_distance(marginal, model))
-        if sub_params.eta != params.eta:
+        if not np.array_equal(sub_eta, eta):
             param_equal = False
     max_tv = max(tvs)
     projective = param_equal and max_tv <= tolerance

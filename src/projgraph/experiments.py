@@ -32,6 +32,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional, Sequence
@@ -51,11 +52,10 @@ from .inference import (
 )
 from .models import (
     BERNOULLI_OFFSET,
-    ModelSpec,
+    Family,
     ParamVector,
     edge_prob,
     model_spec,
-    resolve_family_name,
 )
 from .rng import substream
 
@@ -85,6 +85,17 @@ _CONFIG_KEYS = {
 }
 
 
+def _count(value: Any, name: str) -> int:
+    """``value`` as an ``int`` (NumPy integers convert); bools, floats and
+    strings raise ``ValueError``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one study.
@@ -92,18 +103,20 @@ class ExperimentConfig:
     ``replicates`` is an integer for growth/subsample/threshold and a
     list of replicate counts (one cell per count) for replication.  The
     replication study repeats the whole pooled estimation
-    ``studies_per_cell`` times per cell to measure estimator spread.
+    ``studies_per_cell`` times per cell (default 200) to measure estimator
+    spread; other studies refuse the key.  Every count must be an integer:
+    floats, strings and bools raise ``ValueError``.
     """
 
     experiment: str
-    spec: ModelSpec
+    spec: Family
     theta_star: ParamVector
     sizes: tuple[int, ...]
     replicates: int | tuple[int, ...]
     master_seed: int
     subsample_n: Optional[int] = None
     multipliers: Optional[tuple[float, ...]] = None
-    studies_per_cell: int = 200
+    studies_per_cell: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENT_NAMES:
@@ -111,7 +124,9 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; expected one of "
                 f"{', '.join(EXPERIMENT_NAMES)}"
             )
-        sizes = tuple(int(v) for v in self.sizes)
+        if not isinstance(self.sizes, (tuple, list)):
+            raise ValueError(f"sizes must be a list of integers, got {self.sizes!r}")
+        sizes = tuple(_count(v, "sizes") for v in self.sizes)
         object.__setattr__(self, "sizes", sizes)
         if not sizes:
             raise ValueError("sizes must be non-empty")
@@ -119,41 +134,43 @@ class ExperimentConfig:
             raise ValueError("sizes must be positive")
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ValueError("sizes must be strictly increasing")
-        if isinstance(self.master_seed, bool) or not isinstance(self.master_seed, int):
-            raise ValueError("master_seed must be an integer")
+        object.__setattr__(self, "master_seed", _count(self.master_seed, "master_seed"))
         if not 0 <= self.master_seed < (1 << 64):
             raise ValueError("master_seed must lie in [0, 2**64)")
         if len(self.theta_star) != self.spec.stat_dim:
             raise ValueError(
                 f"theta_star has length {len(self.theta_star)}, expected "
-                f"{self.spec.stat_dim} for family {self.spec.family}"
+                f"{self.spec.stat_dim} for family {self.spec.name}"
             )
 
         if self.experiment == "replication":
-            reps = self.replicates
-            if isinstance(reps, int):
+            if not isinstance(self.replicates, (tuple, list)):
                 raise ValueError(
                     "replication requires a list of replicate counts (one per cell)"
                 )
-            reps = tuple(int(v) for v in reps)
+            reps = tuple(_count(v, "replicates") for v in self.replicates)
             object.__setattr__(self, "replicates", reps)
             if not reps or any(v < 1 for v in reps):
                 raise ValueError("replicate counts must be positive")
             if len(sizes) != 1:
                 raise ValueError("replication uses a single fixed graph size")
+            studies = 200 if self.studies_per_cell is None else self.studies_per_cell
+            object.__setattr__(self, "studies_per_cell", _count(studies, "studies_per_cell"))
             if self.studies_per_cell < 2:
                 raise ValueError("studies_per_cell must be >= 2")
         else:
-            if not isinstance(self.replicates, int) or isinstance(self.replicates, bool):
+            if isinstance(self.replicates, (tuple, list)):
                 raise ValueError(f"{self.experiment} requires an integer replicate count")
+            object.__setattr__(self, "replicates", _count(self.replicates, "replicates"))
             if self.replicates < 1:
                 raise ValueError("replicates must be >= 1")
-            if self.studies_per_cell != 200:
+            if self.studies_per_cell is not None:
                 raise ValueError("studies_per_cell applies only to replication")
 
         if self.experiment == "subsample":
             if self.subsample_n is None:
                 raise ValueError("subsample requires subsample_n")
+            object.__setattr__(self, "subsample_n", _count(self.subsample_n, "subsample_n"))
             if not 1 <= self.subsample_n < min(sizes):
                 raise ValueError(
                     f"subsample_n must lie in [1, {min(sizes)}), got {self.subsample_n}"
@@ -194,28 +211,22 @@ class ExperimentConfig:
             family = spec_obj["family"]
         else:
             raise ValueError("spec must be a family name or an object with a family key")
-        spec = model_spec(resolve_family_name(family))
+        spec = model_spec(family)
         theta_star = payload["theta_star"]
         if not isinstance(theta_star, (list, tuple)):
             raise ValueError("theta_star must be an array")
         kwargs: dict[str, Any] = {}
-        if "subsample_n" in payload:
-            kwargs["subsample_n"] = payload["subsample_n"]
+        for key in ("subsample_n", "studies_per_cell"):
+            if key in payload:
+                kwargs[key] = payload[key]
         if "multipliers" in payload:
             kwargs["multipliers"] = tuple(payload["multipliers"])
-        if "studies_per_cell" in payload:
-            if payload.get("experiment") != "replication":
-                raise ValueError("studies_per_cell applies only to replication")
-            kwargs["studies_per_cell"] = payload["studies_per_cell"]
-        replicates = payload["replicates"]
-        if isinstance(replicates, list):
-            replicates = tuple(replicates)
         return ExperimentConfig(
             experiment=payload["experiment"],
             spec=spec,
             theta_star=ParamVector(theta=tuple(theta_star)),
-            sizes=tuple(payload["sizes"]),
-            replicates=replicates,
+            sizes=payload["sizes"],
+            replicates=payload["replicates"],
             master_seed=payload["master_seed"],
             **kwargs,
         )
@@ -223,7 +234,7 @@ class ExperimentConfig:
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
             "experiment": self.experiment,
-            "spec": {"family": self.spec.family},
+            "spec": {"family": self.spec.name},
             "theta_star": list(self.theta_star.theta),
             "sizes": list(self.sizes),
             "replicates": (
@@ -343,7 +354,7 @@ def run_growth_consistency(cfg: ExperimentConfig, threads: int = 1) -> Experimen
     """Full-graph estimation error of the offset family across graph sizes."""
     if cfg.experiment != "growth":
         raise ValueError(f"config is for {cfg.experiment!r}, expected 'growth'")
-    if cfg.spec.family != BERNOULLI_OFFSET:
+    if cfg.spec.name != BERNOULLI_OFFSET:
         raise ValueError("the growth study requires the BernoulliOffset family")
     started = time.perf_counter()
     rows = []
@@ -373,7 +384,7 @@ def _cell_sampler(
     cfg: ExperimentConfig, n: int
 ) -> Callable[[np.random.Generator], Graph]:
     """Per-cell graph sampler: closed-form dyads or exact table sampling."""
-    if cfg.spec.definition.bernoulli:
+    if cfg.spec.bernoulli:
         pi = edge_prob(cfg.spec, cfg.theta_star, n)
         return lambda rng: sample_bernoulli(n, pi, rng)
     dist = build_distribution(cfg.spec, cfg.theta_star, n)
@@ -392,7 +403,7 @@ def _replication_draws(
     bulk (see :func:`projgraph.exact._bulk_sample`), with the same bits.
     """
     seed, studies = cfg.master_seed, cfg.studies_per_cell
-    if cfg.spec.definition.bernoulli:
+    if cfg.spec.bernoulli:
         pi = edge_prob(cfg.spec, cfg.theta_star, n)
         return lambda cell, count: (
             sample_bernoulli(n, pi, substream(seed, "replication", cell, *tail))
@@ -481,7 +492,7 @@ def run_connectivity_threshold(
     """Proportion of connected draws at pi = c * log(n) / n (clamped to 1)."""
     if cfg.experiment != "threshold":
         raise ValueError(f"config is for {cfg.experiment!r}, expected 'threshold'")
-    if not cfg.spec.definition.bernoulli:
+    if not cfg.spec.bernoulli:
         raise ValueError("the threshold study requires an independent-dyad family")
     started = time.perf_counter()
     rows = []

@@ -108,20 +108,23 @@ class Graph:
 
 @dataclass(frozen=True)
 class NodeSubset:
-    """Strictly increasing subset of the nodes of a parent graph."""
+    """Strictly increasing subset of the nodes of a parent graph.
+
+    ``parent_n`` and the members are converted like :class:`Graph`'s
+    numbers: NumPy integers become ``int``, and floats raise ``TypeError``.
+    """
 
     parent_n: int
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "parent_n", operator.index(self.parent_n))
         if self.parent_n < 1:
             raise ValueError("parent node count must be >= 1")
-        members = tuple(self.members)
+        members = tuple(operator.index(m) for m in self.members)
         object.__setattr__(self, "members", members)
         if not members:
             raise ValueError("node subset must be non-empty")
-        if any(m != int(m) for m in members):
-            raise ValueError("node subset members must be integers")
         if any(b <= a for a, b in zip(members, members[1:])):
             raise ValueError("node subset members must be strictly increasing")
         if members[0] < 0 or members[-1] >= self.parent_n:

@@ -53,7 +53,6 @@ from .exact import (
 from .graph import Graph, dyad_count, edge_count
 from .models import (
     Family,
-    ModelSpec,
     ParamVector,
     natural_params,
     sufficient_stats,
@@ -162,7 +161,7 @@ def _bernoulli_log_pq(eta: float) -> tuple[float, float]:
 
 
 def proper_log_likelihood(
-    spec: ModelSpec,
+    spec: Family,
     theta: ParamVector,
     y_sub: Graph,
     population_n: int,
@@ -178,8 +177,8 @@ def proper_log_likelihood(
         raise ValueError(
             f"subgraph size {y_sub.n} must be smaller than population size {population_n}"
         )
-    if spec.definition.bernoulli:
-        eta = natural_params(spec, theta, population_n).eta[0]
+    if spec.bernoulli:
+        eta = natural_params(spec, theta, population_n)[0]
         log_p, log_q = _bernoulli_log_pq(eta)
         m = edge_count(y_sub)
         d = dyad_count(y_sub.n)
@@ -188,7 +187,7 @@ def proper_log_likelihood(
 
 
 def completion_log_likelihood(
-    spec: ModelSpec,
+    spec: Family,
     theta: ParamVector,
     y_sub: Graph,
     population_n: int,
@@ -207,8 +206,8 @@ def completion_log_likelihood(
             f"subgraph size {y_sub.n} must be smaller than population size {population_n}"
         )
     counts = _completion_counts(spec, y_sub, population_n, enum_cap)
-    points, log_counts = _statistic_histogram(spec.definition, population_n)
-    energy = points @ natural_params(spec, theta, population_n).as_array()
+    points, log_counts = _statistic_histogram(spec, population_n)
+    energy = points @ natural_params(spec, theta, population_n)
     kernel = log_counts + energy
     present = counts > 0
     log_p = _logsumexp(np.log(counts[present]) + energy[present]) - _logsumexp(kernel)
@@ -222,7 +221,7 @@ def completion_log_likelihood(
 
 
 def misspecified_log_likelihood(
-    spec: ModelSpec,
+    spec: Family,
     theta: ParamVector,
     y_sub: Graph,
     enum_cap: Optional[int] = None,
@@ -233,20 +232,20 @@ def misspecified_log_likelihood(
 
 
 def _independent_log_likelihood(
-    spec: ModelSpec,
+    spec: Family,
     theta: ParamVector,
     n: int,
     rows: Sequence[np.ndarray],
     enum_cap: Optional[int],
 ) -> float:
     """Log likelihood of independent size-n graphs with statistic ``rows``."""
-    eta = natural_params(spec, theta, n).as_array()
+    eta = natural_params(spec, theta, n)
     total = sum(float(eta @ row) for row in rows)
     return total - len(rows) * log_normalizer(spec, theta, n, enum_cap)
 
 
 def log_likelihood(
-    spec: ModelSpec,
+    spec: Family,
     theta: ParamVector,
     data: ObservedData,
     kind: LikelihoodKind = LikelihoodKind.PROPER,
@@ -272,7 +271,7 @@ def log_likelihood(
 
 
 def fisher_information(
-    spec: ModelSpec, theta: ParamVector, n: int, enum_cap: Optional[int] = None
+    spec: Family, theta: ParamVector, n: int, enum_cap: Optional[int] = None
 ) -> np.ndarray:
     """Fisher information = covariance of the sufficient statistics."""
     return stat_covariance(spec, theta, n, enum_cap)
@@ -352,7 +351,7 @@ def _on_facets(points: np.ndarray, facets: _Facets) -> np.ndarray:
 
 
 def _completion_counts(
-    spec: ModelSpec,
+    spec: Family,
     y_sub: Graph,
     population_n: int,
     enum_cap: Optional[int],
@@ -361,11 +360,11 @@ def _completion_counts(
     population statistic histogram, with y_sub embedded as the prefix (see
     ``completion_log_likelihood``)."""
     resolve_enum_cap(population_n, enum_cap)
-    points, _ = _statistic_histogram(spec.definition, population_n)
+    points, _ = _statistic_histogram(spec, population_n)
     sub_d = dyad_count(y_sub.n)
     free_d = dyad_count(population_n) - sub_d
     idx = y_sub.dyads + (np.arange(1 << free_d, dtype=np.int64) << sub_d)
-    return np.bincount(_class_codes(spec.definition, population_n)[idx],
+    return np.bincount(_class_codes(spec, population_n)[idx],
                        minlength=len(points))
 
 
@@ -498,7 +497,7 @@ def _std_errors_from_information(information: np.ndarray) -> Optional[tuple[floa
 
 
 def _bernoulli_closed_form(
-    spec: ModelSpec,
+    spec: Family,
     data: ObservedData,
     kind: LikelihoodKind,
     enum_cap: Optional[int],
@@ -546,7 +545,7 @@ def _bernoulli_closed_form(
 
 
 def _enumerated_mle(
-    spec: ModelSpec,
+    spec: Family,
     data: ObservedData,
     kind: LikelihoodKind,
     enum_cap: Optional[int],
@@ -571,17 +570,17 @@ def _enumerated_mle(
         graph = data.graph if isinstance(data, FullGraph) else data.subgraph
         graphs, size = (graph,), data.population_n if proper else graph.n
     resolve_enum_cap(size, enum_cap)
-    full = _statistic_histogram(spec.definition, size)
+    full = _statistic_histogram(spec, size)
     if proper:
         counts = _completion_counts(spec, data.subgraph, size, enum_cap)
         comp = (full[0][counts > 0], np.log(counts[counts > 0]))
         weight = 1
     else:
-        table = _enumerated_stats_cached(spec.definition, size)
+        table = _enumerated_stats_cached(spec, size)
         rows = table[[g.dyads for g in graphs]].astype(np.float64)
         comp = (rows.mean(axis=0)[None, :], np.zeros(1))
         weight = len(graphs)
-    facets = _statistic_facets(spec.definition, size)
+    facets = _statistic_facets(spec, size)
     eta, converged, boundary, iterations = _ascend_log_ratio(comp, full, facets)
     if boundary:
         return MLEResult(
@@ -593,7 +592,7 @@ def _enumerated_mle(
             iterations=0,
         )
     zero = ParamVector(theta=(0.0,) * dim)
-    theta = eta - natural_params(spec, zero, size).as_array()
+    theta = eta - natural_params(spec, zero, size)
     pv = ParamVector(theta=tuple(theta))
     if proper:
         value = proper_log_likelihood(spec, pv, data.subgraph, size, enum_cap)
@@ -611,7 +610,7 @@ def _enumerated_mle(
 
 
 def mle(
-    spec: ModelSpec,
+    spec: Family,
     data: ObservedData,
     kind: LikelihoodKind = LikelihoodKind.PROPER,
     enum_cap: Optional[int] = None,
@@ -628,12 +627,12 @@ def mle(
     kind = LikelihoodKind(kind)
     if not isinstance(data, InducedSubgraph) and kind is LikelihoodKind.MISSPECIFIED:
         raise ValueError("misspecified likelihood applies only to induced-subgraph data")
-    if spec.definition.bernoulli:
+    if spec.bernoulli:
         return _bernoulli_closed_form(spec, data, kind, enum_cap)
     return _enumerated_mle(spec, data, kind, enum_cap)
 
 
-def mle_csv_header(spec: ModelSpec) -> list[str]:
+def mle_csv_header(spec: Family) -> list[str]:
     dim = spec.stat_dim
     return (
         ["family", "kind"]
@@ -643,7 +642,7 @@ def mle_csv_header(spec: ModelSpec) -> list[str]:
     )
 
 
-def mle_csv_row(spec: ModelSpec, kind: LikelihoodKind, result: MLEResult) -> list[str]:
+def mle_csv_row(spec: Family, kind: LikelihoodKind, result: MLEResult) -> list[str]:
     dim = spec.stat_dim
     std = (
         [repr(v) for v in result.std_err]
@@ -651,7 +650,7 @@ def mle_csv_row(spec: ModelSpec, kind: LikelihoodKind, result: MLEResult) -> lis
         else [""] * dim
     )
     return (
-        [spec.family, LikelihoodKind(kind).value]
+        [spec.name, LikelihoodKind(kind).value]
         + [repr(v) for v in result.theta_hat]
         + std
         + [
@@ -664,7 +663,7 @@ def mle_csv_row(spec: ModelSpec, kind: LikelihoodKind, result: MLEResult) -> lis
 
 
 def format_mle_csv(
-    spec: ModelSpec,
+    spec: Family,
     entries: Sequence[tuple[LikelihoodKind, MLEResult]],
 ) -> str:
     buf = io.StringIO()

@@ -12,10 +12,13 @@ P(g) proportional to exp(eta(theta, n) . s(g)).  Three families ship:
 * ``EdgeTriangle`` — s = [edges, triangles], eta = theta
   (size-invariant); dyads are dependent whenever theta_2 != 0.
 
-New families can be added through :func:`register_family`.  Natural-
-parameter maps are restricted to per-component shifts of theta (the
-offset applies to the edge term), which keeps theta-gradients equal to
-eta-gradients throughout the inference code.
+A registered :class:`Family` is the model: every function that takes a
+``spec`` takes the ``Family`` object that :func:`model_spec` returns, and
+reads its statistics, tables and offset from it directly.  New families
+can be added through :func:`register_family`.  Natural-parameter maps are
+restricted to per-component shifts of theta (the offset applies to the
+edge term), which keeps theta-gradients equal to eta-gradients throughout
+the inference code.
 
 The built-in families also build the statistic table of all graphs of a
 size in bulk, as small unsigned integers: edge counts by popcount, and
@@ -36,9 +39,7 @@ from .graph import Graph, dyad_count, dyad_index, edge_count, triangle_count
 
 __all__ = [
     "Family",
-    "ModelSpec",
     "ParamVector",
-    "NaturalParams",
     "StatsVector",
     "register_family",
     "unregister_family",
@@ -96,32 +97,17 @@ class ParamVector:
 
 
 @dataclass(frozen=True)
-class NaturalParams:
-    """Natural parameters eta evaluated at a specific graph size n."""
-
-    eta: tuple[float, ...]
-    n: int
-
-    def __post_init__(self) -> None:
-        eta = tuple(float(v) for v in self.eta)
-        object.__setattr__(self, "eta", eta)
-        if not all(math.isfinite(v) for v in eta):
-            raise ValueError(f"natural parameters must be finite, got {eta}")
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.eta, dtype=np.float64)
-
-
-@dataclass(frozen=True)
 class Family:
-    """Pluggable family definition.
+    """A model family, the ``spec`` that every layer takes.
 
-    ``stats`` maps a graph to its statistic tuple.  ``bulk_stats``, when
-    provided, returns the full (2^C(n,2), stat_dim) statistic table for
-    all graphs of size n in graph-index order; families without it fall
-    back to a per-graph loop during enumeration.  ``bernoulli`` marks
-    single-edge-statistic families with independent dyads, which unlocks
-    closed-form normalizers, marginals, and estimators at any size.
+    ``offset_edges`` fixes the natural-parameter map (see
+    :func:`natural_params`).  ``stats`` maps a graph to its statistic
+    tuple.  ``bulk_stats``, when provided, returns the full
+    (2^C(n,2), stat_dim) statistic table for all graphs of size n in
+    graph-index order; families without it fall back to a per-graph loop
+    during enumeration.  ``bernoulli`` marks single-edge-statistic
+    families with independent dyads, which unlocks closed-form
+    normalizers, marginals, and estimators at any size.
 
     Equality and hashing include the statistic callables (by identity), so
     a family registered again under the same name with other statistics
@@ -188,79 +174,54 @@ def resolve_family_name(name: str) -> str:
     raise ValueError(f"unknown family {name!r}; known families: {', '.join(known)}")
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    """A registered family together with its declared shape."""
+def model_spec(name: str) -> Family:
+    """The registered family for a (possibly kebab-case) name.
 
-    family: str
-    stat_dim: int
-    offset_edges: bool
-
-    def __post_init__(self) -> None:
-        fam = _REGISTRY.get(self.family)
-        if fam is None:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.stat_dim != fam.stat_dim:
-            raise ValueError(
-                f"stat_dim {self.stat_dim} does not match family "
-                f"{self.family!r} (expected {fam.stat_dim})"
-            )
-        if self.offset_edges != fam.offset_edges:
-            raise ValueError(
-                f"offset_edges={self.offset_edges} does not match family "
-                f"{self.family!r} (expected {fam.offset_edges})"
-            )
-
-    @property
-    def definition(self) -> Family:
-        return _REGISTRY[self.family]
+    The returned object is the model itself, so it keeps its statistics
+    and tables even if the name is later unregistered or registered again.
+    """
+    return _REGISTRY[resolve_family_name(name)]
 
 
-def model_spec(name: str) -> ModelSpec:
-    """Build the ModelSpec for a registered family by (possibly kebab) name."""
-    canonical = resolve_family_name(name)
-    fam = _REGISTRY[canonical]
-    return ModelSpec(family=canonical, stat_dim=fam.stat_dim, offset_edges=fam.offset_edges)
-
-
-def natural_params(spec: ModelSpec, theta: ParamVector, n: int) -> NaturalParams:
-    """Evaluate eta(theta, n); the offset subtracts log n from the edge term."""
+def natural_params(spec: Family, theta: ParamVector, n: int) -> np.ndarray:
+    """eta(theta, n) as a new float64 array: theta, with log n subtracted
+    from the edge term of an offset family."""
     if n < 1:
         raise ValueError("node count must be >= 1")
     if len(theta) != spec.stat_dim:
         raise ValueError(
             f"parameter vector has length {len(theta)}, expected {spec.stat_dim}"
         )
-    eta = list(theta.theta)
+    eta = theta.as_array()
     if spec.offset_edges:
         eta[0] -= math.log(n)
-    return NaturalParams(eta=tuple(eta), n=n)
+    return eta
 
 
-def edge_prob(spec: ModelSpec, theta: ParamVector, n: int) -> float:
+def edge_prob(spec: Family, theta: ParamVector, n: int) -> float:
     """Dyad probability logistic(eta_edge) for independent-dyad families.
 
     Computed as 1 / (1 + exp(-eta)), bit for bit SciPy's ``expit``; where
     exp(-eta) overflows the probability rounds to 0.
     """
-    if not spec.definition.bernoulli:
-        raise ValueError(f"edge_prob is unsupported for family {spec.family!r}")
-    eta = natural_params(spec, theta, n).eta[0]
+    if not spec.bernoulli:
+        raise ValueError(f"edge_prob is unsupported for family {spec.name!r}")
+    eta = natural_params(spec, theta, n)[0]
     try:
         return 1.0 / (1.0 + math.exp(-eta))
     except OverflowError:
         return 0.0
 
 
-def sufficient_stats(spec: ModelSpec, g: Graph) -> StatsVector:
-    return StatsVector(values=tuple(spec.definition.stats(g)))
+def sufficient_stats(spec: Family, g: Graph) -> StatsVector:
+    return StatsVector(values=tuple(spec.stats(g)))
 
 
-def log_unnormalized(spec: ModelSpec, theta: ParamVector, n: int, g: Graph) -> float:
+def log_unnormalized(spec: Family, theta: ParamVector, n: int, g: Graph) -> float:
     """Exponential-family kernel eta(theta, n) . s(g)."""
     if g.n != n:
         raise ValueError(f"graph has {g.n} nodes, expected {n}")
-    eta = natural_params(spec, theta, n).as_array()
+    eta = natural_params(spec, theta, n)
     s = sufficient_stats(spec, g).as_array()
     return float(eta @ s)
 

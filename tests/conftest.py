@@ -17,7 +17,7 @@ from projgraph import Family, model_spec, register_family, unregister_family
 def edge_triangle_over_50():
     """EdgeTriangle with both statistics divided by 50: the same models, with
     natural parameters 50 times as large."""
-    base = model_spec("EdgeTriangle").definition
+    base = model_spec("EdgeTriangle")
     fam = Family(
         name="EdgeTriangleOver50",
         stat_dim=2,

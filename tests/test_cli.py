@@ -26,14 +26,9 @@ from projgraph import (
     proper_log_likelihood,
     substream,
 )
-from projgraph.cli import THREADS_ENV_VAR, main
+from projgraph.cli import main
 
 OFFSET = model_spec("BernoulliOffset")
-
-
-@pytest.fixture(autouse=True)
-def _no_ambient_thread_env(monkeypatch):
-    monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
 
 
 def _write_graph(tmp_path, g, name="graph.edgelist"):
@@ -388,16 +383,36 @@ def test_experiment_thread_invariance(tmp_path, capsys):
     assert serial == parallel
 
 
-def test_experiment_threads_env_fallback(tmp_path, capsys, monkeypatch):
-    config = _growth_config(tmp_path)
-    main(["experiment", config, "--threads", "1"])
-    serial = capsys.readouterr().out
-    monkeypatch.setenv(THREADS_ENV_VAR, "6")
-    assert main(["experiment", config]) == 0
-    assert capsys.readouterr().out == serial
-    monkeypatch.setenv(THREADS_ENV_VAR, "soon")
-    assert main(["experiment", config]) == 2
-    assert f"{THREADS_ENV_VAR} must be an integer" in capsys.readouterr().err
+_REPLICATION = {"experiment": "replication", "spec": "bernoulli-invariant",
+                "theta_star": [0.0], "sizes": [6], "replicates": [2], "master_seed": 1,
+                "studies_per_cell": 2}
+_SUBSAMPLE = {"experiment": "subsample", "spec": "bernoulli-invariant",
+              "theta_star": [0.0], "sizes": [8], "replicates": 2, "master_seed": 1,
+              "subsample_n": 4}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"sizes": [20.7, 40]}, "sizes must be an integer, got 20.7"),
+        ({"sizes": [True, 40]}, "sizes must be an integer, got True"),
+        ({"sizes": ["20"]}, "sizes must be an integer, got '20'"),
+        ({"sizes": 20}, "sizes must be a list of integers, got 20"),
+        ({"replicates": 2.9}, "replicates must be an integer, got 2.9"),
+        ({**_REPLICATION, "replicates": [2.9]}, "replicates must be an integer, got 2.9"),
+        ({**_REPLICATION, "studies_per_cell": 2.5},
+         "studies_per_cell must be an integer, got 2.5"),
+        ({**_REPLICATION, "studies_per_cell": "3"},
+         "studies_per_cell must be an integer, got '3'"),
+        ({**_SUBSAMPLE, "subsample_n": 2.5}, "subsample_n must be an integer, got 2.5"),
+    ],
+)
+def test_experiment_refuses_non_integer_counts(tmp_path, capsys, payload, message):
+    """Counts are never truncated or coerced: each bad value exits 2 with one
+    error line and no traceback."""
+    assert main(["experiment", _growth_config(tmp_path, **payload)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
 
 
 def test_experiment_invalid_json(tmp_path, capsys):

@@ -141,6 +141,25 @@ def test_growth_config_requires_integer_replicates():
         _growth_cfg(studies_per_cell=50)
 
 
+def test_studies_per_cell_defaults_to_200_for_replication_only():
+    cfg = ExperimentConfig(
+        experiment="replication",
+        spec=INVARIANT,
+        theta_star=ParamVector(theta=(0.0,)),
+        sizes=(6,),
+        replicates=[5, np.int64(10)],
+        master_seed=np.uint64(1),
+    )
+    assert cfg.studies_per_cell == 200
+    assert cfg.to_dict()["studies_per_cell"] == 200
+    assert cfg.replicates == (5, 10) and type(cfg.replicates[1]) is int
+    assert type(cfg.master_seed) is int
+    assert _growth_cfg().studies_per_cell is None
+    assert "studies_per_cell" not in _growth_cfg().to_dict()
+    with pytest.raises(ValueError, match="studies_per_cell applies only to replication"):
+        _growth_cfg(studies_per_cell=200)
+
+
 def test_subsample_config_bounds():
     base = dict(
         experiment="subsample",

@@ -141,6 +141,19 @@ def test_node_subset_validation():
         NodeSubset(parent_n=4, members=())
 
 
+def test_node_subset_converts_its_numbers_like_graph():
+    """NumPy integers become int; floats are refused at construction, not
+    later inside induced_subgraph or marginal_distribution."""
+    subset = NodeSubset(np.int64(4), (np.int64(0), np.uint8(2)))
+    assert subset == NodeSubset(4, (0, 2))
+    assert type(subset.parent_n) is int
+    assert all(type(m) is int for m in subset.members)
+    with pytest.raises(TypeError):
+        NodeSubset(4, (0.0, 1.0))
+    with pytest.raises(TypeError):
+        NodeSubset(4.0, (0, 1))
+
+
 # --------------------------------------------------------------------------
 # enumeration bijection
 # --------------------------------------------------------------------------

@@ -223,7 +223,7 @@ def _assert_same_coding(table):
 @pytest.mark.parametrize("family", ["EdgeTriangle", "BernoulliInvariant"])
 @pytest.mark.parametrize("n", range(1, 8))
 def test_packed_key_coding_matches_the_sort_path(family, n):
-    fam = model_spec(family).definition
+    fam = model_spec(family)
     table = _enumerated_stats_cached(fam, n)
     _assert_same_coding(table)
     codes, points, counts = _code_table(table.astype(np.float64))
@@ -259,4 +259,4 @@ def test_a_full_byte_column_codes_like_the_sort_path():
 def test_float_tables_take_the_sort_path(edge_triangle_over_50):
     for spec in (edge_triangle_over_50, model_spec("FloatStatsProbe")):
         for n in range(1, 6):
-            assert _packed_radices(_enumerated_stats_cached(spec.definition, n)) is None
+            assert _packed_radices(_enumerated_stats_cached(spec, n)) is None

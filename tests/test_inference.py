@@ -610,7 +610,7 @@ def _sub_histograms(draw):
     """A population size n <= 6 and an event: some rows of the EdgeTriangle
     histogram at n, each with a count between 1 and the row's full count."""
     n = draw(st.integers(3, 6), label="n")
-    points, log_counts = _statistic_histogram(EDGE_TRI.definition, n)
+    points, log_counts = _statistic_histogram(EDGE_TRI, n)
     full_counts = np.rint(np.exp(log_counts)).astype(int)
     rows = sorted(draw(st.sets(st.integers(0, len(points) - 1), min_size=1), label="rows"))
     counts = [draw(st.integers(1, int(full_counts[r])), label="count") for r in rows]
@@ -633,10 +633,10 @@ def test_converged_ascent_beats_every_facet_limit(case):
     |eta| near 1e11 along a ridge, where rounding lifts the value 5e-5 above
     the facet's limit."""
     n, rows, comp_log_counts = case
-    full = _statistic_histogram(EDGE_TRI.definition, n)
+    full = _statistic_histogram(EDGE_TRI, n)
     points, log_counts = full
     comp = (points[rows], comp_log_counts)
-    eta, converged, _, _ = _ascend_log_ratio(comp, full, _statistic_facets(EDGE_TRI.definition, n))
+    eta, converged, _, _ = _ascend_log_ratio(comp, full, _statistic_facets(EDGE_TRI, n))
     if not converged:
         return
 
@@ -715,7 +715,7 @@ def _node_zero_table(n):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_planar_statistic_hulls_match_qhull(edge_triangle_over_50, n):
     for spec in (EDGE_TRI, edge_triangle_over_50):
-        _assert_hull_matches_qhull(_statistic_histogram(spec.definition, n)[0])
+        _assert_hull_matches_qhull(_statistic_histogram(spec, n)[0])
     _assert_hull_matches_qhull(_code_table(_node_zero_table(n))[1])
 
 

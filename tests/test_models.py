@@ -14,7 +14,6 @@ from projgraph import (
     BERNOULLI_OFFSET,
     EDGE_TRIANGLE,
     Family,
-    ModelSpec,
     ParamVector,
     complete_graph,
     dyad_count,
@@ -24,6 +23,7 @@ from projgraph import (
     empty_graph,
     graph_from_edges,
     graph_from_index,
+    log_normalizer,
     log_unnormalized,
     model_spec,
     natural_params,
@@ -54,15 +54,6 @@ def test_param_vector_validation():
         ParamVector(theta=(1.0, math.inf))
 
 
-def test_model_spec_checks_shape_against_registry():
-    with pytest.raises(ValueError, match="unknown family"):
-        ModelSpec(family="Mystery", stat_dim=1, offset_edges=False)
-    with pytest.raises(ValueError, match="stat_dim"):
-        ModelSpec(family="EdgeTriangle", stat_dim=1, offset_edges=False)
-    with pytest.raises(ValueError, match="offset_edges"):
-        ModelSpec(family="BernoulliInvariant", stat_dim=1, offset_edges=True)
-
-
 def test_natural_params_checks_parameter_length():
     with pytest.raises(ValueError, match="length 2, expected 1"):
         natural_params(INVARIANT, ParamVector(theta=(0.0, 0.0)), 5)
@@ -91,23 +82,33 @@ def test_sufficient_stats_examples():
 def test_invariant_natural_params_ignore_size():
     theta = ParamVector(theta=(0.75,))
     for n in range(2, 9):
-        assert natural_params(INVARIANT, theta, n).eta == (0.75,)
+        assert natural_params(INVARIANT, theta, n).tolist() == [0.75]
 
 
 def test_offset_natural_params_shift_by_log_size():
     theta = ParamVector(theta=(1.0,))
-    eta10 = natural_params(OFFSET, theta, 10).eta
+    eta10 = natural_params(OFFSET, theta, 10)
+    assert eta10.shape == (1,)
     assert eta10[0] == pytest.approx(1.0 - math.log(10), abs=1e-15)
     assert eta10[0] == pytest.approx(-1.3025850929940455, abs=1e-12)
     for n in range(2, 30):
-        eta = natural_params(OFFSET, theta, n).eta[0]
+        eta = natural_params(OFFSET, theta, n)[0]
         assert eta == pytest.approx(1.0 - math.log(n), abs=1e-12)
 
 
 def test_edge_triangle_natural_params_ignore_size():
     theta = ParamVector(theta=(-0.5, 0.25))
     for n in range(3, 8):
-        assert natural_params(EDGE_TRI, theta, n).eta == (-0.5, 0.25)
+        assert natural_params(EDGE_TRI, theta, n).tolist() == [-0.5, 0.25]
+
+
+def test_natural_params_is_a_new_float64_array():
+    theta = ParamVector(theta=(1.0,))
+    eta = natural_params(OFFSET, theta, 4)
+    assert isinstance(eta, np.ndarray) and eta.dtype == np.float64
+    eta[0] = 99.0
+    assert natural_params(OFFSET, theta, 4)[0] == 1.0 - math.log(4)
+    assert theta.theta == (1.0,)
 
 
 # --------------------------------------------------------------------------
@@ -153,7 +154,7 @@ def test_edge_prob_is_scipy_expit_bit_for_bit(theta, spec, n):
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         got = edge_prob(spec, ParamVector(theta=(theta,)), n)
-    want = scipy.special.expit(natural_params(spec, ParamVector(theta=(theta,)), n).eta[0])
+    want = scipy.special.expit(natural_params(spec, ParamVector(theta=(theta,)), n)[0])
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
@@ -248,6 +249,39 @@ def test_register_and_unregister_custom_family():
         resolve_family_name("TwoStars")
 
 
+def test_model_spec_is_the_registered_family():
+    assert model_spec("edge-triangle") is model_spec("EdgeTriangle")
+    assert isinstance(EDGE_TRI, Family)
+    assert EDGE_TRI.name == "EdgeTriangle"
+    with pytest.raises(ValueError, match="unknown family"):
+        model_spec("Mystery")
+
+
+def _tmp_family(stats, stat_dim=1):
+    return Family(name="Tmp", stat_dim=stat_dim, offset_edges=False, stats=stats)
+
+
+def test_spec_keeps_its_model_when_the_name_is_registered_again():
+    """A spec is the family it was taken from: registering another family
+    under its name, or unregistering the name, leaves it unchanged."""
+    theta = ParamVector(theta=(0.3,))
+    register_family(_tmp_family(lambda g: (float(edge_count(g)),)))
+    try:
+        spec = model_spec("Tmp")
+        before = log_normalizer(spec, theta, 4)
+        assert before == pytest.approx(6 * math.log1p(math.exp(0.3)), rel=1e-14)
+        unregister_family("Tmp")
+        register_family(_tmp_family(lambda g: (float(triangle_count(g)),)))
+        assert log_normalizer(model_spec("Tmp"), theta, 4) != pytest.approx(before)
+        assert log_normalizer(spec, theta, 4) == before
+        unregister_family("Tmp")
+        register_family(_tmp_family(lambda g: (1.0, float(triangle_count(g))), stat_dim=2))
+        assert log_normalizer(spec, theta, 4) == before
+    finally:
+        unregister_family("Tmp")
+    assert log_normalizer(spec, theta, 4) == before
+
+
 def test_builtin_families_cannot_be_unregistered():
     with pytest.raises(ValueError, match="built-in"):
         unregister_family("BernoulliOffset")
@@ -256,7 +290,7 @@ def test_builtin_families_cannot_be_unregistered():
 def test_bulk_stats_agree_with_scalar_stats():
     """The vectorized statistic tables must match the per-graph definitions."""
     for spec in (INVARIANT, OFFSET, EDGE_TRI):
-        bulk = spec.definition.bulk_stats
+        bulk = spec.bulk_stats
         if bulk is None:
             continue
         for n in range(2, 6):
@@ -283,7 +317,7 @@ def _mask_loop_edge_triangle_counts(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_edge_triangle_table_matches_per_graph_counts(n):
-    table = EDGE_TRI.definition.bulk_stats(n)
+    table = EDGE_TRI.bulk_stats(n)
     assert table.dtype == np.uint8
     want = [(edge_count(g), triangle_count(g))
             for g in (graph_from_index(n, k) for k in range(1 << dyad_count(n)))]
@@ -291,7 +325,7 @@ def test_edge_triangle_table_matches_per_graph_counts(n):
 
 
 def test_edge_triangle_table_matches_the_mask_loop_at_seven_nodes():
-    table = EDGE_TRI.definition.bulk_stats(7)
+    table = EDGE_TRI.bulk_stats(7)
     want = _mask_loop_edge_triangle_counts(7)
     assert table.dtype == want.dtype
     assert np.array_equal(table, want)
