@@ -18,7 +18,12 @@ across runs.  Where a replicate needs only one table draw (replication
 with a dyad-dependent family), a cell's streams are not built: their
 first uniforms are evaluated together, with the same bits.  Replicates
 are fitted serially: each fit is milliseconds of GIL-bound Python, and a
-thread pool made two workers slower than one.  The runners keep their
+thread pool made two workers slower than one.  A fit sees its data only
+through the observed event (a subgraph's completion set, or one graph at
+the replicates' mean statistics), so replicates with the same event share
+one fit: :func:`projgraph.inference.mle` keeps a bounded cache of fits by
+(family, size, event), and recomputes only the log likelihood and standard
+errors.  The runners keep their
 ``threads`` keyword for compatibility; it schedules nothing.
 Replicates with no finite estimate (boundary data) are excluded from
 bias/RMSE and counted in the ``n_boundary`` column, with
@@ -32,6 +37,7 @@ import io
 import itertools
 import json
 import math
+import numbers
 import operator
 import time
 from dataclasses import dataclass, field
@@ -96,6 +102,14 @@ def _count(value: Any, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _number(value: Any, name: str) -> float:
+    """``value`` as a ``float`` (integers and NumPy reals convert); bools,
+    strings and other types raise ``ValueError``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one study.
@@ -105,7 +119,10 @@ class ExperimentConfig:
     replication study repeats the whole pooled estimation
     ``studies_per_cell`` times per cell (default 200) to measure estimator
     spread; other studies refuse the key.  Every count must be an integer:
-    floats, strings and bools raise ``ValueError``.
+    floats, strings and bools raise ``ValueError``.  ``multipliers`` must
+    be a list of numbers; ints and floats are accepted, bools and strings
+    raise ``ValueError``, as they do in ``theta_star`` read by
+    :meth:`from_dict`.
     """
 
     experiment: str
@@ -181,9 +198,13 @@ class ExperimentConfig:
         if self.experiment == "threshold":
             if self.multipliers is None:
                 raise ValueError("threshold requires multipliers")
-            mult = tuple(float(v) for v in self.multipliers)
+            if not isinstance(self.multipliers, (tuple, list)):
+                raise ValueError(
+                    f"multipliers must be a list of numbers, got {self.multipliers!r}"
+                )
+            mult = tuple(_number(v, "multipliers") for v in self.multipliers)
             object.__setattr__(self, "multipliers", mult)
-            if not mult or any(v <= 0 for v in mult):
+            if not mult or not all(v > 0 for v in mult):
                 raise ValueError("multipliers must be positive")
         elif self.multipliers is not None:
             raise ValueError("multipliers applies only to the threshold experiment")
@@ -216,15 +237,13 @@ class ExperimentConfig:
         if not isinstance(theta_star, (list, tuple)):
             raise ValueError("theta_star must be an array")
         kwargs: dict[str, Any] = {}
-        for key in ("subsample_n", "studies_per_cell"):
+        for key in ("subsample_n", "studies_per_cell", "multipliers"):
             if key in payload:
                 kwargs[key] = payload[key]
-        if "multipliers" in payload:
-            kwargs["multipliers"] = tuple(payload["multipliers"])
         return ExperimentConfig(
             experiment=payload["experiment"],
             spec=spec,
-            theta_star=ParamVector(theta=tuple(theta_star)),
+            theta_star=ParamVector(theta=tuple(_number(v, "theta_star") for v in theta_star)),
             sizes=payload["sizes"],
             replicates=payload["replicates"],
             master_seed=payload["master_seed"],

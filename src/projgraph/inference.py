@@ -240,7 +240,7 @@ def _independent_log_likelihood(
 ) -> float:
     """Log likelihood of independent size-n graphs with statistic ``rows``."""
     eta = natural_params(spec, theta, n)
-    total = sum(float(eta @ row) for row in rows)
+    total = float(eta @ np.sum(rows, axis=0))
     return total - len(rows) * log_normalizer(spec, theta, n, enum_cap)
 
 
@@ -371,9 +371,16 @@ def _completion_counts(
 def _log_ratio_parts(
     comp: _Histogram, full: _Histogram, eta: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """(value, gradient, Hessian) of eta -> log P_eta(completion set)."""
-    lse_c, mu_c, cov_c = _moments(*comp, eta)
+    """(value, gradient, Hessian) of eta -> log P_eta(completion set).
+
+    A one-row event has log-normalizer its own log count plus energy, mean
+    its row and covariance 0: the same bits as its ``_moments``, which are
+    skipped."""
     lse_f, mu_f, cov_f = _moments(*full, eta)
+    if len(comp[1]) == 1:
+        lse_c = float(comp[1][0] + (comp[0] @ eta)[0])
+        return lse_c - lse_f, comp[0][0] - mu_f, 0.0 - cov_f
+    lse_c, mu_c, cov_c = _moments(*comp, eta)
     return lse_c - lse_f, mu_c - mu_f, cov_c - cov_f
 
 
@@ -544,6 +551,35 @@ def _bernoulli_closed_form(
     )
 
 
+# Distinct events kept by ``_event_fit``: a study's events, not its replicates.
+_EVENT_FITS = 256
+
+
+@lru_cache(maxsize=_EVENT_FITS)
+def _event_fit(
+    fam: Family, size: int, proper: bool, event: bytes
+) -> tuple[np.ndarray, bool, bool, int]:
+    """:func:`_ascend_log_ratio` on the event :func:`_event_histogram` reads
+    from ``event``, with eta read-only.  Callers validate the enumeration
+    cap before reaching this helper."""
+    full = _statistic_histogram(fam, size)
+    comp = _event_histogram(full, proper, event)
+    fit = _ascend_log_ratio(comp, full, _statistic_facets(fam, size))
+    fit[0].flags.writeable = False
+    return fit
+
+
+def _event_histogram(full: _Histogram, proper: bool, event: bytes) -> _Histogram:
+    """The observed event as a histogram.  For a proper fit ``event`` holds
+    the completion count of each class of ``full``, and the event is the
+    classes completions reach; otherwise it holds the mean statistics, one
+    row with log count 0."""
+    if proper:
+        counts = np.frombuffer(event, dtype=np.intp)
+        return full[0][counts > 0], np.log(counts[counts > 0])
+    return np.frombuffer(event)[None, :], np.zeros(1)
+
+
 def _enumerated_mle(
     spec: Family,
     data: ObservedData,
@@ -558,9 +594,12 @@ def _enumerated_mle(
     ``weight`` times that of one graph at their mean statistics: a one-row
     event with log count 0.  Their statistics are read from the cached
     statistic table, so the event is built from the same rows as the
-    histogram whose facets decide finiteness.  Theta and eta differ by a
-    constant shift, so the observed information is ``weight`` times minus
-    the log-ratio Hessian at the maximizer.
+    histogram whose facets decide finiteness.  The fit depends on the data
+    only through the event, so replicates with the same event share one
+    ascent, cached by :func:`_event_fit` on (family, size, event); the log
+    likelihood and standard errors are computed for each call.  Theta and
+    eta differ by a constant shift, so the observed information is
+    ``weight`` times minus the log-ratio Hessian at the maximizer.
     """
     dim = spec.stat_dim
     proper = isinstance(data, InducedSubgraph) and kind is LikelihoodKind.PROPER
@@ -570,18 +609,15 @@ def _enumerated_mle(
         graph = data.graph if isinstance(data, FullGraph) else data.subgraph
         graphs, size = (graph,), data.population_n if proper else graph.n
     resolve_enum_cap(size, enum_cap)
-    full = _statistic_histogram(spec, size)
     if proper:
-        counts = _completion_counts(spec, data.subgraph, size, enum_cap)
-        comp = (full[0][counts > 0], np.log(counts[counts > 0]))
+        event = _completion_counts(spec, data.subgraph, size, enum_cap).tobytes()
         weight = 1
     else:
         table = _enumerated_stats_cached(spec, size)
         rows = table[[g.dyads for g in graphs]].astype(np.float64)
-        comp = (rows.mean(axis=0)[None, :], np.zeros(1))
+        event = rows.mean(axis=0).tobytes()
         weight = len(graphs)
-    facets = _statistic_facets(spec, size)
-    eta, converged, boundary, iterations = _ascend_log_ratio(comp, full, facets)
+    eta, converged, boundary, iterations = _event_fit(spec, size, proper, event)
     if boundary:
         return MLEResult(
             theta_hat=(math.nan,) * dim,
@@ -598,10 +634,14 @@ def _enumerated_mle(
         value = proper_log_likelihood(spec, pv, data.subgraph, size, enum_cap)
     else:
         value = _independent_log_likelihood(spec, pv, size, rows, enum_cap)
-    _, _, hess = _log_ratio_parts(comp, full, eta)
+    std_err = None
+    if converged:
+        full = _statistic_histogram(spec, size)
+        _, _, hess = _log_ratio_parts(_event_histogram(full, proper, event), full, eta)
+        std_err = _std_errors_from_information(weight * -hess)
     return MLEResult(
         theta_hat=tuple(float(v) for v in theta),
-        std_err=_std_errors_from_information(weight * -hess) if converged else None,
+        std_err=std_err,
         log_lik=value,
         converged=converged,
         boundary=False,

@@ -415,6 +415,35 @@ def test_experiment_refuses_non_integer_counts(tmp_path, capsys, payload, messag
     assert err == f"error: {message}\n"
 
 
+_THRESHOLD = {"experiment": "threshold", "spec": "bernoulli-invariant",
+              "theta_star": [0.0], "sizes": [8], "replicates": 2, "master_seed": 1,
+              "multipliers": [1.0]}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({**_THRESHOLD, "multipliers": 3}, "multipliers must be a list of numbers, got 3"),
+        ({**_THRESHOLD, "multipliers": ["1.5", True]},
+         "multipliers must be a number, got '1.5'"),
+        ({**_THRESHOLD, "multipliers": [1.5, True]}, "multipliers must be a number, got True"),
+        ({"theta_star": ["0.5"]}, "theta_star must be a number, got '0.5'"),
+        ({"theta_star": [True]}, "theta_star must be a number, got True"),
+    ],
+)
+def test_experiment_refuses_non_numeric_reals(tmp_path, capsys, payload, message):
+    """Multipliers and theta_star are never coerced from bools or strings:
+    each bad value exits 2 with one error line and no traceback."""
+    assert main(["experiment", _growth_config(tmp_path, **payload)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_experiment_accepts_integer_reals(tmp_path, capsys):
+    config = _growth_config(tmp_path, **{**_THRESHOLD, "multipliers": [1, 2.5]})
+    assert main(["experiment", config]) == 0
+    assert main(["experiment", _growth_config(tmp_path, theta_star=[1])]) == 0
+
+
 def test_experiment_invalid_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

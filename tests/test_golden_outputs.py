@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from projgraph.cli import main
+from projgraph.inference import _event_fit
 
 GRAPHS = {
     # n = 7: two graphs with interior fits and the empty graph (boundary).
@@ -169,6 +170,21 @@ def _run(name: str, workdir: Path) -> str:
 def test_cli_output_digest(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert _run(name, tmp_path) == DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["experiment-subsample-edge-triangle-seed7", "experiment-replication-edge-triangle-seed3"],
+)
+def test_experiment_digest_holds_on_a_warm_fit_cache(name, tmp_path, monkeypatch):
+    """Run twice in one process, from an empty fit cache: the second run
+    takes every fit of a repeated event from the cache, with the same bytes."""
+    monkeypatch.chdir(tmp_path)
+    _event_fit.cache_clear()
+    assert _run(name, tmp_path) == DIGESTS[name]
+    misses = _event_fit.cache_info().misses
+    assert _run(name, tmp_path) == DIGESTS[name]
+    assert _event_fit.cache_info().misses == misses
 
 
 def test_every_case_has_a_digest():

@@ -45,12 +45,23 @@ from projgraph import (
     unregister_family,
 )
 from projgraph.exact import (
+    _class_codes,
     _code_table,
     _enumerated_stats_cached,
+    _joint_counts,
     _logsumexp,
+    _moments,
     _statistic_histogram,
 )
-from projgraph.inference import _ascend_log_ratio, _hull_facets, _statistic_facets
+from projgraph.inference import (
+    _ascend_log_ratio,
+    _completion_counts,
+    _event_fit,
+    _hull_facets,
+    _log_ratio_parts,
+    _statistic_facets,
+    mle_csv_row,
+)
 
 INVARIANT = model_spec("BernoulliInvariant")
 OFFSET = model_spec("BernoulliOffset")
@@ -732,6 +743,100 @@ def test_misspecified_mle_on_subgraph_uses_subgraph_model():
     assert result.converged
     mu = expected_stats(EDGE_TRI, ParamVector(theta=result.theta_hat), 4)
     assert mu.values == pytest.approx((3.0, 1.0), abs=1e-8)
+
+
+# --------------------------------------------------------------------------
+# one fit per observed event
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, n_sub", [(6, 4), (7, 5)])
+def test_cached_fits_equal_cold_fits_for_every_group(n, n_sub):
+    """The prefix subgraphs of one ``_joint_counts`` group share their proper
+    event (the completion counts) and their misspecified one (their class).
+    Each group's first member is fitted cold, after ``cache_clear``; its last
+    member is then served from the cache and prints the same bytes."""
+    codes = _class_codes(EDGE_TRI, n_sub)
+    groups: dict = {}
+    for k in range(1 << dyad_count(n_sub)):
+        y = graph_from_index(n_sub, k)
+        key = (_completion_counts(EDGE_TRI, y, n, None).tobytes(), int(codes[k]))
+        groups.setdefault(key, []).append(InducedSubgraph(y, n))
+    assert len(groups) == len(_joint_counts(EDGE_TRI, n, n_sub)[0])
+    for members in groups.values():
+        for kind in LikelihoodKind:
+            _event_fit.cache_clear()
+            cold = mle(EDGE_TRI, members[0], kind)
+            warm = mle(EDGE_TRI, members[-1], kind)
+            assert _event_fit.cache_info().hits == 1
+            assert mle_csv_row(EDGE_TRI, kind, warm) == mle_csv_row(EDGE_TRI, kind, cold)
+
+
+@pytest.mark.parametrize("proper", [True, False])
+def test_cached_eta_is_read_only(proper):
+    y = graph_from_edges(4, [(0, 1), (0, 2), (1, 2)])
+    if proper:
+        event = _completion_counts(EDGE_TRI, y, 6, None).tobytes()
+    else:
+        event = sufficient_stats(EDGE_TRI, y).as_array().tobytes()
+    eta = _event_fit(EDGE_TRI, 6 if proper else 4, proper, event)[0]
+    assert not eta.flags.writeable
+    with pytest.raises(ValueError):
+        eta[0] = 1.0
+
+
+def test_rescaled_family_never_shares_a_fit(edge_triangle_over_50):
+    """Both families have the same classes in the same order, so a subgraph
+    has the same completion counts under each: only the family tells their
+    events apart."""
+    y = graph_from_edges(4, [(0, 1), (0, 2), (1, 2)])
+    assert (_completion_counts(EDGE_TRI, y, 6, None).tobytes()
+            == _completion_counts(edge_triangle_over_50, y, 6, None).tobytes())
+    data = InducedSubgraph(y, 6)
+    _event_fit.cache_clear()
+    base = mle(EDGE_TRI, data)
+    scaled = mle(edge_triangle_over_50, data)
+    assert _event_fit.cache_info().misses == 2
+    assert base.converged and scaled.converged
+    assert scaled.theta_hat == pytest.approx(tuple(50 * v for v in base.theta_hat), rel=1e-6)
+    assert mle(edge_triangle_over_50, data) == scaled
+    assert mle(EDGE_TRI, data) == base
+
+
+@pytest.mark.parametrize("kind", list(LikelihoodKind))
+def test_cached_events_still_check_the_enumeration_cap(kind):
+    data = InducedSubgraph(graph_from_edges(4, [(0, 1), (0, 2), (1, 2)]), 6)
+    mle(EDGE_TRI, data, kind)
+    size = 6 if kind is LikelihoodKind.PROPER else 4
+    with pytest.raises(EnumerationCapError, match=f"n={size} exceeds the enumeration cap 3"):
+        mle(EDGE_TRI, data, kind, enum_cap=3)
+    with pytest.raises(ValueError, match="enumeration cap must lie in"):
+        mle(EDGE_TRI, data, kind, enum_cap=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    picks=st.lists(st.integers(0, 1023), min_size=1, max_size=3),
+    count=st.integers(1, 20),
+    eta=st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)),
+)
+@example(picks=[0], count=1, eta=(0.0, 0.0))
+@example(picks=[0], count=1, eta=(-0.0, -0.0))
+@example(picks=[1023], count=1, eta=(0.0, -0.0))
+def test_one_row_event_parts_equal_its_moments(picks, count, eta):
+    """A one-row event (the mean of some rows of the n=5 table, with a log
+    count) skips its ``_moments`` call and gets the same bits, signs of zero
+    included."""
+    table = _enumerated_stats_cached(EDGE_TRI, 5)
+    comp = (table[picks].astype(np.float64).mean(axis=0)[None, :], np.log([float(count)]))
+    full = _statistic_histogram(EDGE_TRI, 5)
+    eta = np.array(eta)
+    lse_c, mu_c, cov_c = _moments(*comp, eta)
+    lse_f, mu_f, cov_f = _moments(*full, eta)
+    want = (lse_c - lse_f, mu_c - mu_f, cov_c - cov_f)
+    for got, expected in zip(_log_ratio_parts(comp, full, eta), want):
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 # --------------------------------------------------------------------------
