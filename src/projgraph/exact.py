@@ -28,7 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -527,6 +527,22 @@ def exact_sample(d: ExactDistribution, rng: np.random.Generator) -> Graph:
     return graph_from_index(d.n, _inverse_cdf(d, rng.random()))
 
 
+def _bulk_indices(
+    d: ExactDistribution,
+    master_seed: int,
+    prefix: tuple[int | str, ...],
+    count: int,
+    tails: Callable[[int, int], np.ndarray],
+) -> Iterator[np.ndarray]:
+    """Yield, ``_DRAW_CHUNK`` draws at a time, the graph indices that
+    ``exact_sample(d, substream(master_seed, *prefix, *row))`` draws, with
+    the same bits, for ``count`` rows; ``tails(lo, hi)`` gives rows lo..hi-1
+    as a 2-D integer array whose parts lie below 2^32."""
+    for lo in range(0, count, _DRAW_CHUNK):
+        hi = min(lo + _DRAW_CHUNK, count)
+        yield _inverse_cdf(d, _first_uniforms(master_seed, prefix, tails(lo, hi)))
+
+
 def _bulk_sample(
     d: ExactDistribution,
     master_seed: int,
@@ -534,18 +550,11 @@ def _bulk_sample(
     shape: tuple[int, ...],
 ) -> Iterator[Graph]:
     """Yield ``exact_sample(d, substream(master_seed, *prefix, *tail))`` for
-    each ``tail`` in ``np.ndindex(shape)``, in that order, with the same bits.
-
-    The streams' first uniforms are evaluated ``_DRAW_CHUNK`` tails at a
-    time by :func:`projgraph.rng._first_uniforms`, so memory stays bounded
-    for any shape.  Each part of a tail must lie below 2^32.
-    """
-    total = math.prod(shape)
-    for lo in range(0, total, _DRAW_CHUNK):
-        rows = np.arange(lo, min(lo + _DRAW_CHUNK, total))
-        tails = np.stack(np.unravel_index(rows, shape), axis=1)
-        u = _first_uniforms(master_seed, prefix, tails)
-        for k in _inverse_cdf(d, u).tolist():
+    each ``tail`` in ``np.ndindex(shape)``, in that order, with the same
+    bits (see :func:`_bulk_indices`)."""
+    tails = lambda lo, hi: np.stack(np.unravel_index(np.arange(lo, hi), shape), axis=1)
+    for chunk in _bulk_indices(d, master_seed, prefix, math.prod(shape), tails):
+        for k in chunk.tolist():
             yield Graph(d.n, k)
 
 

@@ -14,17 +14,15 @@ Four studies ship, all driven by one :class:`ExperimentConfig`:
 Every replicate derives its own random stream from the master seed and
 the path (experiment tag, cell index, replicate indices), so results do
 not depend on execution order; report CSV bodies are byte-identical
-across runs.  Where a replicate needs only one table draw (replication
-with a dyad-dependent family), a cell's streams are not built: their
-first uniforms are evaluated together, with the same bits.  Replicates
-are fitted serially: each fit is milliseconds of GIL-bound Python, and a
-thread pool made two workers slower than one.  A fit sees its data only
-through the observed event (a subgraph's completion set, or one graph at
-the replicates' mean statistics), so replicates with the same event share
-one fit: :func:`projgraph.inference.mle` keeps a bounded cache of fits by
-(family, size, event), and recomputes only the log likelihood and standard
-errors.  The runners keep their
-``threads`` keyword for compatibility; it schedules nothing.
+across runs.  A summary reads only each replicate's estimate and boundary
+flag, so for a dyad-dependent family a study fits each replicate's
+observed event, built from the statistic table, through the cached event
+fit and computes no log likelihood or standard errors.  The replication
+study evaluates the first uniforms of all its table draws in one bulk
+pass, with the same bits.  Replicates are fitted serially: each fit is
+GIL-bound Python, and a thread pool made two workers slower than one.  The
+runners keep their ``threads`` keyword for compatibility; it schedules
+nothing.
 Replicates with no finite estimate (boundary data) are excluded from
 bias/RMSE and counted in the ``n_boundary`` column, with
 ``units = used + n_boundary`` per row.
@@ -34,7 +32,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 import numbers
@@ -46,15 +43,22 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from ._version import __version__
-from .exact import _bulk_sample, build_distribution, exact_sample, sample_bernoulli
+from .exact import (
+    _bulk_indices,
+    _enumerated_stats_cached,
+    build_distribution,
+    exact_sample,
+    sample_bernoulli,
+)
 from .graph import Graph, NodeSubset, induced_subgraph, is_connected, mean_degree, edge_count
 from .inference import (
     FullGraph,
     InducedSubgraph,
     LikelihoodKind,
-    MLEResult,
     Replicates,
-    mle,
+    _Estimate,
+    _estimate,
+    _mean_estimates,
 )
 from .models import (
     BERNOULLI_OFFSET,
@@ -318,22 +322,22 @@ def _estimate_columns(dim: int) -> list[str]:
 
 
 def _summarize_estimates(
-    results: Sequence[MLEResult], theta_star: ParamVector
+    estimates: Sequence[_Estimate], theta_star: ParamVector
 ) -> dict[str, Any]:
     """Bias/RMSE summary over the finite (non-boundary) estimates."""
     dim = len(theta_star)
-    finite = [r.theta_hat for r in results if not r.boundary]
+    finite = [theta for theta, boundary in estimates if not boundary]
     row: dict[str, Any] = {
-        "units": len(results),
+        "units": len(estimates),
         "used": len(finite),
-        "n_boundary": len(results) - len(finite),
+        "n_boundary": len(estimates) - len(finite),
     }
     if finite:
-        estimates = np.asarray(finite, dtype=np.float64)
+        thetas = np.asarray(finite, dtype=np.float64)
         target = theta_star.as_array()
-        mean = estimates.mean(axis=0)
+        mean = thetas.mean(axis=0)
         bias = mean - target
-        rmse = np.sqrt(((estimates - target) ** 2).mean(axis=0))
+        rmse = np.sqrt(((thetas - target) ** 2).mean(axis=0))
     else:
         mean = bias = rmse = np.full(dim, math.nan)
     if dim == 1:
@@ -379,15 +383,15 @@ def run_growth_consistency(cfg: ExperimentConfig, threads: int = 1) -> Experimen
     rows = []
     for cell_index, n in enumerate(cfg.sizes):
         pi = edge_prob(cfg.spec, cfg.theta_star, n)
-        results, degrees, edges = [], [], []
+        estimates, degrees, edges = [], [], []
         for replicate in range(cfg.replicates):
             rng = substream(cfg.master_seed, "growth", cell_index, replicate)
             g = sample_bernoulli(n, pi, rng)
-            results.append(mle(cfg.spec, FullGraph(g), LikelihoodKind.PROPER))
+            estimates.append(_estimate(cfg.spec, FullGraph(g)))
             degrees.append(mean_degree(g))
             edges.append(edge_count(g))
         row = {"cell": f"n={n}", "n": n}
-        row.update(_summarize_estimates(results, cfg.theta_star))
+        row.update(_summarize_estimates(estimates, cfg.theta_star))
         row["mean_degree"] = float(np.mean(degrees))
         row["mean_edges"] = float(np.mean(edges))
         rows.append(row)
@@ -410,28 +414,37 @@ def _cell_sampler(
     return lambda rng: exact_sample(dist, rng)
 
 
-def _replication_draws(
-    cfg: ExperimentConfig, n: int
-) -> Callable[[int, int], Iterator[Graph]]:
-    """Per-cell draws of the replication study: for (cell, R), the cell's
-    graphs study by study, replicate r of study s drawn from
-    ``substream(seed, "replication", cell, s, r)``.
-
-    Independent-dyad families draw C(n,2) uniforms from each stream.  A
-    table family draws one, so a cell's first uniforms are evaluated in
-    bulk (see :func:`projgraph.exact._bulk_sample`), with the same bits.
+def _table_replication(cfg: ExperimentConfig, n: int) -> Iterator[list[_Estimate]]:
+    """Each cell's estimates for a table family, study by study, with the
+    bits of ``mle`` on the graphs drawn from ``substream(seed,
+    "replication", cell, study, r)``.  One bulk pass draws every cell (an
+    integer part below 2^32 is one spawn-key word in the prefix or the
+    tail), and rows are held only until their study's mean is taken.
     """
-    seed, studies = cfg.master_seed, cfg.studies_per_cell
-    if cfg.spec.bernoulli:
-        pi = edge_prob(cfg.spec, cfg.theta_star, n)
-        return lambda cell, count: (
-            sample_bernoulli(n, pi, substream(seed, "replication", cell, *tail))
-            for tail in np.ndindex(studies, count)
-        )
-    dist = build_distribution(cfg.spec, cfg.theta_star, n)
-    return lambda cell, count: _bulk_sample(
-        dist, seed, ("replication", cell), (studies, count)
-    )
+    dist = build_distribution(cfg.spec, cfg.theta_star, n)  # refuses n beyond the cap
+    table = _enumerated_stats_cached(cfg.spec, n)
+    studies = cfg.studies_per_cell
+    draws = np.repeat(cfg.replicates, studies)  # per study, cell by cell
+    ends = np.cumsum(draws)
+
+    def tails(lo: int, hi: int) -> np.ndarray:
+        draw = np.arange(lo, hi)
+        study = np.searchsorted(ends, draw, side="right")
+        first = ends[study] - draws[study]
+        return np.column_stack((study // studies, study % studies, draw - first))
+
+    chunks = _bulk_indices(dist, cfg.master_seed, ("replication",), int(ends[-1]), tails)
+    held: list[np.ndarray] = []
+    for count in cfg.replicates:
+        estimates: list[_Estimate] = []
+        while len(estimates) < studies:
+            while sum(map(len, held)) < count:
+                held.append(table[next(chunks)].astype(np.float64))
+            rows = np.concatenate(held)
+            k = min(len(rows) // count, studies - len(estimates))
+            estimates += _mean_estimates(cfg.spec, n, rows[: k * count].reshape(k, count, -1))
+            held = [rows[k * count :]]
+        yield estimates
 
 
 def run_replication_consistency(
@@ -442,17 +455,21 @@ def run_replication_consistency(
         raise ValueError(f"config is for {cfg.experiment!r}, expected 'replication'")
     started = time.perf_counter()
     n = cfg.sizes[0]
-    cell_draws = _replication_draws(cfg, n)
+    if cfg.spec.bernoulli:
+        draw = _cell_sampler(cfg, n)
+        cells = (
+            [_estimate(cfg.spec, Replicates(tuple(
+                draw(substream(cfg.master_seed, "replication", cell, study, r))
+                for r in range(count))))
+             for study in range(cfg.studies_per_cell)]
+            for cell, count in enumerate(cfg.replicates)
+        )
+    else:
+        cells = _table_replication(cfg, n)
     rows = []
-    for cell_index, count in enumerate(cfg.replicates):
-        draws = cell_draws(cell_index, count)
-        results = [
-            mle(cfg.spec, Replicates(tuple(itertools.islice(draws, count))),
-                LikelihoodKind.PROPER)
-            for _ in range(cfg.studies_per_cell)
-        ]
+    for count, estimates in zip(cfg.replicates, cells):
         row = {"cell": f"R={count}", "n": n, "R": count}
-        row.update(_summarize_estimates(results, cfg.theta_star))
+        row.update(_summarize_estimates(estimates, cfg.theta_star))
         rows.append(row)
     columns = ["cell", "n", "R", "units", "used", "n_boundary"] + _estimate_columns(
         cfg.spec.stat_dim
@@ -482,16 +499,16 @@ def run_subsample_bias(cfg: ExperimentConfig, threads: int = 1) -> ExperimentRep
             )
             y_sub = induced_subgraph(g, NodeSubset(population_n, members))
             data = InducedSubgraph(y_sub, population_n)
-            proper.append(mle(cfg.spec, data, LikelihoodKind.PROPER))
-            misspecified.append(mle(cfg.spec, data, LikelihoodKind.MISSPECIFIED))
-        for kind, results in (("proper", proper), ("misspecified", misspecified)):
+            proper.append(_estimate(cfg.spec, data, LikelihoodKind.PROPER))
+            misspecified.append(_estimate(cfg.spec, data, LikelihoodKind.MISSPECIFIED))
+        for kind, estimates in (("proper", proper), ("misspecified", misspecified)):
             row = {
                 "cell": f"N={population_n}|{kind}",
                 "n": population_n,
                 "subsample_n": cfg.subsample_n,
                 "kind": kind,
             }
-            row.update(_summarize_estimates(results, cfg.theta_star))
+            row.update(_summarize_estimates(estimates, cfg.theta_star))
             rows.append(row)
     columns = [
         "cell",

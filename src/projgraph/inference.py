@@ -558,15 +558,22 @@ _EVENT_FITS = 256
 @lru_cache(maxsize=_EVENT_FITS)
 def _event_fit(
     fam: Family, size: int, proper: bool, event: bytes
-) -> tuple[np.ndarray, bool, bool, int]:
-    """:func:`_ascend_log_ratio` on the event :func:`_event_histogram` reads
-    from ``event``, with eta read-only.  Callers validate the enumeration
-    cap before reaching this helper."""
+) -> tuple[np.ndarray, tuple[float, ...], bool, bool, int]:
+    """(eta, theta_hat, converged, boundary, iterations) of
+    :func:`_ascend_log_ratio` on the event :func:`_event_histogram` reads
+    from ``event``, with eta read-only and theta_hat its shift to theta.  A
+    boundary fit has NaN theta_hat and 0 iterations.  Callers validate the
+    enumeration cap before reaching this helper."""
     full = _statistic_histogram(fam, size)
     comp = _event_histogram(full, proper, event)
-    fit = _ascend_log_ratio(comp, full, _statistic_facets(fam, size))
-    fit[0].flags.writeable = False
-    return fit
+    eta, converged, boundary, iterations = _ascend_log_ratio(
+        comp, full, _statistic_facets(fam, size)
+    )
+    eta.flags.writeable = False
+    if boundary:
+        return eta, (math.nan,) * fam.stat_dim, False, True, 0
+    theta = eta - natural_params(fam, ParamVector(theta=(0.0,) * fam.stat_dim), size)
+    return eta, tuple(float(v) for v in theta), converged, False, iterations
 
 
 def _event_histogram(full: _Histogram, proper: bool, event: bytes) -> _Histogram:
@@ -580,28 +587,25 @@ def _event_histogram(full: _Histogram, proper: bool, event: bytes) -> _Histogram
     return np.frombuffer(event)[None, :], np.zeros(1)
 
 
-def _enumerated_mle(
+def _mean_events(rows: np.ndarray) -> list[bytes]:
+    """The mean-statistics event of each study of independent graphs, from
+    float64 rows of shape (studies, graphs, dim); a study's mean has the
+    bits of its own ``rows.mean(axis=0)``."""
+    return [mean.tobytes() for mean in rows.mean(axis=1)]
+
+
+def _observed_event(
     spec: Family,
     data: ObservedData,
     kind: LikelihoodKind,
     enum_cap: Optional[int],
-) -> MLEResult:
-    """Ascend the log probability of the observed event over eta.
-
-    For the proper likelihood of a subgraph the event is its completion
-    set.  Independent same-size graphs (a full graph, replicates, or the
-    misspecified likelihood of a subgraph) have the log likelihood
-    ``weight`` times that of one graph at their mean statistics: a one-row
-    event with log count 0.  Their statistics are read from the cached
-    statistic table, so the event is built from the same rows as the
-    histogram whose facets decide finiteness.  The fit depends on the data
-    only through the event, so replicates with the same event share one
-    ascent, cached by :func:`_event_fit` on (family, size, event); the log
-    likelihood and standard errors are computed for each call.  Theta and
-    eta differ by a constant shift, so the observed information is
-    ``weight`` times minus the log-ratio Hessian at the maximizer.
+) -> tuple[int, bool, bytes, Optional[np.ndarray]]:
+    """(size, proper, event, rows): the observed event of ``data`` as
+    :func:`_event_fit` keys it, after the enumeration-cap check.  A proper
+    subgraph fit has the completion counts; independent graphs have one
+    graph at their mean statistics, from their float64 rows in the cached
+    statistic table (so built from the rows whose hull decides finiteness).
     """
-    dim = spec.stat_dim
     proper = isinstance(data, InducedSubgraph) and kind is LikelihoodKind.PROPER
     if isinstance(data, Replicates):
         graphs, size = data.graphs, data.n
@@ -610,26 +614,29 @@ def _enumerated_mle(
         graphs, size = (graph,), data.population_n if proper else graph.n
     resolve_enum_cap(size, enum_cap)
     if proper:
-        event = _completion_counts(spec, data.subgraph, size, enum_cap).tobytes()
-        weight = 1
-    else:
-        table = _enumerated_stats_cached(spec, size)
-        rows = table[[g.dyads for g in graphs]].astype(np.float64)
-        event = rows.mean(axis=0).tobytes()
-        weight = len(graphs)
-    eta, converged, boundary, iterations = _event_fit(spec, size, proper, event)
+        counts = _completion_counts(spec, data.subgraph, size, enum_cap)
+        return size, True, counts.tobytes(), None
+    rows = _enumerated_stats_cached(spec, size)[[g.dyads for g in graphs]].astype(np.float64)
+    return size, False, _mean_events(rows[None])[0], rows
+
+
+def _enumerated_mle(
+    spec: Family,
+    data: ObservedData,
+    kind: LikelihoodKind,
+    enum_cap: Optional[int],
+) -> MLEResult:
+    """Ascend the log probability of the observed event over eta, cached by
+    :func:`_event_fit`; the log likelihood and standard errors are computed
+    for each call.  Independent graphs have the log likelihood of one graph
+    at their mean statistics times their number, so their observed
+    information is that number times minus the log-ratio Hessian.
+    """
+    size, proper, event, rows = _observed_event(spec, data, kind, enum_cap)
+    eta, theta_hat, converged, boundary, iterations = _event_fit(spec, size, proper, event)
     if boundary:
-        return MLEResult(
-            theta_hat=(math.nan,) * dim,
-            std_err=None,
-            log_lik=math.nan,
-            converged=False,
-            boundary=True,
-            iterations=0,
-        )
-    zero = ParamVector(theta=(0.0,) * dim)
-    theta = eta - natural_params(spec, zero, size)
-    pv = ParamVector(theta=tuple(theta))
+        return MLEResult(theta_hat, None, math.nan, False, True, 0)
+    pv = ParamVector(theta=theta_hat)
     if proper:
         value = proper_log_likelihood(spec, pv, data.subgraph, size, enum_cap)
     else:
@@ -638,9 +645,9 @@ def _enumerated_mle(
     if converged:
         full = _statistic_histogram(spec, size)
         _, _, hess = _log_ratio_parts(_event_histogram(full, proper, event), full, eta)
-        std_err = _std_errors_from_information(weight * -hess)
+        std_err = _std_errors_from_information((1 if proper else len(rows)) * -hess)
     return MLEResult(
-        theta_hat=tuple(float(v) for v in theta),
+        theta_hat=theta_hat,
         std_err=std_err,
         log_lik=value,
         converged=converged,
@@ -670,6 +677,32 @@ def mle(
     if spec.bernoulli:
         return _bernoulli_closed_form(spec, data, kind, enum_cap)
     return _enumerated_mle(spec, data, kind, enum_cap)
+
+
+# What a study summary reads of a fit: (theta_hat, boundary).
+_Estimate = tuple[tuple[float, ...], bool]
+
+
+def _estimate(
+    spec: Family, data: ObservedData, kind: LikelihoodKind = LikelihoodKind.PROPER
+) -> _Estimate:
+    """The estimate of ``mle(spec, data, kind)``; for a dyad-dependent
+    family only the cached fit of the observed event, with no log
+    likelihood or standard errors."""
+    if spec.bernoulli:
+        result = mle(spec, data, kind)
+        return result.theta_hat, result.boundary
+    size, proper, event, _ = _observed_event(spec, data, kind, None)
+    _, theta_hat, _, boundary, _ = _event_fit(spec, size, proper, event)
+    return theta_hat, boundary
+
+
+def _mean_estimates(spec: Family, size: int, rows: np.ndarray) -> list[_Estimate]:
+    """The estimate of each study of independent size-``size`` graphs of a
+    dyad-dependent family, from their float64 statistic rows of shape
+    (studies, graphs, dim) (see :func:`_mean_events`)."""
+    fits = (_event_fit(spec, size, False, event) for event in _mean_events(rows))
+    return [(theta_hat, boundary) for _, theta_hat, _, boundary, _ in fits]
 
 
 def mle_csv_header(spec: Family) -> list[str]:

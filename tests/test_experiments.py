@@ -3,11 +3,13 @@
 import json
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from projgraph import (
+    EnumerationCapError,
     ExperimentConfig,
     ExperimentReport,
     Family,
@@ -23,6 +25,7 @@ from projgraph import (
     edge_prob,
     exact_sample,
     graph_from_index,
+    induced_subgraph,
     marginal_distribution,
     mle,
     model_spec,
@@ -36,7 +39,9 @@ from projgraph import (
     substream,
     unregister_family,
 )
+from projgraph import exact
 from projgraph.experiments import _estimate_columns, _summarize_estimates
+from projgraph.inference import _event_fit, _mean_events
 
 INVARIANT = model_spec("BernoulliInvariant")
 OFFSET = model_spec("BernoulliOffset")
@@ -443,7 +448,8 @@ def _replication_by_substreams(cfg):
                 exact_sample(dist, substream(cfg.master_seed, "replication", cell_index, study, r))
                 for r in range(count)
             )
-            results.append(mle(cfg.spec, Replicates(graphs), LikelihoodKind.PROPER))
+            fit = mle(cfg.spec, Replicates(graphs), LikelihoodKind.PROPER)
+            results.append((fit.theta_hat, fit.boundary))
         row = {"cell": f"R={count}", "n": n, "R": count}
         row.update(_summarize_estimates(results, cfg.theta_star))
         rows.append(row)
@@ -489,6 +495,59 @@ def test_replication_bulk_draws_match_one_stream_per_replicate(request, family, 
         studies_per_cell=4,
     )
     assert run_replication_consistency(cfg).csv_body() == _replication_by_substreams(cfg)
+
+
+@pytest.mark.parametrize("chunk", [5, 13])
+def test_replication_bulk_draws_match_across_small_chunks(monkeypatch, chunk):
+    """Studies whose replicates span several draw chunks, and chunks that
+    end inside a study or a cell, give the per-replicate loop's bytes."""
+    monkeypatch.setattr(exact, "_DRAW_CHUNK", chunk)
+    cfg = ExperimentConfig(
+        experiment="replication",
+        spec=model_spec("EdgeTriangle"),
+        theta_star=ParamVector(theta=(-0.5, 0.3)),
+        sizes=(5,),
+        replicates=(1, 4, 12, 30),
+        master_seed=7,
+        studies_per_cell=4,
+    )
+    assert run_replication_consistency(cfg).csv_body() == _replication_by_substreams(cfg)
+
+
+def test_replication_study_memory_does_not_grow_with_its_studies():
+    """Drawn rows are held only until their study's mean is taken, so ten
+    times the studies (30,000 against 300,000 draws) keeps the same peak."""
+
+    def traced_peak(studies):
+        cfg = ExperimentConfig(
+            experiment="replication",
+            spec=model_spec("EdgeTriangle"),
+            theta_star=ParamVector(theta=(-0.5, 0.3)),
+            sizes=(5,),
+            replicates=(3000,),
+            master_seed=3,
+            studies_per_cell=studies,
+        )
+        run_replication_consistency(cfg)  # build the tables and fit caches first
+        tracemalloc.start()
+        try:
+            run_replication_consistency(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(100) < 1.5 * traced_peak(10)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("count", [1, 7, 9, 17, 129, 1000])
+def test_study_means_sum_in_the_per_study_order(dim, count):
+    """The replication study takes the mean statistics of any number of
+    studies from one (study, replicate, statistic) array: the same bits as
+    each study's own ``rows.mean(axis=0)``, for any number of statistics."""
+    rows = np.random.default_rng(count * dim).standard_normal((5, count, dim)) * 37.0
+    for k in range(1, len(rows) + 1):
+        assert _mean_events(rows[:k]) == [r.mean(axis=0).tobytes() for r in rows[:k]]
 
 
 # --------------------------------------------------------------------------
@@ -542,6 +601,70 @@ def test_subsample_report_matches_exact_conditional_analysis():
     # likelihoods, so the counts must agree exactly
     assert mis["used"] == prop["used"]
     assert mis["n_boundary"] == prop["n_boundary"]
+
+
+@pytest.mark.parametrize("experiment", ["replication", "subsample"])
+def test_table_studies_refuse_sizes_beyond_the_cap_before_any_fit(experiment):
+    extra = ({"replicates": (2,), "studies_per_cell": 2} if experiment == "replication"
+             else {"replicates": 2, "subsample_n": 4})
+    cfg = ExperimentConfig(experiment=experiment, spec=EDGE_TRI,
+                           theta_star=ParamVector(theta=(-0.5, 0.3)), sizes=(8,),
+                           master_seed=1, **extra)
+    misses = _event_fit.cache_info().misses
+    tables = exact._enumerated_stats_cached.cache_info().misses
+    with pytest.raises(EnumerationCapError):
+        run_experiment(cfg)
+    assert _event_fit.cache_info().misses == misses
+    assert exact._enumerated_stats_cached.cache_info().misses == tables  # no n=8 table
+
+
+def _subsample_by_mle(cfg):
+    """The subsample study with one ``mle`` call per replicate and kind, on
+    the induced subgraph, as it ran before table families fitted events
+    built directly: the reference for ``run_subsample_bias``."""
+    rows = []
+    for cell_index, population_n in enumerate(cfg.sizes):
+        dist = build_distribution(cfg.spec, cfg.theta_star, population_n)
+        results = {kind: [] for kind in LikelihoodKind}
+        for replicate in range(cfg.replicates):
+            rng = substream(cfg.master_seed, "subsample", cell_index, replicate)
+            g = exact_sample(dist, rng)
+            members = rng.choice(population_n, size=cfg.subsample_n, replace=False)
+            subset = NodeSubset(population_n, tuple(sorted(int(v) for v in members)))
+            data = InducedSubgraph(induced_subgraph(g, subset), population_n)
+            for kind, fits in results.items():
+                fit = mle(cfg.spec, data, kind)
+                fits.append((fit.theta_hat, fit.boundary))
+        for kind, fits in results.items():
+            row = {"cell": f"N={population_n}|{kind.value}", "n": population_n,
+                   "subsample_n": cfg.subsample_n, "kind": kind.value}
+            row.update(_summarize_estimates(fits, cfg.theta_star))
+            rows.append(row)
+    columns = ["cell", "n", "subsample_n", "kind", "units", "used", "n_boundary"]
+    columns += _estimate_columns(cfg.spec.stat_dim)
+    return ExperimentReport("subsample", tuple(columns), tuple(rows), {}).csv_body()
+
+
+@pytest.mark.parametrize("seed", [0, 7, (1 << 63) + 17, (1 << 64) - 1])
+@pytest.mark.parametrize(
+    "family, theta",
+    [("EdgeTriangle", (-0.5, 0.3)), ("edge_triangle_over_50", (-25.0, 15.0))],
+    ids=["EdgeTriangle", "over50"],
+)
+def test_subsample_event_fits_match_one_mle_per_replicate(request, family, theta, seed):
+    """Byte-identical report bodies from the fits of directly built events
+    and from per-replicate ``mle`` calls, for integer and float tables."""
+    spec = model_spec(family) if family == "EdgeTriangle" else request.getfixturevalue(family)
+    cfg = ExperimentConfig(
+        experiment="subsample",
+        spec=spec,
+        theta_star=ParamVector(theta=theta),
+        sizes=(5, 6),
+        replicates=8,
+        master_seed=seed,
+        subsample_n=4,
+    )
+    assert run_subsample_bias(cfg).csv_body() == _subsample_by_mle(cfg)
 
 
 def test_subsample_closed_form_families_never_hit_the_boundary_gap():

@@ -41,6 +41,11 @@ CONFIGS = {
         "experiment": "replication", "spec": {"family": "edge-triangle"},
         "theta_star": [-0.5, 0.3], "sizes": [5], "replicates": [1, 4],
         "master_seed": 3, "studies_per_cell": 10},
+    # 30 * (7 + 150) = 4710 table draws: a 4096-draw chunk ends inside a cell.
+    "replication-edge-triangle-chunked": {
+        "experiment": "replication", "spec": "EdgeTriangle",
+        "theta_star": [-0.5, 0.3], "sizes": [5], "replicates": [7, 150],
+        "master_seed": 11, "studies_per_cell": 30},
     "replication-offset-seedmax": {
         "experiment": "replication", "spec": "BernoulliOffset", "theta_star": [0.5],
         "sizes": [8], "replicates": [2, 5], "master_seed": 2**64 - 1,
@@ -101,6 +106,8 @@ DIGESTS = {
         "33c20164f174459c7d5789acf49412eddf585932e6971ff60a8b3942332d4b66",
     "experiment-replication-edge-triangle-seed3":
         "e63de73a881543486d1431a5b5e3a08d2da6b5b2086d7803f1c8c1915df1875f",
+    "experiment-replication-edge-triangle-chunked":
+        "380602e309b62e23588c8c7a044367dd76a0537533f8666bd60a3503fc478e72",
     "experiment-replication-offset-seedmax":
         "f9a80e6c00dc6437d4d49021751f0716fffbeb630649845e57c5034825bd5a80",
     "experiment-subsample-edge-triangle-seed7":

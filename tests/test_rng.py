@@ -109,6 +109,18 @@ def test_first_uniforms_equal_each_streams_first_draw(seed, prefix, tails):
     assert bulk.tolist() == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=_SEEDS, tag=st.text(max_size=6), part=_TAIL, tails=_tails())
+@example(seed=0, tag="replication", part=0, tails=_EXTREME_TAILS)
+@example(seed=(1 << 64) - 1, tag="replication", part=(1 << 32) - 1, tails=_EXTREME_TAILS)
+def test_an_integer_part_below_2_32_may_sit_in_the_prefix_or_the_tail(seed, tag, part, tails):
+    """One word of the spawn key either way, so one bulk pass can cover the
+    streams of many prefixes by moving their integer part into the tail."""
+    moved = np.column_stack([np.full(len(tails), part, dtype=np.uint64), tails])
+    bulk = _first_uniforms(seed, (tag,), moved)
+    assert bulk.tolist() == _first_uniforms(seed, (tag, part), tails).tolist()
+
+
 @pytest.mark.parametrize(
     "tails",
     [
