@@ -207,38 +207,66 @@ def _statistic_histogram(fam: Family, n: int) -> tuple[np.ndarray, np.ndarray]:
     return _classes(fam, n)[1:]
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) of a finite 1-D array, by SciPy's ``logsumexp``
-    algorithm: the terms equal to the maximum are factored out of the sum,
-    which adds the rest to their count through ``log1p``.
+def _logsumexp(a: np.ndarray) -> float | np.ndarray:
+    """log(sum(exp(a))) along the last axis of a finite array, by SciPy's
+    ``logsumexp`` algorithm: the terms equal to the maximum are factored
+    out of the sum, which adds the rest to their count through ``log1p``.
+    A float for 1-D ``a``; else one value per row, each with the bits of
+    its own 1-D call.
 
     SciPy's function adds array-API dispatch to every call, which costs
     several times the arithmetic on a histogram of about a hundred rows.
     """
-    top = a.max()
-    at_top = a == top
-    rest = np.exp(a - top)
+    rows = a.T  # one column per row of ``a``, so that a value per row broadcasts
+    top = np.maximum.reduce(rows, 0)
+    at_top = rows == top
+    rest = np.exp(rows - top)
     rest[at_top] = 0.0
-    count = np.float64(np.count_nonzero(at_top))
-    return float(np.log1p(rest.sum() / count) + np.log(count) + top)
+    count = np.float64(np.count_nonzero(at_top, axis=0 if a.ndim > 1 else None))
+    lse = np.log1p(np.add.reduce(rest, 0) / count) + np.log(count) + top
+    return float(lse) if a.ndim == 1 else lse
+
+
+def _mat_vec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a @ x`` for one vector ``x``, or for each row of a stack of vectors
+    (with one matrix, or a stack of them), each by the BLAS kernel of the
+    one-vector product: one matrix product across the stack would round
+    differently."""
+    return np.dot(a, x) if x.ndim == 1 else (a @ x[..., None])[..., 0]
+
+
+def _vec_mat(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``x @ a`` for one vector ``x``, or for each row of a stack of vectors,
+    each by the BLAS kernel of the one-vector product (see
+    :func:`_mat_vec`)."""
+    return np.dot(x, a) if x.ndim == 1 else (x[..., None, :] @ a)[..., 0, :]
 
 
 def _moments(
     points: np.ndarray, log_counts: np.ndarray, eta: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     """(log Z, mean, covariance) of the statistics under the weights
     count * exp(eta . s) over the histogram rows ``points``.
+
+    ``eta`` is one parameter vector, and log Z a float, or a stack of S of
+    them, shape (S, dim), over one histogram or a stack of S equal-size
+    histograms.  Each item of a stack gets the bits of its own call: its
+    products run the BLAS kernels of the one-vector call, and its
+    reductions run along its own row.
 
     The covariance is summed over centered rows: the raw second moment
     minus the squared mean cancels catastrophically near a vertex of the
     statistic hull.
     """
-    kernel = log_counts + points @ eta
+    kernel = log_counts + _mat_vec(points, eta)
     log_z = _logsumexp(kernel)
-    w = np.exp(kernel - log_z)
-    mu = w @ points
-    centered = points - mu
-    return log_z, mu, centered.T @ (centered * w[:, None])
+    w = np.exp(kernel.T - log_z).T
+    mu = _vec_mat(w, points)
+    centered = points - mu[..., None, :]
+    weighted = centered * w[..., None]
+    if centered.ndim == 2:
+        return log_z, mu, np.dot(centered.T, weighted)
+    return log_z, mu, centered.swapaxes(-1, -2) @ weighted
 
 
 def _graph_probs(points: np.ndarray, log_counts: np.ndarray, eta: np.ndarray) -> np.ndarray:

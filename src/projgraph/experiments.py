@@ -19,10 +19,11 @@ flag, so for a dyad-dependent family a study fits each replicate's
 observed event, built from the statistic table, through the cached event
 fit and computes no log likelihood or standard errors.  The replication
 study evaluates the first uniforms of all its table draws in one bulk
-pass, with the same bits.  Replicates are fitted serially: each fit is
-GIL-bound Python, and a thread pool made two workers slower than one.  The
-runners keep their ``threads`` keyword for compatibility; it schedules
-nothing.
+pass, with the same bits, and fits all of its distinct pooled events in
+one lock-step Newton ascent, with the bits of one-at-a-time fits.  Fits
+run in one thread: each is GIL-bound Python, and a thread pool made two
+workers slower than one.  The runners keep their ``threads`` keyword for
+compatibility; it schedules nothing.
 Replicates with no finite estimate (boundary data) are excluded from
 bias/RMSE and counted in the ``n_boundary`` column, with
 ``units = used + n_boundary`` per row.
@@ -38,7 +39,7 @@ import numbers
 import operator
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -59,6 +60,7 @@ from .inference import (
     _Estimate,
     _estimate,
     _mean_estimates,
+    _mean_events,
 )
 from .models import (
     BERNOULLI_OFFSET,
@@ -414,12 +416,14 @@ def _cell_sampler(
     return lambda rng: exact_sample(dist, rng)
 
 
-def _table_replication(cfg: ExperimentConfig, n: int) -> Iterator[list[_Estimate]]:
+def _table_replication(cfg: ExperimentConfig, n: int) -> list[list[_Estimate]]:
     """Each cell's estimates for a table family, study by study, with the
     bits of ``mle`` on the graphs drawn from ``substream(seed,
     "replication", cell, study, r)``.  One bulk pass draws every cell (an
     integer part below 2^32 is one spawn-key word in the prefix or the
-    tail), and rows are held only until their study's mean is taken.
+    tail), and rows are held only until their study's mean is taken.  The
+    studies of every cell are then fitted by one :func:`_mean_estimates`
+    call, which climbs their distinct mean events in lock step.
     """
     dist = build_distribution(cfg.spec, cfg.theta_star, n)  # refuses n beyond the cap
     table = _enumerated_stats_cached(cfg.spec, n)
@@ -434,17 +438,18 @@ def _table_replication(cfg: ExperimentConfig, n: int) -> Iterator[list[_Estimate
         return np.column_stack((study // studies, study % studies, draw - first))
 
     chunks = _bulk_indices(dist, cfg.master_seed, ("replication",), int(ends[-1]), tails)
+    events: list[bytes] = []
     held: list[np.ndarray] = []
-    for count in cfg.replicates:
-        estimates: list[_Estimate] = []
-        while len(estimates) < studies:
+    for cell, count in enumerate(cfg.replicates):
+        while len(events) < (cell + 1) * studies:
             while sum(map(len, held)) < count:
                 held.append(table[next(chunks)].astype(np.float64))
             rows = np.concatenate(held)
-            k = min(len(rows) // count, studies - len(estimates))
-            estimates += _mean_estimates(cfg.spec, n, rows[: k * count].reshape(k, count, -1))
+            k = min(len(rows) // count, (cell + 1) * studies - len(events))
+            events += _mean_events(rows[: k * count].reshape(k, count, -1))
             held = [rows[k * count :]]
-        yield estimates
+    estimates = _mean_estimates(cfg.spec, n, events)
+    return [estimates[lo : lo + studies] for lo in range(0, len(estimates), studies)]
 
 
 def run_replication_consistency(

@@ -25,7 +25,11 @@ event: the completion set of a subgraph, or, for independent same-size
 graphs, one graph at their mean statistics, where the ascent solves the
 moment equation.  Data with no finite maximizer, as decided by one exact
 test on the facets of the attainable-statistics hull, are reported with
-``boundary=True``.
+``boundary=True``.  Fits are cached by observed event, and a batch of
+mean-statistics events (a replication report's studies) climbs in lock
+step, one stacked moment evaluation per step for every event still
+climbing; each event gets the bits of its fit alone, and a single fit is
+a stack of one.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -44,6 +50,7 @@ from .exact import (
     _class_codes,
     _enumerated_stats_cached,
     _logsumexp,
+    _mat_vec,
     _moments,
     _statistic_histogram,
     log_normalizer,
@@ -370,16 +377,17 @@ def _completion_counts(
 
 def _log_ratio_parts(
     comp: _Histogram, full: _Histogram, eta: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """(value, gradient, Hessian) of eta -> log P_eta(completion set).
+) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
+    """(value, gradient, Hessian) of eta -> log P_eta(completion set), for
+    one eta or a stack of them over a stack of events (see ``_moments``).
 
     A one-row event has log-normalizer its own log count plus energy, mean
     its row and covariance 0: the same bits as its ``_moments``, which are
     skipped."""
     lse_f, mu_f, cov_f = _moments(*full, eta)
-    if len(comp[1]) == 1:
-        lse_c = float(comp[1][0] + (comp[0] @ eta)[0])
-        return lse_c - lse_f, comp[0][0] - mu_f, 0.0 - cov_f
+    if comp[1].shape[-1] == 1:
+        lse_c = comp[1][..., 0] + _mat_vec(comp[0], eta)[..., 0]
+        return lse_c - lse_f, comp[0][..., 0, :] - mu_f, 0.0 - cov_f
     lse_c, mu_c, cov_c = _moments(*comp, eta)
     return lse_c - lse_f, mu_c - mu_f, cov_c - cov_f
 
@@ -414,19 +422,49 @@ def _reaches(comp: _Histogram, full: _Histogram, target: float, eta: np.ndarray)
         return _logsumexp(comp[1]) - _logsumexp(full[1]) >= target
     facets = _hull_facets(full[0])
     if not _on_facets(comp[0], facets).all(axis=0).any():
-        eta, value, _, _ = _climb(comp, full, target, eta)
+        eta, value, _, _ = (x[0] for x in _climb((comp[0][None], comp[1][None]), full,
+                                                 target, eta[None]))
         if value >= target:
             return True
     return _faces_reach(comp, full, facets, eta, target)
 
 
+def _directions(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """Newton directions solve(-hess, grad), one per row of ``grad``, with
+    the gradient as the fallback where the Hessian is singular or the
+    Newton step does not ascend.  A stack with one singular Hessian is
+    solved again event by event, so the others keep their bits."""
+    try:
+        direction = np.linalg.solve(-hess, grad[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        direction = np.empty_like(grad)
+        for k in range(len(grad)):
+            try:
+                direction[k] = np.linalg.solve(-hess[k], grad[k])
+            except np.linalg.LinAlgError:
+                direction[k] = grad[k]
+    descent = _dots(grad, direction) <= 0.0
+    direction[descent] = grad[descent]
+    return direction
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-by-row dot products, each by the kernel of a 1-D ``a @ b``."""
+    return _mat_vec(a[:, None, :], b)[:, 0]
+
+
 def _climb(
     comp: _Histogram, full: _Histogram, target: float, eta: np.ndarray
-) -> tuple[np.ndarray, float, bool, int]:
-    """Damped ascent of eta -> log P_eta(comp) from ``eta`` until the value
-    reaches ``target`` (tested first: the gradient underflows on a plateau)
-    or the gradient's max norm falls to ``NEWTON_TOLERANCE``.  Returns
-    (eta, value, stationary, iterations).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Damped ascent of eta -> log P_eta(comp) for a stack of S events
+    ``comp`` (equal-size histograms), from the rows of ``eta``, in lock
+    step: one stacked evaluation per round serves every event still
+    climbing.  Each event climbs until its value reaches ``target``
+    (tested first: the gradient underflows on a plateau) or its gradient's
+    max norm falls to ``NEWTON_TOLERANCE``.  Returns (eta, value,
+    stationary, iterations), one row or entry per event, each with the
+    bits of the event climbing alone: every step is the same per-event
+    arithmetic (see ``_moments``).
 
     Newton steps are used while the curvature is usable, with gradient
     ascent and step halving as fallback.  A step is accepted if the value
@@ -434,39 +472,63 @@ def _climb(
     (grad . direction / 2) is below that slack is lost in the value's
     rounding, so it is accepted if it lowers the gradient's max norm.
     """
+    eta = eta.copy()
     value, grad, hess = _log_ratio_parts(comp, full, eta)
-    for iteration in range(1, NEWTON_MAX_ITERATIONS + 1):
-        if value >= target or float(np.max(np.abs(grad))) <= NEWTON_TOLERANCE:
-            return eta, value, value < target, iteration - 1
-        try:
-            direction = np.linalg.solve(-hess, grad)
-        except np.linalg.LinAlgError:
-            direction = grad
-        if float(grad @ direction) <= 0.0:
-            direction = grad
-        resolved = float(grad @ direction) >= 2.0 * _VALUE_SLACK
-        scale = 1.0
-        for _ in range(60):
-            candidate = eta + scale * direction
-            cand_value, cand_grad, cand_hess = _log_ratio_parts(comp, full, candidate)
-            if cand_value >= value - _VALUE_SLACK or (
-                scale == 1.0
-                and not resolved
-                and float(np.max(np.abs(cand_grad))) < float(np.max(np.abs(grad)))
-            ):
-                break
-            scale *= 0.5
-        else:
-            return eta, value, False, iteration
-        eta, value, grad, hess = candidate, cand_value, cand_grad, cand_hess
-    return eta, value, False, NEWTON_MAX_ITERATIONS
+    count = len(eta)
+    stationary = np.zeros(count, dtype=bool)
+    iterations = np.zeros(count, dtype=np.int64)
+    direction = np.empty_like(eta)
+    resolved = np.empty(count, dtype=bool)
+    scale = np.ones(count)
+    halvings = np.zeros(count, dtype=np.int64)
+    step = np.zeros(count, dtype=np.int64)  # the iteration each event is on
+
+    def begin(new: np.ndarray) -> np.ndarray:
+        """Start the next iteration of the events ``new``; the ones still
+        climbing, each with its direction and a unit step."""
+        step[new] += 1
+        new = new[step[new] <= NEWTON_MAX_ITERATIONS]  # the rest end at the last step
+        done = ((value[new] >= target)
+                | (np.abs(grad[new]).max(axis=-1) <= NEWTON_TOLERANCE))
+        stationary[new[done]] = value[new[done]] < target
+        iterations[new[done]] = step[new[done]] - 1
+        new = new[~done]
+        iterations[new] = NEWTON_MAX_ITERATIONS  # unless they stop sooner
+        if len(new):
+            direction[new] = _directions(grad[new], hess[new])
+            resolved[new] = _dots(grad[new], direction[new]) >= 2.0 * _VALUE_SLACK
+            scale[new], halvings[new] = 1.0, 0
+        return new
+
+    live = begin(np.arange(count))
+    while len(live):
+        candidate = eta[live] + scale[live, None] * direction[live]
+        cand_value, cand_grad, cand_hess = _log_ratio_parts(
+            (comp[0][live], comp[1][live]), full, candidate)
+        accept = (cand_value >= value[live] - _VALUE_SLACK) | (
+            (scale[live] == 1.0)
+            & ~resolved[live]
+            & (np.abs(cand_grad).max(axis=-1) < np.abs(grad[live]).max(axis=-1))
+        )
+        moved = live[accept]
+        eta[moved], value[moved] = candidate[accept], cand_value[accept]
+        grad[moved], hess[moved] = cand_grad[accept], cand_hess[accept]
+        held = live[~accept]
+        scale[held] *= 0.5
+        halvings[held] += 1
+        stuck = held[halvings[held] == 60]
+        iterations[stuck] = step[stuck]
+        live = np.concatenate([begin(moved), held[halvings[held] < 60]])
+    return eta, value, stationary, iterations
 
 
 def _ascend_log_ratio(
     comp: _Histogram, full: _Histogram, facets: _Facets
-) -> tuple[np.ndarray, bool, bool, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Maximize eta -> log P_eta(comp), the log probability of the observed
-    event, from 0.  Returns (eta, converged, boundary, iterations).
+    event, from 0, for a stack of events (equal-size histograms) in lock
+    step.  Returns (eta, converged, boundary, iterations), one row or entry
+    per event.
 
     One scale-free test on the facets of the hull of ``full``'s statistics
     decides whether the maximum is finite.  An event on one facet is
@@ -476,20 +538,31 @@ def _ascend_log_ratio(
     boundary if the supremum over a facet the event reaches, found by the
     same ascent on the facet's rows, recursively, comes within
     ``_RECESSION_VALUE_TOL`` of the value (Geyer 2009; Rinaldo, Fienberg &
-    Zhou 2009).  Otherwise it has converged if it stopped at a stationary
-    point.
+    Zhou 2009).  Only events with a row on some facet are searched: for
+    the others the supremum over the facets they reach is over none.
+    Otherwise it has converged if it stopped at a stationary point.
     """
-    eta = np.zeros(full[0].shape[1])
-    if _on_facets(comp[0], facets).all(axis=0).any():
-        return eta, False, True, 0
-    eta, value, stationary, iterations = _climb(comp, full, -_SATURATION_TOL, eta)
-    # Energies s . eta round relative to |s| . |eta|: far along a ridge that
-    # outgrows the tolerance and can lift the value above its facet's limit.
-    rounding = _ROUNDING * float(np.max(np.abs(full[0]) @ np.abs(eta)))
-    boundary = value >= -_SATURATION_TOL or _faces_reach(
-        comp, full, facets, eta, value - _RECESSION_VALUE_TOL - rounding
-    )
-    return eta, stationary and not boundary, boundary, iterations
+    count = len(comp[1])
+    eta = np.zeros((count, full[0].shape[1]))
+    iterations = np.zeros(count, dtype=np.int64)
+    stationary = np.zeros(count, dtype=bool)
+    on = _on_facets(comp[0], facets)  # (event, row, facet)
+    boundary = on.all(axis=1).any(axis=1)
+    live = np.flatnonzero(~boundary)
+    if len(live):
+        climbed = _climb((comp[0][live], comp[1][live]), full, -_SATURATION_TOL, eta[live])
+        eta[live], value, stationary[live], iterations[live] = climbed
+        # Energies s . eta round relative to |s| . |eta|: far along a ridge
+        # that outgrows the tolerance and can lift the value above its
+        # facet's limit.
+        rounding = _ROUNDING * _mat_vec(np.abs(full[0]), np.abs(eta[live])).max(axis=1)
+        reach = value - _RECESSION_VALUE_TOL - rounding
+        boundary[live] = value >= -_SATURATION_TOL
+        for k in np.flatnonzero(~boundary[live] & on[live].any(axis=(1, 2))):
+            event = live[k]
+            boundary[event] = _faces_reach((comp[0][event], comp[1][event]), full, facets,
+                                           eta[event], float(reach[k]))
+    return eta, stationary & ~boundary, boundary, iterations
 
 
 def _std_errors_from_information(information: np.ndarray) -> Optional[tuple[float, ...]]:
@@ -551,40 +624,118 @@ def _bernoulli_closed_form(
     )
 
 
-# Distinct events kept by ``_event_fit``: a study's events, not its replicates.
+# Distinct events kept by the fit cache: a study's events, not its
+# replicates; also the most events that climb in one stack.
 _EVENT_FITS = 256
 
+# (eta, theta_hat, converged, boundary, iterations) of one event's fit.
+_Fit = tuple[np.ndarray, tuple[float, ...], bool, bool, int]
 
-@lru_cache(maxsize=_EVENT_FITS)
-def _event_fit(
-    fam: Family, size: int, proper: bool, event: bytes
-) -> tuple[np.ndarray, tuple[float, ...], bool, bool, int]:
-    """(eta, theta_hat, converged, boundary, iterations) of
-    :func:`_ascend_log_ratio` on the event :func:`_event_histogram` reads
-    from ``event``, with eta read-only and theta_hat its shift to theta.  A
-    boundary fit has NaN theta_hat and 0 iterations.  Callers validate the
-    enumeration cap before reaching this helper."""
+
+def _fit_events(fam: Family, size: int, proper: bool, events: Sequence[bytes]) -> list[_Fit]:
+    """The fit of each event by :func:`_ascend_log_ratio`, with eta
+    read-only and theta_hat its shift to theta.  A boundary fit has NaN
+    theta_hat and 0 iterations.  Mean-statistics events climb in lock step,
+    up to ``_EVENT_FITS`` at a time, which bounds the stack's temporaries;
+    a proper event is a stack of one.  Callers validate the enumeration cap
+    before reaching this helper."""
     full = _statistic_histogram(fam, size)
-    comp = _event_histogram(full, proper, event)
-    eta, converged, boundary, iterations = _ascend_log_ratio(
-        comp, full, _statistic_facets(fam, size)
-    )
-    eta.flags.writeable = False
-    if boundary:
-        return eta, (math.nan,) * fam.stat_dim, False, True, 0
-    theta = eta - natural_params(fam, ParamVector(theta=(0.0,) * fam.stat_dim), size)
-    return eta, tuple(float(v) for v in theta), converged, False, iterations
+    facets = _statistic_facets(fam, size)
+    shift = natural_params(fam, ParamVector(theta=(0.0,) * fam.stat_dim), size)
+    stride = 1 if proper else _EVENT_FITS
+    fits: list[_Fit] = []
+    for lo in range(0, len(events), stride):
+        comp = _event_histograms(full, proper, events[lo : lo + stride])
+        eta, converged, boundary, iterations = _ascend_log_ratio(comp, full, facets)
+        eta.flags.writeable = False
+        theta = eta - shift
+        for k in range(len(eta)):
+            if boundary[k]:
+                fits.append((eta[k], (math.nan,) * fam.stat_dim, False, True, 0))
+            else:
+                fits.append((eta[k], tuple(theta[k].tolist()), bool(converged[k]), False,
+                             int(iterations[k])))
+    return fits
 
 
-def _event_histogram(full: _Histogram, proper: bool, event: bytes) -> _Histogram:
-    """The observed event as a histogram.  For a proper fit ``event`` holds
-    the completion count of each class of ``full``, and the event is the
-    classes completions reach; otherwise it holds the mean statistics, one
-    row with log count 0."""
+def _event_histograms(full: _Histogram, proper: bool, events: Sequence[bytes]) -> _Histogram:
+    """The observed events as a stack of histograms.  For a proper fit the
+    one event holds the completion count of each class of ``full``, and it
+    is the classes completions reach; otherwise each event holds the mean
+    statistics, one row with log count 0."""
     if proper:
+        (event,) = events
         counts = np.frombuffer(event, dtype=np.intp)
-        return full[0][counts > 0], np.log(counts[counts > 0])
-    return np.frombuffer(event)[None, :], np.zeros(1)
+        return full[0][None, counts > 0], np.log(counts[None, counts > 0])
+    rows = np.frombuffer(b"".join(events)).reshape(len(events), 1, -1)
+    return rows, np.zeros(rows.shape[:2])
+
+
+_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
+
+
+class _FitCache:
+    """Least-recently-used cache of event fits keyed by (family, size,
+    proper, event), filled a batch at a time by :meth:`batch`, which fits
+    a batch's distinct misses together (:func:`_fit_events`).  Calling it
+    fits one event.  ``cache_info`` and ``cache_clear`` mean what they do
+    for ``functools.lru_cache``; an event repeated within a batch is a
+    hit."""
+
+    def __init__(self, maxsize: int) -> None:
+        self._maxsize = maxsize
+        self._fits: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+        self._hits = self._misses = 0
+
+    def __call__(self, fam: Family, size: int, proper: bool, event: bytes) -> _Fit:
+        key = (fam, size, proper, event)
+        with self._lock:
+            fit = self._fits.get(key)
+            if fit is not None:
+                self._fits.move_to_end(key)
+                self._hits += 1
+                return fit
+        return self.batch(fam, size, proper, (event,))[0]
+
+    def batch(
+        self, fam: Family, size: int, proper: bool, events: Sequence[bytes]
+    ) -> list[_Fit]:
+        fits: list = [None] * len(events)
+        missing: dict[bytes, list[int]] = {}
+        with self._lock:
+            for k, event in enumerate(events):
+                key = (fam, size, proper, event)
+                fits[k] = self._fits.get(key)
+                if fits[k] is None:
+                    missing.setdefault(event, []).append(k)
+                else:
+                    self._fits.move_to_end(key)
+            self._misses += len(missing)
+            self._hits += len(events) - len(missing)
+        if missing:
+            new = _fit_events(fam, size, proper, list(missing))
+            with self._lock:
+                for (event, where), fit in zip(missing.items(), new):
+                    self._fits[(fam, size, proper, event)] = fit
+                    if len(self._fits) > self._maxsize:
+                        self._fits.popitem(last=False)
+                    for k in where:
+                        fits[k] = fit
+        return fits
+
+    def cache_info(self) -> _CacheInfo:
+        with self._lock:
+            return _CacheInfo(self._hits, self._misses, self._maxsize, len(self._fits))
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._fits.clear()
+            self._hits = self._misses = 0
+
+
+_event_fit = _FitCache(_EVENT_FITS)
+_event_fits = _event_fit.batch
 
 
 def _mean_events(rows: np.ndarray) -> list[bytes]:
@@ -644,7 +795,8 @@ def _enumerated_mle(
     std_err = None
     if converged:
         full = _statistic_histogram(spec, size)
-        _, _, hess = _log_ratio_parts(_event_histogram(full, proper, event), full, eta)
+        comp = _event_histograms(full, proper, (event,))
+        _, _, hess = _log_ratio_parts((comp[0][0], comp[1][0]), full, eta)
         std_err = _std_errors_from_information((1 if proper else len(rows)) * -hess)
     return MLEResult(
         theta_hat=theta_hat,
@@ -697,12 +849,12 @@ def _estimate(
     return theta_hat, boundary
 
 
-def _mean_estimates(spec: Family, size: int, rows: np.ndarray) -> list[_Estimate]:
+def _mean_estimates(spec: Family, size: int, events: Sequence[bytes]) -> list[_Estimate]:
     """The estimate of each study of independent size-``size`` graphs of a
-    dyad-dependent family, from their float64 statistic rows of shape
-    (studies, graphs, dim) (see :func:`_mean_events`)."""
-    fits = (_event_fit(spec, size, False, event) for event in _mean_events(rows))
-    return [(theta_hat, boundary) for _, theta_hat, _, boundary, _ in fits]
+    dyad-dependent family, from its mean-statistics event (see
+    :func:`_mean_events`); the distinct events are fitted together."""
+    return [(theta_hat, boundary)
+            for _, theta_hat, _, boundary, _ in _event_fits(spec, size, False, events)]
 
 
 def mle_csv_header(spec: Family) -> list[str]:

@@ -46,6 +46,12 @@ CONFIGS = {
         "experiment": "replication", "spec": "EdgeTriangle",
         "theta_star": [-0.5, 0.3], "sizes": [5], "replicates": [7, 150],
         "master_seed": 11, "studies_per_cell": 30},
+    # 1,000 studies at n=4 with 331 distinct mean events, more than the fit
+    # cache holds, and 323 of the studies boundary.
+    "replication-edge-triangle-n4-evicting": {
+        "experiment": "replication", "spec": "EdgeTriangle",
+        "theta_star": [-0.5, 0.3], "sizes": [4], "replicates": [1, 2, 5, 20, 60],
+        "master_seed": 5, "studies_per_cell": 200},
     "replication-offset-seedmax": {
         "experiment": "replication", "spec": "BernoulliOffset", "theta_star": [0.5],
         "sizes": [8], "replicates": [2, 5], "master_seed": 2**64 - 1,
@@ -108,6 +114,8 @@ DIGESTS = {
         "e63de73a881543486d1431a5b5e3a08d2da6b5b2086d7803f1c8c1915df1875f",
     "experiment-replication-edge-triangle-chunked":
         "380602e309b62e23588c8c7a044367dd76a0537533f8666bd60a3503fc478e72",
+    "experiment-replication-edge-triangle-n4-evicting":
+        "a94553b676ed82a4c33627b40a0f632ec788439297d6f43ed7f31e11b4b26452",
     "experiment-replication-offset-seedmax":
         "f9a80e6c00dc6437d4d49021751f0716fffbeb630649845e57c5034825bd5a80",
     "experiment-subsample-edge-triangle-seed7":

@@ -647,7 +647,9 @@ def test_converged_ascent_beats_every_facet_limit(case):
     full = _statistic_histogram(EDGE_TRI, n)
     points, log_counts = full
     comp = (points[rows], comp_log_counts)
-    eta, converged, _, _ = _ascend_log_ratio(comp, full, _statistic_facets(EDGE_TRI, n))
+    stack = (comp[0][None], comp[1][None])  # the ascent takes a stack of events
+    eta, converged, _, _ = (x[0] for x in _ascend_log_ratio(stack, full,
+                                                            _statistic_facets(EDGE_TRI, n)))
     if not converged:
         return
 
