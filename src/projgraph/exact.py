@@ -1,11 +1,11 @@
 """Exact distributions over all graphs of a given size.
 
-Everything here is exhaustive: a distribution is a table with one entry
-per graph, indexed by the graph/integer bijection from
-:mod:`projgraph.graph`.  Normalizers and moments depend on a graph only
-through its statistics, so they run on the statistic histogram: the
-distinct statistic vectors of all graphs of size n with the log of their
-counts, built once per (family, n) from each graph's cached class code.
+Everything here is exhaustive, and runs on one class coding of the graphs
+of size n, built once per (family, n): each graph's statistic class, the
+distinct statistic vectors, and the log of their counts.  A graph's
+probability depends on it only through its statistics, so a distribution
+is one log probability per class, gathered through the class codes into a
+per-graph table (indexed as in :mod:`projgraph.graph`) only when asked for.
 The projectivity check runs on grouped joint counts, built once per
 (family, n, n_sub): for each group of n_sub-node prefix subgraphs, how
 many completions to n nodes fall in each statistic class.  Log-space
@@ -15,8 +15,8 @@ Independent-dyad families additionally get closed-form normalizers and
 moments valid at any size.
 
 Enumeration is capped at n <= 7 by default (2^21 graphs); the cap can be
-raised to n = 8 explicitly, which emits a memory warning (the tables
-then hold 2^28 entries).  Larger sizes are refused.
+raised to n = 8 explicitly, which emits a memory warning (the statistic
+table and the class codes then hold 2^28 rows).  Larger sizes are refused.
 """
 
 from __future__ import annotations
@@ -183,28 +183,15 @@ def _code_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=8)
 def _classes(fam: Family, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_code_table` of the statistics of all graphs of size n, with
-    the log of the counts; read-only."""
+    """The class coding of all graphs of size n, read-only: ``(codes,
+    points, log_counts)`` of :func:`_code_table`, with the log of the
+    counts.  Graph k's statistic row is ``points[codes[k]]``, and
+    ``(points, log_counts)`` is the statistic histogram."""
     codes, points, counts = _code_table(_enumerated_stats_cached(fam, n))
     log_counts = np.log(counts)
     for array in (codes, points, log_counts):
         array.flags.writeable = False
     return codes, points, log_counts
-
-
-def _class_codes(fam: Family, n: int) -> np.ndarray:
-    """Rank of each graph's statistic vector among the distinct vectors of
-    all graphs of size n, in lexicographic order, in the smallest unsigned
-    dtype that holds it.  Coded by one packed key per graph when the table
-    holds small unsigned integers, else by sorting (see :func:`_code_table`)."""
-    return _classes(fam, n)[0]
-
-
-def _statistic_histogram(fam: Family, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct statistic vectors of all graphs of size n, in lexicographic
-    order (row c is class c of :func:`_class_codes`), and the log of each
-    vector's count."""
-    return _classes(fam, n)[1:]
 
 
 def _logsumexp(a: np.ndarray) -> float | np.ndarray:
@@ -269,10 +256,14 @@ def _moments(
     return log_z, mu, centered.swapaxes(-1, -2) @ weighted
 
 
-def _graph_probs(points: np.ndarray, log_counts: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Probability of one graph in each histogram class under ``eta``."""
+def _class_log_probs(
+    points: np.ndarray, log_counts: np.ndarray, eta: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """(log Z, log probability of one graph in each histogram class) under
+    ``eta``; log Z has the bits of :func:`_moments`'s."""
     energy = points @ eta
-    return np.exp(energy - _logsumexp(log_counts + energy))
+    log_z = _logsumexp(log_counts + energy)
+    return log_z, energy - log_z
 
 
 @lru_cache(maxsize=8)
@@ -290,8 +281,8 @@ def _joint_counts(fam: Family, n: int, n_sub: int) -> tuple[np.ndarray, ...]:
     Returns each group's multiplicity, its completion count per class at
     n (one row per group), and its class at n_sub.
     """
-    codes = _class_codes(fam, n)
-    sub_codes = _class_codes(fam, n_sub)
+    codes = _classes(fam, n)[0]
+    sub_codes = _classes(fam, n_sub)[0]
     classes = int(codes.max()) + 1
     # One row per prefix subgraph: its class, then its completions' classes.
     rows = np.empty((len(sub_codes), 1 + len(codes) // len(sub_codes)),
@@ -316,7 +307,7 @@ def _enumerated_moments(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     resolve_enum_cap(n, enum_cap)
     eta = natural_params(spec, theta, n)
-    return _moments(*_statistic_histogram(spec, n), eta)
+    return _moments(*_classes(spec, n)[1:], eta)
 
 
 def log_normalizer(
@@ -330,30 +321,42 @@ def log_normalizer(
     if spec.bernoulli:
         eta = natural_params(spec, theta, n)[0]
         return float(dyad_count(n) * np.logaddexp(0.0, eta))
-    return _enumerated_moments(spec, theta, n, enum_cap)[0]
+    resolve_enum_cap(n, enum_cap)
+    return _class_log_probs(*_classes(spec, n)[1:], natural_params(spec, theta, n))[0]
 
 
 @dataclass(frozen=True, eq=False)
 class ExactDistribution:
-    """Full probability table over all graphs of size n for one (spec, theta).
+    """Exact distribution over all graphs of size n for one (spec, theta).
 
-    ``log_probs[k]`` is the log probability of ``graph_from_index(n, k)``;
-    the table is normalized (logsumexp equals 0 up to rounding).
+    ``class_log_probs[c]`` is the log probability of one graph in class c,
+    and ``codes[k]`` the class of ``graph_from_index(n, k)`` (the cached
+    class codes).  The per-graph ``log_probs`` and ``probs()`` are gathered
+    through ``codes``; the sampling CDF is built on the first draw.
     """
 
     n: int
     spec: Family
     theta: ParamVector
-    log_probs: np.ndarray
+    class_log_probs: np.ndarray
+    codes: np.ndarray
     log_z: float
     _cdf: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
+    @property
+    def log_probs(self) -> np.ndarray:
+        """Log probability of each graph, by graph index; read-only."""
+        table = self.class_log_probs[self.codes]
+        table.flags.writeable = False
+        return table
+
     def probs(self) -> np.ndarray:
-        return np.exp(self.log_probs)
+        """Probability of each graph, by graph index."""
+        return np.exp(self.class_log_probs)[self.codes]
 
     def _cumulative(self) -> np.ndarray:
         if self._cdf is None:
-            object.__setattr__(self, "_cdf", np.cumsum(np.exp(self.log_probs)))
+            object.__setattr__(self, "_cdf", np.cumsum(self.probs()))
         return self._cdf
 
 
@@ -363,20 +366,16 @@ def build_distribution(
     n: int,
     enum_cap: Optional[int] = None,
 ) -> ExactDistribution:
-    """Enumerate the exact distribution table (cap applies to all families).
-
-    The normalizer comes from the statistic histogram.  The per-graph
-    table is filled in slices of ``_CHUNK`` rows, so no float copy of the
-    whole statistic table is made.
-    """
-    log_z, _, _ = _enumerated_moments(spec, theta, n, enum_cap)
-    eta = natural_params(spec, theta, n)
-    stats = enumerated_stats(spec, n, enum_cap)
-    log_probs = np.empty(stats.shape[0], dtype=np.float64)
-    for lo in range(0, stats.shape[0], _CHUNK):
-        log_probs[lo : lo + _CHUNK] = stats[lo : lo + _CHUNK] @ eta - log_z
-    log_probs.flags.writeable = False
-    return ExactDistribution(n=n, spec=spec, theta=theta, log_probs=log_probs, log_z=log_z)
+    """The exact distribution over all graphs of size n (cap applies to all
+    families): one log probability per statistic class, from the class
+    coding, with no per-graph table."""
+    resolve_enum_cap(n, enum_cap)
+    codes, points, log_counts = _classes(spec, n)
+    log_z, class_log_probs = _class_log_probs(points, log_counts,
+                                              natural_params(spec, theta, n))
+    class_log_probs.flags.writeable = False
+    return ExactDistribution(n=n, spec=spec, theta=theta, class_log_probs=class_log_probs,
+                             codes=codes, log_z=log_z)
 
 
 def expected_stats(
@@ -413,7 +412,8 @@ def marginal_distribution(d: ExactDistribution, s: NodeSubset) -> np.ndarray:
     m = len(s.members)
     sub_d = dyad_count(m)
     out = np.zeros(1 << sub_d, dtype=np.float64)
-    total = d.log_probs.shape[0]
+    total = len(d.codes)
+    class_probs = np.exp(d.class_log_probs)
     prefix = s.members == tuple(range(m))
     pair_map = None
     if not prefix:
@@ -431,7 +431,7 @@ def marginal_distribution(d: ExactDistribution, s: NodeSubset) -> np.ndarray:
             sub = np.zeros(hi - lo, dtype=np.int64)
             for parent_k, sub_k in pair_map:
                 sub |= ((idx >> parent_k) & 1) << sub_k
-        out += np.bincount(sub, weights=np.exp(d.log_probs[lo:hi]), minlength=1 << sub_d)
+        out += np.bincount(sub, weights=class_probs[d.codes[lo:hi]], minlength=1 << sub_d)
     return out
 
 
@@ -505,7 +505,7 @@ def projectivity_check(
 
     The marginal is taken on the first n_sub nodes.  Each theta costs one
     product of the grouped joint counts (see :func:`_joint_counts`) with
-    the per-graph class probabilities at n; no per-graph table is built.
+    the class probabilities at n; no per-graph table is built.
     """
     if not 1 <= n_sub < n:
         raise ValueError(f"need 1 <= n_sub < n, got n_sub={n_sub}, n={n}")
@@ -515,13 +515,13 @@ def projectivity_check(
     resolve_enum_cap(n, enum_cap)
     resolve_enum_cap(n_sub, enum_cap)
     multiplicity, counts, sub_class = _joint_counts(spec, n, n_sub)
-    big, small = _statistic_histogram(spec, n), _statistic_histogram(spec, n_sub)
+    big, small = _classes(spec, n)[1:], _classes(spec, n_sub)[1:]
     tvs = []
     param_equal = True
     for theta in grid:
         eta, sub_eta = natural_params(spec, theta, n), natural_params(spec, theta, n_sub)
-        marginal = multiplicity * (counts @ _graph_probs(*big, eta))
-        model = multiplicity * _graph_probs(*small, sub_eta)[sub_class]
+        marginal = multiplicity * (counts @ np.exp(_class_log_probs(*big, eta)[1]))
+        model = multiplicity * np.exp(_class_log_probs(*small, sub_eta)[1])[sub_class]
         tvs.append(tv_distance(marginal, model))
         if not np.array_equal(sub_eta, eta):
             param_equal = False

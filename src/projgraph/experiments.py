@@ -16,7 +16,7 @@ the path (experiment tag, cell index, replicate indices), so results do
 not depend on execution order; report CSV bodies are byte-identical
 across runs.  A summary reads only each replicate's estimate and boundary
 flag, so for a dyad-dependent family a study fits each replicate's
-observed event, built from the statistic table, through the cached event
+observed event, built from the class coding, through the cached event
 fit and computes no log likelihood or standard errors.  The replication
 study evaluates the first uniforms of all its table draws in one bulk
 pass, with the same bits, and fits all of its distinct pooled events in
@@ -46,7 +46,7 @@ import numpy as np
 from ._version import __version__
 from .exact import (
     _bulk_indices,
-    _enumerated_stats_cached,
+    _classes,
     build_distribution,
     exact_sample,
     sample_bernoulli,
@@ -426,7 +426,7 @@ def _table_replication(cfg: ExperimentConfig, n: int) -> list[list[_Estimate]]:
     call, which climbs their distinct mean events in lock step.
     """
     dist = build_distribution(cfg.spec, cfg.theta_star, n)  # refuses n beyond the cap
-    table = _enumerated_stats_cached(cfg.spec, n)
+    _, points, _ = _classes(cfg.spec, n)
     studies = cfg.studies_per_cell
     draws = np.repeat(cfg.replicates, studies)  # per study, cell by cell
     ends = np.cumsum(draws)
@@ -443,7 +443,7 @@ def _table_replication(cfg: ExperimentConfig, n: int) -> list[list[_Estimate]]:
     for cell, count in enumerate(cfg.replicates):
         while len(events) < (cell + 1) * studies:
             while sum(map(len, held)) < count:
-                held.append(table[next(chunks)].astype(np.float64))
+                held.append(points[dist.codes[next(chunks)]])
             rows = np.concatenate(held)
             k = min(len(rows) // count, (cell + 1) * studies - len(events))
             events += _mean_events(rows[: k * count].reshape(k, count, -1))

@@ -47,12 +47,10 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .exact import (
-    _class_codes,
-    _enumerated_stats_cached,
+    _classes,
     _logsumexp,
     _mat_vec,
     _moments,
-    _statistic_histogram,
     log_normalizer,
     resolve_enum_cap,
     stat_covariance,
@@ -213,7 +211,7 @@ def completion_log_likelihood(
             f"subgraph size {y_sub.n} must be smaller than population size {population_n}"
         )
     counts = _completion_counts(spec, y_sub, population_n, enum_cap)
-    points, log_counts = _statistic_histogram(spec, population_n)
+    _, points, log_counts = _classes(spec, population_n)
     energy = points @ natural_params(spec, theta, population_n)
     kernel = log_counts + energy
     present = counts > 0
@@ -345,7 +343,7 @@ def _polygon_normals(points: np.ndarray) -> Optional[np.ndarray]:
 def _statistic_facets(fam: Family, n: int) -> _Facets:
     """Facets of the hull of the statistics of all graphs of size n.
     Callers validate the enumeration cap before reaching this helper."""
-    facets = _hull_facets(_statistic_histogram(fam, n)[0])
+    facets = _hull_facets(_classes(fam, n)[1])
     for array in facets[:2]:
         array.flags.writeable = False
     return facets
@@ -367,12 +365,11 @@ def _completion_counts(
     population statistic histogram, with y_sub embedded as the prefix (see
     ``completion_log_likelihood``)."""
     resolve_enum_cap(population_n, enum_cap)
-    points, _ = _statistic_histogram(spec, population_n)
+    codes, points, _ = _classes(spec, population_n)
     sub_d = dyad_count(y_sub.n)
     free_d = dyad_count(population_n) - sub_d
     idx = y_sub.dyads + (np.arange(1 << free_d, dtype=np.int64) << sub_d)
-    return np.bincount(_class_codes(spec, population_n)[idx],
-                       minlength=len(points))
+    return np.bincount(codes[idx], minlength=len(points))
 
 
 def _log_ratio_parts(
@@ -639,7 +636,7 @@ def _fit_events(fam: Family, size: int, proper: bool, events: Sequence[bytes]) -
     up to ``_EVENT_FITS`` at a time, which bounds the stack's temporaries;
     a proper event is a stack of one.  Callers validate the enumeration cap
     before reaching this helper."""
-    full = _statistic_histogram(fam, size)
+    full = _classes(fam, size)[1:]
     facets = _statistic_facets(fam, size)
     shift = natural_params(fam, ParamVector(theta=(0.0,) * fam.stat_dim), size)
     stride = 1 if proper else _EVENT_FITS
@@ -678,9 +675,9 @@ class _FitCache:
     """Least-recently-used cache of event fits keyed by (family, size,
     proper, event), filled a batch at a time by :meth:`batch`, which fits
     a batch's distinct misses together (:func:`_fit_events`).  Calling it
-    fits one event.  ``cache_info`` and ``cache_clear`` mean what they do
-    for ``functools.lru_cache``; an event repeated within a batch is a
-    hit."""
+    on one event is a batch of one.  ``cache_info`` and ``cache_clear``
+    mean what they do for ``functools.lru_cache``; an event repeated
+    within a batch is a hit."""
 
     def __init__(self, maxsize: int) -> None:
         self._maxsize = maxsize
@@ -689,13 +686,6 @@ class _FitCache:
         self._hits = self._misses = 0
 
     def __call__(self, fam: Family, size: int, proper: bool, event: bytes) -> _Fit:
-        key = (fam, size, proper, event)
-        with self._lock:
-            fit = self._fits.get(key)
-            if fit is not None:
-                self._fits.move_to_end(key)
-                self._hits += 1
-                return fit
         return self.batch(fam, size, proper, (event,))[0]
 
     def batch(
@@ -735,7 +725,6 @@ class _FitCache:
 
 
 _event_fit = _FitCache(_EVENT_FITS)
-_event_fits = _event_fit.batch
 
 
 def _mean_events(rows: np.ndarray) -> list[bytes]:
@@ -754,8 +743,9 @@ def _observed_event(
     """(size, proper, event, rows): the observed event of ``data`` as
     :func:`_event_fit` keys it, after the enumeration-cap check.  A proper
     subgraph fit has the completion counts; independent graphs have one
-    graph at their mean statistics, from their float64 rows in the cached
-    statistic table (so built from the rows whose hull decides finiteness).
+    graph at their mean statistics, from their statistic rows
+    ``points[codes[k]]`` in the cached class coding (so built from the rows
+    whose hull decides finiteness).
     """
     proper = isinstance(data, InducedSubgraph) and kind is LikelihoodKind.PROPER
     if isinstance(data, Replicates):
@@ -767,7 +757,8 @@ def _observed_event(
     if proper:
         counts = _completion_counts(spec, data.subgraph, size, enum_cap)
         return size, True, counts.tobytes(), None
-    rows = _enumerated_stats_cached(spec, size)[[g.dyads for g in graphs]].astype(np.float64)
+    codes, points, _ = _classes(spec, size)
+    rows = points[codes[[g.dyads for g in graphs]]]
     return size, False, _mean_events(rows[None])[0], rows
 
 
@@ -794,7 +785,7 @@ def _enumerated_mle(
         value = _independent_log_likelihood(spec, pv, size, rows, enum_cap)
     std_err = None
     if converged:
-        full = _statistic_histogram(spec, size)
+        full = _classes(spec, size)[1:]
         comp = _event_histograms(full, proper, (event,))
         _, _, hess = _log_ratio_parts((comp[0][0], comp[1][0]), full, eta)
         std_err = _std_errors_from_information((1 if proper else len(rows)) * -hess)
@@ -854,7 +845,7 @@ def _mean_estimates(spec: Family, size: int, events: Sequence[bytes]) -> list[_E
     dyad-dependent family, from its mean-statistics event (see
     :func:`_mean_events`); the distinct events are fitted together."""
     return [(theta_hat, boundary)
-            for _, theta_hat, _, boundary, _ in _event_fits(spec, size, False, events)]
+            for _, theta_hat, _, boundary, _ in _event_fit.batch(spec, size, False, events)]
 
 
 def mle_csv_header(spec: Family) -> list[str]:

@@ -96,7 +96,7 @@ class ParamVector:
         return np.asarray(self.theta, dtype=np.float64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Family:
     """A model family, the ``spec`` that every layer takes.
 
@@ -109,9 +109,10 @@ class Family:
     families with independent dyads, which unlocks closed-form
     normalizers, marginals, and estimators at any size.
 
-    Equality and hashing include the statistic callables (by identity), so
-    a family registered again under the same name with other statistics
-    never shares a cache entry with the one it replaced.
+    Equality and hashing are by identity: a family is the model, and every
+    cache keyed on it holds entries for that object alone.  So a family
+    registered again under the same name never shares a cache entry with
+    the one it replaced, and the statistic callables need not be hashable.
     """
 
     name: str

@@ -1,6 +1,7 @@
 """Exact enumeration: normalizers, distributions, marginals, projectivity, sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from projgraph import (
     tv_distance,
     unregister_family,
 )
-from projgraph.exact import _DRAW_CHUNK, _bulk_sample
+from projgraph.exact import _DRAW_CHUNK, _bulk_sample, _classes
 
 INVARIANT = model_spec("BernoulliInvariant")
 OFFSET = model_spec("BernoulliOffset")
@@ -284,6 +285,22 @@ def test_expected_stats_is_gradient_of_log_normalizer():
 # --------------------------------------------------------------------------
 # marginal distributions
 # --------------------------------------------------------------------------
+
+
+def test_distribution_is_built_without_a_per_graph_table():
+    """With the class coding cached, a distribution over the 2^21 graphs on
+    7 nodes holds one value per class; a per-graph float64 table alone
+    would take 16 MB."""
+    theta = ParamVector(theta=(-0.5, 0.3))
+    _classes(EDGE_TRI, 7)
+    tracemalloc.start()
+    try:
+        d = build_distribution(EDGE_TRI, theta, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert len(d.class_log_probs) == len(_classes(EDGE_TRI, 7)[1])
 
 
 def test_marginal_requires_matching_parent():

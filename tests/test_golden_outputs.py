@@ -91,6 +91,9 @@ def _cases():
     cases["sample-edge-triangle-6-count40"] = [
         "sample", "--family", "edge-triangle", "--theta=-0.5,0.3", "--n", "6",
         "--count", "40", "--seed", "5"]
+    cases["sample-edge-triangle-7-count40"] = [
+        "sample", "--family", "edge-triangle", "--theta=-0.5,0.3", "--n", "7",
+        "--count", "40", "--seed", "5"]
     cases["sample-invariant-9-count40"] = [
         "sample", "--family", "bernoulli-invariant", "--theta=-0.2", "--n", "9",
         "--count", "40", "--seed", str(2**64 - 1)]
@@ -152,6 +155,8 @@ DIGESTS = {
         "1e5b218c2897ca9636bd9a45af44ab0eef9d15cc97e703a78990527d464f605f",
     "sample-edge-triangle-6-count40":
         "38e3b12b129966e00ed1d9653ce77bbcac516e66fa529437edfd633a29136b2b",
+    "sample-edge-triangle-7-count40":
+        "428279a67946e9fd3927c54559df76ae5d11d997a634d04c38d312f63e4735c7",
     "sample-invariant-9-count40":
         "60c6152906b0976dbd33bc81c7fcf9cbdd98388e725f13d0113dcd090f711cb1",
 }

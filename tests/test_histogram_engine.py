@@ -1,7 +1,8 @@
 """Property tests: normalizers, moments, the completion likelihood and the
 projectivity check, which run on statistic histograms and grouped joint
-counts, against direct sums over every graph; and the two ways of coding a
-statistic table into histogram classes, against each other."""
+counts, against direct sums over every graph; the two ways of coding a
+statistic table into histogram classes, against each other; and exact
+distributions held per class, against the per-graph table bit for bit."""
 
 import math
 from functools import lru_cache
@@ -16,15 +17,20 @@ from projgraph import (
     Family,
     NodeSubset,
     ParamVector,
+    build_distribution,
     completion_log_likelihood,
     degree_sequence,
     dyad_count,
+    dyad_index,
     edge_count,
+    enumerated_stats,
     expected_stats,
     graph_from_index,
     induced_subgraph,
     log_normalizer,
+    marginal_distribution,
     model_spec,
+    natural_params,
     projectivity_check,
     register_family,
     stat_covariance,
@@ -32,12 +38,12 @@ from projgraph import (
     unregister_family,
 )
 from projgraph.exact import (
-    _class_codes,
+    _classes,
     _code_table,
     _enumerated_stats_cached,
     _logsumexp,
+    _moments,
     _packed_radices,
-    _statistic_histogram,
 )
 
 RTOL = 1e-12
@@ -227,8 +233,8 @@ def test_packed_key_coding_matches_the_sort_path(family, n):
     table = _enumerated_stats_cached(fam, n)
     _assert_same_coding(table)
     codes, points, counts = _code_table(table.astype(np.float64))
-    assert np.array_equal(_class_codes(fam, n), codes)
-    got_points, got_log_counts = _statistic_histogram(fam, n)
+    got_codes, got_points, got_log_counts = _classes(fam, n)
+    assert np.array_equal(got_codes, codes)
     assert np.array_equal(got_points, points)
     assert np.array_equal(got_log_counts, np.log(counts))
 
@@ -260,3 +266,74 @@ def test_float_tables_take_the_sort_path(edge_triangle_over_50):
     for spec in (edge_triangle_over_50, model_spec("FloatStatsProbe")):
         for n in range(1, 6):
             assert _packed_radices(_enumerated_stats_cached(spec, n)) is None
+
+
+# The per-graph construction that distributions replaced, kept as the
+# reference: each graph's statistic row times eta less log Z, filled from the
+# statistic table in slices of _SLICE rows, and marginals summed from it.
+_SLICE = 1 << 20
+
+
+def _per_graph_log_probs(spec, theta, n):
+    eta = natural_params(spec, theta, n)
+    log_z = _moments(*_classes(spec, n)[1:], eta)[0]
+    stats = enumerated_stats(spec, n)
+    log_probs = np.empty(stats.shape[0], dtype=np.float64)
+    for lo in range(0, stats.shape[0], _SLICE):
+        log_probs[lo : lo + _SLICE] = stats[lo : lo + _SLICE] @ eta - log_z
+    return log_z, log_probs
+
+
+def _per_graph_marginal(log_probs, members):
+    m = len(members)
+    sub_d = dyad_count(m)
+    out = np.zeros(1 << sub_d, dtype=np.float64)
+    prefix = members == tuple(range(m))
+    pair_map = [(dyad_index(members[a], members[b]), dyad_index(a, b))
+                for b in range(1, m) for a in range(b)]
+    for lo in range(0, len(log_probs), _SLICE):
+        hi = min(lo + _SLICE, len(log_probs))
+        idx = np.arange(lo, hi, dtype=np.int64)
+        if prefix:
+            sub = idx & ((1 << sub_d) - 1)
+        else:
+            sub = np.zeros(hi - lo, dtype=np.int64)
+            for parent_k, sub_k in pair_map:
+                sub |= ((idx >> parent_k) & 1) << sub_k
+        out += np.bincount(sub, weights=np.exp(log_probs[lo:hi]), minlength=1 << sub_d)
+    return out
+
+
+_BIT_THETAS = {
+    1: [(-0.4,), (0.8,), (2.5,)],
+    2: [(-0.5, 0.3), (1.0, -1.5), (0.25, 0.75)],
+    3: [(0.3, -0.2, 0.1), (-1.0, 0.5, 2.0)],
+}
+_TABLE_FAMILIES = ["EdgeTriangle", "BernoulliInvariant", "BernoulliOffset", "EdgeTriangleOver50"]
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [(family, n) for family in _TABLE_FAMILIES for n in range(1, 8)]
+    + [(family, n) for family in ("FloatStatsProbe", "NodeZeroProbe") for n in range(1, 7)],
+)
+def test_class_distribution_has_the_bits_of_the_per_graph_table(request, family, n):
+    """log_probs, probs(), the sampling CDF and marginals on prefix and
+    non-prefix subsets equal the per-graph construction exactly."""
+    if family == "EdgeTriangleOver50":
+        spec, scale = request.getfixturevalue("edge_triangle_over_50"), 50.0
+    else:
+        spec, scale = model_spec(family), 1.0
+    # a prefix, the nodes but node 0, and the first and last node
+    subsets = {tuple(range(n - 1)), tuple(range(1, n)), (0, n - 1)} if n > 1 else {(0,)}
+    for values in _BIT_THETAS[spec.stat_dim]:
+        theta = ParamVector(theta=tuple(scale * v for v in values))
+        d = build_distribution(spec, theta, n)
+        log_z, log_probs = _per_graph_log_probs(spec, theta, n)
+        assert d.log_z == log_z
+        assert np.array_equal(d.log_probs, log_probs)
+        assert np.array_equal(d.probs(), np.exp(log_probs))
+        assert np.array_equal(d._cumulative(), np.cumsum(np.exp(log_probs)))
+        for members in sorted(subsets):
+            got = marginal_distribution(d, NodeSubset(n, members))
+            assert np.array_equal(got, _per_graph_marginal(log_probs, members)), members

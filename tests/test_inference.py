@@ -45,13 +45,12 @@ from projgraph import (
     unregister_family,
 )
 from projgraph.exact import (
-    _class_codes,
+    _classes,
     _code_table,
     _enumerated_stats_cached,
     _joint_counts,
     _logsumexp,
     _moments,
-    _statistic_histogram,
 )
 from projgraph.inference import (
     _ascend_log_ratio,
@@ -621,7 +620,7 @@ def _sub_histograms(draw):
     """A population size n <= 6 and an event: some rows of the EdgeTriangle
     histogram at n, each with a count between 1 and the row's full count."""
     n = draw(st.integers(3, 6), label="n")
-    points, log_counts = _statistic_histogram(EDGE_TRI, n)
+    points, log_counts = _classes(EDGE_TRI, n)[1:]
     full_counts = np.rint(np.exp(log_counts)).astype(int)
     rows = sorted(draw(st.sets(st.integers(0, len(points) - 1), min_size=1), label="rows"))
     counts = [draw(st.integers(1, int(full_counts[r])), label="count") for r in rows]
@@ -644,7 +643,7 @@ def test_converged_ascent_beats_every_facet_limit(case):
     |eta| near 1e11 along a ridge, where rounding lifts the value 5e-5 above
     the facet's limit."""
     n, rows, comp_log_counts = case
-    full = _statistic_histogram(EDGE_TRI, n)
+    full = _classes(EDGE_TRI, n)[1:]
     points, log_counts = full
     comp = (points[rows], comp_log_counts)
     stack = (comp[0][None], comp[1][None])  # the ascent takes a stack of events
@@ -728,7 +727,7 @@ def _node_zero_table(n):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_planar_statistic_hulls_match_qhull(edge_triangle_over_50, n):
     for spec in (EDGE_TRI, edge_triangle_over_50):
-        _assert_hull_matches_qhull(_statistic_histogram(spec, n)[0])
+        _assert_hull_matches_qhull(_classes(spec, n)[1])
     _assert_hull_matches_qhull(_code_table(_node_zero_table(n))[1])
 
 
@@ -758,7 +757,7 @@ def test_cached_fits_equal_cold_fits_for_every_group(n, n_sub):
     event (the completion counts) and their misspecified one (their class).
     Each group's first member is fitted cold, after ``cache_clear``; its last
     member is then served from the cache and prints the same bytes."""
-    codes = _class_codes(EDGE_TRI, n_sub)
+    codes = _classes(EDGE_TRI, n_sub)[0]
     groups: dict = {}
     for k in range(1 << dyad_count(n_sub)):
         y = graph_from_index(n_sub, k)
@@ -831,7 +830,7 @@ def test_one_row_event_parts_equal_its_moments(picks, count, eta):
     included."""
     table = _enumerated_stats_cached(EDGE_TRI, 5)
     comp = (table[picks].astype(np.float64).mean(axis=0)[None, :], np.log([float(count)]))
-    full = _statistic_histogram(EDGE_TRI, 5)
+    full = _classes(EDGE_TRI, 5)[1:]
     eta = np.array(eta)
     lse_c, mu_c, cov_c = _moments(*comp, eta)
     lse_f, mu_f, cov_f = _moments(*full, eta)

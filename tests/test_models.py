@@ -257,6 +257,31 @@ def test_model_spec_is_the_registered_family():
         model_spec("Mystery")
 
 
+class _UnhashableEdgeCount:
+    """A statistic callable that defines equality and so is unhashable."""
+
+    def __eq__(self, other):
+        return isinstance(other, _UnhashableEdgeCount)
+
+    __hash__ = None
+
+    def __call__(self, g):
+        return (float(edge_count(g)),)
+
+
+def test_family_hashes_by_identity():
+    """A family is a cache key even when its statistics are unhashable, and
+    two families built alike are distinct keys."""
+    fam = Family(name="UnhashableProbe", stat_dim=1, offset_edges=False,
+                 stats=_UnhashableEdgeCount())
+    twin = Family(name="UnhashableProbe", stat_dim=1, offset_edges=False,
+                  stats=_UnhashableEdgeCount())
+    keys = {fam: 1, twin: 2}
+    assert len(keys) == 2 and keys[fam] == 1 and fam != twin
+    got = log_normalizer(fam, ParamVector(theta=(0.5,)), 4)
+    assert got == pytest.approx(6 * math.log1p(math.exp(0.5)), abs=1e-12)
+
+
 def _tmp_family(stats, stat_dim=1):
     return Family(name="Tmp", stat_dim=stat_dim, offset_edges=False, stats=stats)
 

@@ -24,10 +24,10 @@ from projgraph import (
     unregister_family,
 )
 from projgraph.exact import (
+    _classes,
     _enumerated_stats_cached,
     _joint_counts,
     _moments,
-    _statistic_histogram,
 )
 from projgraph.inference import (
     NEWTON_MAX_ITERATIONS,
@@ -41,7 +41,6 @@ from projgraph.inference import (
     _completion_counts,
     _directions,
     _event_fit,
-    _event_fits,
     _hull_facets,
     _log_ratio_parts,
     _on_facets,
@@ -119,7 +118,7 @@ def _stacks(draw, dim, full):
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 @given(data=st.data())
 def test_stacked_moments_equal_one_call_per_eta(family, n, data):
-    full = _statistic_histogram(family, n)
+    full = _classes(family, n)[1:]
     etas, points, log_counts = data.draw(_stacks(family.stat_dim, full))
     # one histogram for the whole stack
     stacked = _moments(*full, etas)
@@ -244,7 +243,7 @@ def _ref_ascend_log_ratio(comp, full, facets):
 def _ref_fit(fam, size, proper, event):
     """(eta bytes, theta_hat, converged, boundary, iterations) of one event,
     fitted alone; theta_hat as reprs, so that NaN compares equal."""
-    full = _statistic_histogram(fam, size)
+    full = _classes(fam, size)[1:]
     if proper:
         counts = np.frombuffer(event, dtype=np.intp)
         comp = full[0][counts > 0], np.log(counts[counts > 0])
@@ -265,7 +264,7 @@ def _fit_key(fit):
 
 def _assert_batch_matches_reference(fam, size, proper, events):
     _event_fit.cache_clear()
-    fits = _event_fits(fam, size, proper, events)
+    fits = _event_fit.batch(fam, size, proper, events)
     assert _event_fit.cache_info().misses == len(set(events))
     assert _event_fit.cache_info().hits == len(events) - len(set(events))
     reference = {event: _ref_fit(fam, size, proper, event) for event in set(events)}
@@ -287,9 +286,9 @@ def test_every_statistic_class_fits_as_alone(family, n):
     included, in one batch.  Below n = 6 every class of the three curved
     statistics lies on the boundary of their hull, so every fit is
     boundary there."""
-    events = [row.tobytes() for row in _statistic_histogram(family, n)[0]]
+    events = [row.tobytes() for row in _classes(family, n)[1]]
     _assert_batch_matches_reference(family, n, False, events)
-    boundary = [fit[3] for fit in _event_fits(family, n, False, events)]
+    boundary = [fit[3] for fit in _event_fit.batch(family, n, False, events)]
     assert any(boundary)
     assert not all(boundary) or (family.stat_dim == 3 and n < 6)
 
@@ -311,7 +310,7 @@ def test_random_mean_events_fit_as_alone(dependent, n, replicates):
 def test_shuffled_batches_with_duplicates_fit_as_alone(dependent, seed):
     rng = np.random.default_rng(seed)
     events = _random_mean_events(dependent, 5, 3, 30, seed=seed)
-    events += [row.tobytes() for row in _statistic_histogram(dependent, 5)[0]]
+    events += [row.tobytes() for row in _classes(dependent, 5)[1]]
     events += [events[k] for k in rng.integers(len(events), size=25)]
     events = [events[k] for k in rng.permutation(len(events))]
     assert len(set(events)) < len(events)
@@ -336,7 +335,7 @@ def test_random_completion_counts_fit_as_alone(dependent, n):
     among them ascents that run to the iteration limit, here and in the
     facet recursion."""
     rng = np.random.default_rng(n)
-    full_counts = np.rint(np.exp(_statistic_histogram(dependent, n)[1])).astype(np.intp)
+    full_counts = np.rint(np.exp(_classes(dependent, n)[2])).astype(np.intp)
     events = []
     for _ in range(40):
         counts = np.zeros_like(full_counts)
@@ -350,7 +349,7 @@ def test_a_stalled_event_leaves_the_others_alone():
     """An event whose value is NaN never accepts a step: it stops after 60
     halvings of its first step while the rest of the stack climbs on, each
     as it climbs alone."""
-    full = _statistic_histogram(EDGE_TRI, 5)
+    full = _classes(EDGE_TRI, 5)[1:]
     rows = np.array([[4.0, 1.0], [np.nan, np.nan], [6.5, 2.25], [3.0, 0.0]])
     start = np.zeros((len(rows), 2))
     with np.errstate(all="ignore"):
@@ -373,7 +372,7 @@ def test_a_batch_larger_than_the_cache_fits_every_event():
     distinct = list(dict.fromkeys(events))
     assert len(distinct) > _event_fit.cache_info().maxsize
     _event_fit.cache_clear()
-    fits = _event_fits(EDGE_TRI, 5, False, events)
+    fits = _event_fit.batch(EDGE_TRI, 5, False, events)
     assert _event_fit.cache_info().currsize == _event_fit.cache_info().maxsize
     for k in (0, 1, len(events) // 2, len(events) - 1):
         assert _fit_key(fits[k]) == _ref_fit(EDGE_TRI, 5, False, events[k])
@@ -388,7 +387,7 @@ def test_threads_share_one_small_cache():
     """Six threads fit overlapping batches and single events through one
     cache with one entry fewer than the events, so evictions race with
     lookups: every fit keeps its bits and every lookup is counted once."""
-    events = [row.tobytes() for row in _statistic_histogram(EDGE_TRI, 4)[0]]
+    events = [row.tobytes() for row in _classes(EDGE_TRI, 4)[1]]
     want = {event: _ref_fit(EDGE_TRI, 4, False, event) for event in events}
     cache = _FitCache(len(events) - 1)
     wrong: list = []
