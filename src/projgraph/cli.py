@@ -32,6 +32,7 @@ from .exact import (
     build_distribution,
     default_theta_grid,
     projectivity_check,
+    resolve_enum_cap,
     sample_bernoulli,
     PROJECTIVITY_TOLERANCE,
 )
@@ -191,8 +192,6 @@ def _cmd_check_projectivity(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"--theta-grid must be comma-separated numbers, got {args.theta_grid!r}"
             ) from None
-        if not axis:
-            raise ValueError("--theta-grid must be non-empty")
         grid = _product_grid(spec, axis)
     _validate_threads(args.threads)
     report = projectivity_check(
@@ -334,6 +333,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        # One check of --enum-cap for every subcommand that takes it, before
+        # any work, whether or not the family enumerates.
+        resolve_enum_cap(1, getattr(args, "enum_cap", None))
         return args.handler(args)
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -215,18 +215,17 @@ def _logsumexp(a: np.ndarray) -> float | np.ndarray:
 
 
 def _mat_vec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``a @ x`` for one vector ``x``, or for each row of a stack of vectors
-    (with one matrix, or a stack of them), each by the BLAS kernel of the
-    one-vector product: one matrix product across the stack would round
-    differently."""
-    return np.dot(a, x) if x.ndim == 1 else (a @ x[..., None])[..., 0]
+    """``a @ x`` for one vector ``x`` or each of a stack, with one matrix or a
+    stack of them, by one product per item: each item of a stack gets the
+    bits of a stack of one, where one matrix product across the stack would
+    round differently."""
+    return (a @ x[..., None])[..., 0]
 
 
 def _vec_mat(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """``x @ a`` for one vector ``x``, or for each row of a stack of vectors,
-    each by the BLAS kernel of the one-vector product (see
-    :func:`_mat_vec`)."""
-    return np.dot(x, a) if x.ndim == 1 else (x[..., None, :] @ a)[..., 0, :]
+    """``x @ a`` for each vector ``x`` of a stack, one vector-matrix product
+    per item, with the bits of a stack of one (see :func:`_mat_vec`)."""
+    return (x[..., None, :] @ a)[..., 0, :]
 
 
 def _moments(
@@ -237,9 +236,9 @@ def _moments(
 
     ``eta`` is one parameter vector, and log Z a float, or a stack of S of
     them, shape (S, dim), over one histogram or a stack of S equal-size
-    histograms.  Each item of a stack gets the bits of its own call: its
-    products run the BLAS kernels of the one-vector call, and its
-    reductions run along its own row.
+    histograms.  Each item of a stack gets the bits of a stack of one: its
+    products are per-item products, and its reductions run along its own
+    row.
 
     The covariance is summed over centered rows: the raw second moment
     minus the squared mean cancels catastrophically near a vertex of the
@@ -251,8 +250,6 @@ def _moments(
     mu = _vec_mat(w, points)
     centered = points - mu[..., None, :]
     weighted = centered * w[..., None]
-    if centered.ndim == 2:
-        return log_z, mu, np.dot(centered.T, weighted)
     return log_z, mu, centered.swapaxes(-1, -2) @ weighted
 
 

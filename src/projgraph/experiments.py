@@ -15,9 +15,10 @@ Every replicate derives its own random stream from the master seed and
 the path (experiment tag, cell index, replicate indices), so results do
 not depend on execution order; report CSV bodies are byte-identical
 across runs.  A summary reads only each replicate's estimate and boundary
-flag, so for a dyad-dependent family a study fits each replicate's
-observed event, built from the class coding, through the cached event
-fit and computes no log likelihood or standard errors.  The replication
+flag, so a study computes no log likelihood or standard errors for any
+family: an independent-dyad family's estimate is its closed form, and a
+dyad-dependent family fits each replicate's observed event, built from
+the class coding, through the cached event fit.  The replication
 study evaluates the first uniforms of all its table draws in one bulk
 pass, with the same bits, and fits all of its distinct pooled events in
 one lock-step Newton ascent, with the bits of one-at-a-time fits.  Fits
@@ -342,15 +343,7 @@ def _summarize_estimates(
         rmse = np.sqrt(((thetas - target) ** 2).mean(axis=0))
     else:
         mean = bias = rmse = np.full(dim, math.nan)
-    if dim == 1:
-        row["mean_estimate"] = float(mean[0])
-        row["bias"] = float(bias[0])
-        row["rmse"] = float(rmse[0])
-    else:
-        for k in range(dim):
-            row[f"mean_estimate_{k + 1}"] = float(mean[k])
-            row[f"bias_{k + 1}"] = float(bias[k])
-            row[f"rmse_{k + 1}"] = float(rmse[k])
+    row.update(zip(_estimate_columns(dim), map(float, np.concatenate([mean, bias, rmse]))))
     return row
 
 

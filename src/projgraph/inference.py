@@ -12,6 +12,9 @@ replicate graphs.  For subgraph data two likelihoods are available:
   which coincides with the proper likelihood only for families whose
   marginals are size-consistent.
 
+A full graph or a set of replicates is evaluated at its own size.  Every
+likelihood and fit reads the data through one reader, ``_observation``.
+
 Independent-dyad families admit closed forms everywhere (the proper
 likelihood is binomial in the population edge probability).  Other
 families are handled by exhaustive enumeration: the proper likelihood
@@ -29,7 +32,9 @@ test on the facets of the attainable-statistics hull, are reported with
 mean-statistics events (a replication report's studies) climbs in lock
 step, one stacked moment evaluation per step for every event still
 climbing; each event gets the bits of its fit alone, and a single fit is
-a stack of one.
+a stack of one.  The simulation studies read only a fit's estimate and
+boundary flag (``_estimate``), for both kinds of family: no log
+likelihood or standard errors.
 """
 
 from __future__ import annotations
@@ -232,8 +237,7 @@ def misspecified_log_likelihood(
     enum_cap: Optional[int] = None,
 ) -> float:
     """Log probability of y_sub under the subgraph-sized model."""
-    rows = [sufficient_stats(spec, y_sub).as_array()]
-    return _independent_log_likelihood(spec, theta, y_sub.n, rows, enum_cap)
+    return log_likelihood(spec, theta, FullGraph(y_sub), enum_cap=enum_cap)
 
 
 def _independent_log_likelihood(
@@ -249,6 +253,25 @@ def _independent_log_likelihood(
     return total - len(rows) * log_normalizer(spec, theta, n, enum_cap)
 
 
+def _observation(
+    data: ObservedData, kind: LikelihoodKind
+) -> tuple[int, bool, tuple[Graph, ...]]:
+    """(size, proper, graphs): the size of the model that the likelihood of
+    ``data`` evaluates, whether it is the proper subgraph likelihood, and
+    the observed graphs."""
+    kind = LikelihoodKind(kind)
+    if isinstance(data, InducedSubgraph):
+        proper = kind is LikelihoodKind.PROPER
+        return data.population_n if proper else data.subgraph.n, proper, (data.subgraph,)
+    if kind is not LikelihoodKind.PROPER:
+        raise ValueError("misspecified likelihood applies only to induced-subgraph data")
+    if isinstance(data, FullGraph):
+        return data.graph.n, False, (data.graph,)
+    if isinstance(data, Replicates):
+        return data.n, False, data.graphs
+    raise TypeError(f"unsupported observed-data type {type(data).__name__}")
+
+
 def log_likelihood(
     spec: Family,
     theta: ParamVector,
@@ -257,22 +280,11 @@ def log_likelihood(
     enum_cap: Optional[int] = None,
 ) -> float:
     """Log likelihood of the observed data under the selected kind."""
-    kind = LikelihoodKind(kind)
-    if isinstance(data, InducedSubgraph):
-        if kind is LikelihoodKind.PROPER:
-            return proper_log_likelihood(
-                spec, theta, data.subgraph, data.population_n, enum_cap
-            )
-        return misspecified_log_likelihood(spec, theta, data.subgraph, enum_cap)
-    if kind is not LikelihoodKind.PROPER:
-        raise ValueError("misspecified likelihood applies only to induced-subgraph data")
-    if isinstance(data, FullGraph):
-        rows = [sufficient_stats(spec, data.graph).as_array()]
-        return _independent_log_likelihood(spec, theta, data.graph.n, rows, enum_cap)
-    if isinstance(data, Replicates):
-        rows = [sufficient_stats(spec, g).as_array() for g in data.graphs]
-        return _independent_log_likelihood(spec, theta, data.n, rows, enum_cap)
-    raise TypeError(f"unsupported observed-data type {type(data).__name__}")
+    size, proper, graphs = _observation(data, kind)
+    if proper:
+        return proper_log_likelihood(spec, theta, graphs[0], size, enum_cap)
+    rows = [sufficient_stats(spec, g).as_array() for g in graphs]
+    return _independent_log_likelihood(spec, theta, size, rows, enum_cap)
 
 
 def fisher_information(
@@ -446,7 +458,7 @@ def _directions(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-by-row dot products, each by the kernel of a 1-D ``a @ b``."""
+    """Row-by-row dot products, each with the bits of a stack of one."""
     return _mat_vec(a[:, None, :], b)[:, 0]
 
 
@@ -573,52 +585,20 @@ def _std_errors_from_information(information: np.ndarray) -> Optional[tuple[floa
     return tuple(float(v) for v in np.sqrt(diag))
 
 
-def _bernoulli_closed_form(
-    spec: Family,
-    data: ObservedData,
-    kind: LikelihoodKind,
-    enum_cap: Optional[int],
-) -> MLEResult:
-    if isinstance(data, FullGraph):
-        m, d = edge_count(data.graph), dyad_count(data.graph.n)
-        shift = math.log(data.graph.n) if spec.offset_edges else 0.0
-    elif isinstance(data, Replicates):
-        m = sum(edge_count(g) for g in data.graphs)
-        d = len(data.graphs) * dyad_count(data.n)
-        shift = math.log(data.n) if spec.offset_edges else 0.0
-    else:
-        m, d = edge_count(data.subgraph), dyad_count(data.subgraph.n)
-        if spec.offset_edges:
-            size = (
-                data.population_n
-                if kind is LikelihoodKind.PROPER
-                else data.subgraph.n
-            )
-            shift = math.log(size)
-        else:
-            shift = 0.0
+def _bernoulli_fit(
+    spec: Family, data: ObservedData, kind: LikelihoodKind
+) -> tuple[tuple[float, ...], bool, int, int]:
+    """(theta_hat, boundary, m, d) of an independent-dyad family: the logit
+    closed form from the m edges among the d observed dyads, shifted to
+    theta at the size the likelihood evaluates.  With no edge or every
+    edge the data is boundary, and theta_hat is -inf or +inf."""
+    size, _, graphs = _observation(data, kind)
+    m = sum(edge_count(g) for g in graphs)
+    d = len(graphs) * dyad_count(graphs[0].n)
     if m == 0 or m == d:
-        sign = math.inf if m == d else -math.inf
-        return MLEResult(
-            theta_hat=(sign,),
-            std_err=None,
-            log_lik=math.nan,
-            converged=False,
-            boundary=True,
-            iterations=0,
-        )
-    eta_hat = math.log(m) - math.log(d - m)
-    theta_hat = ParamVector(theta=(eta_hat + shift,))
-    pi_hat = m / d
-    information = np.array([[d * pi_hat * (1.0 - pi_hat)]])
-    return MLEResult(
-        theta_hat=theta_hat.theta,
-        std_err=_std_errors_from_information(information),
-        log_lik=log_likelihood(spec, theta_hat, data, kind, enum_cap),
-        converged=True,
-        boundary=False,
-        iterations=0,
-    )
+        return (math.inf if m == d else -math.inf,), True, m, d
+    shift = math.log(size) if spec.offset_edges else 0.0
+    return (math.log(m) - math.log(d - m) + shift,), False, m, d
 
 
 # Distinct events kept by the fit cache: a study's events, not its
@@ -747,33 +727,43 @@ def _observed_event(
     ``points[codes[k]]`` in the cached class coding (so built from the rows
     whose hull decides finiteness).
     """
-    proper = isinstance(data, InducedSubgraph) and kind is LikelihoodKind.PROPER
-    if isinstance(data, Replicates):
-        graphs, size = data.graphs, data.n
-    else:
-        graph = data.graph if isinstance(data, FullGraph) else data.subgraph
-        graphs, size = (graph,), data.population_n if proper else graph.n
+    size, proper, graphs = _observation(data, kind)
     resolve_enum_cap(size, enum_cap)
     if proper:
-        counts = _completion_counts(spec, data.subgraph, size, enum_cap)
+        counts = _completion_counts(spec, graphs[0], size, enum_cap)
         return size, True, counts.tobytes(), None
     codes, points, _ = _classes(spec, size)
     rows = points[codes[[g.dyads for g in graphs]]]
     return size, False, _mean_events(rows[None])[0], rows
 
 
-def _enumerated_mle(
+def mle(
     spec: Family,
     data: ObservedData,
-    kind: LikelihoodKind,
-    enum_cap: Optional[int],
+    kind: LikelihoodKind = LikelihoodKind.PROPER,
+    enum_cap: Optional[int] = None,
 ) -> MLEResult:
-    """Ascend the log probability of the observed event over eta, cached by
-    :func:`_event_fit`; the log likelihood and standard errors are computed
-    for each call.  Independent graphs have the log likelihood of one graph
-    at their mean statistics times their number, so their observed
-    information is that number times minus the log-ratio Hessian.
+    """Maximize the selected log likelihood for the observed data.
+
+    Independent-dyad families use the logit closed form.  Other families
+    ascend the enumerated log probability of the observed event by damped
+    Newton steps, cached by :func:`_event_fit`: the completion set for the
+    proper subgraph likelihood, else one graph at the mean statistics,
+    which solves the moment equation.  Whether the maximum is finite is
+    decided exactly on the facets of the attainable-statistics hull (see
+    ``_ascend_log_ratio``).  The log likelihood and standard errors are
+    computed for each call.  Independent graphs have the log likelihood of
+    one graph at their mean statistics times their number, so their
+    observed information is that number times minus the log-ratio Hessian.
     """
+    if spec.bernoulli:
+        theta_hat, boundary, m, d = _bernoulli_fit(spec, data, kind)
+        if boundary:
+            return MLEResult(theta_hat, None, math.nan, False, True, 0)
+        pi_hat = m / d
+        std_err = _std_errors_from_information(np.array([[d * pi_hat * (1.0 - pi_hat)]]))
+        log_lik = log_likelihood(spec, ParamVector(theta=theta_hat), data, kind, enum_cap)
+        return MLEResult(theta_hat, std_err, log_lik, True, False, 0)
     size, proper, event, rows = _observed_event(spec, data, kind, enum_cap)
     eta, theta_hat, converged, boundary, iterations = _event_fit(spec, size, proper, event)
     if boundary:
@@ -799,29 +789,6 @@ def _enumerated_mle(
     )
 
 
-def mle(
-    spec: Family,
-    data: ObservedData,
-    kind: LikelihoodKind = LikelihoodKind.PROPER,
-    enum_cap: Optional[int] = None,
-) -> MLEResult:
-    """Maximize the selected log likelihood for the observed data.
-
-    Independent-dyad families use the logit closed form.  Other families
-    ascend the enumerated log probability of the observed event by damped
-    Newton steps: the completion set for the proper subgraph likelihood,
-    else one graph at the mean statistics, which solves the moment
-    equation.  Whether the maximum is finite is decided exactly on the
-    facets of the attainable-statistics hull (see ``_ascend_log_ratio``).
-    """
-    kind = LikelihoodKind(kind)
-    if not isinstance(data, InducedSubgraph) and kind is LikelihoodKind.MISSPECIFIED:
-        raise ValueError("misspecified likelihood applies only to induced-subgraph data")
-    if spec.bernoulli:
-        return _bernoulli_closed_form(spec, data, kind, enum_cap)
-    return _enumerated_mle(spec, data, kind, enum_cap)
-
-
 # What a study summary reads of a fit: (theta_hat, boundary).
 _Estimate = tuple[tuple[float, ...], bool]
 
@@ -829,14 +796,14 @@ _Estimate = tuple[tuple[float, ...], bool]
 def _estimate(
     spec: Family, data: ObservedData, kind: LikelihoodKind = LikelihoodKind.PROPER
 ) -> _Estimate:
-    """The estimate of ``mle(spec, data, kind)``; for a dyad-dependent
-    family only the cached fit of the observed event, with no log
-    likelihood or standard errors."""
+    """The estimate of ``mle(spec, data, kind)``, with no log likelihood or
+    standard errors: the closed form of an independent-dyad family, else
+    the cached fit of the observed event."""
     if spec.bernoulli:
-        result = mle(spec, data, kind)
-        return result.theta_hat, result.boundary
-    size, proper, event, _ = _observed_event(spec, data, kind, None)
-    _, theta_hat, _, boundary, _ = _event_fit(spec, size, proper, event)
+        theta_hat, boundary, _, _ = _bernoulli_fit(spec, data, kind)
+    else:
+        size, proper, event, _ = _observed_event(spec, data, kind, None)
+        _, theta_hat, _, boundary, _ = _event_fit(spec, size, proper, event)
     return theta_hat, boundary
 
 

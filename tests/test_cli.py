@@ -134,6 +134,29 @@ def test_sample_enumeration_cap_exit_code(capsys):
     assert "override up to 8 is possible but costly" in err
 
 
+@pytest.mark.parametrize("family, theta", [("bernoulli-offset", "0.0"),
+                                          ("edge-triangle", "0.0,0.5")])
+@pytest.mark.parametrize("command", ["sample", "loglik", "mle", "check-projectivity"])
+@pytest.mark.parametrize("cap", ["0", "99"])
+def test_enum_cap_outside_its_range_is_refused_for_every_family(
+    tmp_path, capsys, family, theta, command, cap
+):
+    """The cap is checked once for every subcommand that takes it, before
+    any output, whether or not the family enumerates."""
+    path = _write_graph(tmp_path, graph_from_edges(4, [(0, 1)]))
+    argv = {
+        "sample": ["--theta", theta, "--n", "4"],
+        "loglik": ["--theta", theta, path],
+        "mle": [path],
+        "check-projectivity": ["--n", "4", "--n-sub", "3"],
+    }[command]
+    code = main([command, "--family", family, "--enum-cap", cap, *argv])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: enumeration cap must lie in [1, 8], got {cap}"]
+
+
 # --------------------------------------------------------------------------
 # stats
 # --------------------------------------------------------------------------
@@ -302,6 +325,12 @@ def test_check_projectivity_validation(capsys):
     )
     assert code == 2
     assert "--theta-grid must be comma-separated numbers" in capsys.readouterr().err
+    code = main(
+        ["check-projectivity", "--family", "bernoulli-offset", "--n", "4",
+         "--n-sub", "3", "--theta-grid="]
+    )
+    assert code == 2
+    assert "--theta-grid must be comma-separated numbers, got ''" in capsys.readouterr().err
 
 
 def test_check_projectivity_thread_invariance(capsys):

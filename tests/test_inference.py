@@ -55,6 +55,7 @@ from projgraph.exact import (
 from projgraph.inference import (
     _ascend_log_ratio,
     _completion_counts,
+    _estimate,
     _event_fit,
     _hull_facets,
     _log_ratio_parts,
@@ -250,6 +251,56 @@ def test_misspecified_kind_requires_subgraph_data():
         log_likelihood(INVARIANT, theta, FullGraph(complete_graph(3)), "misspecified")
     with pytest.raises(ValueError, match="only to induced-subgraph data"):
         mle(INVARIANT, FullGraph(complete_graph(3)), "misspecified")
+
+
+@pytest.mark.parametrize("spec", [EDGE_TRI, INVARIANT, OFFSET], ids=lambda f: f.name)
+def test_bare_graph_is_not_observed_data(spec):
+    with pytest.raises(TypeError, match="^unsupported observed-data type Graph$"):
+        mle(spec, complete_graph(4))
+    theta = ParamVector(theta=(0.0,) * spec.stat_dim)
+    with pytest.raises(TypeError, match="^unsupported observed-data type Graph$"):
+        log_likelihood(spec, theta, complete_graph(4))
+
+
+@pytest.mark.parametrize("spec", [EDGE_TRI, INVARIANT, OFFSET], ids=lambda f: f.name)
+@pytest.mark.parametrize(
+    "data",
+    [FullGraph(complete_graph(3)), Replicates(graphs=(empty_graph(3), complete_graph(3)))],
+    ids=["full", "replicates"],
+)
+def test_misspecified_kind_is_refused_alike_by_mle_and_likelihood(spec, data):
+    theta = ParamVector(theta=(0.0,) * spec.stat_dim)
+    with pytest.raises(ValueError) as from_mle:
+        mle(spec, data, LikelihoodKind.MISSPECIFIED)
+    with pytest.raises(ValueError) as from_likelihood:
+        log_likelihood(spec, theta, data, LikelihoodKind.MISSPECIFIED)
+    assert str(from_mle.value) == str(from_likelihood.value)
+    assert "only to induced-subgraph data" in str(from_mle.value)
+
+
+_CLOSED_FORM_DATA = [
+    (FullGraph(g), LikelihoodKind.PROPER)
+    for g in (empty_graph(5), complete_graph(5), _triangle_with_tail())
+] + [
+    (Replicates(graphs=graphs), LikelihoodKind.PROPER)
+    for graphs in ((empty_graph(4),) * 3, (complete_graph(4),) * 2,
+                   (empty_graph(4), complete_graph(4), graph_from_edges(4, [(0, 1)])))
+] + [
+    (InducedSubgraph(subgraph=g, population_n=7), kind)
+    for g in (empty_graph(3), complete_graph(3), graph_from_edges(3, [(0, 1)]))
+    for kind in LikelihoodKind
+]
+
+
+@pytest.mark.parametrize("spec", [INVARIANT, OFFSET], ids=lambda f: f.name)
+@pytest.mark.parametrize("data, kind", _CLOSED_FORM_DATA)
+def test_closed_form_estimate_equals_the_mle(spec, data, kind):
+    """A study's estimate of an independent-dyad family is the estimate and
+    boundary flag of ``mle``, bit for bit (``repr`` matches +/-inf too)."""
+    result = mle(spec, data, kind)
+    theta_hat, boundary = _estimate(spec, data, kind)
+    assert repr(theta_hat) == repr(result.theta_hat)
+    assert boundary is result.boundary
 
 
 def test_proper_likelihood_rejects_oversized_subgraph():
