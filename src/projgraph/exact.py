@@ -299,12 +299,17 @@ def _joint_counts(fam: Family, n: int, n_sub: int) -> tuple[np.ndarray, ...]:
     )
 
 
-def _enumerated_moments(
-    spec: Family, theta: ParamVector, n: int, enum_cap: Optional[int]
-) -> tuple[float, np.ndarray, np.ndarray]:
-    resolve_enum_cap(n, enum_cap)
-    eta = natural_params(spec, theta, n)
-    return _moments(*_classes(spec, n)[1:], eta)
+def _completion_counts(
+    spec: Family, y_sub: Graph, population_n: int, enum_cap: Optional[int]
+) -> np.ndarray:
+    """Number of population graphs completing y_sub in each statistic class
+    at ``population_n``.  All shipped families are exchangeable, so y_sub
+    may be embedded as the prefix of the population node set: its
+    completions are then the graph indices congruent to its index modulo
+    2^C(n',2), for n' = y_sub.n (see :func:`_joint_counts`)."""
+    resolve_enum_cap(population_n, enum_cap)
+    codes, points, _ = _classes(spec, population_n)
+    return np.bincount(codes[y_sub.dyads :: 1 << dyad_count(y_sub.n)], minlength=len(points))
 
 
 def log_normalizer(
@@ -313,13 +318,14 @@ def log_normalizer(
     """log sum over all graphs of exp(eta . s(g)).
 
     Independent-dyad families use the closed form C(n,2)*log(1+e^eta) at
-    any size; other families enumerate (cap applies).
+    any size; other families enumerate (cap applies).  A bad cap is
+    refused for every family.
     """
+    resolve_enum_cap(1 if spec.bernoulli else n, enum_cap)
+    eta = natural_params(spec, theta, n)
     if spec.bernoulli:
-        eta = natural_params(spec, theta, n)[0]
-        return float(dyad_count(n) * np.logaddexp(0.0, eta))
-    resolve_enum_cap(n, enum_cap)
-    return _class_log_probs(*_classes(spec, n)[1:], natural_params(spec, theta, n))[0]
+        return float(dyad_count(n) * np.logaddexp(0.0, eta[0]))
+    return _class_log_probs(*_classes(spec, n)[1:], eta)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,20 +385,23 @@ def expected_stats(
     spec: Family, theta: ParamVector, n: int, enum_cap: Optional[int] = None
 ) -> StatsVector:
     """Mean sufficient statistics under the model at (theta, n)."""
+    resolve_enum_cap(1 if spec.bernoulli else n, enum_cap)
     if spec.bernoulli:
         pi = edge_prob(spec, theta, n)
         return StatsVector(values=(dyad_count(n) * pi,))
-    return StatsVector(values=tuple(_enumerated_moments(spec, theta, n, enum_cap)[1]))
+    return StatsVector(values=tuple(_moments(*_classes(spec, n)[1:],
+                                             natural_params(spec, theta, n))[1]))
 
 
 def stat_covariance(
     spec: Family, theta: ParamVector, n: int, enum_cap: Optional[int] = None
 ) -> np.ndarray:
     """Covariance matrix of the sufficient statistics at (theta, n)."""
+    resolve_enum_cap(1 if spec.bernoulli else n, enum_cap)
     if spec.bernoulli:
         pi = edge_prob(spec, theta, n)
         return np.array([[dyad_count(n) * pi * (1.0 - pi)]])
-    return _enumerated_moments(spec, theta, n, enum_cap)[2]
+    return _moments(*_classes(spec, n)[1:], natural_params(spec, theta, n))[2]
 
 
 def marginal_distribution(d: ExactDistribution, s: NodeSubset) -> np.ndarray:

@@ -24,16 +24,19 @@ distinct statistic vectors with their counts) of the population graphs
 and of the observed event, never on per-graph tables.
 Estimation uses closed-form logit estimators where available.  Elsewhere
 one damped Newton ascent maximizes the log probability of the observed
-event: the completion set of a subgraph, or, for independent same-size
-graphs, one graph at their mean statistics, where the ascent solves the
-moment equation.  Data with no finite maximizer, as decided by one exact
-test on the facets of the attainable-statistics hull, are reported with
-``boundary=True``.  Fits are cached by observed event, and a batch of
-mean-statistics events (a replication report's studies) climbs in lock
-step, one stacked moment evaluation per step for every event still
+event, and an event is one thing for every likelihood: the statistic
+histogram the data reaches.  For the proper subgraph likelihood that is
+the classes the completions fall in, with their counts; for independent
+same-size graphs it is one row at their mean statistics with log count
+0, where the ascent solves the moment equation.  Data with no finite
+maximizer, as decided by one exact test on the facets of the
+attainable-statistics hull, are reported with ``boundary=True``.  Fits
+are cached by event, and a batch's events with equal row counts climb in
+lock step, one stacked moment evaluation per step for every event still
 climbing; each event gets the bits of its fit alone, and a single fit is
-a stack of one.  The simulation studies read only a fit's estimate and
-boundary flag (``_estimate``), for both kinds of family: no log
+a stack of one.  An estimate's log likelihood is :func:`log_likelihood`
+at the estimate, for both kinds of family.  The simulation studies read
+only a fit's estimate and boundary flag (``_estimate``): no log
 likelihood or standard errors.
 """
 
@@ -53,6 +56,7 @@ import numpy as np
 
 from .exact import (
     _classes,
+    _completion_counts,
     _logsumexp,
     _mat_vec,
     _moments,
@@ -188,6 +192,7 @@ def proper_log_likelihood(
             f"subgraph size {y_sub.n} must be smaller than population size {population_n}"
         )
     if spec.bernoulli:
+        resolve_enum_cap(1, enum_cap)
         eta = natural_params(spec, theta, population_n)[0]
         log_p, log_q = _bernoulli_log_pq(eta)
         m = edge_count(y_sub)
@@ -206,10 +211,8 @@ def completion_log_likelihood(
     """Proper log likelihood by explicit enumeration of completions.
 
     Valid for every family; ``proper_log_likelihood`` routes here for
-    families without closed-form marginals.  All shipped families are
-    exchangeable, so the observed nodes may be embedded as the prefix of
-    the population node set: completions are then exactly the graph
-    indices congruent to the observed index modulo 2^C(n',2).
+    families without closed-form marginals.  The completions are counted
+    per statistic class by :func:`projgraph.exact._completion_counts`.
     """
     if y_sub.n >= population_n:
         raise ValueError(
@@ -240,19 +243,6 @@ def misspecified_log_likelihood(
     return log_likelihood(spec, theta, FullGraph(y_sub), enum_cap=enum_cap)
 
 
-def _independent_log_likelihood(
-    spec: Family,
-    theta: ParamVector,
-    n: int,
-    rows: Sequence[np.ndarray],
-    enum_cap: Optional[int],
-) -> float:
-    """Log likelihood of independent size-n graphs with statistic ``rows``."""
-    eta = natural_params(spec, theta, n)
-    total = float(eta @ np.sum(rows, axis=0))
-    return total - len(rows) * log_normalizer(spec, theta, n, enum_cap)
-
-
 def _observation(
     data: ObservedData, kind: LikelihoodKind
 ) -> tuple[int, bool, tuple[Graph, ...]]:
@@ -279,12 +269,22 @@ def log_likelihood(
     kind: LikelihoodKind = LikelihoodKind.PROPER,
     enum_cap: Optional[int] = None,
 ) -> float:
-    """Log likelihood of the observed data under the selected kind."""
+    """Log likelihood of the observed data under the selected kind.
+
+    Independent graphs have the sum of their log probabilities, from their
+    statistic rows: for a family that enumerates, ``points[codes[k]]`` in
+    the cached class coding, read after the normalizer checked the cap."""
     size, proper, graphs = _observation(data, kind)
     if proper:
         return proper_log_likelihood(spec, theta, graphs[0], size, enum_cap)
-    rows = [sufficient_stats(spec, g).as_array() for g in graphs]
-    return _independent_log_likelihood(spec, theta, size, rows, enum_cap)
+    log_z = log_normalizer(spec, theta, size, enum_cap)
+    if spec.bernoulli:
+        rows = [sufficient_stats(spec, g).as_array() for g in graphs]
+    else:
+        codes, points, _ = _classes(spec, size)
+        rows = points[codes[[g.dyads for g in graphs]]]
+    eta = natural_params(spec, theta, size)
+    return float(eta @ np.sum(rows, axis=0)) - len(graphs) * log_z
 
 
 def fisher_information(
@@ -365,23 +365,6 @@ def _on_facets(points: np.ndarray, facets: _Facets) -> np.ndarray:
     """Whether each point (row) lies on each facet (column)."""
     normals, offsets, tol = facets
     return points @ normals.T >= offsets - tol
-
-
-def _completion_counts(
-    spec: Family,
-    y_sub: Graph,
-    population_n: int,
-    enum_cap: Optional[int],
-) -> np.ndarray:
-    """Number of population graphs completing y_sub in each class of the
-    population statistic histogram, with y_sub embedded as the prefix (see
-    ``completion_log_likelihood``)."""
-    resolve_enum_cap(population_n, enum_cap)
-    codes, points, _ = _classes(spec, population_n)
-    sub_d = dyad_count(y_sub.n)
-    free_d = dyad_count(population_n) - sub_d
-    idx = y_sub.dyads + (np.arange(1 << free_d, dtype=np.int64) << sub_d)
-    return np.bincount(codes[idx], minlength=len(points))
 
 
 def _log_ratio_parts(
@@ -609,43 +592,48 @@ _EVENT_FITS = 256
 _Fit = tuple[np.ndarray, tuple[float, ...], bool, bool, int]
 
 
-def _fit_events(fam: Family, size: int, proper: bool, events: Sequence[bytes]) -> list[_Fit]:
-    """The fit of each event by :func:`_ascend_log_ratio`, with eta
-    read-only and theta_hat its shift to theta.  A boundary fit has NaN
-    theta_hat and 0 iterations.  Mean-statistics events climb in lock step,
-    up to ``_EVENT_FITS`` at a time, which bounds the stack's temporaries;
-    a proper event is a stack of one.  Callers validate the enumeration cap
-    before reaching this helper."""
+def _fit_events(fam: Family, size: int, events: Sequence[bytes]) -> list[_Fit]:
+    """The fit of each event by :func:`_ascend_log_ratio`, in input order,
+    with eta read-only and theta_hat its shift to theta.  A boundary fit
+    has NaN theta_hat and 0 iterations.  Events with equal row counts climb
+    in lock step, up to ``_EVENT_FITS`` at a time, which bounds the stack's
+    temporaries.  Callers validate the enumeration cap before reaching this
+    helper."""
     full = _classes(fam, size)[1:]
     facets = _statistic_facets(fam, size)
     shift = natural_params(fam, ParamVector(theta=(0.0,) * fam.stat_dim), size)
-    stride = 1 if proper else _EVENT_FITS
-    fits: list[_Fit] = []
-    for lo in range(0, len(events), stride):
-        comp = _event_histograms(full, proper, events[lo : lo + stride])
-        eta, converged, boundary, iterations = _ascend_log_ratio(comp, full, facets)
-        eta.flags.writeable = False
-        theta = eta - shift
-        for k in range(len(eta)):
-            if boundary[k]:
-                fits.append((eta[k], (math.nan,) * fam.stat_dim, False, True, 0))
-            else:
-                fits.append((eta[k], tuple(theta[k].tolist()), bool(converged[k]), False,
-                             int(iterations[k])))
+    groups: dict[int, list[int]] = {}  # by byte length, so by row count
+    for k, event in enumerate(events):
+        groups.setdefault(len(event), []).append(k)
+    fits: list = [None] * len(events)
+    for group in groups.values():
+        for lo in range(0, len(group), _EVENT_FITS):
+            where = group[lo : lo + _EVENT_FITS]
+            comp = _event_histograms(fam.stat_dim, [events[k] for k in where])
+            eta, converged, boundary, iterations = _ascend_log_ratio(comp, full, facets)
+            eta.flags.writeable = False
+            theta = eta - shift
+            for j, k in enumerate(where):
+                if boundary[j]:
+                    fits[k] = (eta[j], (math.nan,) * fam.stat_dim, False, True, 0)
+                else:
+                    fits[k] = (eta[j], tuple(theta[j].tolist()), bool(converged[j]), False,
+                               int(iterations[j]))
     return fits
 
 
-def _event_histograms(full: _Histogram, proper: bool, events: Sequence[bytes]) -> _Histogram:
-    """The observed events as a stack of histograms.  For a proper fit the
-    one event holds the completion count of each class of ``full``, and it
-    is the classes completions reach; otherwise each event holds the mean
-    statistics, one row with log count 0."""
-    if proper:
-        (event,) = events
-        counts = np.frombuffer(event, dtype=np.intp)
-        return full[0][None, counts > 0], np.log(counts[None, counts > 0])
-    rows = np.frombuffer(b"".join(events)).reshape(len(events), 1, -1)
-    return rows, np.zeros(rows.shape[:2])
+def _event(rows: np.ndarray, log_counts: np.ndarray) -> bytes:
+    """A statistic histogram as :func:`_event_fit` keys it: the bytes of
+    its float64 ``rows``, then of their ``log_counts``."""
+    return rows.tobytes() + log_counts.tobytes()
+
+
+def _event_histograms(dim: int, events: Sequence[bytes]) -> _Histogram:
+    """A stack of events with equal row counts as fresh C-contiguous arrays:
+    rows (S, k, dim) and log counts (S, k)."""
+    flat = np.frombuffer(b"".join(events)).reshape(len(events), -1)
+    k = flat.shape[1] // (dim + 1)
+    return flat[:, : k * dim].reshape(len(events), k, dim).copy(), flat[:, k * dim :].copy()
 
 
 _CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
@@ -653,8 +641,9 @@ _CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
 
 class _FitCache:
     """Least-recently-used cache of event fits keyed by (family, size,
-    proper, event), filled a batch at a time by :meth:`batch`, which fits
-    a batch's distinct misses together (:func:`_fit_events`).  Calling it
+    event), where an event is a statistic histogram (:func:`_event`),
+    filled a batch at a time by :meth:`batch`, which fits a batch's
+    distinct misses together (:func:`_fit_events`).  Calling it
     on one event is a batch of one.  ``cache_info`` and ``cache_clear``
     mean what they do for ``functools.lru_cache``; an event repeated
     within a batch is a hit."""
@@ -665,17 +654,15 @@ class _FitCache:
         self._lock = threading.Lock()
         self._hits = self._misses = 0
 
-    def __call__(self, fam: Family, size: int, proper: bool, event: bytes) -> _Fit:
-        return self.batch(fam, size, proper, (event,))[0]
+    def __call__(self, fam: Family, size: int, event: bytes) -> _Fit:
+        return self.batch(fam, size, (event,))[0]
 
-    def batch(
-        self, fam: Family, size: int, proper: bool, events: Sequence[bytes]
-    ) -> list[_Fit]:
+    def batch(self, fam: Family, size: int, events: Sequence[bytes]) -> list[_Fit]:
         fits: list = [None] * len(events)
         missing: dict[bytes, list[int]] = {}
         with self._lock:
             for k, event in enumerate(events):
-                key = (fam, size, proper, event)
+                key = (fam, size, event)
                 fits[k] = self._fits.get(key)
                 if fits[k] is None:
                     missing.setdefault(event, []).append(k)
@@ -684,10 +671,10 @@ class _FitCache:
             self._misses += len(missing)
             self._hits += len(events) - len(missing)
         if missing:
-            new = _fit_events(fam, size, proper, list(missing))
+            new = _fit_events(fam, size, list(missing))
             with self._lock:
                 for (event, where), fit in zip(missing.items(), new):
-                    self._fits[(fam, size, proper, event)] = fit
+                    self._fits[(fam, size, event)] = fit
                     if len(self._fits) > self._maxsize:
                         self._fits.popitem(last=False)
                     for k in where:
@@ -709,9 +696,10 @@ _event_fit = _FitCache(_EVENT_FITS)
 
 def _mean_events(rows: np.ndarray) -> list[bytes]:
     """The mean-statistics event of each study of independent graphs, from
-    float64 rows of shape (studies, graphs, dim); a study's mean has the
-    bits of its own ``rows.mean(axis=0)``."""
-    return [mean.tobytes() for mean in rows.mean(axis=1)]
+    float64 rows of shape (studies, graphs, dim): one row, with the bits of
+    the study's own ``rows.mean(axis=0)``, and log count 0."""
+    log_count = np.zeros(1)
+    return [_event(mean, log_count) for mean in rows.mean(axis=1)]
 
 
 def _observed_event(
@@ -719,22 +707,23 @@ def _observed_event(
     data: ObservedData,
     kind: LikelihoodKind,
     enum_cap: Optional[int],
-) -> tuple[int, bool, bytes, Optional[np.ndarray]]:
-    """(size, proper, event, rows): the observed event of ``data`` as
-    :func:`_event_fit` keys it, after the enumeration-cap check.  A proper
-    subgraph fit has the completion counts; independent graphs have one
-    graph at their mean statistics, from their statistic rows
-    ``points[codes[k]]`` in the cached class coding (so built from the rows
-    whose hull decides finiteness).
+) -> tuple[int, bytes, tuple[Graph, ...]]:
+    """(size, event, graphs): the observed event of ``data`` as
+    :func:`_event_fit` keys it, after the enumeration-cap check, and the
+    observed graphs.  The event is the statistic histogram the data
+    reaches: for the proper subgraph likelihood the classes its completions
+    fall in, with their counts; for independent graphs one graph at their
+    mean statistics, from their rows ``points[codes[k]]`` in the cached
+    class coding (so built from the rows whose hull decides finiteness).
     """
     size, proper, graphs = _observation(data, kind)
     resolve_enum_cap(size, enum_cap)
+    codes, points, _ = _classes(spec, size)
     if proper:
         counts = _completion_counts(spec, graphs[0], size, enum_cap)
-        return size, True, counts.tobytes(), None
-    codes, points, _ = _classes(spec, size)
-    rows = points[codes[[g.dyads for g in graphs]]]
-    return size, False, _mean_events(rows[None])[0], rows
+        present = counts > 0
+        return size, _event(points[present], np.log(counts[present])), graphs
+    return size, _mean_events(points[codes[[g.dyads for g in graphs]]][None])[0], graphs
 
 
 def mle(
@@ -745,48 +734,39 @@ def mle(
 ) -> MLEResult:
     """Maximize the selected log likelihood for the observed data.
 
-    Independent-dyad families use the logit closed form.  Other families
+    Independent-dyad families use the logit closed form, with information
+    d * pi_hat * (1 - pi_hat) over the d observed dyads.  Other families
     ascend the enumerated log probability of the observed event by damped
     Newton steps, cached by :func:`_event_fit`: the completion set for the
     proper subgraph likelihood, else one graph at the mean statistics,
     which solves the moment equation.  Whether the maximum is finite is
     decided exactly on the facets of the attainable-statistics hull (see
-    ``_ascend_log_ratio``).  The log likelihood and standard errors are
-    computed for each call.  Independent graphs have the log likelihood of
-    one graph at their mean statistics times their number, so their
-    observed information is that number times minus the log-ratio Hessian.
+    ``_ascend_log_ratio``).  The information is the number of observed
+    graphs times minus the log-ratio Hessian.  Either way the log
+    likelihood is :func:`log_likelihood` at the estimate.
     """
     if spec.bernoulli:
+        resolve_enum_cap(1, enum_cap)
         theta_hat, boundary, m, d = _bernoulli_fit(spec, data, kind)
-        if boundary:
-            return MLEResult(theta_hat, None, math.nan, False, True, 0)
-        pi_hat = m / d
-        std_err = _std_errors_from_information(np.array([[d * pi_hat * (1.0 - pi_hat)]]))
-        log_lik = log_likelihood(spec, ParamVector(theta=theta_hat), data, kind, enum_cap)
-        return MLEResult(theta_hat, std_err, log_lik, True, False, 0)
-    size, proper, event, rows = _observed_event(spec, data, kind, enum_cap)
-    eta, theta_hat, converged, boundary, iterations = _event_fit(spec, size, proper, event)
+        converged, iterations = True, 0
+    else:
+        size, event, graphs = _observed_event(spec, data, kind, enum_cap)
+        eta, theta_hat, converged, boundary, iterations = _event_fit(spec, size, event)
     if boundary:
         return MLEResult(theta_hat, None, math.nan, False, True, 0)
-    pv = ParamVector(theta=theta_hat)
-    if proper:
-        value = proper_log_likelihood(spec, pv, data.subgraph, size, enum_cap)
-    else:
-        value = _independent_log_likelihood(spec, pv, size, rows, enum_cap)
     std_err = None
     if converged:
-        full = _classes(spec, size)[1:]
-        comp = _event_histograms(full, proper, (event,))
-        _, _, hess = _log_ratio_parts((comp[0][0], comp[1][0]), full, eta)
-        std_err = _std_errors_from_information((1 if proper else len(rows)) * -hess)
-    return MLEResult(
-        theta_hat=theta_hat,
-        std_err=std_err,
-        log_lik=value,
-        converged=converged,
-        boundary=False,
-        iterations=iterations,
-    )
+        if spec.bernoulli:
+            pi_hat = m / d
+            information = np.array([[d * pi_hat * (1.0 - pi_hat)]])
+        else:
+            full = _classes(spec, size)[1:]
+            comp = _event_histograms(spec.stat_dim, (event,))
+            _, _, hess = _log_ratio_parts((comp[0][0], comp[1][0]), full, eta)
+            information = len(graphs) * -hess
+        std_err = _std_errors_from_information(information)
+    log_lik = log_likelihood(spec, ParamVector(theta=theta_hat), data, kind, enum_cap)
+    return MLEResult(theta_hat, std_err, log_lik, converged, False, iterations)
 
 
 # What a study summary reads of a fit: (theta_hat, boundary).
@@ -802,8 +782,8 @@ def _estimate(
     if spec.bernoulli:
         theta_hat, boundary, _, _ = _bernoulli_fit(spec, data, kind)
     else:
-        size, proper, event, _ = _observed_event(spec, data, kind, None)
-        _, theta_hat, _, boundary, _ = _event_fit(spec, size, proper, event)
+        size, event, _ = _observed_event(spec, data, kind, None)
+        _, theta_hat, _, boundary, _ = _event_fit(spec, size, event)
     return theta_hat, boundary
 
 
@@ -812,7 +792,7 @@ def _mean_estimates(spec: Family, size: int, events: Sequence[bytes]) -> list[_E
     dyad-dependent family, from its mean-statistics event (see
     :func:`_mean_events`); the distinct events are fitted together."""
     return [(theta_hat, boundary)
-            for _, theta_hat, _, boundary, _ in _event_fit.batch(spec, size, False, events)]
+            for _, theta_hat, _, boundary, _ in _event_fit.batch(spec, size, events)]
 
 
 def mle_csv_header(spec: Family) -> list[str]:

@@ -547,7 +547,9 @@ def test_study_means_sum_in_the_per_study_order(dim, count):
     each study's own ``rows.mean(axis=0)``, for any number of statistics."""
     rows = np.random.default_rng(count * dim).standard_normal((5, count, dim)) * 37.0
     for k in range(1, len(rows) + 1):
-        assert _mean_events(rows[:k]) == [r.mean(axis=0).tobytes() for r in rows[:k]]
+        decoded = [np.frombuffer(event) for event in _mean_events(rows[:k])]
+        assert [e[:dim].tobytes() for e in decoded] == [r.mean(axis=0).tobytes() for r in rows[:k]]
+        assert all(e[dim:].tobytes() == np.zeros(1).tobytes() for e in decoded)  # log count 0
 
 
 # --------------------------------------------------------------------------

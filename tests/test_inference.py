@@ -47,6 +47,7 @@ from projgraph import (
 from projgraph.exact import (
     _classes,
     _code_table,
+    _completion_counts,
     _enumerated_stats_cached,
     _joint_counts,
     _logsumexp,
@@ -54,11 +55,11 @@ from projgraph.exact import (
 )
 from projgraph.inference import (
     _ascend_log_ratio,
-    _completion_counts,
     _estimate,
     _event_fit,
     _hull_facets,
     _log_ratio_parts,
+    _observed_event,
     _statistic_facets,
     mle_csv_row,
 )
@@ -827,11 +828,9 @@ def test_cached_fits_equal_cold_fits_for_every_group(n, n_sub):
 @pytest.mark.parametrize("proper", [True, False])
 def test_cached_eta_is_read_only(proper):
     y = graph_from_edges(4, [(0, 1), (0, 2), (1, 2)])
-    if proper:
-        event = _completion_counts(EDGE_TRI, y, 6, None).tobytes()
-    else:
-        event = sufficient_stats(EDGE_TRI, y).as_array().tobytes()
-    eta = _event_fit(EDGE_TRI, 6 if proper else 4, proper, event)[0]
+    kind = LikelihoodKind.PROPER if proper else LikelihoodKind.MISSPECIFIED
+    size, event, _ = _observed_event(EDGE_TRI, InducedSubgraph(y, 6), kind, None)
+    eta = _event_fit(EDGE_TRI, size, event)[0]
     assert not eta.flags.writeable
     with pytest.raises(ValueError):
         eta[0] = 1.0
@@ -864,6 +863,43 @@ def test_cached_events_still_check_the_enumeration_cap(kind):
         mle(EDGE_TRI, data, kind, enum_cap=3)
     with pytest.raises(ValueError, match="enumeration cap must lie in"):
         mle(EDGE_TRI, data, kind, enum_cap=0)
+
+
+_Y = graph_from_edges(4, [(0, 1), (1, 2)])
+_PV = ParamVector(theta=(0.3,))
+
+# Every public function that takes ``enum_cap``, on data whose estimate is
+# finite and on boundary data (no edge, every edge).
+_CAPPED_CALLS = {
+    "mle": lambda spec, cap: mle(spec, FullGraph(_Y), enum_cap=cap),
+    "mle-empty": lambda spec, cap: mle(spec, FullGraph(empty_graph(4)), enum_cap=cap),
+    "mle-proper-complete": lambda spec, cap: mle(
+        spec, InducedSubgraph(complete_graph(4), 6), enum_cap=cap),
+    "mle-replicates": lambda spec, cap: mle(spec, Replicates((_Y, _Y)), enum_cap=cap),
+    "mle-misspecified": lambda spec, cap: mle(
+        spec, InducedSubgraph(_Y, 6), LikelihoodKind.MISSPECIFIED, cap),
+    "log_likelihood": lambda spec, cap: log_likelihood(spec, _PV, FullGraph(_Y), enum_cap=cap),
+    "log_likelihood-proper": lambda spec, cap: log_likelihood(
+        spec, _PV, InducedSubgraph(_Y, 6), enum_cap=cap),
+    "proper_log_likelihood": lambda spec, cap: proper_log_likelihood(spec, _PV, _Y, 6, cap),
+    "misspecified_log_likelihood": lambda spec, cap: misspecified_log_likelihood(
+        spec, _PV, _Y, cap),
+    "log_normalizer": lambda spec, cap: log_normalizer(spec, _PV, 100, cap),
+    "expected_stats": lambda spec, cap: expected_stats(spec, _PV, 100, cap),
+    "stat_covariance": lambda spec, cap: stat_covariance(spec, _PV, 100, cap),
+    "fisher_information": lambda spec, cap: fisher_information(spec, _PV, 100, cap),
+}
+
+
+@pytest.mark.parametrize("enum_cap", [0, 99])
+@pytest.mark.parametrize("spec", [INVARIANT, OFFSET], ids=lambda spec: spec.name)
+@pytest.mark.parametrize("call", list(_CAPPED_CALLS))
+def test_closed_forms_refuse_a_bad_enumeration_cap(call, spec, enum_cap):
+    """The independent-dyad closed forms enumerate nothing, yet a cap
+    outside [1, 8] is refused as it is for every other family, boundary
+    data included."""
+    with pytest.raises(ValueError, match=r"enumeration cap must lie in \[1, 8\]"):
+        _CAPPED_CALLS[call](spec, enum_cap)
 
 
 @settings(max_examples=200, deadline=None)

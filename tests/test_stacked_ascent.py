@@ -25,6 +25,7 @@ from projgraph import (
 )
 from projgraph.exact import (
     _classes,
+    _completion_counts,
     _enumerated_stats_cached,
     _joint_counts,
     _moments,
@@ -38,7 +39,6 @@ from projgraph.inference import (
     _VALUE_SLACK,
     _FitCache,
     _climb,
-    _completion_counts,
     _directions,
     _event_fit,
     _hull_facets,
@@ -240,15 +240,31 @@ def _ref_ascend_log_ratio(comp, full, facets):
     return eta, stationary and not boundary, boundary, iterations
 
 
-def _ref_fit(fam, size, proper, event):
+def _histogram_event(rows, log_counts):
+    """An event as the fit cache keys it: the float64 bytes of the
+    histogram's rows, then of their log counts."""
+    return np.concatenate([np.ravel(rows), log_counts]).tobytes()
+
+
+def _mean_event(row):
+    """A one-row event: one graph at these statistics, log count 0."""
+    return _histogram_event(row, np.zeros(1))
+
+
+def _proper_event(fam, size, counts):
+    """The completion-set event of a subgraph with completion ``counts``."""
+    present = counts > 0
+    return _histogram_event(_classes(fam, size)[1][present], np.log(counts[present]))
+
+
+def _ref_fit(fam, size, event):
     """(eta bytes, theta_hat, converged, boundary, iterations) of one event,
     fitted alone; theta_hat as reprs, so that NaN compares equal."""
     full = _classes(fam, size)[1:]
-    if proper:
-        counts = np.frombuffer(event, dtype=np.intp)
-        comp = full[0][counts > 0], np.log(counts[counts > 0])
-    else:
-        comp = np.frombuffer(event)[None, :], np.zeros(1)
+    flat = np.frombuffer(event)
+    rows = len(flat) // (fam.stat_dim + 1)
+    comp = (flat[: rows * fam.stat_dim].reshape(rows, fam.stat_dim).copy(),
+            flat[rows * fam.stat_dim :].copy())
     eta, converged, boundary, iterations = _ref_ascend_log_ratio(
         comp, full, _statistic_facets(fam, size))
     if boundary:
@@ -262,16 +278,15 @@ def _fit_key(fit):
     return eta.tobytes(), tuple(map(repr, theta_hat)), converged, boundary, iterations
 
 
-def _assert_batch_matches_reference(fam, size, proper, events):
+def _assert_batch_matches_reference(fam, size, events):
     _event_fit.cache_clear()
-    fits = _event_fit.batch(fam, size, proper, events)
+    fits = _event_fit.batch(fam, size, events)
     assert _event_fit.cache_info().misses == len(set(events))
     assert _event_fit.cache_info().hits == len(events) - len(set(events))
-    reference = {event: _ref_fit(fam, size, proper, event) for event in set(events)}
+    reference = {event: _ref_fit(fam, size, event) for event in set(events)}
     for k, (event, fit) in enumerate(zip(events, fits)):
         assert _fit_key(fit) == reference[event], (
-            f"numpy {np.__version__}: event {k} of {len(events)}, "
-            f"{np.frombuffer(event) if not proper else 'proper'}")
+            f"numpy {np.__version__}: event {k} of {len(events)}, {np.frombuffer(event)}")
         assert type(fit[2]) is bool and type(fit[4]) is int
 
 
@@ -286,9 +301,9 @@ def test_every_statistic_class_fits_as_alone(family, n):
     included, in one batch.  Below n = 6 every class of the three curved
     statistics lies on the boundary of their hull, so every fit is
     boundary there."""
-    events = [row.tobytes() for row in _classes(family, n)[1]]
-    _assert_batch_matches_reference(family, n, False, events)
-    boundary = [fit[3] for fit in _event_fit.batch(family, n, False, events)]
+    events = [_mean_event(row) for row in _classes(family, n)[1]]
+    _assert_batch_matches_reference(family, n, events)
+    boundary = [fit[3] for fit in _event_fit.batch(family, n, events)]
     assert any(boundary)
     assert not all(boundary) or (family.stat_dim == 3 and n < 6)
 
@@ -296,25 +311,25 @@ def test_every_statistic_class_fits_as_alone(family, n):
 def _random_mean_events(fam, n, replicates, studies, seed):
     table = _enumerated_stats_cached(fam, n).astype(np.float64)
     draws = np.random.default_rng(seed).integers(len(table), size=(studies, replicates))
-    return [mean.tobytes() for mean in table[draws].mean(axis=1)]
+    return [_mean_event(mean) for mean in table[draws].mean(axis=1)]
 
 
 @pytest.mark.parametrize("replicates", [1, 2, 3, 10])
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_random_mean_events_fit_as_alone(dependent, n, replicates):
     events = _random_mean_events(dependent, n, replicates, 40, seed=n * 100 + replicates)
-    _assert_batch_matches_reference(dependent, n, False, events)
+    _assert_batch_matches_reference(dependent, n, events)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_shuffled_batches_with_duplicates_fit_as_alone(dependent, seed):
     rng = np.random.default_rng(seed)
     events = _random_mean_events(dependent, 5, 3, 30, seed=seed)
-    events += [row.tobytes() for row in _classes(dependent, 5)[1]]
+    events += [_mean_event(row) for row in _classes(dependent, 5)[1]]
     events += [events[k] for k in rng.integers(len(events), size=25)]
     events = [events[k] for k in rng.permutation(len(events))]
     assert len(set(events)) < len(events)
-    _assert_batch_matches_reference(dependent, 5, False, events)
+    _assert_batch_matches_reference(dependent, 5, events)
 
 
 @pytest.mark.parametrize("n, n_sub", [(5, 3), (6, 4)])
@@ -322,11 +337,12 @@ def test_proper_events_fit_as_alone(dependent, n, n_sub):
     """Completion-set events, one per ``_joint_counts`` group."""
     events = []
     for k in range(1 << dyad_count(n_sub)):
-        event = _completion_counts(dependent, graph_from_index(n_sub, k), n, None).tobytes()
+        counts = _completion_counts(dependent, graph_from_index(n_sub, k), n, None)
+        event = _proper_event(dependent, n, counts)
         if event not in events:
             events.append(event)
     assert len(events) <= len(_joint_counts(dependent, n, n_sub)[0])
-    _assert_batch_matches_reference(dependent, n, True, events)
+    _assert_batch_matches_reference(dependent, n, events)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -341,8 +357,28 @@ def test_random_completion_counts_fit_as_alone(dependent, n):
         counts = np.zeros_like(full_counts)
         rows = rng.choice(len(counts), size=rng.integers(1, len(counts) + 1), replace=False)
         counts[rows] = rng.integers(1, full_counts[rows] + 1)
-        events.append(counts.tobytes())
-    _assert_batch_matches_reference(dependent, n, True, events)
+        events.append(_proper_event(dependent, n, counts))
+    _assert_batch_matches_reference(dependent, n, events)
+
+
+def test_a_mixed_batch_fits_every_event_as_alone(dependent):
+    """One batch at size 6 holding completion-set events of several row
+    counts, one-row mean events and repeats: each group of equal row
+    counts climbs in lock step, and every event keeps the bits of its fit
+    alone, with one miss per distinct event and one hit per repeat."""
+    proper = list(dict.fromkeys(
+        _proper_event(dependent, 6, _completion_counts(dependent, graph_from_index(4, k), 6, None))
+        for k in range(0, 1 << dyad_count(4), 5)))
+    assert len({len(event) for event in proper}) >= 2
+    means = list(dict.fromkeys(_random_mean_events(dependent, 6, 3, 8, seed=6)))
+    assert len(means) >= 2
+    distinct = proper + means
+    repeats = [proper[0], means[-1], proper[-1], proper[0]]
+    order = np.random.default_rng(6).permutation(len(distinct) + len(repeats))
+    events = [(distinct + repeats)[k] for k in order]
+    _assert_batch_matches_reference(dependent, 6, events)
+    info = _event_fit.cache_info()
+    assert (info.hits, info.misses) == (len(repeats), len(distinct))
 
 
 def test_a_stalled_event_leaves_the_others_alone():
@@ -372,14 +408,14 @@ def test_a_batch_larger_than_the_cache_fits_every_event():
     distinct = list(dict.fromkeys(events))
     assert len(distinct) > _event_fit.cache_info().maxsize
     _event_fit.cache_clear()
-    fits = _event_fit.batch(EDGE_TRI, 5, False, events)
+    fits = _event_fit.batch(EDGE_TRI, 5, events)
     assert _event_fit.cache_info().currsize == _event_fit.cache_info().maxsize
     for k in (0, 1, len(events) // 2, len(events) - 1):
-        assert _fit_key(fits[k]) == _ref_fit(EDGE_TRI, 5, False, events[k])
+        assert _fit_key(fits[k]) == _ref_fit(EDGE_TRI, 5, events[k])
     misses = _event_fit.cache_info().misses
-    _event_fit(EDGE_TRI, 5, False, distinct[-_event_fit.cache_info().maxsize])
+    _event_fit(EDGE_TRI, 5, distinct[-_event_fit.cache_info().maxsize])
     assert _event_fit.cache_info().misses == misses  # kept
-    _event_fit(EDGE_TRI, 5, False, distinct[0])
+    _event_fit(EDGE_TRI, 5, distinct[0])
     assert _event_fit.cache_info().misses == misses + 1  # evicted
 
 
@@ -387,8 +423,8 @@ def test_threads_share_one_small_cache():
     """Six threads fit overlapping batches and single events through one
     cache with one entry fewer than the events, so evictions race with
     lookups: every fit keeps its bits and every lookup is counted once."""
-    events = [row.tobytes() for row in _classes(EDGE_TRI, 4)[1]]
-    want = {event: _ref_fit(EDGE_TRI, 4, False, event) for event in events}
+    events = [_mean_event(row) for row in _classes(EDGE_TRI, 4)[1]]
+    want = {event: _ref_fit(EDGE_TRI, 4, event) for event in events}
     cache = _FitCache(len(events) - 1)
     wrong: list = []
 
@@ -397,9 +433,9 @@ def test_threads_share_one_small_cache():
         for _ in range(300):
             batch = [events[k] for k in rng.integers(len(events), size=4)]
             if rng.random() < 0.5:
-                fits = cache.batch(EDGE_TRI, 4, False, batch)
+                fits = cache.batch(EDGE_TRI, 4, batch)
             else:
-                fits = [cache(EDGE_TRI, 4, False, event) for event in batch]
+                fits = [cache(EDGE_TRI, 4, event) for event in batch]
             wrong.extend(e for e, fit in zip(batch, fits) if _fit_key(fit) != want[e])
 
     interval = sys.getswitchinterval()
