@@ -25,6 +25,8 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .exact import (
     EnumerationCapError,
     _bulk_sample,
@@ -54,7 +56,7 @@ from .inference import (
     mle,
 )
 from .models import Family, ParamVector, edge_prob, model_spec
-from .rng import substream
+from .rng import _streams
 
 __all__ = ["main"]
 
@@ -90,20 +92,18 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     theta = _parse_theta(args.theta, spec)
     if args.n < 1:
         raise ValueError("--n must be >= 1")
-    if args.count < 1:
-        raise ValueError("--count must be >= 1")
+    if not 1 <= args.count < 1 << 32:
+        raise ValueError("--count must lie in [1, 2**32)")
     if args.seed < 0:
         raise ValueError("--seed must be >= 0")
     if args.count > 1 and args.out is None:
         raise ValueError("--out is required when --count > 1")
-    # Draw i comes from substream(seed, "sample", i); table draws are
-    # evaluated in bulk with the same bits.
+    # Draw i comes from substream(seed, "sample", i), with the same bits: one
+    # reused generator keyed per draw, or for table draws a bulk evaluation.
     if spec.bernoulli:
         pi = edge_prob(spec, theta, args.n)
-        graphs = [
-            sample_bernoulli(args.n, pi, substream(args.seed, "sample", index))
-            for index in range(args.count)
-        ]
+        streams = _streams(args.seed, ("sample",), np.arange(args.count)[:, None])
+        graphs = [sample_bernoulli(args.n, pi, rng) for rng in streams]
     else:
         dist = build_distribution(spec, theta, args.n, args.enum_cap)
         graphs = list(_bulk_sample(dist, args.seed, ("sample",), (args.count,)))

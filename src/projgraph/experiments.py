@@ -14,14 +14,17 @@ Four studies ship, all driven by one :class:`ExperimentConfig`:
 Every replicate derives its own random stream from the master seed and
 the path (experiment tag, cell index, replicate indices), so results do
 not depend on execution order; report CSV bodies are byte-identical
-across runs.  A summary reads only each replicate's estimate and boundary
-flag, so a study computes no log likelihood or standard errors for any
-family: an independent-dyad family's estimate is its closed form, and a
-dyad-dependent family fits each replicate's observed event, built from
-the class coding, through the cached event fit.  The replication
-study evaluates the first uniforms of all its table draws in one bulk
-pass, with the same bits, and fits all of its distinct pooled events in
-one lock-step Newton ascent, with the bits of one-at-a-time fits.  Fits
+across runs.  A cell's streams come from one reused generator, keyed per
+replicate with the bits of its own substream.  A summary reads only each
+replicate's estimate and boundary flag, so a study computes no log
+likelihood or standard errors for any family: an independent-dyad
+family's estimate is its closed form, and a dyad-dependent family fits
+each replicate's observed event, built from the class coding, through
+the cached event fit; a subsample cell fits its distinct events of each
+kind together.  The replication study evaluates the first uniforms of
+all its table draws in one bulk pass, with the same bits, and fits all
+of its distinct pooled events in one lock-step Newton ascent, with the
+bits of one-at-a-time fits.  Fits
 run in one thread: each is GIL-bound Python, and a thread pool made two
 workers slower than one.  The runners keep their ``threads`` keyword for
 compatibility; it schedules nothing.
@@ -34,13 +37,14 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import numbers
 import operator
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -59,8 +63,10 @@ from .inference import (
     LikelihoodKind,
     Replicates,
     _Estimate,
+    _EVENT_FITS,
     _estimate,
-    _mean_estimates,
+    _estimates,
+    _event_estimates,
     _mean_events,
 )
 from .models import (
@@ -70,7 +76,7 @@ from .models import (
     edge_prob,
     model_spec,
 )
-from .rng import substream
+from .rng import _streams
 
 __all__ = [
     "EXPERIMENT_NAMES",
@@ -109,6 +115,15 @@ def _count(value: Any, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _stream_count(value: Any, name: str) -> int:
+    """``_count(value, name)``, refused at 2^32 or more: the count's indices
+    are stream id parts, each one 32-bit word (see :func:`_streams`)."""
+    count = _count(value, name)
+    if count >= 1 << 32:
+        raise ValueError(f"{name} must be below 2**32, got {count}")
+    return count
+
+
 def _number(value: Any, name: str) -> float:
     """``value`` as a ``float`` (integers and NumPy reals convert); bools,
     strings and other types raise ``ValueError``."""
@@ -126,7 +141,8 @@ class ExperimentConfig:
     replication study repeats the whole pooled estimation
     ``studies_per_cell`` times per cell (default 200) to measure estimator
     spread; other studies refuse the key.  Every count must be an integer:
-    floats, strings and bools raise ``ValueError``.  ``multipliers`` must
+    floats, strings and bools raise ``ValueError``, as do replicate counts
+    and ``studies_per_cell`` at 2^32 or more.  ``multipliers`` must
     be a list of numbers; ints and floats are accepted, bools and strings
     raise ``ValueError``, as they do in ``theta_star`` read by
     :meth:`from_dict`.
@@ -172,20 +188,22 @@ class ExperimentConfig:
                 raise ValueError(
                     "replication requires a list of replicate counts (one per cell)"
                 )
-            reps = tuple(_count(v, "replicates") for v in self.replicates)
+            reps = tuple(_stream_count(v, "replicates") for v in self.replicates)
             object.__setattr__(self, "replicates", reps)
             if not reps or any(v < 1 for v in reps):
                 raise ValueError("replicate counts must be positive")
             if len(sizes) != 1:
                 raise ValueError("replication uses a single fixed graph size")
             studies = 200 if self.studies_per_cell is None else self.studies_per_cell
-            object.__setattr__(self, "studies_per_cell", _count(studies, "studies_per_cell"))
+            object.__setattr__(
+                self, "studies_per_cell", _stream_count(studies, "studies_per_cell")
+            )
             if self.studies_per_cell < 2:
                 raise ValueError("studies_per_cell must be >= 2")
         else:
             if isinstance(self.replicates, (tuple, list)):
                 raise ValueError(f"{self.experiment} requires an integer replicate count")
-            object.__setattr__(self, "replicates", _count(self.replicates, "replicates"))
+            object.__setattr__(self, "replicates", _stream_count(self.replicates, "replicates"))
             if self.replicates < 1:
                 raise ValueError("replicates must be >= 1")
             if self.studies_per_cell is not None:
@@ -379,8 +397,7 @@ def run_growth_consistency(cfg: ExperimentConfig, threads: int = 1) -> Experimen
     for cell_index, n in enumerate(cfg.sizes):
         pi = edge_prob(cfg.spec, cfg.theta_star, n)
         estimates, degrees, edges = [], [], []
-        for replicate in range(cfg.replicates):
-            rng = substream(cfg.master_seed, "growth", cell_index, replicate)
+        for rng in _replicate_streams(cfg, "growth", cell_index):
             g = sample_bernoulli(n, pi, rng)
             estimates.append(_estimate(cfg.spec, FullGraph(g)))
             degrees.append(mean_degree(g))
@@ -396,6 +413,19 @@ def run_growth_consistency(cfg: ExperimentConfig, threads: int = 1) -> Experimen
         + ["mean_degree", "mean_edges"]
     )
     return _report(cfg, columns, rows, started)
+
+
+def _grid(shape: tuple[int, ...]) -> np.ndarray:
+    """Every index of an array of ``shape``, one row each, in C order."""
+    return np.indices(shape).reshape(len(shape), -1).T
+
+
+def _replicate_streams(
+    cfg: ExperimentConfig, name: str, cell: int
+) -> Iterator[np.random.Generator]:
+    """The stream of each replicate of a cell, ``substream(seed, name,
+    cell, replicate)``, from one reused generator (see :func:`_streams`)."""
+    return _streams(cfg.master_seed, (name, cell), _grid((cfg.replicates,)))
 
 
 def _cell_sampler(
@@ -415,7 +445,7 @@ def _table_replication(cfg: ExperimentConfig, n: int) -> list[list[_Estimate]]:
     "replication", cell, study, r)``.  One bulk pass draws every cell (an
     integer part below 2^32 is one spawn-key word in the prefix or the
     tail), and rows are held only until their study's mean is taken.  The
-    studies of every cell are then fitted by one :func:`_mean_estimates`
+    studies of every cell are then fitted by one :func:`_event_estimates`
     call, which climbs their distinct mean events in lock step.
     """
     dist = build_distribution(cfg.spec, cfg.theta_star, n)  # refuses n beyond the cap
@@ -441,7 +471,7 @@ def _table_replication(cfg: ExperimentConfig, n: int) -> list[list[_Estimate]]:
             k = min(len(rows) // count, (cell + 1) * studies - len(events))
             events += _mean_events(rows[: k * count].reshape(k, count, -1))
             held = [rows[k * count :]]
-    estimates = _mean_estimates(cfg.spec, n, events)
+    estimates = _event_estimates(cfg.spec, n, events)
     return [estimates[lo : lo + studies] for lo in range(0, len(estimates), studies)]
 
 
@@ -455,13 +485,12 @@ def run_replication_consistency(
     n = cfg.sizes[0]
     if cfg.spec.bernoulli:
         draw = _cell_sampler(cfg, n)
-        cells = (
-            [_estimate(cfg.spec, Replicates(tuple(
-                draw(substream(cfg.master_seed, "replication", cell, study, r))
-                for r in range(count))))
-             for study in range(cfg.studies_per_cell)]
-            for cell, count in enumerate(cfg.replicates)
-        )
+        cells = []
+        for cell, count in enumerate(cfg.replicates):
+            shape = (cfg.studies_per_cell, count)
+            streams = _streams(cfg.master_seed, ("replication", cell), _grid(shape))
+            cells.append([_estimate(cfg.spec, Replicates(tuple(
+                draw(next(streams)) for _ in range(count)))) for _ in range(shape[0])])
     else:
         cells = _table_replication(cfg, n)
     rows = []
@@ -483,22 +512,20 @@ def run_subsample_bias(cfg: ExperimentConfig, threads: int = 1) -> ExperimentRep
     rows = []
     for cell_index, population_n in enumerate(cfg.sizes):
         draw = _cell_sampler(cfg, population_n)
+        streams = _replicate_streams(cfg, "subsample", cell_index)
         proper, misspecified = [], []
-        for replicate in range(cfg.replicates):
-            rng = substream(cfg.master_seed, "subsample", cell_index, replicate)
-            g = draw(rng)
-            members = tuple(
-                sorted(
-                    int(v)
-                    for v in rng.choice(
-                        population_n, size=cfg.subsample_n, replace=False
-                    )
-                )
-            )
-            y_sub = induced_subgraph(g, NodeSubset(population_n, members))
-            data = InducedSubgraph(y_sub, population_n)
-            proper.append(_estimate(cfg.spec, data, LikelihoodKind.PROPER))
-            misspecified.append(_estimate(cfg.spec, data, LikelihoodKind.MISSPECIFIED))
+        # Fit each kind's events a batch of replicates at a time, holding at
+        # most one batch of subgraphs (large for independent-dyad families).
+        for _ in range(0, cfg.replicates, _EVENT_FITS):
+            datas = []
+            for rng in itertools.islice(streams, _EVENT_FITS):
+                g = draw(rng)
+                members = rng.choice(population_n, size=cfg.subsample_n, replace=False)
+                subset = NodeSubset(population_n, tuple(sorted(map(int, members))))
+                y_sub = induced_subgraph(g, subset)
+                datas.append(InducedSubgraph(y_sub, population_n))
+            proper += _estimates(cfg.spec, datas, LikelihoodKind.PROPER)
+            misspecified += _estimates(cfg.spec, datas, LikelihoodKind.MISSPECIFIED)
         for kind, estimates in (("proper", proper), ("misspecified", misspecified)):
             row = {
                 "cell": f"N={population_n}|{kind}",
@@ -533,10 +560,8 @@ def run_connectivity_threshold(
     cells = [(n, c) for n in cfg.sizes for c in cfg.multipliers]
     for cell_index, (n, c) in enumerate(cells):
         pi = min(1.0, c * math.log(n) / n)
-        connected = []
-        for replicate in range(cfg.replicates):
-            rng = substream(cfg.master_seed, "threshold", cell_index, replicate)
-            connected.append(is_connected(sample_bernoulli(n, pi, rng)))
+        connected = [is_connected(sample_bernoulli(n, pi, rng))
+                     for rng in _replicate_streams(cfg, "threshold", cell_index)]
         rows.append(
             {
                 "cell": f"n={n},c={_format_cell(float(c))}",

@@ -36,8 +36,8 @@ lock step, one stacked moment evaluation per step for every event still
 climbing; each event gets the bits of its fit alone, and a single fit is
 a stack of one.  An estimate's log likelihood is :func:`log_likelihood`
 at the estimate, for both kinds of family.  The simulation studies read
-only a fit's estimate and boundary flag (``_estimate``): no log
-likelihood or standard errors.
+only a fit's estimate and boundary flag (``_estimates``, which fits a
+batch's distinct events together): no log likelihood or standard errors.
 """
 
 from __future__ import annotations
@@ -776,21 +776,33 @@ _Estimate = tuple[tuple[float, ...], bool]
 def _estimate(
     spec: Family, data: ObservedData, kind: LikelihoodKind = LikelihoodKind.PROPER
 ) -> _Estimate:
-    """The estimate of ``mle(spec, data, kind)``, with no log likelihood or
-    standard errors: the closed form of an independent-dyad family, else
-    the cached fit of the observed event."""
+    """The estimate of ``mle(spec, data, kind)``: a batch of one (see
+    :func:`_estimates`)."""
+    return _estimates(spec, (data,), kind)[0]
+
+
+def _estimates(
+    spec: Family, datas: Sequence[ObservedData], kind: LikelihoodKind = LikelihoodKind.PROPER
+) -> list[_Estimate]:
+    """The estimate of ``mle(spec, data, kind)`` for each of ``datas``, with
+    no log likelihood or standard errors: the closed form of an
+    independent-dyad family, else the cached fit of the observed event,
+    where the distinct events of each model size are fitted together."""
     if spec.bernoulli:
-        theta_hat, boundary, _, _ = _bernoulli_fit(spec, data, kind)
-    else:
-        size, event, _ = _observed_event(spec, data, kind, None)
-        _, theta_hat, _, boundary, _ = _event_fit(spec, size, event)
-    return theta_hat, boundary
+        return [_bernoulli_fit(spec, data, kind)[:2] for data in datas]
+    observed = [_observed_event(spec, data, kind, None)[:2] for data in datas]
+    estimates: dict[tuple[int, bytes], _Estimate] = {}
+    for size in dict.fromkeys(size for size, _ in observed):
+        events = [event for at, event in observed if at == size]
+        for event, estimate in zip(events, _event_estimates(spec, size, events)):
+            estimates[size, event] = estimate
+    return [estimates[key] for key in observed]
 
 
-def _mean_estimates(spec: Family, size: int, events: Sequence[bytes]) -> list[_Estimate]:
-    """The estimate of each study of independent size-``size`` graphs of a
-    dyad-dependent family, from its mean-statistics event (see
-    :func:`_mean_events`); the distinct events are fitted together."""
+def _event_estimates(spec: Family, size: int, events: Sequence[bytes]) -> list[_Estimate]:
+    """The estimate of each observed event of a dyad-dependent family at
+    model size ``size`` (see :func:`_event`); the distinct events are
+    fitted together."""
     return [(theta_hat, boundary)
             for _, theta_hat, _, boundary, _ in _event_fit.batch(spec, size, events)]
 

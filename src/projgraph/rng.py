@@ -14,15 +14,22 @@ used as-is.  The resulting tuple becomes the ``spawn_key`` of a
 ``numpy.random.SeedSequence`` with the master seed as entropy, which
 seeds a counter-based Philox generator.
 
-A draw that needs only one uniform per stream (inverse-CDF sampling from
-a table) need not build the streams: :func:`_first_uniforms` evaluates the
-first ``random()`` of many streams at once, by NumPy's own seeding and
-Philox arithmetic on arrays, with identical bits.
+Building one generator per stream costs tens of microseconds, most of it
+in SeedSequence's hash.  Streams whose paths differ only in a tail of
+integer parts below 2^32 share that hash up to the tail, so
+:func:`_stream_keys` derives the Philox keys of many of them in one pass.
+From those keys :func:`_first_uniforms` evaluates the first ``random()``
+of every stream by Philox arithmetic on arrays (a draw from a table needs
+only that uniform), and :func:`_streams` yields whole streams from one
+reused generator, keyed per stream.  Both keep every bit of
+:func:`substream`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
+from typing import Iterator
 
 import numpy as np
 
@@ -69,9 +76,14 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 _PHILOX_ROUNDS = 10
+_M_LO, _M_HI = _PHILOX_M & _MASK32, _PHILOX_M >> 32
+# Words 1 and 3 of the block after round 0 at the counter (1, 0, 0, 0).
+_ROUND_0 = np.array([[0], _PHILOX_M[0]], dtype=np.uint64)
+# Rows whose keys one pass of _streams derives.
+_KEY_CHUNK = 4096
 
 
 def _words(value: int) -> list[int]:
@@ -85,66 +97,35 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _seed_keys(entropy: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Philox keys ``SeedSequence(...).generate_state(2, np.uint64)`` for
-    assembled entropy given as one ``uint32`` column per word.
-
-    The hash constants do not depend on the data, so they stay Python
-    integers; ``uint32`` array arithmetic wraps as the C code does.
-    """
-    hash_const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const
-        return value ^ (value >> 16)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = x * _MIX_L - y * _MIX_R
-        return result ^ (result >> 16)
-
-    pool = [hashmix(word) for word in entropy[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    state = []
-    hash_const = _INIT_B
-    for word in pool:
-        word = word ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        word = word * hash_const
-        state.append((word ^ (word >> 16)).astype(np.uint64))
-    return state[0] | state[1] << 32, state[2] | state[3] << 32
+def _hash_consts(init: int, mult: int, count: int) -> list[int]:
+    """SeedSequence's first ``count`` hash constants, each ``mult`` times the last."""
+    steps = itertools.repeat(mult, count - 1)
+    return list(itertools.accumulate(steps, lambda c, m: c * m & _MASK32, initial=init))
 
 
-def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit product ``a * b``, from
-    32-bit halves so that no ``uint64`` partial product overflows."""
-    a_lo, a_hi = a & _MASK32, a >> 32
-    b_lo, b_hi = b & _MASK32, b >> 32
-    low = b_lo * a_lo
-    cross_1, cross_2 = b_hi * a_lo, b_lo * a_hi
-    middle = (low >> 32) + (cross_1 & _MASK32) + (cross_2 & _MASK32)
-    high = b_hi * a_hi + (cross_1 >> 32) + (cross_2 >> 32) + (middle >> 32)
-    return high, b * a
+# generate_state hashes pool word k with constants k and k + 1.
+_FINAL = np.array(_hash_consts(_INIT_B, _MULT_B, _POOL + 1), dtype=np.uint32)[:, None]
 
 
-def _first_uniforms(
+def _mix(x, y):
+    """SeedSequence's mix of pool words ``x`` and ``y``: 32-bit integers or
+    ``uint32`` arrays.  An integer ``x * MIX_L - y * MIX_R`` may be negative,
+    so it is masked before the shift."""
+    result = (x * _MIX_L - y * _MIX_R) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _stream_keys(
     master_seed: int, prefix: tuple[int | str, ...], tails: np.ndarray
 ) -> np.ndarray:
-    """``substream(master_seed, *prefix, *row).random()`` for each row of
-    the 2-D integer array ``tails``, whose entries lie in [0, 2^32).
+    """The Philox key of ``substream(master_seed, *prefix, *row)`` for each
+    row of the 2-D integer array ``tails``, whose entries lie in [0, 2^32),
+    as a (2, rows) ``uint64`` array.
 
-    Every tail part is then one 32-bit word of the spawn key, so all rows
-    share one entropy length and one pass over arrays seeds them all.  The
-    first draw of a Philox stream is word 0 of the block at counter 1,
-    turned into a double as ``Generator.random`` does.
+    Every tail part is then one 32-bit word of the spawn key.  The seed
+    words, the pool's cross-mix and the prefix words are the same for every
+    row, so SeedSequence's hash runs on them once, in Python integers; only
+    the tail words are mixed on arrays, all four pool lanes at once.
     """
     _check_seed(master_seed)
     tails = np.asarray(tails)
@@ -153,19 +134,85 @@ def _first_uniforms(
     if tails.size and not (tails.min() >= 0 and tails.max() <= _MASK32):
         raise ValueError("tail parts must lie in [0, 2**32)")
     fixed = _words(master_seed)
-    fixed += [0] * (_POOL - len(fixed))
+    fixed += [0] * (_POOL - len(fixed))  # as SeedSequence pads, or hashes 0
     for part in prefix:
         fixed += _words(_part_key(part))
-    rows = len(tails)
-    entropy = [np.full(rows, word, dtype=np.uint32) for word in fixed]
-    entropy += list(tails.T.astype(np.uint32))
-    key = list(_seed_keys(entropy))
-    zero = np.zeros(rows, dtype=np.uint64)
-    ctr = [zero + 1, zero, zero, zero]
-    for round_index in range(_PHILOX_ROUNDS):
-        if round_index:
-            key = [k + w for k, w in zip(key, _PHILOX_W)]
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], ctr[0])
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], ctr[2])
-        ctr = [hi1 ^ ctr[1] ^ key[0], lo1, hi0 ^ ctr[3] ^ key[1], lo0]
-    return (ctr[0] >> 11) * (1.0 / 9007199254740992.0)
+    # Four hashes fill the pool and twelve cross-mix it; each later word is
+    # hashed once per pool lane.
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * (len(fixed) + tails.shape[1]) + 1)
+    calls = itertools.count()
+
+    def hashmix(value: int) -> int:
+        k = next(calls)
+        value = (value ^ consts[k]) * consts[k + 1] & _MASK32
+        return value ^ (value >> 16)
+
+    pool = [hashmix(word) for word in fixed[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in fixed[_POOL:]:
+        pool = [_mix(lane, hashmix(word)) for lane in pool]
+    table = np.array(consts, dtype=np.uint32)[:, None]
+    lanes = np.array(pool, dtype=np.uint32)[:, None].repeat(len(tails), axis=1)
+    for j, column in enumerate(tails.T.astype(np.uint32)):
+        k = _POOL * (len(fixed) + j)
+        hashed = (column ^ table[k : k + _POOL]) * table[k + 1 : k + _POOL + 1]
+        lanes = _mix(lanes, hashed ^ (hashed >> 16))
+    state = (lanes ^ _FINAL[:-1]) * _FINAL[1:]
+    state = (state ^ (state >> 16)).astype(np.uint64)
+    return state[0::2] | state[1::2] << 32
+
+
+def _mulhilo(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products ``_PHILOX_M * b``,
+    lane by lane, from 32-bit halves so that no ``uint64`` partial product
+    or sum overflows."""
+    b_lo, b_hi = b & _MASK32, b >> 32
+    cross = b_hi * _M_LO + (b_lo * _M_LO >> 32)
+    middle = b_lo * _M_HI + (cross & _MASK32)
+    return b_hi * _M_HI + (cross >> 32) + (middle >> 32), b * _PHILOX_M
+
+
+def _first_uniforms(
+    master_seed: int, prefix: tuple[int | str, ...], tails: np.ndarray
+) -> np.ndarray:
+    """``substream(master_seed, *prefix, *row).random()`` for each row of
+    ``tails`` (see :func:`_stream_keys`).
+
+    The first draw of a Philox stream is word 0 of the block at counter 1,
+    turned into a double as ``Generator.random`` does.  Round 0 on that
+    constant counter leaves the words (key0, 0, key1, M0), so it is folded.
+    ``x`` holds words 0 and 2 and ``y`` words 1 and 3, each as one (2, rows)
+    lane pair, so a round's M0 and M1 products run together.
+    """
+    key = _stream_keys(master_seed, prefix, tails)
+    x, y = key, _ROUND_0
+    for _ in range(1, _PHILOX_ROUNDS):
+        key = key + _PHILOX_W
+        high, low = _mulhilo(x)
+        x, y = high[::-1] ^ y ^ key, low[::-1]
+    return (x[0] >> 11) * (1.0 / 9007199254740992.0)
+
+
+def _streams(
+    master_seed: int, prefix: tuple[int | str, ...], tails: np.ndarray
+) -> Iterator[np.random.Generator]:
+    """Yield ``substream(master_seed, *prefix, *row)`` for each row of
+    ``tails`` (see :func:`_stream_keys`), with the same bits, as one reused
+    generator: a yielded generator is valid only until the next is yielded.
+
+    Philox is counter-based, so a stream needs no seeding beyond its state:
+    each row sets its key, counter 0, an empty buffer and no held 32-bit
+    half, as seeding from a SeedSequence does.
+    """
+    bit_generator = np.random.Philox(0)
+    generator = np.random.Generator(bit_generator)
+    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for lo in range(0, len(tails), _KEY_CHUNK):
+        for key in _stream_keys(master_seed, prefix, tails[lo : lo + _KEY_CHUNK]).T.tolist():
+            state["state"]["key"] = key
+            bit_generator.state = state
+            yield generator

@@ -126,6 +126,20 @@ def test_sample_input_validation(capsys):
     assert "unknown family" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family, theta", [("bernoulli-invariant", "0.0"),
+                                           ("edge-triangle", "0.0,0.5")])
+@pytest.mark.parametrize("count", ["0", str(2**32), str(2**64)])
+def test_sample_refuses_counts_outside_one_stream_word(tmp_path, capsys, family, theta, count):
+    """Draw k's stream id part k must be one 32-bit word, so --count is
+    refused at 2^32 or more (and below 1), before anything is drawn."""
+    out = tmp_path / "draws"
+    code = main(["sample", "--family", family, f"--theta={theta}", "--n", "5",
+                 "--count", count, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --count must lie in [1, 2**32)\n"
+    assert not out.exists()
+
+
 def test_sample_enumeration_cap_exit_code(capsys):
     code = main(["sample", "--family", "edge-triangle", "--theta", "0.0,0.5", "--n", "12"])
     assert code == 3
@@ -463,6 +477,25 @@ _THRESHOLD = {"experiment": "threshold", "spec": "bernoulli-invariant",
 def test_experiment_refuses_non_numeric_reals(tmp_path, capsys, payload, message):
     """Multipliers and theta_star are never coerced from bools or strings:
     each bad value exits 2 with one error line and no traceback."""
+    assert main(["experiment", _growth_config(tmp_path, **payload)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"replicates": 2**32}, "replicates must be below 2**32, got 4294967296"),
+        ({**_SUBSAMPLE, "replicates": 2**40}, "replicates must be below 2**32, got 1099511627776"),
+        ({**_THRESHOLD, "replicates": 2**32}, "replicates must be below 2**32, got 4294967296"),
+        ({**_REPLICATION, "replicates": [2, 2**32]},
+         "replicates must be below 2**32, got 4294967296"),
+        ({**_REPLICATION, "studies_per_cell": 2**32},
+         "studies_per_cell must be below 2**32, got 4294967296"),
+    ],
+)
+def test_experiment_refuses_counts_outside_one_stream_word(tmp_path, capsys, payload, message):
+    """Replicate and study indices are stream id parts of one 32-bit word
+    each, so a count of 2^32 or more exits 2 naming its key."""
     assert main(["experiment", _growth_config(tmp_path, **payload)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 

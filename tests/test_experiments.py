@@ -96,6 +96,21 @@ def test_config_checks_theta_star_dimension():
         _growth_cfg(theta_star=ParamVector(theta=(1.0, 0.5)))
 
 
+def test_config_counts_stop_below_2_32():
+    """Every replicate, study and draw index is one 32-bit stream id word."""
+    assert _growth_cfg(replicates=2**32 - 1).replicates == 2**32 - 1
+    with pytest.raises(ValueError, match=r"^replicates must be below 2\*\*32, got 4294967296$"):
+        _growth_cfg(replicates=2**32)
+    replication = dict(experiment="replication", spec=INVARIANT,
+                       theta_star=ParamVector(theta=(0.0,)), sizes=(6,), master_seed=1)
+    ok = ExperimentConfig(**replication, replicates=(2, 2**32 - 1), studies_per_cell=2**32 - 1)
+    assert ok.replicates == (2, 2**32 - 1) and ok.studies_per_cell == 2**32 - 1
+    with pytest.raises(ValueError, match=r"^replicates must be below 2\*\*32"):
+        ExperimentConfig(**replication, replicates=(2, np.uint64(2**32)))
+    with pytest.raises(ValueError, match=r"^studies_per_cell must be below 2\*\*32"):
+        ExperimentConfig(**replication, replicates=(2,), studies_per_cell=2**33)
+
+
 def test_replication_config_shape():
     ok = ExperimentConfig(
         experiment="replication",
@@ -667,6 +682,29 @@ def test_subsample_event_fits_match_one_mle_per_replicate(request, family, theta
         subsample_n=4,
     )
     assert run_subsample_bias(cfg).csv_body() == _subsample_by_mle(cfg)
+
+
+@pytest.mark.parametrize("replicates, batches", [(200, 1), (300, 2)])
+def test_subsample_cell_fits_each_kind_in_one_batch(monkeypatch, replicates, batches):
+    """From a cold fit cache a cell fits each kind's distinct events in one
+    ``_fit_events`` call per batch of at most ``_EVENT_FITS`` replicates,
+    with the bytes of one ``mle`` call per replicate."""
+    from projgraph import inference
+
+    calls = []
+    fit_events = inference._fit_events
+    monkeypatch.setattr(inference, "_fit_events",
+                        lambda *args: calls.append(len(args[2])) or fit_events(*args))
+    cfg = ExperimentConfig(experiment="subsample", spec=EDGE_TRI,
+                           theta_star=ParamVector(theta=(-0.5, 0.3)), sizes=(6,),
+                           replicates=replicates, master_seed=12, subsample_n=4)
+    _event_fit.cache_clear()
+    body = run_subsample_bias(cfg).csv_body()
+    assert len(calls) <= 2 * batches
+    assert sum(calls) == _event_fit.cache_info().misses
+    if batches == 1:
+        assert len(calls) == 2
+    assert body == _subsample_by_mle(cfg)
 
 
 def test_subsample_closed_form_families_never_hit_the_boundary_gap():

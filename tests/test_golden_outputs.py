@@ -15,8 +15,13 @@ from pathlib import Path
 
 import pytest
 
+import projgraph.cli
+import projgraph.experiments
+import projgraph.rng
+from projgraph import ParamVector, format_edge_list, model_spec, sample_bernoulli, substream
 from projgraph.cli import main
 from projgraph.inference import _event_fit
+from projgraph.models import edge_prob
 
 GRAPHS = {
     # n = 7: two graphs with interior fits and the empty graph (boundary).
@@ -209,3 +214,36 @@ def test_experiment_digest_holds_on_a_warm_fit_cache(name, tmp_path, monkeypatch
 
 def test_every_case_has_a_digest():
     assert sorted(DIGESTS) == sorted(CASES)
+
+
+def _refuse_substream(monkeypatch):
+    """Make every module that could build a stream per draw fail if it does."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a study or sample built a stream per draw")
+
+    for module in (projgraph.rng, projgraph.experiments, projgraph.cli):
+        monkeypatch.setattr(module, "substream", refuse, raising=False)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n in CASES if n.startswith("experiment-") or n.startswith("sample-")))
+def test_studies_and_samples_build_no_stream_per_draw(name, tmp_path, monkeypatch):
+    """Every study and `sample` draws from one reused generator per cell or
+    call (or in bulk), never from a substream per replicate, and keeps its
+    bytes."""
+    monkeypatch.chdir(tmp_path)
+    _refuse_substream(monkeypatch)
+    assert _run(name, tmp_path) == DIGESTS[name]
+
+
+def test_bernoulli_sample_of_50_matches_each_draws_substream(tmp_path, monkeypatch):
+    family = model_spec("bernoulli-invariant")
+    pi = edge_prob(family, ParamVector(theta=(-0.2,)), 9)
+    expected = [format_edge_list(sample_bernoulli(9, pi, substream(2**64 - 1, "sample", k)))
+                for k in range(50)]
+    monkeypatch.chdir(tmp_path)
+    _refuse_substream(monkeypatch)
+    assert main(["sample", "--family", "bernoulli-invariant", "--theta=-0.2", "--n", "9",
+                 "--count", "50", "--seed", str(2**64 - 1), "--out", "draws"]) == 0
+    files = sorted((tmp_path / "draws").iterdir())
+    assert [path.read_text(encoding="utf-8") for path in files] == expected

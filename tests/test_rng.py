@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from projgraph import substream
-from projgraph.rng import _first_uniforms
+from projgraph.rng import _KEY_CHUNK, _first_uniforms, _streams
 
 
 def test_same_path_yields_identical_stream():
@@ -136,3 +136,64 @@ def test_an_integer_part_below_2_32_may_sit_in_the_prefix_or_the_tail(seed, tag,
 def test_first_uniforms_reject_tails_outside_one_word(tails):
     with pytest.raises(ValueError):
         _first_uniforms(1, ("tag",), tails)
+
+
+# --------------------------------------------------------------------------
+# whole streams from one reused generator
+# --------------------------------------------------------------------------
+
+
+def _draws(rng, population, chosen):
+    """A mix of draws: doubles, 64-bit and 32-bit integers (an odd count of
+    32-bit draws leaves half a word held), and a subset without replacement."""
+    return [
+        rng.random(),
+        rng.random(3).tolist(),
+        rng.integers(1 << 40, size=2).tolist(),
+        rng.integers(1000, size=3, dtype=np.uint32).tolist(),
+        rng.choice(population, chosen, replace=False).tolist(),
+    ]
+
+
+_EMPTY_TAILS = np.zeros((3, 0), dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=_SEEDS, prefix=st.lists(_PARTS, max_size=3), tails=_tails(),
+       population=st.integers(1, 40), data=st.data())
+@example(seed=0, prefix=[], tails=_EMPTY_TAILS, population=6, data=None)
+@example(seed=1 << 32, prefix=[], tails=_EMPTY_TAILS, population=6, data=None)
+@example(seed=(1 << 64) - 1, prefix=[], tails=_EMPTY_TAILS, population=6, data=None)
+@example(seed=0, prefix=["subsample", 2], tails=_EXTREME_TAILS, population=7, data=None)
+@example(seed=1 << 32, prefix=[1 << 40, "x"], tails=_EXTREME_TAILS, population=30, data=None)
+@example(seed=(1 << 64) - 1, prefix=[(1 << 64) + 5], tails=_EXTREME_TAILS, population=2,
+         data=None)
+def test_streams_equal_substream_bit_for_bit(seed, prefix, tails, population, data):
+    """Each generator that _streams yields draws what the row's own
+    substream draws, whatever the previous row drew from it."""
+    chosen = population // 2 if data is None else data.draw(st.integers(0, population))
+    reused = [_draws(rng, population, chosen) for rng in _streams(seed, tuple(prefix), tails)]
+    expected = [_draws(substream(seed, *prefix, *row), population, chosen)
+                for row in tails.tolist()]
+    assert reused == expected
+
+
+def test_streams_cover_every_key_chunk():
+    """Rows past the first pass of keys come out in order, with their own bits."""
+    rows = _KEY_CHUNK + 3
+    tails = np.arange(rows)[:, None]
+    firsts = [g.random() for g in _streams(5, ("growth", 1), tails)]
+    assert len(firsts) == rows
+    for k in (0, _KEY_CHUNK - 1, _KEY_CHUNK, rows - 1):
+        assert firsts[k] == substream(5, "growth", 1, k).random()
+    assert firsts == _first_uniforms(5, ("growth", 1), tails).tolist()
+
+
+@pytest.mark.parametrize(
+    "tails",
+    [np.array([[-1]]), np.array([[1 << 32]]), np.array([[0.0]]), np.array([0, 1])],
+    ids=["negative", "2**32", "float", "one-dimensional"],
+)
+def test_streams_reject_tails_outside_one_word(tails):
+    with pytest.raises(ValueError):
+        next(_streams(1, ("tag",), tails))
