@@ -25,8 +25,6 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .exact import (
     EnumerationCapError,
     _bulk_sample,
@@ -102,7 +100,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     # reused generator keyed per draw, or for table draws a bulk evaluation.
     if spec.bernoulli:
         pi = edge_prob(spec, theta, args.n)
-        streams = _streams(args.seed, ("sample",), np.arange(args.count)[:, None])
+        streams = _streams(args.seed, ("sample",), (args.count,))
         graphs = [sample_bernoulli(args.n, pi, rng) for rng in streams]
     else:
         dist = build_distribution(spec, theta, args.n, args.enum_cap)

@@ -27,7 +27,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -40,7 +40,7 @@ from .models import (
     natural_params,
     edge_prob,
 )
-from .rng import _first_uniforms
+from .rng import _DRAW_CHUNK, _first_uniforms, _index_rows
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -68,7 +68,6 @@ MAX_ENUMERATION_CAP = 8
 PROJECTIVITY_TOLERANCE = 1e-9
 
 _CHUNK = 1 << 20
-_DRAW_CHUNK = 4096
 
 
 class EnumerationCapError(Exception):
@@ -586,7 +585,7 @@ def _bulk_sample(
     """Yield ``exact_sample(d, substream(master_seed, *prefix, *tail))`` for
     each ``tail`` in ``np.ndindex(shape)``, in that order, with the same
     bits (see :func:`_bulk_indices`)."""
-    tails = lambda lo, hi: np.stack(np.unravel_index(np.arange(lo, hi), shape), axis=1)
+    tails = partial(_index_rows, shape)
     for chunk in _bulk_indices(d, master_seed, prefix, math.prod(shape), tails):
         for k in chunk.tolist():
             yield Graph(d.n, k)

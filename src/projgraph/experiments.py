@@ -415,17 +415,12 @@ def run_growth_consistency(cfg: ExperimentConfig, threads: int = 1) -> Experimen
     return _report(cfg, columns, rows, started)
 
 
-def _grid(shape: tuple[int, ...]) -> np.ndarray:
-    """Every index of an array of ``shape``, one row each, in C order."""
-    return np.indices(shape).reshape(len(shape), -1).T
-
-
 def _replicate_streams(
     cfg: ExperimentConfig, name: str, cell: int
 ) -> Iterator[np.random.Generator]:
     """The stream of each replicate of a cell, ``substream(seed, name,
     cell, replicate)``, from one reused generator (see :func:`_streams`)."""
-    return _streams(cfg.master_seed, (name, cell), _grid((cfg.replicates,)))
+    return _streams(cfg.master_seed, (name, cell), (cfg.replicates,))
 
 
 def _cell_sampler(
@@ -488,7 +483,7 @@ def run_replication_consistency(
         cells = []
         for cell, count in enumerate(cfg.replicates):
             shape = (cfg.studies_per_cell, count)
-            streams = _streams(cfg.master_seed, ("replication", cell), _grid(shape))
+            streams = _streams(cfg.master_seed, ("replication", cell), shape)
             cells.append([_estimate(cfg.spec, Replicates(tuple(
                 draw(next(streams)) for _ in range(count)))) for _ in range(shape[0])])
     else:

@@ -21,14 +21,16 @@ integer parts below 2^32 share that hash up to the tail, so
 From those keys :func:`_first_uniforms` evaluates the first ``random()``
 of every stream by Philox arithmetic on arrays (a draw from a table needs
 only that uniform), and :func:`_streams` yields whole streams from one
-reused generator, keyed per stream.  Both keep every bit of
-:func:`substream`.
+reused generator: the prefix's own :func:`substream`, keyed per stream.
+Both keep every bit of :func:`substream`, and both derive keys
+``_DRAW_CHUNK`` rows at a time.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from typing import Iterator
 
 import numpy as np
@@ -82,8 +84,8 @@ _PHILOX_ROUNDS = 10
 _M_LO, _M_HI = _PHILOX_M & _MASK32, _PHILOX_M >> 32
 # Words 1 and 3 of the block after round 0 at the counter (1, 0, 0, 0).
 _ROUND_0 = np.array([[0], _PHILOX_M[0]], dtype=np.uint64)
-# Rows whose keys one pass of _streams derives.
-_KEY_CHUNK = 4096
+# Rows whose keys one pass derives.
+_DRAW_CHUNK = 4096
 
 
 def _words(value: int) -> list[int]:
@@ -196,23 +198,34 @@ def _first_uniforms(
     return (x[0] >> 11) * (1.0 / 9007199254740992.0)
 
 
+def _index_rows(shape: tuple[int, ...], lo: int, hi: int) -> np.ndarray:
+    """Rows ``lo`` to ``hi - 1`` of every index of an array of ``shape``, in
+    C order, as a (hi - lo, len(shape)) integer array."""
+    strides = np.array([math.prod(shape[k + 1 :]) for k in range(len(shape))], dtype=np.int64)
+    return np.arange(lo, hi)[:, None] // strides % np.array(shape, dtype=np.int64)
+
+
 def _streams(
-    master_seed: int, prefix: tuple[int | str, ...], tails: np.ndarray
+    master_seed: int, prefix: tuple[int | str, ...], shape: tuple[int, ...]
 ) -> Iterator[np.random.Generator]:
-    """Yield ``substream(master_seed, *prefix, *row)`` for each row of
-    ``tails`` (see :func:`_stream_keys`), with the same bits, as one reused
+    """Yield ``substream(master_seed, *prefix, *index)`` for each index of an
+    array of ``shape``, in C order, with the same bits, as one reused
     generator: a yielded generator is valid only until the next is yielded.
 
-    Philox is counter-based, so a stream needs no seeding beyond its state:
-    each row sets its key, counter 0, an empty buffer and no held 32-bit
-    half, as seeding from a SeedSequence does.
+    The generator is built once, as ``substream(master_seed, *prefix)``.
+    Philox is counter-based, so a stream needs no seeding beyond its key:
+    each index sets its key on that fresh state (counter 0, an empty buffer
+    and no held 32-bit half), as seeding from a SeedSequence does.
     """
-    bit_generator = np.random.Philox(0)
-    generator = np.random.Generator(bit_generator)
-    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
-             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for lo in range(0, len(tails), _KEY_CHUNK):
-        for key in _stream_keys(master_seed, prefix, tails[lo : lo + _KEY_CHUNK]).T.tolist():
+    if not all(0 <= dim <= 1 << 32 for dim in shape):
+        raise ValueError("each dimension of shape must lie in [0, 2**32]")
+    generator = substream(master_seed, *prefix)
+    bit_generator = generator.bit_generator
+    state = bit_generator.state
+    count = math.prod(shape)
+    for lo in range(0, count, _DRAW_CHUNK):
+        rows = _index_rows(shape, lo, min(lo + _DRAW_CHUNK, count))
+        for key in _stream_keys(master_seed, prefix, rows).T.tolist():
             state["state"]["key"] = key
             bit_generator.state = state
             yield generator

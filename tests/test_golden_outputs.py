@@ -216,24 +216,32 @@ def test_every_case_has_a_digest():
     assert sorted(DIGESTS) == sorted(CASES)
 
 
-def _refuse_substream(monkeypatch):
-    """Make every module that could build a stream per draw fail if it does."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("a study or sample built a stream per draw")
+def _record_substream(monkeypatch):
+    """Record the parts of every stream built by ``substream``, wherever a
+    study or `sample` could call it from."""
+    built = []
+
+    def record(master_seed, *parts):
+        built.append(parts)
+        return substream(master_seed, *parts)
 
     for module in (projgraph.rng, projgraph.experiments, projgraph.cli):
-        monkeypatch.setattr(module, "substream", refuse, raising=False)
+        monkeypatch.setattr(module, "substream", record, raising=False)
+    return built
 
 
 @pytest.mark.parametrize(
     "name", sorted(n for n in CASES if n.startswith("experiment-") or n.startswith("sample-")))
 def test_studies_and_samples_build_no_stream_per_draw(name, tmp_path, monkeypatch):
     """Every study and `sample` draws from one reused generator per cell or
-    call (or in bulk), never from a substream per replicate, and keeps its
-    bytes."""
+    call (or in bulk), built once from the cell's or call's path and never
+    from a replicate's or draw's, and keeps its bytes."""
     monkeypatch.chdir(tmp_path)
-    _refuse_substream(monkeypatch)
+    built = _record_substream(monkeypatch)
     assert _run(name, tmp_path) == DIGESTS[name]
+    path_length = 1 if name.startswith("sample-") else 2  # ("sample",) or (study, cell)
+    assert all(len(parts) == path_length for parts in built), built
+    assert len(set(built)) == len(built)
 
 
 def test_bernoulli_sample_of_50_matches_each_draws_substream(tmp_path, monkeypatch):
@@ -242,8 +250,9 @@ def test_bernoulli_sample_of_50_matches_each_draws_substream(tmp_path, monkeypat
     expected = [format_edge_list(sample_bernoulli(9, pi, substream(2**64 - 1, "sample", k)))
                 for k in range(50)]
     monkeypatch.chdir(tmp_path)
-    _refuse_substream(monkeypatch)
+    built = _record_substream(monkeypatch)
     assert main(["sample", "--family", "bernoulli-invariant", "--theta=-0.2", "--n", "9",
                  "--count", "50", "--seed", str(2**64 - 1), "--out", "draws"]) == 0
     files = sorted((tmp_path / "draws").iterdir())
     assert [path.read_text(encoding="utf-8") for path in files] == expected
+    assert built == [("sample",)]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from projgraph import substream
-from projgraph.rng import _KEY_CHUNK, _first_uniforms, _streams
+from projgraph.rng import _DRAW_CHUNK, _first_uniforms, _streams
 
 
 def test_same_path_yields_identical_stream():
@@ -155,45 +155,43 @@ def _draws(rng, population, chosen):
     ]
 
 
-_EMPTY_TAILS = np.zeros((3, 0), dtype=np.int64)
+_SHAPES = st.lists(st.integers(0, 3), max_size=3).map(tuple)
 
 
 @settings(max_examples=150, deadline=None)
-@given(seed=_SEEDS, prefix=st.lists(_PARTS, max_size=3), tails=_tails(),
+@given(seed=_SEEDS, prefix=st.lists(_PARTS, max_size=3), shape=_SHAPES,
        population=st.integers(1, 40), data=st.data())
-@example(seed=0, prefix=[], tails=_EMPTY_TAILS, population=6, data=None)
-@example(seed=1 << 32, prefix=[], tails=_EMPTY_TAILS, population=6, data=None)
-@example(seed=(1 << 64) - 1, prefix=[], tails=_EMPTY_TAILS, population=6, data=None)
-@example(seed=0, prefix=["subsample", 2], tails=_EXTREME_TAILS, population=7, data=None)
-@example(seed=1 << 32, prefix=[1 << 40, "x"], tails=_EXTREME_TAILS, population=30, data=None)
-@example(seed=(1 << 64) - 1, prefix=[(1 << 64) + 5], tails=_EXTREME_TAILS, population=2,
+@example(seed=0, prefix=[], shape=(), population=6, data=None)
+@example(seed=1 << 32, prefix=[], shape=(), population=6, data=None)
+@example(seed=(1 << 64) - 1, prefix=[], shape=(), population=6, data=None)
+@example(seed=0, prefix=["subsample", 2], shape=(3,), population=7, data=None)
+@example(seed=1 << 32, prefix=[1 << 40, "x"], shape=(2, 2), population=30, data=None)
+@example(seed=(1 << 64) - 1, prefix=[(1 << 64) + 5], shape=(1, 3), population=2,
          data=None)
-def test_streams_equal_substream_bit_for_bit(seed, prefix, tails, population, data):
-    """Each generator that _streams yields draws what the row's own
-    substream draws, whatever the previous row drew from it."""
+def test_streams_equal_substream_bit_for_bit(seed, prefix, shape, population, data):
+    """Each generator that _streams yields draws what its index's own
+    substream draws, whatever the previous index drew from it."""
     chosen = population // 2 if data is None else data.draw(st.integers(0, population))
-    reused = [_draws(rng, population, chosen) for rng in _streams(seed, tuple(prefix), tails)]
-    expected = [_draws(substream(seed, *prefix, *row), population, chosen)
-                for row in tails.tolist()]
+    reused = [_draws(rng, population, chosen) for rng in _streams(seed, tuple(prefix), shape)]
+    expected = [_draws(substream(seed, *prefix, *index), population, chosen)
+                for index in np.ndindex(shape)]
     assert reused == expected
 
 
 def test_streams_cover_every_key_chunk():
     """Rows past the first pass of keys come out in order, with their own bits."""
-    rows = _KEY_CHUNK + 3
-    tails = np.arange(rows)[:, None]
-    firsts = [g.random() for g in _streams(5, ("growth", 1), tails)]
-    assert len(firsts) == rows
-    for k in (0, _KEY_CHUNK - 1, _KEY_CHUNK, rows - 1):
-        assert firsts[k] == substream(5, "growth", 1, k).random()
+    shape = (2, _DRAW_CHUNK // 2 + 3)
+    firsts = [g.random() for g in _streams(5, ("growth", 1), shape)]
+    assert len(firsts) == 2 * shape[1]
+    for k in (0, _DRAW_CHUNK - 1, _DRAW_CHUNK, len(firsts) - 1):
+        index = map(int, np.unravel_index(k, shape))
+        assert firsts[k] == substream(5, "growth", 1, *index).random()
+    tails = np.stack(np.unravel_index(np.arange(len(firsts)), shape), axis=1)
     assert firsts == _first_uniforms(5, ("growth", 1), tails).tolist()
 
 
-@pytest.mark.parametrize(
-    "tails",
-    [np.array([[-1]]), np.array([[1 << 32]]), np.array([[0.0]]), np.array([0, 1])],
-    ids=["negative", "2**32", "float", "one-dimensional"],
-)
-def test_streams_reject_tails_outside_one_word(tails):
+@pytest.mark.parametrize("shape", [(-1,), ((1 << 32) + 1,), (2, (1 << 40))],
+                         ids=["negative", "2**32+1", "2**40"])
+def test_streams_reject_indices_outside_one_word(shape):
     with pytest.raises(ValueError):
-        next(_streams(1, ("tag",), tails))
+        next(_streams(1, ("tag",), shape))
