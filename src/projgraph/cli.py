@@ -7,8 +7,9 @@ keys match the ExperimentConfig field names.  Results are CSV on
 standard output by default, written to files only with ``--out`` (the
 experiment command then also writes a JSON metadata sidecar).
 
-Exit codes: 0 success, 2 invalid input, 3 enumeration cap exceeded,
-4 I/O failure.  Validation always precedes computation, so invalid
+Exit codes: 0 success, 2 invalid input, 3 enumeration cap exceeded
+(and exact ``sample`` above n = 7, refused at any ``--enum-cap``), 4 I/O
+failure.  Validation always precedes computation, so invalid
 invocations never leave partial output files.  ``experiment`` and
 ``check-projectivity`` accept ``--threads`` for compatibility and
 validate it, but both run serially, so every output body is the same for
@@ -29,6 +30,7 @@ from .exact import (
     EnumerationCapError,
     _bulk_sample,
     _product_grid,
+    _refuse_exact_sampling,
     build_distribution,
     default_theta_grid,
     projectivity_check,
@@ -103,6 +105,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         streams = _streams(args.seed, ("sample",), (args.count,))
         graphs = [sample_bernoulli(args.n, pi, rng) for rng in streams]
     else:
+        resolve_enum_cap(args.n, args.enum_cap)  # a cap error reads first
+        _refuse_exact_sampling(args.n)
         dist = build_distribution(spec, theta, args.n, args.enum_cap)
         graphs = list(_bulk_sample(dist, args.seed, ("sample",), (args.count,)))
     if args.out is None:

@@ -15,8 +15,11 @@ Independent-dyad families additionally get closed-form normalizers and
 moments valid at any size.
 
 Enumeration is capped at n <= 7 by default (2^21 graphs); the cap can be
-raised to n = 8 explicitly, which emits a memory warning (the statistic
-table and the class codes then hold 2^28 rows).  Larger sizes are refused.
+raised to n = 8 explicitly, which emits a memory warning: the statistic
+table and the class codes then hold 2^28 rows, so coding the classes peaks
+at about 820 MB and the projectivity check against n_sub = 7 at about
+1.6 GB.  Exact sampling stays refused above n = 7, since its CDF would hold
+one float per graph.  Larger sizes are refused.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ def resolve_enum_cap(n: int, enum_cap: Optional[int] = None) -> int:
     Returns the effective cap.  Raises ``ValueError`` for an invalid cap
     request and :class:`EnumerationCapError` when ``n`` exceeds the cap.
     Enumerating at n = 8 is allowed only by explicit override and warns:
-    the tables hold 2^28 entries (gigabytes of floats).
+    the tables hold 2^28 entries.
     """
     cap = DEFAULT_ENUMERATION_CAP if enum_cap is None else enum_cap
     if enum_cap is not None and not 1 <= enum_cap <= MAX_ENUMERATION_CAP:
@@ -99,7 +102,8 @@ def resolve_enum_cap(n: int, enum_cap: Optional[int] = None) -> int:
     if n > DEFAULT_ENUMERATION_CAP:
         warnings.warn(
             f"enumerating all 2^{dyad_count(n)} graphs on {n} nodes allocates "
-            "multi-gigabyte tables",
+            "large tables: about 820 MB to code the classes at n=8 and 1.6 GB "
+            "at peak for the projectivity check",
             ResourceWarning,
             stacklevel=2,
         )
@@ -132,42 +136,56 @@ def enumerated_stats(
     return _enumerated_stats_cached(spec, n)
 
 
-def _packed_radices(table: np.ndarray) -> Optional[tuple[int, ...]]:
-    """Per-column radix (maximum + 1) of a table of unsigned integers whose
-    mixed-radix row keys number at most its rows; None for any other table."""
-    if table.dtype.kind != "u":
-        return None
-    radices = tuple(int(column.max()) + 1 for column in table.T)
-    return radices if math.prod(radices) <= len(table) else None
+def _row_word(table: np.ndarray) -> Optional[np.dtype]:
+    """The unsigned word that holds one row of an unsigned-integer table
+    whose rows take at most two bytes; None for any other table."""
+    width = table.dtype.itemsize * table.shape[1]
+    return np.dtype(f"u{width}") if table.dtype.kind == "u" and width <= 2 else None
 
 
 def _code_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Class codes of a statistic table's rows, its distinct rows in
     lexicographic order (row c is class c) as floats, and each row's count.
 
-    Small unsigned-integer tables get one mixed-radix key per row, in the
-    smallest unsigned dtype that holds the radices' product, ranked by
-    which keys are present (``cumsum(bincount(key) > 0) - 1``); the distinct
-    rows are decoded from the present keys.  Other tables code each column
-    by its sorted distinct values and pack the codes into one int64 key,
-    renumbered after every column so that it stays below the row count.
-    Both rank the distinct rows lexicographically.
+    An unsigned-integer table whose rows take at most two bytes (the
+    built-in families') is keyed by each row's bytes read as one word,
+    with no copy.  The words are counted ``_CHUNK`` rows at a time into
+    ``max(word) + 1`` bins, the present words are decoded back into rows
+    and ranked lexicographically into a lookup table, and the codes are
+    gathered from it a chunk at a time, so no temporary spans the table.
+    Other tables code each column by its sorted distinct values and pack
+    the codes into one int64 key, renumbered after every column so that
+    it stays below the row count.
     """
-    radices = _packed_radices(table)
-    if radices is not None:
-        key = np.zeros(len(table), dtype=np.min_scalar_type(math.prod(radices)))
-        for column, radix in zip(table.T, radices):
-            key *= radix
-            key += column
-        counts = np.bincount(key)
+    word = _row_word(table)
+    if word is not None:
+        key = np.ascontiguousarray(table).view(word).ravel()
+        # Counting and gathering take intp indices.  NumPy would widen each
+        # chunk into a fresh array, and the allocator then kept 8 MB of freed
+        # heap resident after coding n = 7; one buffer is reused instead.
+        index = np.empty(min(_CHUNK, len(key)), dtype=np.intp)
+
+        def widened(lo: int) -> np.ndarray:
+            part = index[:len(key) - lo]
+            part[...] = key[lo:lo + len(part)]
+            return part
+
+        counts = np.zeros(int(key.max()) + 1, dtype=np.intp)
+        for lo in range(0, len(key), _CHUNK):
+            counts += np.bincount(widened(lo), minlength=len(counts))
         present = np.flatnonzero(counts)
-        rank = np.cumsum(counts > 0) - 1
-        codes = rank.astype(np.min_scalar_type(len(present) - 1))[key]
-        points = np.empty((len(present), len(radices)), dtype=np.float64)
-        rest = present
-        for j in reversed(range(len(radices))):
-            rest, points[:, j] = np.divmod(rest, radices[j])
-        return codes, points, counts[present]
+        # Word order is byte order, not row order (little-endian (e, t) is
+        # e + 256 t), so the present rows are ranked by a lexsort.
+        rows = present.astype(word).view(table.dtype).reshape(len(present), -1)
+        order = np.lexsort(rows.T[::-1])
+        lut = np.zeros(len(counts), dtype=np.min_scalar_type(len(present) - 1))
+        lut[present[order]] = np.arange(len(present))
+        codes = np.empty(len(key), dtype=lut.dtype)
+        for lo in range(0, len(key), _CHUNK):
+            part = widened(lo)
+            # Every word indexes the table; "clip" writes into ``out`` unbuffered.
+            np.take(lut, part, out=codes[lo:lo + len(part)], mode="clip")
+        return codes, rows[order].astype(np.float64), counts[present[order]]
     key = np.zeros(table.shape[0], dtype=np.int64)
     for column in table.T:
         values = np.unique(column)
@@ -358,8 +376,20 @@ class ExactDistribution:
 
     def _cumulative(self) -> np.ndarray:
         if self._cdf is None:
+            _refuse_exact_sampling(self.n)
             object.__setattr__(self, "_cdf", np.cumsum(self.probs()))
         return self._cdf
+
+
+def _refuse_exact_sampling(n: int) -> None:
+    """Raise :class:`EnumerationCapError` for exact sampling above the
+    default cap, whatever the enumeration cap: the sampling CDF holds one
+    float per graph, 2 GiB at n = 8."""
+    if n > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"exact sampling is limited to n <= {DEFAULT_ENUMERATION_CAP}, got n={n}: "
+            f"its CDF would hold 2^{dyad_count(n)} probabilities"
+        )
 
 
 def build_distribution(

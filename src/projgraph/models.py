@@ -249,13 +249,14 @@ def _bulk_edge_triangle_counts(n: int) -> np.ndarray:
     if n == 1:
         return np.zeros((1, 2), dtype=np.uint8)
     prefix = _bulk_edge_triangle_counts(n - 1)
-    p = np.arange(len(prefix), dtype=np.uint64)
+    edges, triangles = prefix.T.copy()
+    p = np.arange(len(prefix), dtype=np.min_scalar_type(len(prefix) - 1))
     out = np.empty((1 << (n - 1), len(prefix), 2), dtype=np.uint8)
     for star in range(1 << (n - 1)):
         ends = [i for i in range(n - 1) if star >> i & 1]
         inside = sum(1 << dyad_index(i, j) for i, j in itertools.combinations(ends, 2))
-        out[star, :, 0] = prefix[:, 0] + len(ends)
-        out[star, :, 1] = prefix[:, 1] + np.bitwise_count(p & np.uint64(inside))
+        np.add(edges, len(ends), out=out[star, :, 0])
+        np.add(triangles, np.bitwise_count(p & p.dtype.type(inside)), out=out[star, :, 1])
     return out.reshape(-1, 2)
 
 

@@ -369,6 +369,27 @@ def test_check_projectivity_enumeration_cap(capsys):
     assert _enumerated_stats_cached.cache_info().misses == built  # refused before building
 
 
+def test_exact_sample_above_n7_is_refused_before_any_coding(capsys):
+    """Exact sampling at n = 8 is refused even with --enum-cap 8, with one
+    error line and exit code 3, before the statistic table or its classes
+    exist."""
+    from projgraph.exact import _classes, _enumerated_stats_cached
+
+    built = _enumerated_stats_cached.cache_info().misses
+    coded = _classes.cache_info().misses
+    code = main(["sample", "--family", "edge-triangle", "--theta", "0,0", "--n", "8",
+                 "--enum-cap", "8"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: exact sampling is limited to n <= 7, got n=8: "
+        "its CDF would hold 2^28 probabilities"
+    ]
+    assert _enumerated_stats_cached.cache_info().misses == built
+    assert _classes.cache_info().misses == coded
+
+
 # --------------------------------------------------------------------------
 # experiment
 # --------------------------------------------------------------------------

@@ -1,12 +1,17 @@
 """Exact enumeration: normalizers, distributions, marginals, projectivity, sampling."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+import projgraph
 from projgraph import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
@@ -39,7 +44,15 @@ from projgraph import (
     tv_distance,
     unregister_family,
 )
-from projgraph.exact import _DRAW_CHUNK, _bulk_sample, _classes
+from projgraph.exact import (
+    _CHUNK,
+    _DRAW_CHUNK,
+    ExactDistribution,
+    _bulk_sample,
+    _classes,
+    _code_table,
+    _enumerated_stats_cached,
+)
 
 INVARIANT = model_spec("BernoulliInvariant")
 OFFSET = model_spec("BernoulliOffset")
@@ -100,7 +113,7 @@ def test_cap_rejects_large_sizes():
 
 
 def test_cap_override_to_eight_warns():
-    with pytest.warns(ResourceWarning, match="multi-gigabyte"):
+    with pytest.warns(ResourceWarning, match="about 820 MB to code the classes at n=8"):
         assert resolve_enum_cap(8, enum_cap=8) == 8
 
 
@@ -231,6 +244,59 @@ def test_offset_distribution_equals_invariant_at_shifted_parameter():
     off = build_distribution(OFFSET, ParamVector(theta=(1.0,)), n)
     inv = build_distribution(INVARIANT, ParamVector(theta=(1.0 - math.log(n),)), n)
     np.testing.assert_allclose(off.probs(), inv.probs(), atol=1e-13)
+
+
+# --------------------------------------------------------------------------
+# class coding
+# --------------------------------------------------------------------------
+
+
+def test_coding_the_n7_table_allocates_little_beyond_the_codes():
+    """The 2^21 EdgeTriangle rows are coded a chunk at a time: beyond the
+    codes, at most one chunk's intp index and 1 MiB are allocated, where
+    one int64 copy of a whole key would take 16 MiB."""
+    table = _enumerated_stats_cached(EDGE_TRI, 7)
+    tracemalloc.start()
+    try:
+        codes = _code_table(table)[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= codes.nbytes + _CHUNK * np.dtype(np.intp).itemsize + (1 << 20)
+
+
+_CODE_N8_SCRIPT = """
+import resource
+
+limit = 3 << 29  # 1.5 GiB of address space
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+import numpy as np
+from projgraph import model_spec
+from projgraph.exact import _code_table, _enumerated_stats_cached
+
+table = _enumerated_stats_cached(model_spec("EdgeTriangle"), 8)
+codes, points, counts = _code_table(table)
+rows = np.random.default_rng(8).integers(0, len(table), 1000)
+assert np.array_equal(points[codes[rows]], table[rows])
+assert np.all(np.diff(points @ [1 << 8, 1]) > 0)  # lexicographic, distinct
+print(codes.dtype, len(points), int(counts.sum()))
+"""
+
+
+def test_the_n8_table_codes_within_1_5_gib_of_address_space():
+    """In a child process whose own address space is capped at 1.5 GiB, the
+    2^28-row EdgeTriangle table on 8 nodes (512 MiB) is built and coded."""
+    pytest.importorskip("resource")
+    src = str(Path(projgraph.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", _CODE_N8_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    dtype, classes, total = done.stdout.split()
+    assert (dtype, int(total)) == ("uint8", 1 << 28)
+    assert int(classes) < 256
 
 
 # --------------------------------------------------------------------------
@@ -473,6 +539,22 @@ def test_exact_sample_consumes_one_uniform():
         rng = substream(11, "one-uniform", index)
         exact_sample(d, rng)
         assert rng.random() == substream(11, "one-uniform", index).random(2)[1]
+
+
+def test_exact_sampling_above_n7_is_refused_before_any_cdf():
+    """A distribution on 8 nodes refuses to build its 2^28-entry CDF, for a
+    single draw and for bulk draws, with no class coding built."""
+    d = ExactDistribution(n=8, spec=EDGE_TRI, theta=ParamVector(theta=(0.0, 0.0)),
+                          class_log_probs=np.zeros(1), codes=np.zeros(4, dtype=np.uint8),
+                          log_z=0.0)
+    coded = _classes.cache_info().misses
+    for draw in (lambda: exact_sample(d, substream(0, "n8")),
+                 lambda: next(_bulk_sample(d, 0, ("n8",), (2,)))):
+        with pytest.raises(EnumerationCapError,
+                           match=r"exact sampling is limited to n <= 7, got n=8"):
+            draw()
+    assert d._cdf is None
+    assert _classes.cache_info().misses == coded
 
 
 def test_bulk_sample_matches_one_stream_per_draw_across_chunks():

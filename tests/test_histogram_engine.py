@@ -43,7 +43,7 @@ from projgraph.exact import (
     _enumerated_stats_cached,
     _logsumexp,
     _moments,
-    _packed_radices,
+    _row_word,
 )
 
 RTOL = 1e-12
@@ -216,17 +216,17 @@ def test_logsumexp_agrees_with_scipy(values, repeats):
 
 
 def _assert_same_coding(table):
-    """The packed-key coding of an unsigned table equals the sort path's on
-    the same table cast to float64: codes (and their dtype), rows, counts."""
-    assert _packed_radices(table) is not None
+    """The row-word coding of an unsigned table equals the sort path's on the
+    same table cast to float64: codes (and their dtype), rows, counts."""
+    assert _row_word(table) is not None
     floats = table.astype(np.float64)
-    assert _packed_radices(floats) is None
+    assert _row_word(floats) is None
     for got, want in zip(_code_table(table), _code_table(floats)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("family", ["EdgeTriangle", "BernoulliInvariant"])
+@pytest.mark.parametrize("family", ["EdgeTriangle", "BernoulliInvariant", "BernoulliOffset"])
 @pytest.mark.parametrize("n", range(1, 8))
 def test_packed_key_coding_matches_the_sort_path(family, n):
     fam = model_spec(family)
@@ -241,31 +241,36 @@ def test_packed_key_coding_matches_the_sort_path(family, n):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    table=st.one_of(st.just(16), st.integers(0, 255)).flatmap(
-        lambda top: arrays(np.uint8, st.tuples(st.integers(1, 300), st.integers(1, 3)),
-                           elements=st.integers(0, top))
+    table=st.sampled_from([np.uint8, np.uint16]).flatmap(
+        lambda dtype: st.sampled_from([16, int(np.iinfo(dtype).max)]).flatmap(
+            lambda top: arrays(dtype, st.tuples(st.integers(1, 300), st.integers(1, 3)),
+                               elements=st.integers(0, top))
+        )
     ),
 )
 @example(table=np.array([[3, 0], [0, 1], [3, 0], [1, 1], [2, 0], [0, 0], [1, 0], [3, 1]],
                         dtype=np.uint8))
+# Byte order is not row order: little-endian words 1, 256 and 255.
+@example(table=np.array([[1, 0], [0, 1], [255, 0]], dtype=np.uint8))
+@example(table=np.array([[65535], [0], [256], [1]], dtype=np.uint16))
 def test_small_unsigned_tables_code_like_the_sort_path(table):
-    """Tables whose radix product exceeds their rows, where a key count per
-    radix product would outgrow the table, take the sort path."""
-    small = math.prod(int(c.max()) + 1 for c in table.T) <= len(table)
-    assert (_packed_radices(table) is not None) == small
-    if small:
+    """Unsigned tables whose rows fit in two bytes code like the sort path;
+    wider rows, such as three uint8 or two uint16 columns, take it."""
+    fits = table.dtype.itemsize * table.shape[1] <= 2
+    assert (_row_word(table) is not None) == fits
+    if fits:
         _assert_same_coding(table)
 
 
 def test_a_full_byte_column_codes_like_the_sort_path():
-    """The radix 256 of a uint8 column needs a wider key."""
+    """Every byte value present: 256 classes, whose codes still fit a uint8."""
     _assert_same_coding(np.random.default_rng(0).permutation(256).astype(np.uint8)[:, None])
 
 
 def test_float_tables_take_the_sort_path(edge_triangle_over_50):
     for spec in (edge_triangle_over_50, model_spec("FloatStatsProbe")):
         for n in range(1, 6):
-            assert _packed_radices(_enumerated_stats_cached(spec, n)) is None
+            assert _row_word(_enumerated_stats_cached(spec, n)) is None
 
 
 # The per-graph construction that distributions replaced, kept as the
