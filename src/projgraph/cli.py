@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .exact import (
+    MAX_ENUMERATION_CAP,
     EnumerationCapError,
     _bulk_sample,
     _product_grid,
@@ -105,8 +106,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         streams = _streams(args.seed, ("sample",), (args.count,))
         graphs = [sample_bernoulli(args.n, pi, rng) for rng in streams]
     else:
-        resolve_enum_cap(args.n, args.enum_cap)  # a cap error reads first
-        _refuse_exact_sampling(args.n)
+        # Up to the largest cap, no cap lifts the sampling refusal, so it reads
+        # first; beyond it the cap's own message does.
+        if args.n <= MAX_ENUMERATION_CAP:
+            _refuse_exact_sampling(args.n)
+        resolve_enum_cap(args.n, args.enum_cap)
         dist = build_distribution(spec, theta, args.n, args.enum_cap)
         graphs = list(_bulk_sample(dist, args.seed, ("sample",), (args.count,)))
     if args.out is None:

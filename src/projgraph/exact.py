@@ -8,7 +8,8 @@ is one log probability per class, gathered through the class codes into a
 per-graph table (indexed as in :mod:`projgraph.graph`) only when asked for.
 The projectivity check runs on grouped joint counts, built once per
 (family, n, n_sub): for each group of n_sub-node prefix subgraphs, how
-many completions to n nodes fall in each statistic class.  Log-space
+many completions to n nodes fall in each statistic class; it evaluates
+its whole theta grid in stacked passes.  Log-space
 arithmetic is used throughout (max-shifted logsumexp) so large parameter
 values cannot overflow.
 Independent-dyad families additionally get closed-form normalizers and
@@ -24,8 +25,6 @@ one float per graph.  Larger sizes are refused.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 import warnings
@@ -104,7 +103,7 @@ def resolve_enum_cap(n: int, enum_cap: Optional[int] = None) -> int:
             f"enumerating all 2^{dyad_count(n)} graphs on {n} nodes allocates "
             "large tables: about 820 MB to code the classes at n=8 and 1.6 GB "
             "at peak for the projectivity check",
-            ResourceWarning,
+            RuntimeWarning,
             stacklevel=2,
         )
     return cap
@@ -272,12 +271,14 @@ def _moments(
 
 def _class_log_probs(
     points: np.ndarray, log_counts: np.ndarray, eta: np.ndarray
-) -> tuple[float, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray]:
     """(log Z, log probability of one graph in each histogram class) under
-    ``eta``; log Z has the bits of :func:`_moments`'s."""
-    energy = points @ eta
+    ``eta``; log Z has the bits of :func:`_moments`'s.  For a stack of G
+    parameter vectors, shape (G, dim), log Z has one entry per vector and
+    the log probabilities one row each, with the bits of its own call."""
+    energy = _mat_vec(points, eta)
     log_z = _logsumexp(log_counts + energy)
-    return log_z, energy - log_z
+    return log_z, energy - (log_z if eta.ndim == 1 else log_z[:, None])
 
 
 @lru_cache(maxsize=8)
@@ -303,7 +304,9 @@ def _joint_counts(fam: Family, n: int, n_sub: int) -> tuple[np.ndarray, ...]:
                     dtype=np.min_scalar_type(max(classes - 1, int(sub_codes.max()))))
     rows[:, 0] = sub_codes
     rows[:, 1:] = codes.reshape(-1, len(sub_codes)).T
-    rows[:, 1:].sort(axis=1)
+    # NumPy radix-sorts one-byte integers under kind="stable", several times
+    # faster than its default introsort; wider codes sort fast by default.
+    rows[:, 1:].sort(axis=1, kind="stable" if rows.itemsize == 1 else None)
     key = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     _, first, multiplicity = np.unique(key, return_index=True, return_counts=True)
     group = np.repeat(np.arange(len(first)), rows.shape[1] - 1)
@@ -352,7 +355,8 @@ class ExactDistribution:
     ``class_log_probs[c]`` is the log probability of one graph in class c,
     and ``codes[k]`` the class of ``graph_from_index(n, k)`` (the cached
     class codes).  The per-graph ``log_probs`` and ``probs()`` are gathered
-    through ``codes``; the sampling CDF is built on the first draw.
+    through ``codes``; the sampling CDF is looked up on the first draw, in
+    a cache keyed by (family, n, class log probabilities).
     """
 
     n: int
@@ -377,8 +381,22 @@ class ExactDistribution:
     def _cumulative(self) -> np.ndarray:
         if self._cdf is None:
             _refuse_exact_sampling(self.n)
-            object.__setattr__(self, "_cdf", np.cumsum(self.probs()))
+            cdf = _sampling_cdf(self.spec, self.n, self.class_log_probs.tobytes())
+            object.__setattr__(self, "_cdf", cdf)
         return self._cdf
+
+
+@lru_cache(maxsize=4)
+def _sampling_cdf(fam: Family, n: int, class_log_probs: bytes) -> np.ndarray:
+    """The read-only sampling CDF, by graph index, of the distribution over
+    the graphs of size n with the given class log probabilities (float64
+    bytes): what it depends on, so distributions with equal class
+    probabilities share it.  One entry holds 2^C(n,2) floats, 16 MiB at
+    n = 7."""
+    codes = _classes(fam, n)[0]
+    cdf = np.cumsum(np.exp(np.frombuffer(class_log_probs))[codes])
+    cdf.flags.writeable = False
+    return cdf
 
 
 def _refuse_exact_sampling(n: int) -> None:
@@ -502,16 +520,16 @@ class ProjectivityReport:
     verdict: str
 
     def to_csv(self) -> str:
+        """The report as CSV, one row per grid point and a verdict row.  No
+        field needs quoting (float reprs, fixed names and the verdict), so
+        rows are joined directly, with the bytes of ``csv.writer``'s."""
         dim = len(self.theta_grid[0])
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([f"theta_{k + 1}" for k in range(dim)] + ["tv", "param_equal"])
-        flag = "true" if self.param_equal else "false"
-        for theta, tv in zip(self.theta_grid, self.tv_per_theta):
-            writer.writerow([repr(v) for v in theta.theta] + [repr(tv), flag])
-        writer.writerow(["max_tv", "verdict"])
-        writer.writerow([repr(self.max_tv), self.verdict])
-        return buf.getvalue()
+        flag = ",true" if self.param_equal else ",false"
+        lines = [",".join([f"theta_{k + 1}" for k in range(dim)] + ["tv", "param_equal"])]
+        lines += [",".join(map(repr, theta.theta + (tv,))) + flag
+                  for theta, tv in zip(self.theta_grid, self.tv_per_theta)]
+        lines += ["max_tv,verdict", f"{self.max_tv!r},{self.verdict}", ""]
+        return "\n".join(lines)
 
 
 def _product_grid(spec: Family, axis: Sequence[float]) -> tuple[ParamVector, ...]:
@@ -538,9 +556,18 @@ def projectivity_check(
 ) -> ProjectivityReport:
     """Compare the size-n_sub model with the size-n marginal over a theta grid.
 
-    The marginal is taken on the first n_sub nodes.  Each theta costs one
-    product of the grouped joint counts (see :func:`_joint_counts`) with
-    the class probabilities at n; no per-graph table is built.
+    The marginal is taken on the first n_sub nodes, from the grouped joint
+    counts (see :func:`_joint_counts`); no per-graph table is built.  The
+    grid is evaluated in stacked passes, one block of points at a time, so
+    that no (point, group) array outgrows ``_CHUNK`` entries: the natural
+    parameters of every point at once, then per point the class
+    probabilities at both sizes, the marginal (a product of the joint
+    counts with the class probabilities at n) and its total variation
+    distance from the model.  Each point gets the bits of its own
+    evaluation: products are per point and sums run along each point's
+    own row.  A table whose sum is off 1 by more than 1e-8 is refused as
+    :func:`tv_distance` refuses it, at the first point and table in grid
+    order.
     """
     if not 1 <= n_sub < n:
         raise ValueError(f"need 1 <= n_sub < n, got n_sub={n_sub}, n={n}")
@@ -549,17 +576,33 @@ def projectivity_check(
         raise ValueError("theta grid must be non-empty")
     resolve_enum_cap(n, enum_cap)
     resolve_enum_cap(n_sub, enum_cap)
+    if set(map(len, grid)) != {spec.stat_dim}:
+        length = next(len(theta) for theta in grid if len(theta) != spec.stat_dim)
+        raise ValueError(f"parameter vector has length {length}, expected {spec.stat_dim}")
+    thetas = np.array([theta.theta for theta in grid])
+    # natural_params shifts theta per component; adding its value at -0.0
+    # has the same bits, since x + -0.0 is x and x + -log n is x - log n.
+    zero = ParamVector(theta=(-0.0,) * spec.stat_dim)
+    etas = thetas + natural_params(spec, zero, n)
+    sub_etas = thetas + natural_params(spec, zero, n_sub)
     multiplicity, counts, sub_class = _joint_counts(spec, n, n_sub)
     big, small = _classes(spec, n)[1:], _classes(spec, n_sub)[1:]
+    block = max(1, _CHUNK // max(len(multiplicity), len(big[0])))
     tvs = []
-    param_equal = True
-    for theta in grid:
-        eta, sub_eta = natural_params(spec, theta, n), natural_params(spec, theta, n_sub)
-        marginal = multiplicity * (counts @ np.exp(_class_log_probs(*big, eta)[1]))
-        model = multiplicity * np.exp(_class_log_probs(*small, sub_eta)[1])[sub_class]
-        tvs.append(tv_distance(marginal, model))
-        if not np.array_equal(sub_eta, eta):
-            param_equal = False
+    for lo in range(0, len(grid), block):
+        marginal = multiplicity * _mat_vec(
+            counts, np.exp(_class_log_probs(*big, etas[lo:lo + block])[1]))
+        # ``take`` keeps the rows C-contiguous, so that each sums along its own row.
+        model = multiplicity * np.exp(
+            _class_log_probs(*small, sub_etas[lo:lo + block])[1]).take(sub_class, axis=1)
+        sums = np.column_stack((marginal.sum(axis=1), model.sum(axis=1)))
+        off = np.abs(sums - 1.0) > 1e-8
+        if off.any():
+            point, table = np.argwhere(off)[0]
+            raise ValueError(f"{('first', 'second')[table]} table is not normalized "
+                             f"(sum={sums[point, table]!r})")
+        tvs += (0.5 * np.abs(marginal - model).sum(axis=1)).tolist()
+    param_equal = np.array_equal(sub_etas, etas)
     max_tv = max(tvs)
     projective = param_equal and max_tv <= tolerance
     return ProjectivityReport(

@@ -20,11 +20,12 @@ replicate's estimate and boundary flag, so a study computes no log
 likelihood or standard errors for any family: an independent-dyad
 family's estimate is its closed form, and a dyad-dependent family fits
 each replicate's observed event, built from the class coding, through
-the cached event fit; a subsample cell fits its distinct events of each
-kind together.  The replication study evaluates the first uniforms of
-all its table draws in one bulk pass, with the same bits, and fits all
-of its distinct pooled events in one lock-step Newton ascent, with the
-bits of one-at-a-time fits.  Fits
+the cached event fit.  Its subsample cells run on graph indices, with no
+graph built, and fit their distinct events of each kind together.  The
+replication study evaluates the first uniforms of all its table draws in
+one bulk pass, with the same bits, and fits all of its distinct pooled
+events in one lock-step Newton ascent, with the bits of one-at-a-time
+fits.  Fits
 run in one thread: each is GIL-bound Python, and a thread pool made two
 workers slower than one.  The runners keep their ``threads`` keyword for
 compatibility; it schedules nothing.
@@ -37,23 +38,23 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 import numbers
 import operator
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
 from ._version import __version__
 from .exact import (
+    ExactDistribution,
     _bulk_indices,
     _classes,
+    _inverse_cdf,
     build_distribution,
-    exact_sample,
     sample_bernoulli,
 )
 from .graph import Graph, NodeSubset, induced_subgraph, is_connected, mean_degree, edge_count
@@ -64,8 +65,8 @@ from .inference import (
     Replicates,
     _Estimate,
     _EVENT_FITS,
+    _completion_event,
     _estimate,
-    _estimates,
     _event_estimates,
     _mean_events,
 )
@@ -423,17 +424,6 @@ def _replicate_streams(
     return _streams(cfg.master_seed, (name, cell), (cfg.replicates,))
 
 
-def _cell_sampler(
-    cfg: ExperimentConfig, n: int
-) -> Callable[[np.random.Generator], Graph]:
-    """Per-cell graph sampler: closed-form dyads or exact table sampling."""
-    if cfg.spec.bernoulli:
-        pi = edge_prob(cfg.spec, cfg.theta_star, n)
-        return lambda rng: sample_bernoulli(n, pi, rng)
-    dist = build_distribution(cfg.spec, cfg.theta_star, n)
-    return lambda rng: exact_sample(dist, rng)
-
-
 def _table_replication(cfg: ExperimentConfig, n: int) -> list[list[_Estimate]]:
     """Each cell's estimates for a table family, study by study, with the
     bits of ``mle`` on the graphs drawn from ``substream(seed,
@@ -479,13 +469,14 @@ def run_replication_consistency(
     started = time.perf_counter()
     n = cfg.sizes[0]
     if cfg.spec.bernoulli:
-        draw = _cell_sampler(cfg, n)
+        pi = edge_prob(cfg.spec, cfg.theta_star, n)
         cells = []
         for cell, count in enumerate(cfg.replicates):
             shape = (cfg.studies_per_cell, count)
             streams = _streams(cfg.master_seed, ("replication", cell), shape)
             cells.append([_estimate(cfg.spec, Replicates(tuple(
-                draw(next(streams)) for _ in range(count)))) for _ in range(shape[0])])
+                sample_bernoulli(n, pi, next(streams)) for _ in range(count))))
+                for _ in range(shape[0])])
     else:
         cells = _table_replication(cfg, n)
     rows = []
@@ -499,28 +490,94 @@ def run_replication_consistency(
     return _report(cfg, columns, rows, started)
 
 
+def _bernoulli_subsample(
+    cfg: ExperimentConfig, population_n: int, streams: Iterator[np.random.Generator]
+) -> tuple[list[_Estimate], list[_Estimate]]:
+    """The proper and misspecified estimates of an independent-dyad
+    family's subsample cell.  Each replicate builds its graph and induced
+    subgraph, one at a time, since such graphs run to thousands of nodes."""
+    pi = edge_prob(cfg.spec, cfg.theta_star, population_n)
+    proper, misspecified = [], []
+    for rng in streams:
+        g = sample_bernoulli(population_n, pi, rng)
+        members = rng.choice(population_n, size=cfg.subsample_n, replace=False)
+        subset = NodeSubset(population_n, tuple(sorted(map(int, members))))
+        data = InducedSubgraph(induced_subgraph(g, subset), population_n)
+        proper.append(_estimate(cfg.spec, data, LikelihoodKind.PROPER))
+        misspecified.append(_estimate(cfg.spec, data, LikelihoodKind.MISSPECIFIED))
+    return proper, misspecified
+
+
+def _table_subsample(
+    dist: ExactDistribution,
+    subsample_n: int,
+    streams: Iterator[np.random.Generator],
+    count: int,
+) -> tuple[list[_Estimate], list[_Estimate]]:
+    """The proper and misspecified estimates of the first ``count``
+    replicates of ``streams`` in a table family's subsample cell, with the
+    bits of ``_estimates`` on each replicate's ``InducedSubgraph``: of the
+    graph ``exact_sample(dist, rng)``, on the sorted nodes of the
+    ``rng.choice(dist.n, subsample_n, replace=False)`` that follows it.
+
+    No graph is built.  A batch of at most ``_EVENT_FITS`` replicates
+    takes each stream's uniform and node draw, then finds every parent
+    graph index by one inverse-CDF search and every subgraph index by bit
+    gathers: subgraph dyad (a, b) is parent dyad (m_a, m_b) of the sorted
+    members m.  Each distinct subgraph index gets its events once, and
+    each kind's events are fitted by one :func:`_event_estimates` call.
+    """
+    spec, population_n = dist.spec, dist.n
+    codes, points, _ = _classes(spec, subsample_n)
+    # The ends a < b of each subgraph dyad, in dyad order.
+    nodes = np.arange(subsample_n)
+    ends_b = np.repeat(nodes, nodes)
+    sub_dyads = np.arange(len(ends_b))
+    ends_a = sub_dyads - ends_b * (ends_b - 1) // 2
+    proper, misspecified = [], []
+    for lo in range(0, count, _EVENT_FITS):
+        batch = min(_EVENT_FITS, count - lo)
+        uniforms = np.empty(batch)
+        members = np.empty((batch, subsample_n), dtype=np.int64)
+        for k, rng in zip(range(batch), streams):
+            uniforms[k] = rng.random()
+            members[k] = rng.choice(population_n, size=subsample_n, replace=False)
+        members.sort(axis=1)
+        a, b = members[:, ends_a], members[:, ends_b]
+        parent_dyads = b * (b - 1) // 2 + a
+        parents = _inverse_cdf(dist, uniforms)[:, None]
+        subgraphs = ((parents >> parent_dyads & 1) << sub_dyads).sum(axis=1)
+        distinct, where = np.unique(subgraphs, return_inverse=True)
+        where = where.tolist()
+        events = [_completion_event(spec, Graph(subsample_n, y), population_n, None)
+                  for y in distinct.tolist()]
+        proper += _event_estimates(spec, population_n, [events[k] for k in where])
+        events = _mean_events(points[codes[distinct]][:, None])
+        misspecified += _event_estimates(spec, subsample_n, [events[k] for k in where])
+    return proper, misspecified
+
+
 def run_subsample_bias(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
-    """Proper versus misspecified estimation from induced subgraphs."""
+    """Proper versus misspecified estimation from induced subgraphs.
+
+    Each replicate's stream draws the population graph, then the node
+    subset.  A table family's cell runs on graph indices, a batch of
+    replicates at a time (see :func:`_table_subsample`); an
+    independent-dyad family's builds each replicate's graph and induced
+    subgraph.
+    """
     if cfg.experiment != "subsample":
         raise ValueError(f"config is for {cfg.experiment!r}, expected 'subsample'")
     started = time.perf_counter()
     rows = []
     for cell_index, population_n in enumerate(cfg.sizes):
-        draw = _cell_sampler(cfg, population_n)
         streams = _replicate_streams(cfg, "subsample", cell_index)
-        proper, misspecified = [], []
-        # Fit each kind's events a batch of replicates at a time, holding at
-        # most one batch of subgraphs (large for independent-dyad families).
-        for _ in range(0, cfg.replicates, _EVENT_FITS):
-            datas = []
-            for rng in itertools.islice(streams, _EVENT_FITS):
-                g = draw(rng)
-                members = rng.choice(population_n, size=cfg.subsample_n, replace=False)
-                subset = NodeSubset(population_n, tuple(sorted(map(int, members))))
-                y_sub = induced_subgraph(g, subset)
-                datas.append(InducedSubgraph(y_sub, population_n))
-            proper += _estimates(cfg.spec, datas, LikelihoodKind.PROPER)
-            misspecified += _estimates(cfg.spec, datas, LikelihoodKind.MISSPECIFIED)
+        if cfg.spec.bernoulli:
+            proper, misspecified = _bernoulli_subsample(cfg, population_n, streams)
+        else:
+            dist = build_distribution(cfg.spec, cfg.theta_star, population_n)
+            proper, misspecified = _table_subsample(dist, cfg.subsample_n, streams,
+                                                    cfg.replicates)
         for kind, estimates in (("proper", proper), ("misspecified", misspecified)):
             row = {
                 "cell": f"N={population_n}|{kind}",

@@ -718,12 +718,21 @@ def _observed_event(
     """
     size, proper, graphs = _observation(data, kind)
     resolve_enum_cap(size, enum_cap)
-    codes, points, _ = _classes(spec, size)
     if proper:
-        counts = _completion_counts(spec, graphs[0], size, enum_cap)
-        present = counts > 0
-        return size, _event(points[present], np.log(counts[present])), graphs
+        return size, _completion_event(spec, graphs[0], size, enum_cap), graphs
+    codes, points, _ = _classes(spec, size)
     return size, _mean_events(points[codes[[g.dyads for g in graphs]]][None])[0], graphs
+
+
+def _completion_event(
+    spec: Family, y_sub: Graph, population_n: int, enum_cap: Optional[int]
+) -> bytes:
+    """The proper event of the induced subgraph ``y_sub`` of a population
+    of ``population_n`` nodes, as :func:`_event_fit` keys it: the classes
+    its completions fall in, with their counts."""
+    counts = _completion_counts(spec, y_sub, population_n, enum_cap)
+    present = counts > 0
+    return _event(_classes(spec, population_n)[1][present], np.log(counts[present]))
 
 
 def mle(

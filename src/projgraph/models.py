@@ -82,11 +82,11 @@ class ParamVector:
     theta: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        theta = tuple(float(v) for v in self.theta)
+        theta = tuple(map(float, self.theta))
         object.__setattr__(self, "theta", theta)
         if not theta:
             raise ValueError("parameter vector must be non-empty")
-        if not all(math.isfinite(v) for v in theta):
+        if not all(map(math.isfinite, theta)):
             raise ValueError(f"parameter vector must be finite, got {theta}")
 
     def __len__(self) -> int:

@@ -369,16 +369,16 @@ def test_check_projectivity_enumeration_cap(capsys):
     assert _enumerated_stats_cached.cache_info().misses == built  # refused before building
 
 
-def test_exact_sample_above_n7_is_refused_before_any_coding(capsys):
-    """Exact sampling at n = 8 is refused even with --enum-cap 8, with one
-    error line and exit code 3, before the statistic table or its classes
-    exist."""
+@pytest.mark.parametrize("cap", [[], ["--enum-cap", "8"]], ids=["default-cap", "cap-8"])
+def test_exact_sample_above_n7_is_refused_before_any_coding(capsys, cap):
+    """Exact sampling at n = 8 is refused with or without --enum-cap 8, with
+    one error line and exit code 3, before the statistic table or its
+    classes exist: no cap override is suggested, since none would help."""
     from projgraph.exact import _classes, _enumerated_stats_cached
 
     built = _enumerated_stats_cached.cache_info().misses
     coded = _classes.cache_info().misses
-    code = main(["sample", "--family", "edge-triangle", "--theta", "0,0", "--n", "8",
-                 "--enum-cap", "8"])
+    code = main(["sample", "--family", "edge-triangle", "--theta", "0,0", "--n", "8", *cap])
     assert code == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,14 +1,18 @@
 """Exact enumeration: normalizers, distributions, marginals, projectivity, sampling."""
 
+import csv
+import io
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chisquare
 
 import projgraph
@@ -17,6 +21,7 @@ from projgraph import (
     EnumerationCapError,
     Family,
     MAX_ENUMERATION_CAP,
+    PROJECTIVITY_TOLERANCE,
     NodeSubset,
     ParamVector,
     build_distribution,
@@ -33,6 +38,7 @@ from projgraph import (
     log_normalizer,
     marginal_distribution,
     model_spec,
+    natural_params,
     projectivity_check,
     register_family,
     resolve_enum_cap,
@@ -52,6 +58,9 @@ from projgraph.exact import (
     _classes,
     _code_table,
     _enumerated_stats_cached,
+    _joint_counts,
+    _logsumexp,
+    _sampling_cdf,
 )
 
 INVARIANT = model_spec("BernoulliInvariant")
@@ -113,8 +122,23 @@ def test_cap_rejects_large_sizes():
 
 
 def test_cap_override_to_eight_warns():
-    with pytest.warns(ResourceWarning, match="about 820 MB to code the classes at n=8"):
+    with pytest.warns(RuntimeWarning, match="about 820 MB to code the classes at n=8"):
         assert resolve_enum_cap(8, enum_cap=8) == 8
+
+
+def test_cap_override_to_eight_warning_shows_under_default_filters():
+    """A plain interpreter prints the n = 8 cost warning: the category is one
+    that Python's default warning filters show (pytest changes them, so
+    this runs in a child)."""
+    src = str(Path(projgraph.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = src
+    done = subprocess.run(
+        [sys.executable, "-c", "from projgraph import resolve_enum_cap; resolve_enum_cap(8, 8)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "RuntimeWarning" in done.stderr
+    assert "about 820 MB to code the classes at n=8" in done.stderr
 
 
 def test_cap_request_validation():
@@ -512,6 +536,125 @@ def test_projectivity_report_csv_layout():
     assert footer[1] == "non-projective"
 
 
+def _per_theta_projectivity(spec, grid, n, n_sub, joint=None):
+    """``projectivity_check`` as it ran one theta at a time, and its report's
+    CSV as ``csv.writer`` wrote it: (tv_per_theta, param_equal, max_tv,
+    CSV), the reference for the stacked passes.  ``joint`` replaces the
+    joint counts."""
+
+    def class_log_probs(points, log_counts, eta):
+        energy = points @ eta
+        return energy - _logsumexp(log_counts + energy)
+
+    multiplicity, counts, sub_class = joint or _joint_counts(spec, n, n_sub)
+    big, small = _classes(spec, n)[1:], _classes(spec, n_sub)[1:]
+    tvs, param_equal = [], True
+    for theta in grid:
+        eta, sub_eta = natural_params(spec, theta, n), natural_params(spec, theta, n_sub)
+        marginal = multiplicity * (counts @ np.exp(class_log_probs(*big, eta)))
+        model = multiplicity * np.exp(class_log_probs(*small, sub_eta))[sub_class]
+        tvs.append(tv_distance(marginal, model))
+        if not np.array_equal(sub_eta, eta):
+            param_equal = False
+    max_tv = max(tvs)
+    verdict = ("projective-on-grid" if param_equal and max_tv <= PROJECTIVITY_TOLERANCE
+               else "non-projective")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([f"theta_{k + 1}" for k in range(spec.stat_dim)] + ["tv", "param_equal"])
+    for theta, tv in zip(grid, tvs):
+        writer.writerow([repr(v) for v in theta.theta]
+                        + [repr(tv), "true" if param_equal else "false"])
+    writer.writerow(["max_tv", "verdict"])
+    writer.writerow([repr(max_tv), verdict])
+    return tuple(tvs), param_equal, max_tv, buf.getvalue()
+
+
+@st.composite
+def _projectivity_cases(draw):
+    """A shipped family, sizes n_sub < n <= 6, a grid of 1 to 12 points, and
+    the number of points per stacked pass."""
+    spec = draw(st.sampled_from(ALL_SPECS), label="spec")
+    n = draw(st.integers(2, 6), label="n")
+    n_sub = draw(st.integers(1, n - 1), label="n_sub")
+    axis = st.floats(-6.0, 6.0, allow_nan=False)
+    grid = draw(st.lists(st.tuples(*[axis] * spec.stat_dim), min_size=1, max_size=12),
+                label="grid")
+    return spec, n, n_sub, grid, draw(st.integers(1, 5), label="block")
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_projectivity_cases())
+@example(case=(EDGE_TRI, 7, 6, [(-1.0, 0.5), (0.0, -0.0), (2.0, 2.0)], 2))
+@example(case=(OFFSET, 7, 1, [(0.5,)], 1))
+@example(case=(INVARIANT, 5, 4, [(-2.0,), (-0.0,), (1.0,)], 3))
+def test_stacked_projectivity_check_has_the_bits_of_the_per_theta_loop(case):
+    """tv_per_theta, param_equal, max_tv and the CSV equal the per-theta
+    loop's bit for bit, for one-point grids and grids that cross the edge
+    of a stacked pass (here ``block`` points; ``_CHUNK`` entries per
+    (point, group) array in use)."""
+    spec, n, n_sub, values, block = case
+    grid = [ParamVector(theta=v) for v in values]
+    tvs, param_equal, max_tv, text = _per_theta_projectivity(spec, grid, n, n_sub)
+    groups = max(len(_joint_counts(spec, n, n_sub)[0]), len(_classes(spec, n)[1]))
+    with mock.patch.object(projgraph.exact, "_CHUNK", block * groups):
+        report = projectivity_check(spec, grid, n=n, n_sub=n_sub)
+    assert np.array(report.tv_per_theta).tobytes() == np.array(tvs).tobytes()
+    assert all(type(tv) is float for tv in report.tv_per_theta)
+    assert report.param_equal is param_equal
+    assert repr(report.max_tv) == repr(max_tv)
+    assert report.to_csv() == text
+
+
+@pytest.mark.parametrize("table", ["first", "second"])
+def test_stacked_projectivity_check_refuses_unnormalized_tables_as_tv_distance(table):
+    """With the joint counts doubled for the marginal, or every prefix
+    subgraph put in class 0 for the model, the stacked check refuses the
+    table that ``tv_distance`` refuses in the per-theta loop, at the same
+    point, with the same message."""
+    multiplicity, counts, sub_class = _joint_counts(EDGE_TRI, 5, 4)
+    broken = ((multiplicity, 2.0 * counts, sub_class) if table == "first"
+              else (multiplicity, counts, np.zeros_like(sub_class)))
+    grid = [ParamVector(theta=(0.2, -0.3)), ParamVector(theta=(1.0, 0.5))]
+    with pytest.raises(ValueError) as want:
+        _per_theta_projectivity(EDGE_TRI, grid, 5, 4, joint=broken)
+    with mock.patch.object(projgraph.exact, "_joint_counts", lambda *_: broken):
+        with pytest.raises(ValueError) as got:
+            projectivity_check(EDGE_TRI, grid, n=5, n_sub=4)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"{table} table is not normalized (sum=")
+
+
+def _joint_counts_by_default_sort(fam, n, n_sub):
+    """``_joint_counts`` with every row of completion classes sorted by
+    NumPy's default sort: the reference for its radix sort of one-byte
+    rows."""
+    codes, sub_codes = _classes(fam, n)[0], _classes(fam, n_sub)[0]
+    classes = int(codes.max()) + 1
+    rows = np.empty((len(sub_codes), 1 + len(codes) // len(sub_codes)),
+                    dtype=np.min_scalar_type(max(classes - 1, int(sub_codes.max()))))
+    rows[:, 0] = sub_codes
+    rows[:, 1:] = codes.reshape(-1, len(sub_codes)).T
+    rows[:, 1:].sort(axis=1)
+    key = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, multiplicity = np.unique(key, return_index=True, return_counts=True)
+    group = np.repeat(np.arange(len(first)), rows.shape[1] - 1)
+    counts = np.bincount(group * classes + rows[first, 1:].ravel(),
+                         minlength=len(first) * classes)
+    return (multiplicity.astype(np.float64),
+            counts.reshape(len(first), classes).astype(np.float64), rows[first, 0])
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.name)
+@pytest.mark.parametrize("n, n_sub", [(n, n_sub) for n in range(2, 8) for n_sub in range(1, n)])
+def test_joint_counts_equal_the_default_sort_reference(spec, n, n_sub):
+    """The same arrays, dtypes and group order as with the default sort."""
+    for got, want in zip(_joint_counts(spec, n, n_sub),
+                         _joint_counts_by_default_sort(spec, n, n_sub)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 # --------------------------------------------------------------------------
 # sampling
 # --------------------------------------------------------------------------
@@ -555,6 +698,28 @@ def test_exact_sampling_above_n7_is_refused_before_any_cdf():
             draw()
     assert d._cdf is None
     assert _classes.cache_info().misses == coded
+
+
+def test_sampling_cdf_is_cached_by_family_size_and_class_probabilities():
+    """Distributions with equal class log probabilities share one read-only
+    CDF: two builds at one theta, and theta (-0.0, 0) beside (0, 0), whose
+    natural parameters differ only in the sign of zero.  Other class
+    probabilities, sizes or families get their own entry."""
+    _sampling_cdf.cache_clear()
+    first = build_distribution(EDGE_TRI, ParamVector(theta=(0.0, 0.0)), 5)._cumulative()
+    assert not first.flags.writeable
+    assert np.array_equal(first, np.cumsum(
+        build_distribution(EDGE_TRI, ParamVector(theta=(0.0, 0.0)), 5).probs()))
+    for theta in ((0.0, 0.0), (-0.0, 0.0)):
+        assert build_distribution(EDGE_TRI, ParamVector(theta=theta), 5)._cumulative() is first
+    assert _sampling_cdf.cache_info()[:2] == (2, 1)  # hits, misses
+    others = [build_distribution(EDGE_TRI, ParamVector(theta=(0.0, 0.1)), 5),
+              build_distribution(EDGE_TRI, ParamVector(theta=(0.0, 0.0)), 4),
+              build_distribution(INVARIANT, ParamVector(theta=(0.0,)), 5)]
+    for d in others:
+        assert d._cumulative() is not first
+        assert np.array_equal(d._cumulative(), np.cumsum(d.probs()))
+    assert _sampling_cdf.cache_info()[:2] == (2, 4)
 
 
 def test_bulk_sample_matches_one_stream_per_draw_across_chunks():

@@ -1,5 +1,6 @@
 """Seeded Monte Carlo studies: configs, runners, determinism, and reports."""
 
+import itertools
 import json
 import math
 import threading
@@ -7,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from projgraph import (
     EnumerationCapError,
@@ -40,8 +42,9 @@ from projgraph import (
     unregister_family,
 )
 from projgraph import exact
-from projgraph.experiments import _estimate_columns, _summarize_estimates
-from projgraph.inference import _event_fit, _mean_events
+from projgraph.experiments import _estimate_columns, _summarize_estimates, _table_subsample
+from projgraph.inference import _EVENT_FITS, _estimates, _event_fit, _mean_events
+from projgraph.rng import _streams
 
 INVARIANT = model_spec("BernoulliInvariant")
 OFFSET = model_spec("BernoulliOffset")
@@ -682,6 +685,52 @@ def test_subsample_event_fits_match_one_mle_per_replicate(request, family, theta
         subsample_n=4,
     )
     assert run_subsample_bias(cfg).csv_body() == _subsample_by_mle(cfg)
+
+
+def _subsample_cell_by_subgraphs(dist, subsample_n, streams, count):
+    """A table family's subsample cell as it ran on per-replicate graphs: an
+    ``InducedSubgraph`` per replicate, and ``_estimates`` of each kind per
+    batch of ``_EVENT_FITS``; the reference for ``_table_subsample``."""
+    proper, misspecified = [], []
+    for lo in range(0, count, _EVENT_FITS):
+        datas = []
+        for rng in itertools.islice(streams, min(_EVENT_FITS, count - lo)):
+            g = exact_sample(dist, rng)
+            members = rng.choice(dist.n, size=subsample_n, replace=False)
+            subset = NodeSubset(dist.n, tuple(sorted(map(int, members))))
+            datas.append(InducedSubgraph(induced_subgraph(g, subset), dist.n))
+        proper += _estimates(dist.spec, datas, LikelihoodKind.PROPER)
+        misspecified += _estimates(dist.spec, datas, LikelihoodKind.MISSPECIFIED)
+    return proper, misspecified
+
+
+@st.composite
+def _subsample_cells(draw):
+    population_n = draw(st.integers(2, 7), label="population_n")
+    subsample_n = draw(st.integers(1, population_n - 1), label="subsample_n")
+    count = draw(st.sampled_from([0, 1, 255, 256, 257]), label="count")
+    theta = draw(st.tuples(st.floats(-1.5, 0.5), st.floats(-0.5, 0.5)), label="theta")
+    return population_n, subsample_n, count, theta, draw(st.integers(0, 2**64 - 1), label="seed")
+
+
+@settings(max_examples=25, deadline=None)
+@given(cell=_subsample_cells())
+@example(cell=(7, 6, 257, (-0.5, 0.3), 11))
+@example(cell=(2, 1, 256, (0.0, 0.0), 0))
+def test_table_subsample_cell_has_the_bits_of_per_replicate_subgraphs(cell):
+    """The index-based cell gives each replicate the estimates, in order, of
+    ``_estimates`` on its own ``InducedSubgraph``, with each stream drawing
+    the graph before the node subset, across batches of ``_EVENT_FITS``."""
+    population_n, subsample_n, count, theta, seed = cell
+    dist = build_distribution(EDGE_TRI, ParamVector(theta=theta), population_n)
+
+    def streams():
+        return _streams(seed, ("subsample", 0), (count,))
+
+    got = _table_subsample(dist, subsample_n, streams(), count)
+    want = _subsample_cell_by_subgraphs(dist, subsample_n, streams(), count)
+    assert [len(estimates) for estimates in got] == [count, count]
+    assert repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("replicates, batches", [(200, 1), (300, 2)])
