@@ -25,6 +25,8 @@ one float per graph.  Larger sizes are refused.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 import warnings
@@ -304,9 +306,9 @@ def _joint_counts(fam: Family, n: int, n_sub: int) -> tuple[np.ndarray, ...]:
                     dtype=np.min_scalar_type(max(classes - 1, int(sub_codes.max()))))
     rows[:, 0] = sub_codes
     rows[:, 1:] = codes.reshape(-1, len(sub_codes)).T
-    # NumPy radix-sorts one-byte integers under kind="stable", several times
-    # faster than its default introsort; wider codes sort fast by default.
-    rows[:, 1:].sort(axis=1, kind="stable" if rows.itemsize == 1 else None)
+    # NumPy radix-sorts small integers under kind="stable", several times
+    # faster than its default introsort.
+    rows[:, 1:].sort(axis=1, kind="stable")
     key = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     _, first, multiplicity = np.unique(key, return_index=True, return_counts=True)
     group = np.repeat(np.arange(len(first)), rows.shape[1] - 1)
@@ -355,8 +357,7 @@ class ExactDistribution:
     ``class_log_probs[c]`` is the log probability of one graph in class c,
     and ``codes[k]`` the class of ``graph_from_index(n, k)`` (the cached
     class codes).  The per-graph ``log_probs`` and ``probs()`` are gathered
-    through ``codes``; the sampling CDF is looked up on the first draw, in
-    a cache keyed by (family, n, class log probabilities).
+    through ``codes``; the sampling CDF is built on the first draw.
     """
 
     n: int
@@ -381,22 +382,8 @@ class ExactDistribution:
     def _cumulative(self) -> np.ndarray:
         if self._cdf is None:
             _refuse_exact_sampling(self.n)
-            cdf = _sampling_cdf(self.spec, self.n, self.class_log_probs.tobytes())
-            object.__setattr__(self, "_cdf", cdf)
+            object.__setattr__(self, "_cdf", np.cumsum(self.probs()))
         return self._cdf
-
-
-@lru_cache(maxsize=4)
-def _sampling_cdf(fam: Family, n: int, class_log_probs: bytes) -> np.ndarray:
-    """The read-only sampling CDF, by graph index, of the distribution over
-    the graphs of size n with the given class log probabilities (float64
-    bytes): what it depends on, so distributions with equal class
-    probabilities share it.  One entry holds 2^C(n,2) floats, 16 MiB at
-    n = 7."""
-    codes = _classes(fam, n)[0]
-    cdf = np.cumsum(np.exp(np.frombuffer(class_log_probs))[codes])
-    cdf.flags.writeable = False
-    return cdf
 
 
 def _refuse_exact_sampling(n: int) -> None:
@@ -520,16 +507,16 @@ class ProjectivityReport:
     verdict: str
 
     def to_csv(self) -> str:
-        """The report as CSV, one row per grid point and a verdict row.  No
-        field needs quoting (float reprs, fixed names and the verdict), so
-        rows are joined directly, with the bytes of ``csv.writer``'s."""
         dim = len(self.theta_grid[0])
-        flag = ",true" if self.param_equal else ",false"
-        lines = [",".join([f"theta_{k + 1}" for k in range(dim)] + ["tv", "param_equal"])]
-        lines += [",".join(map(repr, theta.theta + (tv,))) + flag
-                  for theta, tv in zip(self.theta_grid, self.tv_per_theta)]
-        lines += ["max_tv,verdict", f"{self.max_tv!r},{self.verdict}", ""]
-        return "\n".join(lines)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow([f"theta_{k + 1}" for k in range(dim)] + ["tv", "param_equal"])
+        flag = "true" if self.param_equal else "false"
+        for theta, tv in zip(self.theta_grid, self.tv_per_theta):
+            writer.writerow([repr(v) for v in theta.theta] + [repr(tv), flag])
+        writer.writerow(["max_tv", "verdict"])
+        writer.writerow([repr(self.max_tv), self.verdict])
+        return buf.getvalue()
 
 
 def _product_grid(spec: Family, axis: Sequence[float]) -> tuple[ParamVector, ...]:

@@ -60,7 +60,6 @@ from projgraph.exact import (
     _enumerated_stats_cached,
     _joint_counts,
     _logsumexp,
-    _sampling_cdf,
 )
 
 INVARIANT = model_spec("BernoulliInvariant")
@@ -627,8 +626,7 @@ def test_stacked_projectivity_check_refuses_unnormalized_tables_as_tv_distance(t
 
 def _joint_counts_by_default_sort(fam, n, n_sub):
     """``_joint_counts`` with every row of completion classes sorted by
-    NumPy's default sort: the reference for its radix sort of one-byte
-    rows."""
+    NumPy's default sort: the reference for its stable (radix) sort."""
     codes, sub_codes = _classes(fam, n)[0], _classes(fam, n_sub)[0]
     classes = int(codes.max()) + 1
     rows = np.empty((len(sub_codes), 1 + len(codes) // len(sub_codes)),
@@ -698,28 +696,6 @@ def test_exact_sampling_above_n7_is_refused_before_any_cdf():
             draw()
     assert d._cdf is None
     assert _classes.cache_info().misses == coded
-
-
-def test_sampling_cdf_is_cached_by_family_size_and_class_probabilities():
-    """Distributions with equal class log probabilities share one read-only
-    CDF: two builds at one theta, and theta (-0.0, 0) beside (0, 0), whose
-    natural parameters differ only in the sign of zero.  Other class
-    probabilities, sizes or families get their own entry."""
-    _sampling_cdf.cache_clear()
-    first = build_distribution(EDGE_TRI, ParamVector(theta=(0.0, 0.0)), 5)._cumulative()
-    assert not first.flags.writeable
-    assert np.array_equal(first, np.cumsum(
-        build_distribution(EDGE_TRI, ParamVector(theta=(0.0, 0.0)), 5).probs()))
-    for theta in ((0.0, 0.0), (-0.0, 0.0)):
-        assert build_distribution(EDGE_TRI, ParamVector(theta=theta), 5)._cumulative() is first
-    assert _sampling_cdf.cache_info()[:2] == (2, 1)  # hits, misses
-    others = [build_distribution(EDGE_TRI, ParamVector(theta=(0.0, 0.1)), 5),
-              build_distribution(EDGE_TRI, ParamVector(theta=(0.0, 0.0)), 4),
-              build_distribution(INVARIANT, ParamVector(theta=(0.0,)), 5)]
-    for d in others:
-        assert d._cumulative() is not first
-        assert np.array_equal(d._cumulative(), np.cumsum(d.probs()))
-    assert _sampling_cdf.cache_info()[:2] == (2, 4)
 
 
 def test_bulk_sample_matches_one_stream_per_draw_across_chunks():
