@@ -31,16 +31,6 @@ from .exact import (
     stat_covariance,
     tv_distance,
 )
-from .experiments import (
-    EXPERIMENT_NAMES,
-    ExperimentConfig,
-    ExperimentReport,
-    run_connectivity_threshold,
-    run_experiment,
-    run_growth_consistency,
-    run_replication_consistency,
-    run_subsample_bias,
-)
 from .graph import (
     Graph,
     NodeSubset,
@@ -175,3 +165,30 @@ __all__ = [
     "unregister_family",
     "substream",
 ]
+
+
+# The study layer is imported on first use of one of its names (PEP 562), so
+# that a process that only fits or checks neither compiles nor runs it.
+_STUDY_NAMES = frozenset({
+    "EXPERIMENT_NAMES",
+    "ExperimentConfig",
+    "ExperimentReport",
+    "run_connectivity_threshold",
+    "run_experiment",
+    "run_growth_consistency",
+    "run_replication_consistency",
+    "run_subsample_bias",
+})
+
+
+def __getattr__(name: str):
+    if name not in _STUDY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import experiments
+
+    value = globals()[name] = getattr(experiments, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -39,7 +39,6 @@ from .exact import (
     sample_bernoulli,
     PROJECTIVITY_TOLERANCE,
 )
-from .experiments import ExperimentConfig, run_experiment
 from .graph import (
     edge_count,
     format_edge_list,
@@ -213,6 +212,9 @@ def _cmd_check_projectivity(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    # Imported here, so that the other subcommands do not load the study layer.
+    from .experiments import ExperimentConfig, run_experiment
+
     text = Path(args.config).read_text(encoding="utf-8")
     try:
         payload = json.loads(text)

@@ -18,7 +18,7 @@ moments valid at any size.
 Enumeration is capped at n <= 7 by default (2^21 graphs); the cap can be
 raised to n = 8 explicitly, which emits a memory warning: the statistic
 table and the class codes then hold 2^28 rows, so coding the classes peaks
-at about 820 MB and the projectivity check against n_sub = 7 at about
+at about 810 MB and the projectivity check against n_sub = 7 at about
 1.6 GB.  Exact sampling stays refused above n = 7, since its CDF would hold
 one float per graph.  Larger sizes are refused.
 """
@@ -72,6 +72,9 @@ MAX_ENUMERATION_CAP = 8
 PROJECTIVITY_TOLERANCE = 1e-9
 
 _CHUNK = 1 << 20
+# Rows the class coder counts and gathers at a time: its intp index then
+# takes 512 KiB, which stays in cache.
+_CODE_CHUNK = 1 << 16
 
 
 class EnumerationCapError(Exception):
@@ -103,7 +106,7 @@ def resolve_enum_cap(n: int, enum_cap: Optional[int] = None) -> int:
     if n > DEFAULT_ENUMERATION_CAP:
         warnings.warn(
             f"enumerating all 2^{dyad_count(n)} graphs on {n} nodes allocates "
-            "large tables: about 820 MB to code the classes at n=8 and 1.6 GB "
+            "large tables: about 810 MB to code the classes at n=8 and 1.6 GB "
             "at peak for the projectivity check",
             RuntimeWarning,
             stacklevel=2,
@@ -150,10 +153,12 @@ def _code_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     An unsigned-integer table whose rows take at most two bytes (the
     built-in families') is keyed by each row's bytes read as one word,
-    with no copy.  The words are counted ``_CHUNK`` rows at a time into
-    ``max(word) + 1`` bins, the present words are decoded back into rows
-    and ranked lexicographically into a lookup table, and the codes are
-    gathered from it a chunk at a time, so no temporary spans the table.
+    with no copy.  The words are counted ``_CODE_CHUNK`` rows at a time
+    into ``max(word) + 1`` bins, the present words are decoded back into
+    rows and ranked lexicographically into a lookup table, and the codes
+    are gathered from it a chunk at a time, so no temporary spans the
+    table.  Counts are integers and each code is one lookup, so the chunk
+    size changes no bit of the result.
     Other tables code each column by its sorted distinct values and pack
     the codes into one int64 key, renumbered after every column so that
     it stays below the row count.
@@ -162,9 +167,8 @@ def _code_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if word is not None:
         key = np.ascontiguousarray(table).view(word).ravel()
         # Counting and gathering take intp indices.  NumPy would widen each
-        # chunk into a fresh array, and the allocator then kept 8 MB of freed
-        # heap resident after coding n = 7; one buffer is reused instead.
-        index = np.empty(min(_CHUNK, len(key)), dtype=np.intp)
+        # chunk into a fresh array; one cache-sized buffer is reused instead.
+        index = np.empty(min(_CODE_CHUNK, len(key)), dtype=np.intp)
 
         def widened(lo: int) -> np.ndarray:
             part = index[:len(key) - lo]
@@ -172,7 +176,7 @@ def _code_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             return part
 
         counts = np.zeros(int(key.max()) + 1, dtype=np.intp)
-        for lo in range(0, len(key), _CHUNK):
+        for lo in range(0, len(key), _CODE_CHUNK):
             counts += np.bincount(widened(lo), minlength=len(counts))
         present = np.flatnonzero(counts)
         # Word order is byte order, not row order (little-endian (e, t) is
@@ -182,7 +186,7 @@ def _code_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         lut = np.zeros(len(counts), dtype=np.min_scalar_type(len(present) - 1))
         lut[present[order]] = np.arange(len(present))
         codes = np.empty(len(key), dtype=lut.dtype)
-        for lo in range(0, len(key), _CHUNK):
+        for lo in range(0, len(key), _CODE_CHUNK):
             part = widened(lo)
             # Every word indexes the table; "clip" writes into ``out`` unbuffered.
             np.take(lut, part, out=codes[lo:lo + len(part)], mode="clip")
@@ -382,7 +386,10 @@ class ExactDistribution:
     def _cumulative(self) -> np.ndarray:
         if self._cdf is None:
             _refuse_exact_sampling(self.n)
-            object.__setattr__(self, "_cdf", np.cumsum(self.probs()))
+            # Summed in place: a second per-graph array would double the
+            # transient memory of every sampled distribution.
+            cdf = self.probs()
+            object.__setattr__(self, "_cdf", np.cumsum(cdf, out=cdf))
         return self._cdf
 
 
@@ -558,6 +565,8 @@ def projectivity_check(
     """
     if not 1 <= n_sub < n:
         raise ValueError(f"need 1 <= n_sub < n, got n_sub={n_sub}, n={n}")
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     grid = tuple(theta_grid) if theta_grid is not None else default_theta_grid(spec)
     if not grid:
         raise ValueError("theta grid must be non-empty")

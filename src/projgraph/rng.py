@@ -28,7 +28,6 @@ Both keep every bit of :func:`substream`, and both derive keys
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from typing import Iterator
@@ -48,6 +47,10 @@ def _part_key(part: int | str) -> int:
             raise ValueError("integer stream id parts must be non-negative")
         return part
     if isinstance(part, str):
+        # Imported here: its OpenSSL module takes milliseconds to load, and
+        # only string parts need it.
+        import hashlib
+
         digest = hashlib.sha256(part.encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "big")
     raise TypeError("stream id parts must be non-negative integers or strings")

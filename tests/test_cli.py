@@ -347,6 +347,27 @@ def test_check_projectivity_validation(capsys):
     assert "--theta-grid must be comma-separated numbers, got ''" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+def test_check_projectivity_refuses_a_meaningless_tolerance(capsys, tolerance):
+    code = main(
+        ["check-projectivity", "--family", "edge-triangle", "--n", "4", "--n-sub", "3",
+         "--theta-grid=0", f"--tolerance={tolerance}"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: tolerance must be finite and >= 0" in captured.err
+
+
+def test_check_projectivity_accepts_a_zero_tolerance(capsys):
+    code = main(
+        ["check-projectivity", "--family", "edge-triangle", "--n", "4", "--n-sub", "3",
+         "--theta-grid=0", "--tolerance", "0"]
+    )
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[0] == "theta_1,theta_2,tv,param_equal"
+
+
 def test_check_projectivity_thread_invariance(capsys):
     base = ["check-projectivity", "--family", "edge-triangle", "--n", "4",
             "--n-sub", "3", "--theta-grid", "-1,1"]
@@ -592,13 +613,76 @@ def test_two_statistic_work_does_not_import_scipy(tmp_path):
     projectivity check leave SciPy unloaded.  A three-statistic fit loads
     scipy.spatial for its hull, and a proper one (two disjoint edges on 4
     nodes, in a population of 6) converges."""
+    done = _child(["-c", textwrap.dedent(_IMPORT_PATH_SCRIPT),
+                   _write_graph(tmp_path, _triangle_with_tail()),
+                   _write_graph(tmp_path, graph_from_index(4, 12), "sub.edgelist")])
+    assert done.returncode == 0, done.stderr
+
+
+def _child(args):
+    """Run a fresh interpreter on ``args`` with this package's sources on its path."""
     src = str(Path(projgraph.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(_IMPORT_PATH_SCRIPT),
-         _write_graph(tmp_path, _triangle_with_tail()),
-         _write_graph(tmp_path, graph_from_index(4, 12), "sub.edgelist")],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+def _imported_modules(args):
+    """The modules a fresh ``python -X importtime <args>`` imports, which must
+    exit 0 and print something."""
+    done = _child(["-X", "importtime", *args])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout
+    return {line.rsplit("|", 1)[1].strip()
+            for line in done.stderr.splitlines() if line.startswith("import time:")}
+
+
+def test_importing_the_package_leaves_the_study_layer_cli_and_hashlib_unloaded():
+    imported = _imported_modules(["-c", "import projgraph; print(projgraph.__version__)"])
+    assert "projgraph.exact" in imported
+    unloaded = {"projgraph.experiments", "projgraph.cli", "hashlib", "argparse", "scipy"}
+    assert not imported & unloaded
+
+
+@pytest.mark.parametrize("command", ["mle", "check-projectivity"])
+def test_fit_and_check_commands_leave_the_study_layer_and_hashlib_unloaded(tmp_path, command):
+    argv = {
+        "mle": ["mle", "--family", "edge-triangle", _write_graph(tmp_path, _triangle_with_tail())],
+        "check-projectivity": ["check-projectivity", "--family", "edge-triangle",
+                               "--n", "5", "--n-sub", "4"],
+    }[command]
+    imported = _imported_modules(["-m", "projgraph", *argv])
+    assert "projgraph.cli" in imported
+    assert not imported & {"projgraph.experiments", "hashlib"}
+
+
+_PUBLIC_NAMES_SCRIPT = """
+import importlib, sys
+
+import projgraph
+
+names = set(projgraph.__all__)
+assert names <= set(dir(projgraph)), sorted(names - set(dir(projgraph)))
+assert "projgraph.experiments" not in sys.modules
+assert not hasattr(projgraph, "no_such_name")
+star = {}
+exec("from projgraph import *", star)
+assert set(star) - {"__builtins__"} == names
+owners = {"__version__": importlib.import_module("projgraph._version")}
+for layer in ("exact", "experiments", "graph", "inference", "models", "rng"):
+    module = importlib.import_module("projgraph." + layer)
+    owners.update((name, module) for name in module.__all__ if name in names)
+assert set(owners) == names, sorted(names - set(owners))
+for name, module in owners.items():
+    assert star[name] is getattr(projgraph, name) is getattr(module, name), name
+print(len(names))
+"""
+
+
+def test_every_public_name_resolves_to_its_submodule_object():
+    """In a fresh interpreter: every name in ``__all__`` is listed by
+    ``dir`` before the study layer is loaded, a star import binds exactly
+    those names, and each is the object its submodule defines."""
+    done = _child(["-c", textwrap.dedent(_PUBLIC_NAMES_SCRIPT)])
     assert done.returncode == 0, done.stderr

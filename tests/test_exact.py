@@ -52,6 +52,7 @@ from projgraph import (
 )
 from projgraph.exact import (
     _CHUNK,
+    _CODE_CHUNK,
     _DRAW_CHUNK,
     ExactDistribution,
     _bulk_sample,
@@ -121,7 +122,7 @@ def test_cap_rejects_large_sizes():
 
 
 def test_cap_override_to_eight_warns():
-    with pytest.warns(RuntimeWarning, match="about 820 MB to code the classes at n=8"):
+    with pytest.warns(RuntimeWarning, match="about 810 MB to code the classes at n=8"):
         assert resolve_enum_cap(8, enum_cap=8) == 8
 
 
@@ -137,7 +138,7 @@ def test_cap_override_to_eight_warning_shows_under_default_filters():
         env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "RuntimeWarning" in done.stderr
-    assert "about 820 MB to code the classes at n=8" in done.stderr
+    assert "about 810 MB to code the classes at n=8" in done.stderr
 
 
 def test_cap_request_validation():
@@ -276,8 +277,8 @@ def test_offset_distribution_equals_invariant_at_shifted_parameter():
 
 def test_coding_the_n7_table_allocates_little_beyond_the_codes():
     """The 2^21 EdgeTriangle rows are coded a chunk at a time: beyond the
-    codes, at most one chunk's intp index and 1 MiB are allocated, where
-    one int64 copy of a whole key would take 16 MiB."""
+    codes, at most one coder chunk's intp index and 1 MiB are allocated,
+    where one int64 copy of a whole key would take 16 MiB."""
     table = _enumerated_stats_cached(EDGE_TRI, 7)
     tracemalloc.start()
     try:
@@ -285,7 +286,37 @@ def test_coding_the_n7_table_allocates_little_beyond_the_codes():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= codes.nbytes + _CHUNK * np.dtype(np.intp).itemsize + (1 << 20)
+    assert peak <= codes.nbytes + _CODE_CHUNK * np.dtype(np.intp).itemsize + (1 << 20)
+
+
+def test_the_n7_sampling_cdf_allocates_one_per_graph_array():
+    """The sampling CDF is summed in place over the per-graph probabilities:
+    beyond its own 16 MiB, at most 1 MiB is allocated, where a separate
+    cumulative sum would take another 16 MiB."""
+    d = build_distribution(EDGE_TRI, ParamVector(theta=(-0.5, 0.3)), 7)
+    tracemalloc.start()
+    try:
+        cdf = d._cumulative()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= cdf.nbytes + (1 << 20)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.name)
+@pytest.mark.parametrize("n", range(1, 8))
+def test_the_coder_chunk_changes_no_bit_of_the_coding(spec, n):
+    """Codes, rows, counts and their dtypes are the same whether the coder
+    splits the table into many chunks, a few, or none."""
+    table = _enumerated_stats_cached(spec, n)
+    codings = []
+    for chunk in (1 << 10, 1 << 16, 1 << 20):
+        with mock.patch.object(projgraph.exact, "_CODE_CHUNK", chunk):
+            codings.append(_code_table(table))
+    for coding in codings[1:]:
+        for got, want in zip(coding, codings[0]):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 _CODE_N8_SCRIPT = """
@@ -507,6 +538,26 @@ def test_projectivity_check_validates_sizes():
         projectivity_check(INVARIANT, None, n=4, n_sub=4)
     with pytest.raises(ValueError, match="need 1 <= n_sub < n"):
         projectivity_check(INVARIANT, None, n=4, n_sub=0)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
+def test_projectivity_check_refuses_a_meaningless_tolerance(tolerance):
+    """A NaN or negative tolerance made every verdict non-projective, and an
+    infinite one every verdict with equal parameters projective; each is
+    refused before any table is built."""
+    refuse = mock.Mock(side_effect=AssertionError("a table was built"))
+    with mock.patch.object(projgraph.exact, "_joint_counts", refuse), \
+            mock.patch.object(projgraph.exact, "_classes", refuse):
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            projectivity_check(EDGE_TRI, [ParamVector(theta=(0.0, 0.0))], n=4, n_sub=3,
+                               tolerance=tolerance)
+
+
+def test_projectivity_check_accepts_a_zero_tolerance():
+    report = projectivity_check(EDGE_TRI, [ParamVector(theta=(0.4, 0.0))], n=4, n_sub=3,
+                                tolerance=0.0)
+    projective = report.param_equal and report.max_tv <= 0.0
+    assert report.verdict == ("projective-on-grid" if projective else "non-projective")
 
 
 def test_default_theta_grid_shape():
