@@ -87,6 +87,20 @@ from .models import (
 )
 from .rng import substream
 
+# The study layer is imported on first use of one of these names, or of the
+# submodule ``projgraph.experiments`` itself (PEP 562, see ``__getattr__``), so
+# that a process that only fits or checks neither compiles nor runs it.
+_STUDY_NAMES = (
+    "EXPERIMENT_NAMES",
+    "ExperimentConfig",
+    "ExperimentReport",
+    "run_connectivity_threshold",
+    "run_experiment",
+    "run_growth_consistency",
+    "run_replication_consistency",
+    "run_subsample_bias",
+)
+
 __all__ = [
     "__version__",
     "DEFAULT_ENUMERATION_CAP",
@@ -107,14 +121,7 @@ __all__ = [
     "sample_bernoulli",
     "stat_covariance",
     "tv_distance",
-    "EXPERIMENT_NAMES",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "run_connectivity_threshold",
-    "run_experiment",
-    "run_growth_consistency",
-    "run_replication_consistency",
-    "run_subsample_bias",
+    *_STUDY_NAMES,
     "Graph",
     "NodeSubset",
     "complete_graph",
@@ -167,25 +174,16 @@ __all__ = [
 ]
 
 
-# The study layer is imported on first use of one of its names (PEP 562), so
-# that a process that only fits or checks neither compiles nor runs it.
-_STUDY_NAMES = frozenset({
-    "EXPERIMENT_NAMES",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "run_connectivity_threshold",
-    "run_experiment",
-    "run_growth_consistency",
-    "run_replication_consistency",
-    "run_subsample_bias",
-})
-
-
 def __getattr__(name: str):
-    if name not in _STUDY_NAMES:
+    if name != "experiments" and name not in _STUDY_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import experiments
+    import importlib  # loaded at interpreter start-up
 
+    # import_module, not ``from . import``: that would ask this hook for
+    # "experiments" again before loading it
+    experiments = importlib.import_module(".experiments", __name__)
+    if name == "experiments":
+        return experiments
     value = globals()[name] = getattr(experiments, name)
     return value
 

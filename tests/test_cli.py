@@ -666,6 +666,7 @@ names = set(projgraph.__all__)
 assert names <= set(dir(projgraph)), sorted(names - set(dir(projgraph)))
 assert "projgraph.experiments" not in sys.modules
 assert not hasattr(projgraph, "no_such_name")
+assert projgraph.experiments is sys.modules["projgraph.experiments"]
 star = {}
 exec("from projgraph import *", star)
 assert set(star) - {"__builtins__"} == names
@@ -682,7 +683,8 @@ print(len(names))
 
 def test_every_public_name_resolves_to_its_submodule_object():
     """In a fresh interpreter: every name in ``__all__`` is listed by
-    ``dir`` before the study layer is loaded, a star import binds exactly
-    those names, and each is the object its submodule defines."""
+    ``dir`` before the study layer is loaded, ``projgraph.experiments``
+    loads and returns that submodule, a star import binds exactly those
+    names, and each is the object its submodule defines."""
     done = _child(["-c", textwrap.dedent(_PUBLIC_NAMES_SCRIPT)])
     assert done.returncode == 0, done.stderr
