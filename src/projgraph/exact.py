@@ -36,7 +36,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graph import Graph, NodeSubset, dyad_count, dyad_index, graph_from_index
+from .graph import Graph, NodeSubset, _dyad_map, dyad_count, graph_from_index
 from .models import (
     Family,
     ParamVector,
@@ -449,35 +449,30 @@ def marginal_distribution(d: ExactDistribution, s: NodeSubset) -> np.ndarray:
     """Probability table of the induced subgraph on ``s`` under ``d``.
 
     Entry y of the result is the total probability of all size-n graphs
-    whose induced subgraph on ``s`` has graph index y.  Prefix subsets
-    reduce to a bit-mask because prefix dyads occupy the low index bits.
+    whose induced subgraph on ``s`` has graph index y.  Each maximal run of
+    subgraph dyads whose parent dyads (:func:`~projgraph.graph._dyad_map`)
+    are consecutive is read as one shifted and masked field of the graph
+    index; a prefix subset is a single run, the low C(|s|, 2) bits.
     """
     if s.parent_n != d.n:
         raise ValueError(
             f"invalid subset: parent_n={s.parent_n} does not match distribution n={d.n}"
         )
-    m = len(s.members)
-    sub_d = dyad_count(m)
+    sub_d = dyad_count(len(s.members))
+    dyads = _dyad_map(s.members)
+    # Each maximal run of consecutive parent dyads is one bit field.
+    starts = np.flatnonzero(np.diff(dyads, prepend=-2) != 1)
+    runs = list(zip(starts.tolist(), dyads[starts].tolist(),
+                    np.diff(starts, append=sub_d).tolist()))
     out = np.zeros(1 << sub_d, dtype=np.float64)
     total = len(d.codes)
     class_probs = np.exp(d.class_log_probs)
-    prefix = s.members == tuple(range(m))
-    pair_map = None
-    if not prefix:
-        pair_map = [
-            (dyad_index(s.members[a], s.members[b]), dyad_index(a, b))
-            for b in range(1, m)
-            for a in range(b)
-        ]
     for lo in range(0, total, _CHUNK):
         hi = min(lo + _CHUNK, total)
         idx = np.arange(lo, hi, dtype=np.int64)
-        if prefix:
-            sub = idx & ((1 << sub_d) - 1)
-        else:
-            sub = np.zeros(hi - lo, dtype=np.int64)
-            for parent_k, sub_k in pair_map:
-                sub |= ((idx >> parent_k) & 1) << sub_k
+        sub = np.zeros(hi - lo, dtype=np.int64)
+        for sub_k, parent_k, length in runs:
+            sub |= (idx >> parent_k & (1 << length) - 1) << sub_k
         out += np.bincount(sub, weights=class_probs[d.codes[lo:hi]], minlength=1 << sub_d)
     return out
 

@@ -57,7 +57,8 @@ from .exact import (
     build_distribution,
     sample_bernoulli,
 )
-from .graph import Graph, NodeSubset, induced_subgraph, is_connected, mean_degree, edge_count
+from .graph import (Graph, NodeSubset, _dyad_map, dyad_count, edge_count, induced_subgraph,
+                    is_connected, mean_degree)
 from .inference import (
     FullGraph,
     InducedSubgraph,
@@ -523,17 +524,13 @@ def _table_subsample(
     No graph is built.  A batch of at most ``_EVENT_FITS`` replicates
     takes each stream's uniform and node draw, then finds every parent
     graph index by one inverse-CDF search and every subgraph index by bit
-    gathers: subgraph dyad (a, b) is parent dyad (m_a, m_b) of the sorted
-    members m.  Each distinct subgraph index gets its events once, and
-    each kind's events are fitted by one :func:`_event_estimates` call.
+    gathers at :func:`~projgraph.graph._dyad_map` of the sorted members.
+    Each distinct subgraph index gets its events once, and each kind's
+    events are fitted by one :func:`_event_estimates` call.
     """
     spec, population_n = dist.spec, dist.n
     codes, points, _ = _classes(spec, subsample_n)
-    # The ends a < b of each subgraph dyad, in dyad order.
-    nodes = np.arange(subsample_n)
-    ends_b = np.repeat(nodes, nodes)
-    sub_dyads = np.arange(len(ends_b))
-    ends_a = sub_dyads - ends_b * (ends_b - 1) // 2
+    sub_dyads = np.arange(dyad_count(subsample_n))
     proper, misspecified = [], []
     for lo in range(0, count, _EVENT_FITS):
         batch = min(_EVENT_FITS, count - lo)
@@ -543,10 +540,8 @@ def _table_subsample(
             uniforms[k] = rng.random()
             members[k] = rng.choice(population_n, size=subsample_n, replace=False)
         members.sort(axis=1)
-        a, b = members[:, ends_a], members[:, ends_b]
-        parent_dyads = b * (b - 1) // 2 + a
         parents = _inverse_cdf(dist, uniforms)[:, None]
-        subgraphs = ((parents >> parent_dyads & 1) << sub_dyads).sum(axis=1)
+        subgraphs = ((parents >> _dyad_map(members) & 1) << sub_dyads).sum(axis=1)
         distinct, where = np.unique(subgraphs, return_inverse=True)
         where = where.tolist()
         events = [_completion_event(spec, Graph(subsample_n, y), population_n, None)

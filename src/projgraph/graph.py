@@ -212,31 +212,15 @@ def mean_degree(g: Graph) -> float:
     return 2.0 * edge_count(g) / g.n
 
 
-_VECTORIZED_DYAD_THRESHOLD = 4096
-
-
-def _induced_subgraph_bits_small(g: Graph, members: tuple[int, ...]) -> int:
-    bits = 0
-    sub_k = 0
-    for b in range(1, len(members)):
-        for a in range(b):
-            if g.has_edge(members[a], members[b]):
-                bits |= 1 << (sub_k + a)
-        sub_k += b
-    return bits
-
-
-def _induced_subgraph_bits_vectorized(g: Graph, members: tuple[int, ...]) -> int:
-    d = dyad_count(g.n)
-    raw = np.frombuffer(g.dyads.to_bytes((d + 7) // 8, "little"), dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little")
-    mem = np.asarray(members, dtype=np.int64)
-    a_idx, b_idx = np.triu_indices(len(members), k=1)
-    parent_k = mem[b_idx] * (mem[b_idx] - 1) // 2 + mem[a_idx]
-    sub_k = b_idx * (b_idx - 1) // 2 + a_idx
-    sub_bits = np.zeros(dyad_count(len(members)), dtype=np.uint8)
-    sub_bits[sub_k] = bits[parent_k]
-    return int.from_bytes(np.packbits(sub_bits, bitorder="little").tobytes(), "little")
+def _dyad_map(members) -> np.ndarray:
+    """Parent dyad index of each subgraph dyad, in subgraph dyad order, for
+    sorted members of shape (..., m): subgraph dyad (a, b) is parent dyad
+    (m_a, m_b).  Every node-subset gather reads its dyads from this map."""
+    members = np.asarray(members, dtype=np.int64)
+    # Row-major lower-triangle pairs (b, a), a < b, run in dyad-index order.
+    b, a = np.tril_indices(members.shape[-1], -1)
+    high, low = members[..., b], members[..., a]
+    return high * (high - 1) // 2 + low
 
 
 def induced_subgraph(g: Graph, s: NodeSubset) -> Graph:
@@ -248,12 +232,10 @@ def induced_subgraph(g: Graph, s: NodeSubset) -> Graph:
         raise ValueError(
             f"invalid subset: parent_n={s.parent_n} does not match graph n={g.n}"
         )
-    members = s.members
-    if len(members) >= 8 and dyad_count(g.n) >= _VECTORIZED_DYAD_THRESHOLD:
-        bits = _induced_subgraph_bits_vectorized(g, members)
-    else:
-        bits = _induced_subgraph_bits_small(g, members)
-    return Graph(len(members), bits)
+    raw = g.dyads.to_bytes((dyad_count(g.n) + 7) // 8, "little")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    sub = np.packbits(bits[_dyad_map(s.members)], bitorder="little")
+    return Graph(len(s.members), int.from_bytes(sub.tobytes(), "little"))
 
 
 def is_connected(g: Graph) -> bool:

@@ -28,10 +28,7 @@ from projgraph import (
     triangle_count,
     write_edge_list,
 )
-from projgraph.graph import (
-    _induced_subgraph_bits_small,
-    _induced_subgraph_bits_vectorized,
-)
+from projgraph.graph import _dyad_map
 
 
 def _path_graph(n):
@@ -265,15 +262,39 @@ def test_induced_subgraph_is_compositional():
         assert one == two
 
 
-def test_induced_subgraph_small_and_vectorized_paths_agree():
-    rng = substream(7, "paths")
-    for _ in range(60):
-        n = int(rng.integers(9, 14))
-        bits = int(rng.integers(1 << 62)) | (int(rng.integers(1 << 62)) << 62)
-        g = Graph(n=n, dyads=bits % (1 << dyad_count(n)))
-        size = int(rng.integers(8, n + 1))
-        members = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
-        assert _induced_subgraph_bits_small(g, members) == _induced_subgraph_bits_vectorized(g, members)
+def _induced_subgraph_oracle(g, members):
+    """The induced subgraph edge by edge, one has_edge query per node pair."""
+    m = len(members)
+    edges = [(a, b) for b in range(m) for a in range(b) if g.has_edge(members[a], members[b])]
+    return graph_from_edges(m, edges)
+
+
+def test_induced_subgraph_matches_a_per_pair_oracle():
+    """Every subset size of n = 1..14, on prefix, suffix and random subsets."""
+    rng = substream(7, "induced-oracle")
+    for n in range(1, 15):
+        for _ in range(3):
+            bits = int(rng.integers(1 << 62)) | (int(rng.integers(1 << 62)) << 62)
+            g = Graph(n=n, dyads=bits % (1 << dyad_count(n)))
+            for size in range(1, n + 1):
+                drawn = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
+                for members in {tuple(range(size)), tuple(range(n - size, n)), drawn}:
+                    got = induced_subgraph(g, NodeSubset(n, members))
+                    assert got == _induced_subgraph_oracle(g, members), (n, members)
+
+
+def test_dyad_map_reads_stacked_members_row_by_row():
+    rng = substream(8, "dyad-map")
+    for m in range(1, 9):
+        members = np.sort(np.stack([rng.choice(12, size=m, replace=False) for _ in range(5)]), axis=1)
+        stacked = _dyad_map(members)
+        assert stacked.shape == (5, dyad_count(m))
+        for row, got in zip(members, stacked):
+            assert np.array_equal(got, _dyad_map(row))
+            pairs = [(row[a], row[b]) for b in range(m) for a in range(b)]
+            assert got.tolist() == [dyad_index(i, j) for i, j in pairs]
+    assert _dyad_map((3,)).shape == (0,)
+    assert _dyad_map(np.array([[0], [4]])).shape == (2, 0)
 
 
 # --------------------------------------------------------------------------
