@@ -72,8 +72,8 @@ MAX_ENUMERATION_CAP = 8
 PROJECTIVITY_TOLERANCE = 1e-9
 
 _CHUNK = 1 << 20
-# Rows the class coder counts and gathers at a time: its intp index then
-# takes 512 KiB, which stays in cache.
+# Rows the class coder and marginal_distribution read at a time: an int64
+# or intp array of a chunk then takes 512 KiB, which stays in cache.
 _CODE_CHUNK = 1 << 16
 
 
@@ -452,7 +452,9 @@ def marginal_distribution(d: ExactDistribution, s: NodeSubset) -> np.ndarray:
     whose induced subgraph on ``s`` has graph index y.  Each maximal run of
     subgraph dyads whose parent dyads (:func:`~projgraph.graph._dyad_map`)
     are consecutive is read as one shifted and masked field of the graph
-    index; a prefix subset is a single run, the low C(|s|, 2) bits.
+    index; a prefix subset is a single run, the low C(|s|, 2) bits.  Each
+    entry is summed in graph-index order, so the chunk size the graphs are
+    read in changes no bit of the result.
     """
     if s.parent_n != d.n:
         raise ValueError(
@@ -467,13 +469,13 @@ def marginal_distribution(d: ExactDistribution, s: NodeSubset) -> np.ndarray:
     out = np.zeros(1 << sub_d, dtype=np.float64)
     total = len(d.codes)
     class_probs = np.exp(d.class_log_probs)
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
+    for lo in range(0, total, _CODE_CHUNK):
+        hi = min(lo + _CODE_CHUNK, total)
         idx = np.arange(lo, hi, dtype=np.int64)
         sub = np.zeros(hi - lo, dtype=np.int64)
         for sub_k, parent_k, length in runs:
             sub |= (idx >> parent_k & (1 << length) - 1) << sub_k
-        out += np.bincount(sub, weights=class_probs[d.codes[lo:hi]], minlength=1 << sub_d)
+        np.add.at(out, sub, class_probs[d.codes[lo:hi]])
     return out
 
 

@@ -218,7 +218,7 @@ def _dyad_map(members) -> np.ndarray:
     (m_a, m_b).  Every node-subset gather reads its dyads from this map."""
     members = np.asarray(members, dtype=np.int64)
     # Row-major lower-triangle pairs (b, a), a < b, run in dyad-index order.
-    b, a = np.tril_indices(members.shape[-1], -1)
+    b, a = np.nonzero(np.tri(members.shape[-1], k=-1, dtype=bool))
     high, low = members[..., b], members[..., a]
     return high * (high - 1) // 2 + low
 

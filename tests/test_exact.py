@@ -429,6 +429,19 @@ def test_marginal_requires_matching_parent():
         marginal_distribution(d, NodeSubset(parent_n=5, members=(0, 1)))
 
 
+@pytest.mark.parametrize("members", [tuple(range(6)), tuple(range(1, 7)), (0, 3, 6)])
+def test_the_chunk_size_changes_no_bit_of_a_marginal(members):
+    """Each entry sums its graphs in graph-index order, however many chunks
+    the 2^21 graphs on 7 nodes are read in."""
+    d = build_distribution(EDGE_TRI, ParamVector(theta=(-0.5, 0.3)), 7)
+    marginals = []
+    for chunk in (1 << 10, 1 << 16, 1 << 20):
+        with mock.patch.object(projgraph.exact, "_CODE_CHUNK", chunk):
+            marginals.append(marginal_distribution(d, NodeSubset(7, members)))
+    for marg in marginals[1:]:
+        assert np.array_equal(marg, marginals[0])
+
+
 def test_marginal_sums_to_one():
     d = build_distribution(EDGE_TRI, ParamVector(theta=(0.3, 0.2)), 5)
     for members in ((0, 1), (0, 1, 2), (1, 3, 4), (0, 1, 2, 3, 4)):
