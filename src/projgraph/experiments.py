@@ -372,11 +372,12 @@ def _report(
     columns: Sequence[str],
     rows: Sequence[dict[str, Any]],
     started: float,
+    design: str,
 ) -> ExperimentReport:
     metadata = {
         "experiment": cfg.experiment,
         "config": cfg.to_dict(),
-        "sampling_design": "uniform-random node subsets (ignorable)",
+        "sampling_design": design,
         "version": f"projgraph-v{__version__}",
         "runtime_seconds": round(time.perf_counter() - started, 3),
     }
@@ -414,7 +415,7 @@ def run_growth_consistency(cfg: ExperimentConfig, threads: int = 1) -> Experimen
         + _estimate_columns(cfg.spec.stat_dim)
         + ["mean_degree", "mean_edges"]
     )
-    return _report(cfg, columns, rows, started)
+    return _report(cfg, columns, rows, started, "whole graphs (no node sampling)")
 
 
 def _replicate_streams(
@@ -488,7 +489,7 @@ def run_replication_consistency(
     columns = ["cell", "n", "R", "units", "used", "n_boundary"] + _estimate_columns(
         cfg.spec.stat_dim
     )
-    return _report(cfg, columns, rows, started)
+    return _report(cfg, columns, rows, started, "replicated whole graphs (no node sampling)")
 
 
 def _bernoulli_subsample(
@@ -591,7 +592,7 @@ def run_subsample_bias(cfg: ExperimentConfig, threads: int = 1) -> ExperimentRep
         "used",
         "n_boundary",
     ] + _estimate_columns(cfg.spec.stat_dim)
-    return _report(cfg, columns, rows, started)
+    return _report(cfg, columns, rows, started, "uniform-random node subsets (ignorable)")
 
 
 def run_connectivity_threshold(
@@ -620,7 +621,7 @@ def run_connectivity_threshold(
             }
         )
     columns = ["cell", "n", "multiplier", "pi", "units", "prop_connected"]
-    return _report(cfg, columns, rows, started)
+    return _report(cfg, columns, rows, started, "whole graphs (no node sampling)")
 
 
 _RUNNERS = {

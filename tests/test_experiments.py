@@ -887,6 +887,21 @@ def test_replicates_run_serially_for_any_thread_count(monkeypatch):
     assert run_experiment(_growth_cfg(), threads=8).csv_body() == expected
 
 
+@pytest.mark.parametrize("cfg, design", [
+    (_growth_cfg(), "whole graphs (no node sampling)"),
+    (_growth_cfg(experiment="replication", spec=INVARIANT, sizes=(6,), replicates=(2, 3),
+                 studies_per_cell=2), "replicated whole graphs (no node sampling)"),
+    (_growth_cfg(experiment="subsample", spec=INVARIANT, sizes=(20,), replicates=4,
+                 subsample_n=5), "uniform-random node subsets (ignorable)"),
+    (_growth_cfg(experiment="threshold", multipliers=(1.0,), replicates=4),
+     "whole graphs (no node sampling)"),
+], ids=["growth", "replication", "subsample", "threshold"])
+def test_each_study_reports_its_own_sampling_design(cfg, design):
+    """Only the subsample study observes a node sample; the others observe
+    whole graphs."""
+    assert run_experiment(cfg).metadata["sampling_design"] == design
+
+
 def test_report_metadata_contents():
     cfg = _growth_cfg()
     report = run_experiment(cfg)
@@ -899,7 +914,7 @@ def test_report_metadata_contents():
         "runtime_seconds",
     }
     assert meta["experiment"] == "growth"
-    assert meta["sampling_design"] == "uniform-random node subsets (ignorable)"
+    assert meta["sampling_design"] == "whole graphs (no node sampling)"
     assert meta["version"].startswith("projgraph-v")
     assert ExperimentConfig.from_dict(meta["config"]) == cfg
     parsed = json.loads(report.metadata_json())
