@@ -5,7 +5,9 @@ index k = j*(j-1)/2 + i (column-major upper triangle).  The map is a
 bijection onto {0, ..., C(n,2)-1}.  A graph is stored as a single Python
 integer whose k-th bit is set iff dyad k is an edge, so the integers in
 [0, 2^C(n,2)) enumerate all graphs on n nodes, and the induced subgraph
-on a prefix node set {0, ..., m-1} is simply the low C(m,2) bits.
+on a prefix node set {0, ..., m-1} is simply the low C(m,2) bits.  Which
+parent dyad each subgraph dyad of any node subset reads is decided in one
+place, ``_dyad_map``.
 """
 
 from __future__ import annotations
