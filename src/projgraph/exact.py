@@ -462,7 +462,6 @@ def marginal_distribution(d: ExactDistribution, s: NodeSubset) -> np.ndarray:
         )
     sub_d = dyad_count(len(s.members))
     dyads = _dyad_map(s.members)
-    # Each maximal run of consecutive parent dyads is one bit field.
     starts = np.flatnonzero(np.diff(dyads, prepend=-2) != 1)
     runs = list(zip(starts.tolist(), dyads[starts].tolist(),
                     np.diff(starts, append=sub_d).tolist()))

@@ -221,8 +221,7 @@ def _dyad_map(members) -> np.ndarray:
     members = np.asarray(members, dtype=np.int64)
     # Row-major lower-triangle pairs (b, a), a < b, run in dyad-index order.
     b, a = np.nonzero(np.tri(members.shape[-1], k=-1, dtype=bool))
-    high, low = members[..., b], members[..., a]
-    return high * (high - 1) // 2 + low
+    return (members * (members - 1) // 2)[..., b] + members[..., a]
 
 
 def induced_subgraph(g: Graph, s: NodeSubset) -> Graph:

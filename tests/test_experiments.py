@@ -896,14 +896,9 @@ def test_replicates_run_serially_for_any_thread_count(monkeypatch):
     (_growth_cfg(experiment="threshold", multipliers=(1.0,), replicates=4),
      "whole graphs (no node sampling)"),
 ], ids=["growth", "replication", "subsample", "threshold"])
-def test_each_study_reports_its_own_sampling_design(cfg, design):
+def test_report_metadata_contents(cfg, design):
     """Only the subsample study observes a node sample; the others observe
     whole graphs."""
-    assert run_experiment(cfg).metadata["sampling_design"] == design
-
-
-def test_report_metadata_contents():
-    cfg = _growth_cfg()
     report = run_experiment(cfg)
     meta = report.metadata
     assert set(meta) == {
@@ -913,8 +908,8 @@ def test_report_metadata_contents():
         "version",
         "runtime_seconds",
     }
-    assert meta["experiment"] == "growth"
-    assert meta["sampling_design"] == "whole graphs (no node sampling)"
+    assert meta["experiment"] == cfg.experiment
+    assert meta["sampling_design"] == design
     assert meta["version"].startswith("projgraph-v")
     assert ExperimentConfig.from_dict(meta["config"]) == cfg
     parsed = json.loads(report.metadata_json())
