@@ -460,8 +460,8 @@ def marginal_distribution(d: ExactDistribution, s: NodeSubset) -> np.ndarray:
         raise ValueError(
             f"invalid subset: parent_n={s.parent_n} does not match distribution n={d.n}"
         )
-    sub_d = dyad_count(len(s.members))
     dyads = _dyad_map(s.members)
+    sub_d = len(dyads)
     starts = np.flatnonzero(np.diff(dyads, prepend=-2) != 1)
     runs = list(zip(starts.tolist(), dyads[starts].tolist(),
                     np.diff(starts, append=sub_d).tolist()))
