@@ -11,85 +11,17 @@ replicating fixed-size graphs.
 """
 
 from ._version import __version__
-from .exact import (
-    DEFAULT_ENUMERATION_CAP,
-    MAX_ENUMERATION_CAP,
-    PROJECTIVITY_TOLERANCE,
-    EnumerationCapError,
-    ExactDistribution,
-    ProjectivityReport,
-    build_distribution,
-    default_theta_grid,
-    enumerated_stats,
-    exact_sample,
-    expected_stats,
-    log_normalizer,
-    marginal_distribution,
-    projectivity_check,
-    resolve_enum_cap,
-    sample_bernoulli,
-    stat_covariance,
-    tv_distance,
-)
-from .graph import (
-    Graph,
-    NodeSubset,
-    complete_graph,
-    degree_sequence,
-    dyad_count,
-    dyad_endpoints,
-    dyad_index,
-    edge_count,
-    empty_graph,
-    format_edge_list,
-    graph_from_edges,
-    graph_from_index,
-    graph_to_index,
-    induced_subgraph,
-    is_connected,
-    mean_degree,
-    parse_edge_list,
-    read_edge_list,
-    triangle_count,
-    write_edge_list,
-)
-from .inference import (
-    FullGraph,
-    InducedSubgraph,
-    LikelihoodKind,
-    MLEResult,
-    ObservedData,
-    Replicates,
-    completion_log_likelihood,
-    fisher_information,
-    format_mle_csv,
-    log_likelihood,
-    mle,
-    misspecified_log_likelihood,
-    proper_log_likelihood,
-)
-from .models import (
-    BERNOULLI_INVARIANT,
-    BERNOULLI_OFFSET,
-    EDGE_TRIANGLE,
-    Family,
-    ParamVector,
-    StatsVector,
-    edge_prob,
-    log_unnormalized,
-    model_spec,
-    natural_params,
-    register_family,
-    registered_families,
-    resolve_family_name,
-    sufficient_stats,
-    unregister_family,
-)
-from .rng import substream
+from . import exact, graph, inference, models, rng
+from .exact import *
+from .graph import *
+from .inference import *
+from .models import *
+from .rng import *
 
 # The study layer is imported on first use of one of these names, or of the
 # submodule ``projgraph.experiments`` itself (PEP 562, see ``__getattr__``), so
-# that a process that only fits or checks neither compiles nor runs it.
+# that a process that only fits or checks neither compiles nor runs it.  This
+# list is kept by hand: reading ``experiments.__all__`` would load that layer.
 _STUDY_NAMES = (
     "EXPERIMENT_NAMES",
     "ExperimentConfig",
@@ -101,76 +33,15 @@ _STUDY_NAMES = (
     "run_subsample_bias",
 )
 
+# Each layer's ``__all__`` is the one declaration of its public names.
 __all__ = [
     "__version__",
-    "DEFAULT_ENUMERATION_CAP",
-    "MAX_ENUMERATION_CAP",
-    "PROJECTIVITY_TOLERANCE",
-    "EnumerationCapError",
-    "ExactDistribution",
-    "ProjectivityReport",
-    "build_distribution",
-    "default_theta_grid",
-    "enumerated_stats",
-    "exact_sample",
-    "expected_stats",
-    "log_normalizer",
-    "marginal_distribution",
-    "projectivity_check",
-    "resolve_enum_cap",
-    "sample_bernoulli",
-    "stat_covariance",
-    "tv_distance",
+    *exact.__all__,
     *_STUDY_NAMES,
-    "Graph",
-    "NodeSubset",
-    "complete_graph",
-    "degree_sequence",
-    "dyad_count",
-    "dyad_endpoints",
-    "dyad_index",
-    "edge_count",
-    "empty_graph",
-    "format_edge_list",
-    "graph_from_edges",
-    "graph_from_index",
-    "graph_to_index",
-    "induced_subgraph",
-    "is_connected",
-    "mean_degree",
-    "parse_edge_list",
-    "read_edge_list",
-    "triangle_count",
-    "write_edge_list",
-    "FullGraph",
-    "InducedSubgraph",
-    "LikelihoodKind",
-    "MLEResult",
-    "ObservedData",
-    "Replicates",
-    "completion_log_likelihood",
-    "fisher_information",
-    "format_mle_csv",
-    "log_likelihood",
-    "mle",
-    "misspecified_log_likelihood",
-    "proper_log_likelihood",
-    "BERNOULLI_INVARIANT",
-    "BERNOULLI_OFFSET",
-    "EDGE_TRIANGLE",
-    "Family",
-    "ParamVector",
-    "StatsVector",
-    "edge_prob",
-    "log_unnormalized",
-    "model_spec",
-    "natural_params",
-    "register_family",
-    "registered_families",
-    "resolve_family_name",
-    "sufficient_stats",
-    "unregister_family",
-    "substream",
+    *graph.__all__,
+    *inference.__all__,
+    *models.__all__,
+    *rng.__all__,
 ]
 
 

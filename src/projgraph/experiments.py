@@ -31,7 +31,8 @@ workers slower than one.  The runners keep their ``threads`` keyword for
 compatibility; it schedules nothing.
 Replicates with no finite estimate (boundary data) are excluded from
 bias/RMSE and counted in the ``n_boundary`` column, with
-``units = used + n_boundary`` per row.
+``units = used + n_boundary`` per row.  A report's columns are its rows'
+keys, in order: each runner builds every row in the same key order.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import math
 import numbers
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
@@ -90,20 +91,6 @@ __all__ = [
     "run_subsample_bias",
     "run_connectivity_threshold",
 ]
-
-EXPERIMENT_NAMES = ("growth", "replication", "subsample", "threshold")
-
-_CONFIG_KEYS = {
-    "experiment",
-    "spec",
-    "theta_star",
-    "sizes",
-    "replicates",
-    "master_seed",
-    "subsample_n",
-    "multipliers",
-    "studies_per_cell",
-}
 
 
 def _count(value: Any, name: str) -> int:
@@ -238,13 +225,15 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(payload: dict[str, Any]) -> "ExperimentConfig":
-        """Build a config from a JSON-style dict; unknown keys are errors."""
+        """Build a config from a JSON-style dict keyed by the field names;
+        unknown keys are errors, as are missing fields with no default."""
         if not isinstance(payload, dict):
             raise ValueError("experiment config must be a JSON object")
-        unknown = sorted(set(payload) - _CONFIG_KEYS)
+        schema = fields(ExperimentConfig)
+        unknown = sorted(set(payload) - {f.name for f in schema})
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        missing = [k for k in ("experiment", "spec", "theta_star", "sizes", "replicates", "master_seed") if k not in payload]
+        missing = [f.name for f in schema if f.default is MISSING and f.name not in payload]
         if missing:
             raise ValueError(f"missing config keys: {', '.join(missing)}")
         spec_obj = payload["spec"]
@@ -263,40 +252,15 @@ class ExperimentConfig:
         theta_star = payload["theta_star"]
         if not isinstance(theta_star, (list, tuple)):
             raise ValueError("theta_star must be an array")
-        kwargs: dict[str, Any] = {}
-        for key in ("subsample_n", "studies_per_cell", "multipliers"):
-            if key in payload:
-                kwargs[key] = payload[key]
-        return ExperimentConfig(
-            experiment=payload["experiment"],
-            spec=spec,
-            theta_star=ParamVector(theta=tuple(_number(v, "theta_star") for v in theta_star)),
-            sizes=payload["sizes"],
-            replicates=payload["replicates"],
-            master_seed=payload["master_seed"],
-            **kwargs,
-        )
+        theta = ParamVector(theta=tuple(_number(v, "theta_star") for v in theta_star))
+        return ExperimentConfig(**dict(payload, spec=spec, theta_star=theta))
 
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "experiment": self.experiment,
-            "spec": {"family": self.spec.name},
-            "theta_star": list(self.theta_star.theta),
-            "sizes": list(self.sizes),
-            "replicates": (
-                list(self.replicates)
-                if isinstance(self.replicates, tuple)
-                else self.replicates
-            ),
-            "master_seed": self.master_seed,
-        }
-        if self.subsample_n is not None:
-            out["subsample_n"] = self.subsample_n
-        if self.multipliers is not None:
-            out["multipliers"] = list(self.multipliers)
-        if self.experiment == "replication":
-            out["studies_per_cell"] = self.studies_per_cell
-        return out
+        """Every field that is not None, in field order, with tuples as lists."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(spec={"family": self.spec.name}, theta_star=self.theta_star.theta)
+        return {key: list(value) if isinstance(value, tuple) else value
+                for key, value in out.items() if value is not None}
 
 
 @dataclass(frozen=True)
@@ -368,12 +332,9 @@ def _summarize_estimates(
 
 
 def _report(
-    cfg: ExperimentConfig,
-    columns: Sequence[str],
-    rows: Sequence[dict[str, Any]],
-    started: float,
-    design: str,
+    cfg: ExperimentConfig, rows: Sequence[dict[str, Any]], started: float, design: str
 ) -> ExperimentReport:
+    """The report of ``rows``, whose columns are the first row's keys."""
     metadata = {
         "experiment": cfg.experiment,
         "config": cfg.to_dict(),
@@ -383,7 +344,7 @@ def _report(
     }
     return ExperimentReport(
         experiment=cfg.experiment,
-        columns=tuple(columns),
+        columns=tuple(rows[0]),
         rows=tuple(dict(r) for r in rows),
         metadata=metadata,
     )
@@ -410,12 +371,7 @@ def run_growth_consistency(cfg: ExperimentConfig, threads: int = 1) -> Experimen
         row["mean_degree"] = float(np.mean(degrees))
         row["mean_edges"] = float(np.mean(edges))
         rows.append(row)
-    columns = (
-        ["cell", "n", "units", "used", "n_boundary"]
-        + _estimate_columns(cfg.spec.stat_dim)
-        + ["mean_degree", "mean_edges"]
-    )
-    return _report(cfg, columns, rows, started, "whole graphs (no node sampling)")
+    return _report(cfg, rows, started, "whole graphs (no node sampling)")
 
 
 def _replicate_streams(
@@ -486,10 +442,7 @@ def run_replication_consistency(
         row = {"cell": f"R={count}", "n": n, "R": count}
         row.update(_summarize_estimates(estimates, cfg.theta_star))
         rows.append(row)
-    columns = ["cell", "n", "R", "units", "used", "n_boundary"] + _estimate_columns(
-        cfg.spec.stat_dim
-    )
-    return _report(cfg, columns, rows, started, "replicated whole graphs (no node sampling)")
+    return _report(cfg, rows, started, "replicated whole graphs (no node sampling)")
 
 
 def _bernoulli_subsample(
@@ -583,16 +536,7 @@ def run_subsample_bias(cfg: ExperimentConfig, threads: int = 1) -> ExperimentRep
             }
             row.update(_summarize_estimates(estimates, cfg.theta_star))
             rows.append(row)
-    columns = [
-        "cell",
-        "n",
-        "subsample_n",
-        "kind",
-        "units",
-        "used",
-        "n_boundary",
-    ] + _estimate_columns(cfg.spec.stat_dim)
-    return _report(cfg, columns, rows, started, "uniform-random node subsets (ignorable)")
+    return _report(cfg, rows, started, "uniform-random node subsets (ignorable)")
 
 
 def run_connectivity_threshold(
@@ -620,8 +564,7 @@ def run_connectivity_threshold(
                 "prop_connected": float(np.mean(connected)),
             }
         )
-    columns = ["cell", "n", "multiplier", "pi", "units", "prop_connected"]
-    return _report(cfg, columns, rows, started, "whole graphs (no node sampling)")
+    return _report(cfg, rows, started, "whole graphs (no node sampling)")
 
 
 _RUNNERS = {
@@ -630,6 +573,8 @@ _RUNNERS = {
     "subsample": run_subsample_bias,
     "threshold": run_connectivity_threshold,
 }
+
+EXPERIMENT_NAMES = tuple(_RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:

@@ -219,8 +219,10 @@ def _dyad_map(members) -> np.ndarray:
     sorted members of shape (..., m): subgraph dyad (a, b) is parent dyad
     (m_a, m_b).  Every node-subset gather reads its dyads from this map."""
     members = np.asarray(members, dtype=np.int64)
-    # Row-major lower-triangle pairs (b, a), a < b, run in dyad-index order.
-    b, a = np.nonzero(np.tri(members.shape[-1], k=-1, dtype=bool))
+    # Dyad k is the pair (a, b), a < b, with k = b(b-1)/2 + a: node b ends b dyads.
+    m = members.shape[-1]
+    b = np.repeat(np.arange(m), np.arange(m))
+    a = np.arange(m * (m - 1) // 2) - b * (b - 1) // 2
     return (members * (members - 1) // 2)[..., b] + members[..., a]
 
 

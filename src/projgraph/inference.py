@@ -574,12 +574,13 @@ def _bernoulli_fit(
     """(theta_hat, boundary, m, d) of an independent-dyad family: the logit
     closed form from the m edges among the d observed dyads, shifted to
     theta at the size the likelihood evaluates.  With no edge or every
-    edge the data is boundary, and theta_hat is -inf or +inf."""
+    edge the data is boundary, and theta_hat is -inf or +inf; with no
+    dyad observed it is boundary with no direction, and theta_hat is nan."""
     size, _, graphs = _observation(data, kind)
     m = sum(edge_count(g) for g in graphs)
     d = len(graphs) * dyad_count(graphs[0].n)
     if m == 0 or m == d:
-        return (math.inf if m == d else -math.inf,), True, m, d
+        return (math.nan if d == 0 else math.inf if m else -math.inf,), True, m, d
     shift = math.log(size) if spec.offset_edges else 0.0
     return (math.log(m) - math.log(d - m) + shift,), False, m, d
 

@@ -269,12 +269,20 @@ def test_mle_full_graph_logit(tmp_path, capsys):
     assert fields[5:] == ["true", "false", "0"]
 
 
-def test_mle_boundary_graph_still_exits_zero(tmp_path, capsys):
-    path = _write_graph(tmp_path, empty_graph(4))
-    code = main(["mle", "--family", "bernoulli-invariant", path])
+@pytest.mark.parametrize("family", ["bernoulli-invariant", "bernoulli-offset"])
+@pytest.mark.parametrize("n, extra, theta_hat", [
+    (4, [], "-inf"),
+    # One node observes no dyad, so the boundary has no direction.
+    (1, [], "nan"),
+    (1, ["--population-n", "4"], "nan"),
+    (1, ["--population-n", "4", "--kind", "misspecified"], "nan"),
+])
+def test_mle_boundary_graph_still_exits_zero(tmp_path, capsys, family, n, extra, theta_hat):
+    path = _write_graph(tmp_path, empty_graph(n))
+    code = main(["mle", "--family", family, *extra, path])
     assert code == 0
     fields = capsys.readouterr().out.splitlines()[1].split(",")
-    assert fields[2] == "-inf"
+    assert fields[2] == theta_hat
     assert fields[3] == ""
     assert fields[6] == "true"  # boundary
 
@@ -673,10 +681,11 @@ assert set(star) - {"__builtins__"} == names
 owners = {"__version__": importlib.import_module("projgraph._version")}
 for layer in ("exact", "experiments", "graph", "inference", "models", "rng"):
     module = importlib.import_module("projgraph." + layer)
-    owners.update((name, module) for name in module.__all__ if name in names)
-assert set(owners) == names, sorted(names - set(owners))
+    owners.update((name, module) for name in module.__all__)
+assert set(owners) == names, sorted(names ^ set(owners))
 for name, module in owners.items():
     assert star[name] is getattr(projgraph, name) is getattr(module, name), name
+assert set(projgraph._STUDY_NAMES) == set(projgraph.experiments.__all__)
 print(len(names))
 """
 
@@ -685,6 +694,8 @@ def test_every_public_name_resolves_to_its_submodule_object():
     """In a fresh interpreter: every name in ``__all__`` is listed by
     ``dir`` before the study layer is loaded, ``projgraph.experiments``
     loads and returns that submodule, a star import binds exactly those
-    names, and each is the object its submodule defines."""
+    names, and each is the object its submodule defines.  Those names are
+    the six layers' ``__all__`` and ``__version__``, and the lazy study
+    names are the study layer's ``__all__``."""
     done = _child(["-c", textwrap.dedent(_PUBLIC_NAMES_SCRIPT)])
     assert done.returncode == 0, done.stderr

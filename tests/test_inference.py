@@ -292,9 +292,14 @@ _CLOSED_FORM_DATA = [
     for kind in LikelihoodKind
 ]
 
+# One node observes no dyad: boundary data whose estimate has no direction.
+_ONE_NODE_DATA = [(FullGraph(empty_graph(1)), LikelihoodKind.PROPER)] + [
+    (InducedSubgraph(subgraph=empty_graph(1), population_n=4), kind) for kind in LikelihoodKind
+]
+
 
 @pytest.mark.parametrize("spec", [INVARIANT, OFFSET], ids=lambda f: f.name)
-@pytest.mark.parametrize("data, kind", _CLOSED_FORM_DATA)
+@pytest.mark.parametrize("data, kind", _CLOSED_FORM_DATA + _ONE_NODE_DATA)
 def test_closed_form_estimate_equals_the_mle(spec, data, kind):
     """A study's estimate of an independent-dyad family is the estimate and
     boundary flag of ``mle``, bit for bit (``repr`` matches +/-inf too)."""
@@ -408,6 +413,16 @@ def test_boundary_data_has_no_finite_estimate():
 def test_boundary_replicates():
     result = mle(OFFSET, Replicates(graphs=(empty_graph(3), empty_graph(3))))
     assert result.boundary and result.theta_hat == (-math.inf,)
+
+
+@pytest.mark.parametrize("spec", [INVARIANT, OFFSET], ids=lambda f: f.name)
+@pytest.mark.parametrize("data, kind", _ONE_NODE_DATA)
+def test_no_observed_dyad_is_boundary_with_no_direction(spec, data, kind):
+    """One node observes no dyad, so neither -inf nor +inf is the data's
+    direction: the fit is boundary and its estimate is nan."""
+    result = mle(spec, data, kind)
+    assert result.boundary and not result.converged
+    assert math.isnan(result.theta_hat[0]) and result.std_err is None
 
 
 # --------------------------------------------------------------------------
