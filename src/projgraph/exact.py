@@ -30,8 +30,8 @@ import io
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from dataclasses import dataclass
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -159,9 +159,8 @@ def _code_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     are gathered from it a chunk at a time, so no temporary spans the
     table.  Counts are integers and each code is one lookup, so the chunk
     size changes no bit of the result.
-    Other tables code each column by its sorted distinct values and pack
-    the codes into one int64 key, renumbered after every column so that
-    it stays below the row count.
+    Other tables are coded by ``np.unique`` over rows, which orders them
+    lexicographically.
     """
     word = _row_word(table)
     if word is not None:
@@ -191,16 +190,10 @@ def _code_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             # Every word indexes the table; "clip" writes into ``out`` unbuffered.
             np.take(lut, part, out=codes[lo:lo + len(part)], mode="clip")
         return codes, rows[order].astype(np.float64), counts[present[order]]
-    key = np.zeros(table.shape[0], dtype=np.int64)
-    for column in table.T:
-        values = np.unique(column)
-        key = key * len(values) + np.searchsorted(values, column)
-        key = np.searchsorted(np.unique(key), key)
-    codes = key.astype(np.min_scalar_type(int(key.max())))
-    counts = np.bincount(codes)
-    rows = np.empty(len(counts), dtype=np.int64)
-    rows[codes] = np.arange(len(codes))
-    return codes, table[rows].astype(np.float64), counts
+    # NumPy 2.x has changed the inverse's shape for an axis, so it is flattened.
+    rows, codes, counts = np.unique(table, axis=0, return_inverse=True, return_counts=True)
+    codes = codes.reshape(-1).astype(np.min_scalar_type(len(rows) - 1))
+    return codes, rows.astype(np.float64), counts
 
 
 @lru_cache(maxsize=8)
@@ -361,7 +354,8 @@ class ExactDistribution:
     ``class_log_probs[c]`` is the log probability of one graph in class c,
     and ``codes[k]`` the class of ``graph_from_index(n, k)`` (the cached
     class codes).  The per-graph ``log_probs`` and ``probs()`` are gathered
-    through ``codes``; the sampling CDF is built on the first draw.
+    through ``codes``; the sampling CDF ``_cdf`` is summed on the first
+    draw and kept, and refused above n = 7.
     """
 
     n: int
@@ -370,7 +364,6 @@ class ExactDistribution:
     class_log_probs: np.ndarray
     codes: np.ndarray
     log_z: float
-    _cdf: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def log_probs(self) -> np.ndarray:
@@ -383,14 +376,13 @@ class ExactDistribution:
         """Probability of each graph, by graph index."""
         return np.exp(self.class_log_probs)[self.codes]
 
-    def _cumulative(self) -> np.ndarray:
-        if self._cdf is None:
-            _refuse_exact_sampling(self.n)
-            # Summed in place: a second per-graph array would double the
-            # transient memory of every sampled distribution.
-            cdf = self.probs()
-            object.__setattr__(self, "_cdf", np.cumsum(cdf, out=cdf))
-        return self._cdf
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        _refuse_exact_sampling(self.n)
+        # Summed in place: a second per-graph array would double the
+        # transient memory of every sampled distribution.
+        cdf = self.probs()
+        return np.cumsum(cdf, out=cdf)
 
 
 def _refuse_exact_sampling(n: int) -> None:
@@ -479,13 +471,14 @@ def marginal_distribution(d: ExactDistribution, s: NodeSubset) -> np.ndarray:
 
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Total variation distance, half the L1 distance between the tables."""
+    """Total variation distance, half the L1 distance between the tables.
+    A table whose sum is off 1 by more than 1e-8, or is NaN, is refused."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError(f"probability tables differ in shape: {p.shape} vs {q.shape}")
     for name, table in (("first", p), ("second", q)):
-        if abs(float(table.sum()) - 1.0) > 1e-8:
+        if not abs(float(table.sum()) - 1.0) <= 1e-8:
             raise ValueError(f"{name} table is not normalized (sum={table.sum()!r})")
     return float(0.5 * np.abs(p - q).sum())
 
@@ -555,9 +548,9 @@ def projectivity_check(
     counts with the class probabilities at n) and its total variation
     distance from the model.  Each point gets the bits of its own
     evaluation: products are per point and sums run along each point's
-    own row.  A table whose sum is off 1 by more than 1e-8 is refused as
-    :func:`tv_distance` refuses it, at the first point and table in grid
-    order.
+    own row.  A table whose sum is off 1 by more than 1e-8, or is NaN, is
+    refused as :func:`tv_distance` refuses it, at the first point and table
+    in grid order.
     """
     if not 1 <= n_sub < n:
         raise ValueError(f"need 1 <= n_sub < n, got n_sub={n_sub}, n={n}")
@@ -588,7 +581,7 @@ def projectivity_check(
         model = multiplicity * np.exp(
             _class_log_probs(*small, sub_etas[lo:lo + block])[1]).take(sub_class, axis=1)
         sums = np.column_stack((marginal.sum(axis=1), model.sum(axis=1)))
-        off = np.abs(sums - 1.0) > 1e-8
+        off = ~(np.abs(sums - 1.0) <= 1e-8)
         if off.any():
             point, table = np.argwhere(off)[0]
             raise ValueError(f"{('first', 'second')[table]} table is not normalized "
@@ -612,7 +605,7 @@ def _inverse_cdf(d: ExactDistribution, u):
     """Graph indices of ``d`` at uniforms ``u`` (a float or an array) by
     inverse CDF: the first index whose cumulative weight exceeds ``u``
     times the total, clipped to the last index."""
-    cdf = d._cumulative()
+    cdf = d._cdf
     return np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"), len(cdf) - 1)
 
 

@@ -67,8 +67,8 @@ from .inference import (
     Replicates,
     _Estimate,
     _EVENT_FITS,
+    _bernoulli_fit,
     _completion_event,
-    _estimate,
     _event_estimates,
     _mean_events,
 )
@@ -363,7 +363,7 @@ def run_growth_consistency(cfg: ExperimentConfig, threads: int = 1) -> Experimen
         estimates, degrees, edges = [], [], []
         for rng in _replicate_streams(cfg, "growth", cell_index):
             g = sample_bernoulli(n, pi, rng)
-            estimates.append(_estimate(cfg.spec, FullGraph(g)))
+            estimates.append(_bernoulli_fit(cfg.spec, FullGraph(g), LikelihoodKind.PROPER)[:2])
             degrees.append(mean_degree(g))
             edges.append(edge_count(g))
         row = {"cell": f"n={n}", "n": n}
@@ -432,9 +432,9 @@ def run_replication_consistency(
         for cell, count in enumerate(cfg.replicates):
             shape = (cfg.studies_per_cell, count)
             streams = _streams(cfg.master_seed, ("replication", cell), shape)
-            cells.append([_estimate(cfg.spec, Replicates(tuple(
-                sample_bernoulli(n, pi, next(streams)) for _ in range(count))))
-                for _ in range(shape[0])])
+            cells.append([_bernoulli_fit(cfg.spec, Replicates(tuple(
+                sample_bernoulli(n, pi, next(streams)) for _ in range(count))),
+                LikelihoodKind.PROPER)[:2] for _ in range(shape[0])])
     else:
         cells = _table_replication(cfg, n)
     rows = []
@@ -458,8 +458,8 @@ def _bernoulli_subsample(
         members = rng.choice(population_n, size=cfg.subsample_n, replace=False)
         subset = NodeSubset(population_n, tuple(sorted(map(int, members))))
         data = InducedSubgraph(induced_subgraph(g, subset), population_n)
-        proper.append(_estimate(cfg.spec, data, LikelihoodKind.PROPER))
-        misspecified.append(_estimate(cfg.spec, data, LikelihoodKind.MISSPECIFIED))
+        proper.append(_bernoulli_fit(cfg.spec, data, LikelihoodKind.PROPER)[:2])
+        misspecified.append(_bernoulli_fit(cfg.spec, data, LikelihoodKind.MISSPECIFIED)[:2])
     return proper, misspecified
 
 
@@ -471,8 +471,8 @@ def _table_subsample(
 ) -> tuple[list[_Estimate], list[_Estimate]]:
     """The proper and misspecified estimates of the first ``count``
     replicates of ``streams`` in a table family's subsample cell, with the
-    bits of ``_estimates`` on each replicate's ``InducedSubgraph``: of the
-    graph ``exact_sample(dist, rng)``, on the sorted nodes of the
+    bits of ``mle`` of each kind on each replicate's ``InducedSubgraph``:
+    of the graph ``exact_sample(dist, rng)``, on the sorted nodes of the
     ``rng.choice(dist.n, subsample_n, replace=False)`` that follows it.
 
     No graph is built.  A batch of at most ``_EVENT_FITS`` replicates

@@ -36,8 +36,9 @@ lock step, one stacked moment evaluation per step for every event still
 climbing; each event gets the bits of its fit alone, and a single fit is
 a stack of one.  An estimate's log likelihood is :func:`log_likelihood`
 at the estimate, for both kinds of family.  The simulation studies read
-only a fit's estimate and boundary flag (``_estimates``, which fits a
-batch's distinct events together): no log likelihood or standard errors.
+only a fit's estimate and boundary flag: the closed form
+(``_bernoulli_fit``) or the cached fits of a batch's distinct events
+(``_event_estimates``), with no log likelihood or standard errors.
 """
 
 from __future__ import annotations
@@ -644,19 +645,15 @@ class _FitCache:
     """Least-recently-used cache of event fits keyed by (family, size,
     event), where an event is a statistic histogram (:func:`_event`),
     filled a batch at a time by :meth:`batch`, which fits a batch's
-    distinct misses together (:func:`_fit_events`).  Calling it
-    on one event is a batch of one.  ``cache_info`` and ``cache_clear``
-    mean what they do for ``functools.lru_cache``; an event repeated
-    within a batch is a hit."""
+    distinct misses together (:func:`_fit_events`); one event is a batch
+    of one.  ``cache_info`` and ``cache_clear`` mean what they do for
+    ``functools.lru_cache``; an event repeated within a batch is a hit."""
 
     def __init__(self, maxsize: int) -> None:
         self._maxsize = maxsize
         self._fits: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
         self._hits = self._misses = 0
-
-    def __call__(self, fam: Family, size: int, event: bytes) -> _Fit:
-        return self.batch(fam, size, (event,))[0]
 
     def batch(self, fam: Family, size: int, events: Sequence[bytes]) -> list[_Fit]:
         fits: list = [None] * len(events)
@@ -761,7 +758,8 @@ def mle(
         converged, iterations = True, 0
     else:
         size, event, graphs = _observed_event(spec, data, kind, enum_cap)
-        eta, theta_hat, converged, boundary, iterations = _event_fit(spec, size, event)
+        eta, theta_hat, converged, boundary, iterations = _event_fit.batch(
+            spec, size, (event,))[0]
     if boundary:
         return MLEResult(theta_hat, None, math.nan, False, True, 0)
     std_err = None
@@ -781,32 +779,6 @@ def mle(
 
 # What a study summary reads of a fit: (theta_hat, boundary).
 _Estimate = tuple[tuple[float, ...], bool]
-
-
-def _estimate(
-    spec: Family, data: ObservedData, kind: LikelihoodKind = LikelihoodKind.PROPER
-) -> _Estimate:
-    """The estimate of ``mle(spec, data, kind)``: a batch of one (see
-    :func:`_estimates`)."""
-    return _estimates(spec, (data,), kind)[0]
-
-
-def _estimates(
-    spec: Family, datas: Sequence[ObservedData], kind: LikelihoodKind = LikelihoodKind.PROPER
-) -> list[_Estimate]:
-    """The estimate of ``mle(spec, data, kind)`` for each of ``datas``, with
-    no log likelihood or standard errors: the closed form of an
-    independent-dyad family, else the cached fit of the observed event,
-    where the distinct events of each model size are fitted together."""
-    if spec.bernoulli:
-        return [_bernoulli_fit(spec, data, kind)[:2] for data in datas]
-    observed = [_observed_event(spec, data, kind, None)[:2] for data in datas]
-    estimates: dict[tuple[int, bytes], _Estimate] = {}
-    for size in dict.fromkeys(size for size, _ in observed):
-        events = [event for at, event in observed if at == size]
-        for event, estimate in zip(events, _event_estimates(spec, size, events)):
-            estimates[size, event] = estimate
-    return [estimates[key] for key in observed]
 
 
 def _event_estimates(spec: Family, size: int, events: Sequence[bytes]) -> list[_Estimate]:

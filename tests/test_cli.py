@@ -376,6 +376,20 @@ def test_check_projectivity_accepts_a_zero_tolerance(capsys):
     assert capsys.readouterr().out.splitlines()[0] == "theta_1,theta_2,tv,param_equal"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_check_projectivity_refuses_a_nan_probability_table(capsys):
+    """At theta = 1e308 the energies overflow and the tables sum to NaN,
+    which is refused (exit 2, no report) rather than printed as a verdict."""
+    code = main(
+        ["check-projectivity", "--family", "edge-triangle", "--n", "4", "--n-sub", "3",
+         "--theta-grid=1e308"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: first table is not normalized" in captured.err
+
+
 def test_check_projectivity_thread_invariance(capsys):
     base = ["check-projectivity", "--family", "edge-triangle", "--n", "4",
             "--n-sub", "3", "--theta-grid", "-1,1"]

@@ -296,7 +296,7 @@ def test_the_n7_sampling_cdf_allocates_one_per_graph_array():
     d = build_distribution(EDGE_TRI, ParamVector(theta=(-0.5, 0.3)), 7)
     tracemalloc.start()
     try:
-        cdf = d._cumulative()
+        cdf = d._cdf
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -505,6 +505,20 @@ def test_tv_distance_validates_inputs():
         tv_distance(np.ones(4) / 4, np.ones(8) / 8)
     with pytest.raises(ValueError, match="not normalized"):
         tv_distance(np.ones(4), np.ones(4) / 4)
+    with pytest.raises(ValueError, match=r"first table is not normalized \(sum=.*nan"):
+        tv_distance([math.nan, 1.0], [0.5, 0.5])
+    with pytest.raises(ValueError, match=r"second table is not normalized \(sum=.*nan"):
+        tv_distance([0.5, 0.5], [0.5, math.nan])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_projectivity_check_refuses_nan_tables():
+    """Overflowing energies make the tables sum to NaN, which is no closer
+    to 1 than 1e-8: the check refuses them instead of reporting a NaN
+    distance."""
+    grid = [ParamVector(theta=(0.0, 0.0)), ParamVector(theta=(1e308, 1e308))]
+    with pytest.raises(ValueError, match=r"first table is not normalized \(sum=.*nan"):
+        projectivity_check(EDGE_TRI, grid, n=4, n_sub=3)
 
 
 # --------------------------------------------------------------------------
@@ -758,7 +772,7 @@ def test_exact_sampling_above_n7_is_refused_before_any_cdf():
         with pytest.raises(EnumerationCapError,
                            match=r"exact sampling is limited to n <= 7, got n=8"):
             draw()
-    assert d._cdf is None
+    assert "_cdf" not in vars(d)
     assert _classes.cache_info().misses == coded
 
 

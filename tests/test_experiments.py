@@ -43,7 +43,7 @@ from projgraph import (
 )
 from projgraph import exact
 from projgraph.experiments import _estimate_columns, _summarize_estimates, _table_subsample
-from projgraph.inference import _EVENT_FITS, _estimates, _event_fit, _mean_events
+from projgraph.inference import _event_fit, _mean_events
 from projgraph.rng import _streams
 
 INVARIANT = model_spec("BernoulliInvariant")
@@ -689,18 +689,18 @@ def test_subsample_event_fits_match_one_mle_per_replicate(request, family, theta
 
 def _subsample_cell_by_subgraphs(dist, subsample_n, streams, count):
     """A table family's subsample cell as it ran on per-replicate graphs: an
-    ``InducedSubgraph`` per replicate, and ``_estimates`` of each kind per
-    batch of ``_EVENT_FITS``; the reference for ``_table_subsample``."""
+    ``InducedSubgraph`` per replicate, and the ``(theta_hat, boundary)`` of
+    ``mle`` of each kind on it; the reference for ``_table_subsample``."""
     proper, misspecified = [], []
-    for lo in range(0, count, _EVENT_FITS):
-        datas = []
-        for rng in itertools.islice(streams, min(_EVENT_FITS, count - lo)):
-            g = exact_sample(dist, rng)
-            members = rng.choice(dist.n, size=subsample_n, replace=False)
-            subset = NodeSubset(dist.n, tuple(sorted(map(int, members))))
-            datas.append(InducedSubgraph(induced_subgraph(g, subset), dist.n))
-        proper += _estimates(dist.spec, datas, LikelihoodKind.PROPER)
-        misspecified += _estimates(dist.spec, datas, LikelihoodKind.MISSPECIFIED)
+    for rng in itertools.islice(streams, count):
+        g = exact_sample(dist, rng)
+        members = rng.choice(dist.n, size=subsample_n, replace=False)
+        subset = NodeSubset(dist.n, tuple(sorted(map(int, members))))
+        data = InducedSubgraph(induced_subgraph(g, subset), dist.n)
+        for kind, estimates in ((LikelihoodKind.PROPER, proper),
+                                (LikelihoodKind.MISSPECIFIED, misspecified)):
+            r = mle(dist.spec, data, kind)
+            estimates.append((r.theta_hat, r.boundary))
     return proper, misspecified
 
 
@@ -719,7 +719,7 @@ def _subsample_cells(draw):
 @example(cell=(2, 1, 256, (0.0, 0.0), 0))
 def test_table_subsample_cell_has_the_bits_of_per_replicate_subgraphs(cell):
     """The index-based cell gives each replicate the estimates, in order, of
-    ``_estimates`` on its own ``InducedSubgraph``, with each stream drawing
+    ``mle`` on its own ``InducedSubgraph``, with each stream drawing
     the graph before the node subset, across batches of ``_EVENT_FITS``."""
     population_n, subsample_n, count, theta, seed = cell
     dist = build_distribution(EDGE_TRI, ParamVector(theta=theta), population_n)

@@ -331,7 +331,7 @@ def test_class_distribution_has_the_bits_of_the_per_graph_table(request, family,
         assert d.log_z == log_z
         assert np.array_equal(d.log_probs, log_probs)
         assert np.array_equal(d.probs(), np.exp(log_probs))
-        assert np.array_equal(d._cumulative(), np.cumsum(np.exp(log_probs)))
+        assert np.array_equal(d._cdf, np.cumsum(np.exp(log_probs)))
         for members in sorted(subsets):
             got = marginal_distribution(d, NodeSubset(n, members))
             assert np.array_equal(got, _per_graph_marginal(log_probs, members)), members

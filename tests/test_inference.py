@@ -55,7 +55,7 @@ from projgraph.exact import (
 )
 from projgraph.inference import (
     _ascend_log_ratio,
-    _estimate,
+    _bernoulli_fit,
     _event_fit,
     _hull_facets,
     _log_ratio_parts,
@@ -304,7 +304,7 @@ def test_closed_form_estimate_equals_the_mle(spec, data, kind):
     """A study's estimate of an independent-dyad family is the estimate and
     boundary flag of ``mle``, bit for bit (``repr`` matches +/-inf too)."""
     result = mle(spec, data, kind)
-    theta_hat, boundary = _estimate(spec, data, kind)
+    theta_hat, boundary = _bernoulli_fit(spec, data, kind)[:2]
     assert repr(theta_hat) == repr(result.theta_hat)
     assert boundary is result.boundary
 
@@ -845,7 +845,7 @@ def test_cached_eta_is_read_only(proper):
     y = graph_from_edges(4, [(0, 1), (0, 2), (1, 2)])
     kind = LikelihoodKind.PROPER if proper else LikelihoodKind.MISSPECIFIED
     size, event, _ = _observed_event(EDGE_TRI, InducedSubgraph(y, 6), kind, None)
-    eta = _event_fit(EDGE_TRI, size, event)[0]
+    eta = _event_fit.batch(EDGE_TRI, size, (event,))[0][0]
     assert not eta.flags.writeable
     with pytest.raises(ValueError):
         eta[0] = 1.0

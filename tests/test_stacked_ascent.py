@@ -413,9 +413,9 @@ def test_a_batch_larger_than_the_cache_fits_every_event():
     for k in (0, 1, len(events) // 2, len(events) - 1):
         assert _fit_key(fits[k]) == _ref_fit(EDGE_TRI, 5, events[k])
     misses = _event_fit.cache_info().misses
-    _event_fit(EDGE_TRI, 5, distinct[-_event_fit.cache_info().maxsize])
+    _event_fit.batch(EDGE_TRI, 5, (distinct[-_event_fit.cache_info().maxsize],))
     assert _event_fit.cache_info().misses == misses  # kept
-    _event_fit(EDGE_TRI, 5, distinct[0])
+    _event_fit.batch(EDGE_TRI, 5, (distinct[0],))
     assert _event_fit.cache_info().misses == misses + 1  # evicted
 
 
@@ -435,7 +435,7 @@ def test_threads_share_one_small_cache():
             if rng.random() < 0.5:
                 fits = cache.batch(EDGE_TRI, 4, batch)
             else:
-                fits = [cache(EDGE_TRI, 4, event) for event in batch]
+                fits = [cache.batch(EDGE_TRI, 4, (event,))[0] for event in batch]
             wrong.extend(e for e, fit in zip(batch, fits) if _fit_key(fit) != want[e])
 
     interval = sys.getswitchinterval()
