@@ -19,8 +19,6 @@ any value.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from pathlib import Path
@@ -40,6 +38,7 @@ from .exact import (
     PROJECTIVITY_TOLERANCE,
 )
 from .graph import (
+    _csv_text,
     edge_count,
     format_edge_list,
     is_connected,
@@ -109,7 +108,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         # first; beyond it the cap's own message does.
         if args.n <= MAX_ENUMERATION_CAP:
             _refuse_exact_sampling(args.n)
-        resolve_enum_cap(args.n, args.enum_cap)
         dist = build_distribution(spec, theta, args.n, args.enum_cap)
         graphs = list(_bulk_sample(dist, args.seed, ("sample",), (args.count,)))
     if args.out is None:
@@ -126,22 +124,12 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["file", "n", "edges", "triangles", "mean_degree", "connected"])
+    rows = [["file", "n", "edges", "triangles", "mean_degree", "connected"]]
     for name in args.files:
         g = read_edge_list(name)
-        writer.writerow(
-            [
-                name,
-                g.n,
-                edge_count(g),
-                triangle_count(g),
-                repr(mean_degree(g)),
-                "true" if is_connected(g) else "false",
-            ]
-        )
-    _emit(buf.getvalue(), args.out)
+        rows.append([name, g.n, edge_count(g), triangle_count(g), mean_degree(g),
+                     is_connected(g)])
+    _emit(_csv_text(rows), args.out)
     return 0
 
 
@@ -160,15 +148,12 @@ def _cmd_loglik(args: argparse.Namespace) -> int:
     spec = model_spec(args.family)
     theta = _parse_theta(args.theta, spec)
     kind = LikelihoodKind(args.kind)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["file", "kind", "log_lik"])
+    rows = [["file", "kind", "log_lik"]]
     for name in args.files:
         g = read_edge_list(name)
         data = _observed_data(g, kind, args.population_n)
-        value = log_likelihood(spec, theta, data, kind, args.enum_cap)
-        writer.writerow([name, kind.value, repr(value)])
-    _emit(buf.getvalue(), args.out)
+        rows.append([name, kind.value, log_likelihood(spec, theta, data, kind, args.enum_cap)])
+    _emit(_csv_text(rows), args.out)
     return 0
 
 

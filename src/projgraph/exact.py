@@ -9,9 +9,8 @@ per-graph table (indexed as in :mod:`projgraph.graph`) only when asked for.
 The projectivity check runs on grouped joint counts, built once per
 (family, n, n_sub): for each group of n_sub-node prefix subgraphs, how
 many completions to n nodes fall in each statistic class; it evaluates
-its whole theta grid in stacked passes.  Log-space
-arithmetic is used throughout (max-shifted logsumexp) so large parameter
-values cannot overflow.
+its whole theta grid in stacked passes.  Log-space arithmetic (max-shifted
+logsumexp) is used throughout; a normalizer or table sum that overflows is refused.
 Independent-dyad families additionally get closed-form normalizers and
 moments valid at any size.
 
@@ -25,8 +24,6 @@ one float per graph.  Larger sizes are refused.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 import warnings
@@ -36,7 +33,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graph import Graph, NodeSubset, _dyad_map, dyad_count, graph_from_index
+from .graph import Graph, NodeSubset, _cell, _csv_text, _dyad_map, dyad_count, graph_from_index
 from .models import (
     Family,
     ParamVector,
@@ -274,10 +271,19 @@ def _class_log_probs(
     """(log Z, log probability of one graph in each histogram class) under
     ``eta``; log Z has the bits of :func:`_moments`'s.  For a stack of G
     parameter vectors, shape (G, dim), log Z has one entry per vector and
-    the log probabilities one row each, with the bits of its own call."""
-    energy = _mat_vec(points, eta)
-    log_z = _logsumexp(log_counts + energy)
-    return log_z, energy - (log_z if eta.ndim == 1 else log_z[:, None])
+    the log probabilities one row each, with the bits of its own call.  An
+    overflow does not warn: its log Z or table sum is not finite, and refused."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = _mat_vec(points, eta)
+        log_z = _logsumexp(log_counts + energy)
+        return log_z, energy - (log_z if eta.ndim == 1 else log_z[:, None])
+
+
+def _refuse_infinite_log_z(log_z: float, theta: ParamVector) -> None:
+    """Raise ``ValueError`` when ``log_z`` is not finite: an energy overflowed."""
+    if not math.isfinite(log_z):
+        raise ValueError(f"log normalizer at theta={theta.theta} is {_cell(log_z)}: "
+                         "the parameters overflow")
 
 
 @lru_cache(maxsize=8)
@@ -337,14 +343,18 @@ def log_normalizer(
     """log sum over all graphs of exp(eta . s(g)).
 
     Independent-dyad families use the closed form C(n,2)*log(1+e^eta) at
-    any size; other families enumerate (cap applies).  A bad cap is
-    refused for every family.
+    any size; other families enumerate (cap applies).  A bad cap and a
+    normalizer that is not finite are refused for every family.
     """
     resolve_enum_cap(1 if spec.bernoulli else n, enum_cap)
     eta = natural_params(spec, theta, n)
     if spec.bernoulli:
-        return float(dyad_count(n) * np.logaddexp(0.0, eta[0]))
-    return _class_log_probs(*_classes(spec, n)[1:], eta)[0]
+        # Python floats, so that an overflowing product is inf with no warning.
+        log_z = dyad_count(n) * float(np.logaddexp(0.0, eta[0]))
+    else:
+        log_z = _class_log_probs(*_classes(spec, n)[1:], eta)[0]
+    _refuse_infinite_log_z(log_z, theta)
+    return log_z
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,11 +414,13 @@ def build_distribution(
 ) -> ExactDistribution:
     """The exact distribution over all graphs of size n (cap applies to all
     families): one log probability per statistic class, from the class
-    coding, with no per-graph table."""
+    coding, with no per-graph table.  A log normalizer that is not finite
+    is refused with ``ValueError``."""
     resolve_enum_cap(n, enum_cap)
     codes, points, log_counts = _classes(spec, n)
     log_z, class_log_probs = _class_log_probs(points, log_counts,
                                               natural_params(spec, theta, n))
+    _refuse_infinite_log_z(log_z, theta)
     class_log_probs.flags.writeable = False
     return ExactDistribution(n=n, spec=spec, theta=theta, class_log_probs=class_log_probs,
                              codes=codes, log_z=log_z)
@@ -477,10 +489,19 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError(f"probability tables differ in shape: {p.shape} vs {q.shape}")
-    for name, table in (("first", p), ("second", q)):
-        if not abs(float(table.sum()) - 1.0) <= 1e-8:
-            raise ValueError(f"{name} table is not normalized (sum={table.sum()!r})")
+    _refuse_unnormalized([[p.sum(), q.sum()]])
     return float(0.5 * np.abs(p - q).sum())
+
+
+def _refuse_unnormalized(sums) -> None:
+    """Refuse the first table, by point, whose sum is NaN or off 1 by more
+    than 1e-8; ``sums`` has one row of (first, second) table sums per point."""
+    sums = np.asarray(sums, dtype=np.float64)
+    off = ~(np.abs(sums - 1.0) <= 1e-8)
+    if off.any():
+        point, table = np.argwhere(off)[0]
+        raise ValueError(f"{('first', 'second')[table]} table is not normalized "
+                         f"(sum={_cell(sums[point, table])})")
 
 
 @dataclass(frozen=True)
@@ -504,15 +525,12 @@ class ProjectivityReport:
 
     def to_csv(self) -> str:
         dim = len(self.theta_grid[0])
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([f"theta_{k + 1}" for k in range(dim)] + ["tv", "param_equal"])
-        flag = "true" if self.param_equal else "false"
-        for theta, tv in zip(self.theta_grid, self.tv_per_theta):
-            writer.writerow([repr(v) for v in theta.theta] + [repr(tv), flag])
-        writer.writerow(["max_tv", "verdict"])
-        writer.writerow([repr(self.max_tv), self.verdict])
-        return buf.getvalue()
+        return _csv_text(
+            [[f"theta_{k + 1}" for k in range(dim)] + ["tv", "param_equal"]]
+            + [[*theta.theta, tv, self.param_equal]
+               for theta, tv in zip(self.theta_grid, self.tv_per_theta)]
+            + [["max_tv", "verdict"], [self.max_tv, self.verdict]]
+        )
 
 
 def _product_grid(spec: Family, axis: Sequence[float]) -> tuple[ParamVector, ...]:
@@ -560,7 +578,6 @@ def projectivity_check(
     if not grid:
         raise ValueError("theta grid must be non-empty")
     resolve_enum_cap(n, enum_cap)
-    resolve_enum_cap(n_sub, enum_cap)
     if set(map(len, grid)) != {spec.stat_dim}:
         length = next(len(theta) for theta in grid if len(theta) != spec.stat_dim)
         raise ValueError(f"parameter vector has length {length}, expected {spec.stat_dim}")
@@ -580,12 +597,7 @@ def projectivity_check(
         # ``take`` keeps the rows C-contiguous, so that each sums along its own row.
         model = multiplicity * np.exp(
             _class_log_probs(*small, sub_etas[lo:lo + block])[1]).take(sub_class, axis=1)
-        sums = np.column_stack((marginal.sum(axis=1), model.sum(axis=1)))
-        off = ~(np.abs(sums - 1.0) <= 1e-8)
-        if off.any():
-            point, table = np.argwhere(off)[0]
-            raise ValueError(f"{('first', 'second')[table]} table is not normalized "
-                             f"(sum={sums[point, table]!r})")
+        _refuse_unnormalized(np.column_stack((marginal.sum(axis=1), model.sum(axis=1))))
         tvs += (0.5 * np.abs(marginal - model).sum(axis=1)).tolist()
     param_equal = np.array_equal(sub_etas, etas)
     max_tv = max(tvs)

@@ -37,8 +37,6 @@ keys, in order: each runner builds every row in the same key order.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import numbers
@@ -58,8 +56,8 @@ from .exact import (
     build_distribution,
     sample_bernoulli,
 )
-from .graph import (Graph, NodeSubset, _dyad_map, dyad_count, edge_count, induced_subgraph,
-                    is_connected, mean_degree)
+from .graph import (Graph, NodeSubset, _cell, _csv_text, _dyad_map, dyad_count, edge_count,
+                    induced_subgraph, is_connected, mean_degree)
 from .inference import (
     FullGraph,
     InducedSubgraph,
@@ -278,25 +276,11 @@ class ExperimentReport:
     metadata: dict[str, Any] = field(compare=False)
 
     def csv_body(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow([_format_cell(row.get(col)) for col in self.columns])
-        return buf.getvalue()
+        return _csv_text([self.columns]
+                         + [[row.get(col) for col in self.columns] for row in self.rows])
 
     def metadata_json(self) -> str:
         return json.dumps(self.metadata, indent=2, sort_keys=True) + "\n"
-
-
-def _format_cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _estimate_columns(dim: int) -> list[str]:
@@ -556,7 +540,7 @@ def run_connectivity_threshold(
                      for rng in _replicate_streams(cfg, "threshold", cell_index)]
         rows.append(
             {
-                "cell": f"n={n},c={_format_cell(float(c))}",
+                "cell": f"n={n},c={_cell(float(c))}",
                 "n": n,
                 "multiplier": float(c),
                 "pi": pi,

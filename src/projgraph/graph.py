@@ -7,16 +7,18 @@ integer whose k-th bit is set iff dyad k is an edge, so the integers in
 [0, 2^C(n,2)) enumerate all graphs on n nodes, and the induced subgraph
 on a prefix node set {0, ..., m-1} is simply the low C(m,2) bits.  Which
 parent dyad each subgraph dyad of any node subset reads is decided in one
-place, ``_dyad_map``.
+place, ``_dyad_map``.  Every CSV report and table is written by ``_csv_text``.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -307,3 +309,22 @@ def read_edge_list(path: str | Path) -> Graph:
 
 def write_edge_list(g: Graph, path: str | Path) -> None:
     Path(path).write_text(format_edge_list(g), encoding="utf-8")
+
+
+def _cell(value: Any) -> str:
+    """One CSV cell: None is blank, a bool ``true`` or ``false``, a float
+    (NumPy's too) the ``repr`` of its Python float, anything else ``str``."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def _csv_text(rows: Iterable[Iterable[Any]]) -> str:
+    """CSV text of ``rows``, each value by :func:`_cell`, each line ended by ``\\n``."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([_cell(v) for v in row] for row in rows)
+    return buf.getvalue()

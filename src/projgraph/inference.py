@@ -43,8 +43,6 @@ only a fit's estimate and boundary flag: the closed form
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import threading
 from collections import OrderedDict, namedtuple
@@ -65,7 +63,7 @@ from .exact import (
     resolve_enum_cap,
     stat_covariance,
 )
-from .graph import Graph, dyad_count, edge_count
+from .graph import Graph, _cell, _csv_text, dyad_count, edge_count
 from .models import (
     Family,
     ParamVector,
@@ -800,32 +798,17 @@ def mle_csv_header(spec: Family) -> list[str]:
 
 
 def mle_csv_row(spec: Family, kind: LikelihoodKind, result: MLEResult) -> list[str]:
-    dim = spec.stat_dim
-    std = (
-        [repr(v) for v in result.std_err]
-        if result.std_err is not None
-        else [""] * dim
-    )
-    return (
-        [spec.name, LikelihoodKind(kind).value]
-        + [repr(v) for v in result.theta_hat]
-        + std
-        + [
-            repr(result.log_lik),
-            "true" if result.converged else "false",
-            "true" if result.boundary else "false",
-            str(result.iterations),
-        ]
-    )
+    std = (None,) * spec.stat_dim if result.std_err is None else result.std_err
+    return [
+        _cell(value)
+        for value in (spec.name, LikelihoodKind(kind).value, *result.theta_hat, *std,
+                      result.log_lik, result.converged, result.boundary, result.iterations)
+    ]
 
 
 def format_mle_csv(
     spec: Family,
     entries: Sequence[tuple[LikelihoodKind, MLEResult]],
 ) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(mle_csv_header(spec))
-    for kind, result in entries:
-        writer.writerow(mle_csv_row(spec, kind, result))
-    return buf.getvalue()
+    return _csv_text([mle_csv_header(spec)]
+                     + [mle_csv_row(spec, kind, result) for kind, result in entries])

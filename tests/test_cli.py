@@ -376,10 +376,10 @@ def test_check_projectivity_accepts_a_zero_tolerance(capsys):
     assert capsys.readouterr().out.splitlines()[0] == "theta_1,theta_2,tv,param_equal"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_check_projectivity_refuses_a_nan_probability_table(capsys):
     """At theta = 1e308 the energies overflow and the tables sum to NaN,
-    which is refused (exit 2, no report) rather than printed as a verdict."""
+    which is refused (exit 2, no report) rather than printed as a verdict,
+    in one line with no warning before it."""
     code = main(
         ["check-projectivity", "--family", "edge-triangle", "--n", "4", "--n-sub", "3",
          "--theta-grid=1e308"]
@@ -387,7 +387,24 @@ def test_check_projectivity_refuses_a_nan_probability_table(capsys):
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: first table is not normalized" in captured.err
+    assert captured.err == "error: first table is not normalized (sum=nan)\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "--family", "edge-triangle", "--theta=1e308,-1e308", "--n", "4"],
+    ["loglik", "--family", "edge-triangle", "--theta=1e308,0", "g.edgelist"],
+    ["loglik", "--family", "bernoulli-offset", "--theta=1e308", "g.edgelist"],
+], ids=["sample", "loglik-edge-triangle", "loglik-bernoulli"])
+def test_an_overflowing_theta_is_refused(tmp_path, capsys, monkeypatch, command):
+    """An energy that overflows leaves the log normalizer infinite or NaN.
+    Sampling then drew K4, which has the most triangles, where the limit puts
+    all mass on triangle-free graphs, and the log likelihood printed nan."""
+    (tmp_path / "g.edgelist").write_text("4\n0 1\n0 2\n1 2\n2 3\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(command) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(": the parameters overflow\n")
 
 
 def test_check_projectivity_thread_invariance(capsys):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -61,6 +62,7 @@ from projgraph.exact import (
     _enumerated_stats_cached,
     _joint_counts,
     _logsumexp,
+    _product_grid,
 )
 
 INVARIANT = model_spec("BernoulliInvariant")
@@ -505,20 +507,47 @@ def test_tv_distance_validates_inputs():
         tv_distance(np.ones(4) / 4, np.ones(8) / 8)
     with pytest.raises(ValueError, match="not normalized"):
         tv_distance(np.ones(4), np.ones(4) / 4)
-    with pytest.raises(ValueError, match=r"first table is not normalized \(sum=.*nan"):
+    with pytest.raises(ValueError) as refused:
+        tv_distance([0.5, 0.6], [0.5, 0.5])
+    assert str(refused.value) == "first table is not normalized (sum=1.1)"
+    with pytest.raises(ValueError, match=r"first table is not normalized \(sum=nan\)$"):
         tv_distance([math.nan, 1.0], [0.5, 0.5])
-    with pytest.raises(ValueError, match=r"second table is not normalized \(sum=.*nan"):
+    with pytest.raises(ValueError, match=r"second table is not normalized \(sum=nan\)$"):
         tv_distance([0.5, 0.5], [0.5, math.nan])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_projectivity_check_refuses_nan_tables():
     """Overflowing energies make the tables sum to NaN, which is no closer
     to 1 than 1e-8: the check refuses them instead of reporting a NaN
     distance."""
     grid = [ParamVector(theta=(0.0, 0.0)), ParamVector(theta=(1e308, 1e308))]
-    with pytest.raises(ValueError, match=r"first table is not normalized \(sum=.*nan"):
+    with pytest.raises(ValueError, match=r"first table is not normalized \(sum=nan\)$"):
         projectivity_check(EDGE_TRI, grid, n=4, n_sub=3)
+
+
+def test_projectivity_check_at_overflowing_energies_keeps_its_distances():
+    """At theta components of -1e308 the energies overflow to -inf, which
+    is a probability of 0: the distances are the finite ones, with no
+    warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = projectivity_check(EDGE_TRI, _product_grid(EDGE_TRI, (-1e308, 0.0)),
+                                    n=4, n_sub=3)
+    assert report.tv_per_theta == (0.0, 0.0, 0.06271777003484322, 3.608224830031759e-16)
+
+
+@pytest.mark.parametrize("spec, theta", [(EDGE_TRI, (1e308, -1e308)), (EDGE_TRI, (1e308, 0.0)),
+                                         (OFFSET, (1e308,)), (INVARIANT, (1e308,))])
+def test_a_log_normalizer_that_overflows_is_refused(spec, theta):
+    """Neither the enumeration nor the Bernoulli closed form returns an
+    infinite or NaN normalizer, and neither warns on the way."""
+    theta = ParamVector(theta=theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="the parameters overflow"):
+            log_normalizer(spec, theta, 4)
+        with pytest.raises(ValueError, match="the parameters overflow"):
+            build_distribution(spec, theta, 4)
 
 
 # --------------------------------------------------------------------------

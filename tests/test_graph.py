@@ -1,4 +1,5 @@
-"""Bit-packed graphs: indexing, statistics, subgraphs, and edge-list I/O."""
+"""Bit-packed graphs: indexing, statistics, subgraphs, edge-list I/O and the
+CSV dialect."""
 
 import itertools
 
@@ -371,3 +372,41 @@ def test_read_write_edge_list(tmp_path):
     path = tmp_path / "g.edgelist"
     write_edge_list(g, path)
     assert read_edge_list(path) == g
+
+
+def _mle_text():
+    from projgraph import LikelihoodKind, MLEResult, format_mle_csv, model_spec
+
+    result = MLEResult((np.float64(0.5), np.float64(-0.25)),
+                       (np.float64(0.125), np.float64(1.5)), np.float64(-3.0), np.True_,
+                       np.False_, np.int64(4))
+    return format_mle_csv(model_spec("edge-triangle"), [(LikelihoodKind.PROPER, result)])
+
+
+def _projectivity_text():
+    from projgraph import ParamVector, ProjectivityReport
+
+    return ProjectivityReport(4, 3, (ParamVector(theta=(0.5,)),), (np.float64(0.25),),
+                              np.True_, np.float64(0.25), "non-projective").to_csv()
+
+
+def _report_text():
+    from projgraph.experiments import ExperimentReport
+
+    row = {"cell": "n=4", "mean": np.float64(0.5), "used": np.int64(3), "gap": None,
+           "flag": np.True_}
+    return ExperimentReport("growth", tuple(row), (row,), {}).csv_body()
+
+
+@pytest.mark.parametrize("write, want", [
+    (_mle_text, "family,kind,theta_hat_1,theta_hat_2,std_err_1,std_err_2,log_lik,"
+                "converged,boundary,iterations\nEdgeTriangle,proper,0.5,-0.25,0.125,1.5,"
+                "-3.0,true,false,4\n"),
+    (_projectivity_text, "theta_1,tv,param_equal\n0.5,0.25,true\nmax_tv,verdict\n"
+                         "0.25,non-projective\n"),
+    (_report_text, "cell,mean,used,gap,flag\nn=4,0.5,3,,true\n"),
+], ids=["mle", "projectivity", "experiment"])
+def test_every_csv_writer_speaks_one_dialect_for_numpy_scalars(write, want):
+    """NumPy floats and bools are written as the bare cells of their Python
+    values, a missing value as a blank, and every line ends in a newline."""
+    assert write() == want
