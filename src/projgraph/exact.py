@@ -254,15 +254,16 @@ def _moments(
 
     The covariance is summed over centered rows: the raw second moment
     minus the squared mean cancels catastrophically near a vertex of the
-    statistic hull.
+    statistic hull.  An overflow does not warn, as in
+    :func:`_class_log_probs`: its log Z is not finite.
     """
-    kernel = log_counts + _mat_vec(points, eta)
-    log_z = _logsumexp(kernel)
-    w = np.exp(kernel.T - log_z).T
-    mu = _vec_mat(w, points)
-    centered = points - mu[..., None, :]
-    weighted = centered * w[..., None]
-    return log_z, mu, centered.swapaxes(-1, -2) @ weighted
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernel = log_counts + _mat_vec(points, eta)
+        log_z = _logsumexp(kernel)
+        w = np.exp(kernel.T - log_z).T
+        mu = _vec_mat(w, points)
+        centered = points - mu[..., None, :]
+        return log_z, mu, centered.swapaxes(-1, -2) @ (centered * w[..., None])
 
 
 def _class_log_probs(
@@ -429,24 +430,29 @@ def build_distribution(
 def expected_stats(
     spec: Family, theta: ParamVector, n: int, enum_cap: Optional[int] = None
 ) -> StatsVector:
-    """Mean sufficient statistics under the model at (theta, n)."""
+    """Mean sufficient statistics under the model at (theta, n).  An
+    enumerated family refuses a log normalizer that is not finite."""
     resolve_enum_cap(1 if spec.bernoulli else n, enum_cap)
     if spec.bernoulli:
         pi = edge_prob(spec, theta, n)
         return StatsVector(values=(dyad_count(n) * pi,))
-    return StatsVector(values=tuple(_moments(*_classes(spec, n)[1:],
-                                             natural_params(spec, theta, n))[1]))
+    log_z, mu, _ = _moments(*_classes(spec, n)[1:], natural_params(spec, theta, n))
+    _refuse_infinite_log_z(log_z, theta)
+    return StatsVector(values=tuple(mu))
 
 
 def stat_covariance(
     spec: Family, theta: ParamVector, n: int, enum_cap: Optional[int] = None
 ) -> np.ndarray:
-    """Covariance matrix of the sufficient statistics at (theta, n)."""
+    """Covariance matrix of the sufficient statistics at (theta, n).  An
+    enumerated family refuses a log normalizer that is not finite."""
     resolve_enum_cap(1 if spec.bernoulli else n, enum_cap)
     if spec.bernoulli:
         pi = edge_prob(spec, theta, n)
         return np.array([[dyad_count(n) * pi * (1.0 - pi)]])
-    return _moments(*_classes(spec, n)[1:], natural_params(spec, theta, n))[2]
+    log_z, _, cov = _moments(*_classes(spec, n)[1:], natural_params(spec, theta, n))
+    _refuse_infinite_log_z(log_z, theta)
+    return cov
 
 
 def marginal_distribution(d: ExactDistribution, s: NodeSubset) -> np.ndarray:

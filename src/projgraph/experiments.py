@@ -15,20 +15,20 @@ Every replicate derives its own random stream from the master seed and
 the path (experiment tag, cell index, replicate indices), so results do
 not depend on execution order; report CSV bodies are byte-identical
 across runs.  A cell's streams come from one reused generator, keyed per
-replicate with the bits of its own substream.  A summary reads only each
-replicate's estimate and boundary flag, so a study computes no log
-likelihood or standard errors for any family: an independent-dyad
-family's estimate is its closed form, and a dyad-dependent family fits
-each replicate's observed event, built from the class coding, through
-the cached event fit.  Its subsample cells run on graph indices, with no
-graph built, and fit their distinct events of each kind together.  The
-replication study evaluates the first uniforms of all its table draws in
-one bulk pass, with the same bits, and fits all of its distinct pooled
+replicate with the bits of its own substream.  Each replicate's fit is
+one record, ``inference._Fit``, for both kinds of family: an
+independent-dyad family's is its closed form, and a dyad-dependent family
+fits each replicate's observed event, built from the class coding,
+through the cached event fit.  A summary reads only the record's estimate
+and boundary flag, so a study computes no log likelihood or standard
+errors.  A dyad-dependent family's subsample cells run on graph indices,
+with no graph built, and fit their distinct events of each kind together.
+The replication study evaluates the first uniforms of all its table draws
+in one bulk pass, with the same bits, and fits all of its distinct pooled
 events in one lock-step Newton ascent, with the bits of one-at-a-time
-fits.  Fits
-run in one thread: each is GIL-bound Python, and a thread pool made two
-workers slower than one.  The runners keep their ``threads`` keyword for
-compatibility; it schedules nothing.
+fits.  Fits run in one thread: each is GIL-bound Python, and a thread
+pool made two workers slower than one.  The runners keep their
+``threads`` keyword for compatibility; it schedules nothing.
 Replicates with no finite estimate (boundary data) are excluded from
 bias/RMSE and counted in the ``n_boundary`` column, with
 ``units = used + n_boundary`` per row.  A report's columns are its rows'
@@ -63,11 +63,11 @@ from .inference import (
     InducedSubgraph,
     LikelihoodKind,
     Replicates,
-    _Estimate,
     _EVENT_FITS,
+    _Fit,
     _bernoulli_fit,
     _completion_event,
-    _event_estimates,
+    _event_fit,
     _mean_events,
 )
 from .models import (
@@ -293,11 +293,12 @@ def _estimate_columns(dim: int) -> list[str]:
 
 
 def _summarize_estimates(
-    estimates: Sequence[_Estimate], theta_star: ParamVector
+    estimates: Sequence[_Fit], theta_star: ParamVector
 ) -> dict[str, Any]:
-    """Bias/RMSE summary over the finite (non-boundary) estimates."""
+    """Bias/RMSE summary over the finite (non-boundary) estimates, read as
+    each fit's ``theta_hat`` and ``boundary``."""
     dim = len(theta_star)
-    finite = [theta for theta, boundary in estimates if not boundary]
+    finite = [fit.theta_hat for fit in estimates if not fit.boundary]
     row: dict[str, Any] = {
         "units": len(estimates),
         "used": len(finite),
@@ -347,7 +348,7 @@ def run_growth_consistency(cfg: ExperimentConfig, threads: int = 1) -> Experimen
         estimates, degrees, edges = [], [], []
         for rng in _replicate_streams(cfg, "growth", cell_index):
             g = sample_bernoulli(n, pi, rng)
-            estimates.append(_bernoulli_fit(cfg.spec, FullGraph(g), LikelihoodKind.PROPER)[:2])
+            estimates.append(_bernoulli_fit(cfg.spec, FullGraph(g), LikelihoodKind.PROPER))
             degrees.append(mean_degree(g))
             edges.append(edge_count(g))
         row = {"cell": f"n={n}", "n": n}
@@ -366,14 +367,14 @@ def _replicate_streams(
     return _streams(cfg.master_seed, (name, cell), (cfg.replicates,))
 
 
-def _table_replication(cfg: ExperimentConfig, n: int) -> list[list[_Estimate]]:
+def _table_replication(cfg: ExperimentConfig, n: int) -> list[list[_Fit]]:
     """Each cell's estimates for a table family, study by study, with the
     bits of ``mle`` on the graphs drawn from ``substream(seed,
     "replication", cell, study, r)``.  One bulk pass draws every cell (an
     integer part below 2^32 is one spawn-key word in the prefix or the
     tail), and rows are held only until their study's mean is taken.  The
-    studies of every cell are then fitted by one :func:`_event_estimates`
-    call, which climbs their distinct mean events in lock step.
+    studies of every cell are then fitted by one ``_event_fit.batch`` call,
+    which climbs their distinct mean events in lock step.
     """
     dist = build_distribution(cfg.spec, cfg.theta_star, n)  # refuses n beyond the cap
     _, points, _ = _classes(cfg.spec, n)
@@ -398,7 +399,7 @@ def _table_replication(cfg: ExperimentConfig, n: int) -> list[list[_Estimate]]:
             k = min(len(rows) // count, (cell + 1) * studies - len(events))
             events += _mean_events(rows[: k * count].reshape(k, count, -1))
             held = [rows[k * count :]]
-    estimates = _event_estimates(cfg.spec, n, events)
+    estimates = _event_fit.batch(cfg.spec, n, events)
     return [estimates[lo : lo + studies] for lo in range(0, len(estimates), studies)]
 
 
@@ -418,7 +419,7 @@ def run_replication_consistency(
             streams = _streams(cfg.master_seed, ("replication", cell), shape)
             cells.append([_bernoulli_fit(cfg.spec, Replicates(tuple(
                 sample_bernoulli(n, pi, next(streams)) for _ in range(count))),
-                LikelihoodKind.PROPER)[:2] for _ in range(shape[0])])
+                LikelihoodKind.PROPER) for _ in range(shape[0])])
     else:
         cells = _table_replication(cfg, n)
     rows = []
@@ -431,8 +432,8 @@ def run_replication_consistency(
 
 def _bernoulli_subsample(
     cfg: ExperimentConfig, population_n: int, streams: Iterator[np.random.Generator]
-) -> tuple[list[_Estimate], list[_Estimate]]:
-    """The proper and misspecified estimates of an independent-dyad
+) -> tuple[list[_Fit], list[_Fit]]:
+    """The proper and misspecified fits of an independent-dyad
     family's subsample cell.  Each replicate builds its graph and induced
     subgraph, one at a time, since such graphs run to thousands of nodes."""
     pi = edge_prob(cfg.spec, cfg.theta_star, population_n)
@@ -442,8 +443,8 @@ def _bernoulli_subsample(
         members = rng.choice(population_n, size=cfg.subsample_n, replace=False)
         subset = NodeSubset(population_n, tuple(sorted(map(int, members))))
         data = InducedSubgraph(induced_subgraph(g, subset), population_n)
-        proper.append(_bernoulli_fit(cfg.spec, data, LikelihoodKind.PROPER)[:2])
-        misspecified.append(_bernoulli_fit(cfg.spec, data, LikelihoodKind.MISSPECIFIED)[:2])
+        proper.append(_bernoulli_fit(cfg.spec, data, LikelihoodKind.PROPER))
+        misspecified.append(_bernoulli_fit(cfg.spec, data, LikelihoodKind.MISSPECIFIED))
     return proper, misspecified
 
 
@@ -452,8 +453,8 @@ def _table_subsample(
     subsample_n: int,
     streams: Iterator[np.random.Generator],
     count: int,
-) -> tuple[list[_Estimate], list[_Estimate]]:
-    """The proper and misspecified estimates of the first ``count``
+) -> tuple[list[_Fit], list[_Fit]]:
+    """The proper and misspecified fits of the first ``count``
     replicates of ``streams`` in a table family's subsample cell, with the
     bits of ``mle`` of each kind on each replicate's ``InducedSubgraph``:
     of the graph ``exact_sample(dist, rng)``, on the sorted nodes of the
@@ -464,7 +465,7 @@ def _table_subsample(
     graph index by one inverse-CDF search and every subgraph index by bit
     gathers at :func:`~projgraph.graph._dyad_map` of the sorted members.
     Each distinct subgraph index gets its events once, and each kind's
-    events are fitted by one :func:`_event_estimates` call.
+    events are fitted by one ``_event_fit.batch`` call.
     """
     spec, population_n = dist.spec, dist.n
     codes, points, _ = _classes(spec, subsample_n)
@@ -484,9 +485,9 @@ def _table_subsample(
         where = where.tolist()
         events = [_completion_event(spec, Graph(subsample_n, y), population_n, None)
                   for y in distinct.tolist()]
-        proper += _event_estimates(spec, population_n, [events[k] for k in where])
+        proper += _event_fit.batch(spec, population_n, [events[k] for k in where])
         events = _mean_events(points[codes[distinct]][:, None])
-        misspecified += _event_estimates(spec, subsample_n, [events[k] for k in where])
+        misspecified += _event_fit.batch(spec, subsample_n, [events[k] for k in where])
     return proper, misspecified
 
 

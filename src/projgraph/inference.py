@@ -34,11 +34,11 @@ attainable-statistics hull, are reported with ``boundary=True``.  Fits
 are cached by event, and a batch's events with equal row counts climb in
 lock step, one stacked moment evaluation per step for every event still
 climbing; each event gets the bits of its fit alone, and a single fit is
-a stack of one.  An estimate's log likelihood is :func:`log_likelihood`
-at the estimate, for both kinds of family.  The simulation studies read
-only a fit's estimate and boundary flag: the closed form
-(``_bernoulli_fit``) or the cached fits of a batch's distinct events
-(``_event_estimates``), with no log likelihood or standard errors.
+a stack of one.  A fit is one record, ``_Fit``, for both kinds of family:
+the closed form's (``_bernoulli_fit``) or a cached event's
+(``_event_fit.batch``), with a converged fit's observed information.  The
+simulation studies read only its estimate and boundary flag; :func:`mle`
+also its information, and :func:`log_likelihood` at the estimate.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -59,6 +59,7 @@ from .exact import (
     _logsumexp,
     _mat_vec,
     _moments,
+    _refuse_infinite_log_z,
     log_normalizer,
     resolve_enum_cap,
     stat_covariance,
@@ -116,11 +117,14 @@ class InducedSubgraph:
     population_n: int
 
     def __post_init__(self) -> None:
-        if self.subgraph.n >= self.population_n:
-            raise ValueError(
-                f"subgraph size {self.subgraph.n} must be smaller than "
-                f"population size {self.population_n}"
-            )
+        _refuse_sizes(self.subgraph, self.population_n)
+
+
+def _refuse_sizes(y_sub: Graph, population_n: int) -> None:
+    """Raise ``ValueError`` unless ``y_sub`` is smaller than the population."""
+    if y_sub.n >= population_n:
+        raise ValueError(
+            f"subgraph size {y_sub.n} must be smaller than population size {population_n}")
 
 
 @dataclass(frozen=True)
@@ -168,11 +172,6 @@ class MLEResult:
     iterations: int
 
 
-def _bernoulli_log_pq(eta: float) -> tuple[float, float]:
-    """(log pi, log(1-pi)) for pi = logistic(eta), computed stably."""
-    return -float(np.logaddexp(0.0, -eta)), -float(np.logaddexp(0.0, eta))
-
-
 def proper_log_likelihood(
     spec: Family,
     theta: ParamVector,
@@ -186,16 +185,13 @@ def proper_log_likelihood(
     closed form in the population edge probability; other families sum
     the population model over all completions of the unobserved dyads.
     """
-    if y_sub.n >= population_n:
-        raise ValueError(
-            f"subgraph size {y_sub.n} must be smaller than population size {population_n}"
-        )
+    _refuse_sizes(y_sub, population_n)
     if spec.bernoulli:
         resolve_enum_cap(1, enum_cap)
         eta = natural_params(spec, theta, population_n)[0]
-        log_p, log_q = _bernoulli_log_pq(eta)
-        m = edge_count(y_sub)
-        d = dyad_count(y_sub.n)
+        # log pi and log(1 - pi) for pi = logistic(eta), computed stably
+        log_p, log_q = -float(np.logaddexp(0.0, -eta)), -float(np.logaddexp(0.0, eta))
+        m, d = edge_count(y_sub), dyad_count(y_sub.n)
         return m * log_p + (d - m) * log_q
     return completion_log_likelihood(spec, theta, y_sub, population_n, enum_cap)
 
@@ -211,18 +207,20 @@ def completion_log_likelihood(
 
     Valid for every family; ``proper_log_likelihood`` routes here for
     families without closed-form marginals.  The completions are counted
-    per statistic class by :func:`projgraph.exact._completion_counts`.
+    per statistic class by :func:`projgraph.exact._completion_counts`.  A
+    population log normalizer that is not finite is refused, with no
+    warning, as by :func:`~projgraph.exact.log_normalizer`.
     """
-    if y_sub.n >= population_n:
-        raise ValueError(
-            f"subgraph size {y_sub.n} must be smaller than population size {population_n}"
-        )
+    _refuse_sizes(y_sub, population_n)
     counts = _completion_counts(spec, y_sub, population_n, enum_cap)
     _, points, log_counts = _classes(spec, population_n)
-    energy = points @ natural_params(spec, theta, population_n)
-    kernel = log_counts + energy
     present = counts > 0
-    log_p = _logsumexp(np.log(counts[present]) + energy[present]) - _logsumexp(kernel)
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = points @ natural_params(spec, theta, population_n)
+        kernel = log_counts + energy
+        log_z = _logsumexp(kernel)
+        _refuse_infinite_log_z(log_z, theta)
+        log_p = _logsumexp(np.log(counts[present]) + energy[present]) - log_z
     if log_p <= -math.log(2.0):
         return log_p
     # Above probability 1/2 the difference of log-normalizers cancels; the
@@ -283,7 +281,8 @@ def log_likelihood(
         codes, points, _ = _classes(spec, size)
         rows = points[codes[[g.dyads for g in graphs]]]
     eta = natural_params(spec, theta, size)
-    return float(eta @ np.sum(rows, axis=0)) - len(graphs) * log_z
+    with np.errstate(over="ignore", invalid="ignore"):  # to -inf only: log Z refused +inf
+        return float(eta @ np.sum(rows, axis=0)) - len(graphs) * log_z
 
 
 def fisher_information(
@@ -413,8 +412,8 @@ def _reaches(comp: _Histogram, full: _Histogram, target: float, eta: np.ndarray)
         return _logsumexp(comp[1]) - _logsumexp(full[1]) >= target
     facets = _hull_facets(full[0])
     if not _on_facets(comp[0], facets).all(axis=0).any():
-        eta, value, _, _ = (x[0] for x in _climb((comp[0][None], comp[1][None]), full,
-                                                 target, eta[None]))
+        eta, value, *_ = (x[0] for x in _climb((comp[0][None], comp[1][None]), full,
+                                               target, eta[None]))
         if value >= target:
             return True
     return _faces_reach(comp, full, facets, eta, target)
@@ -446,16 +445,16 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _climb(
     comp: _Histogram, full: _Histogram, target: float, eta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Damped ascent of eta -> log P_eta(comp) for a stack of S events
     ``comp`` (equal-size histograms), from the rows of ``eta``, in lock
     step: one stacked evaluation per round serves every event still
     climbing.  Each event climbs until its value reaches ``target``
     (tested first: the gradient underflows on a plateau) or its gradient's
     max norm falls to ``NEWTON_TOLERANCE``.  Returns (eta, value,
-    stationary, iterations), one row or entry per event, each with the
-    bits of the event climbing alone: every step is the same per-event
-    arithmetic (see ``_moments``).
+    stationary, iterations, Hessian at eta), one row or entry per event,
+    each with the bits of the event climbing alone: every step is the same
+    per-event arithmetic (see ``_moments``).
 
     Newton steps are used while the curvature is usable, with gradient
     ascent and step halving as fallback.  A step is accepted if the value
@@ -510,16 +509,17 @@ def _climb(
         stuck = held[halvings[held] == 60]
         iterations[stuck] = step[stuck]
         live = np.concatenate([begin(moved), held[halvings[held] < 60]])
-    return eta, value, stationary, iterations
+    return eta, value, stationary, iterations, hess
 
 
 def _ascend_log_ratio(
     comp: _Histogram, full: _Histogram, facets: _Facets
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Maximize eta -> log P_eta(comp), the log probability of the observed
     event, from 0, for a stack of events (equal-size histograms) in lock
-    step.  Returns (eta, converged, boundary, iterations), one row or entry
-    per event.
+    step.  Returns (eta, converged, boundary, iterations, information), one
+    row or entry per event; the information is minus the Hessian at eta
+    that the ascent last evaluated, and NaN for an event it did not climb.
 
     One scale-free test on the facets of the hull of ``full``'s statistics
     decides whether the maximum is finite.  An event on one facet is
@@ -533,16 +533,18 @@ def _ascend_log_ratio(
     the others the supremum over the facets they reach is over none.
     Otherwise it has converged if it stopped at a stationary point.
     """
-    count = len(comp[1])
-    eta = np.zeros((count, full[0].shape[1]))
+    count, dim = len(comp[1]), full[0].shape[1]
+    eta = np.zeros((count, dim))
     iterations = np.zeros(count, dtype=np.int64)
     stationary = np.zeros(count, dtype=bool)
+    information = np.full((count, dim, dim), np.nan)
     on = _on_facets(comp[0], facets)  # (event, row, facet)
     boundary = on.all(axis=1).any(axis=1)
     live = np.flatnonzero(~boundary)
     if len(live):
         climbed = _climb((comp[0][live], comp[1][live]), full, -_SATURATION_TOL, eta[live])
-        eta[live], value, stationary[live], iterations[live] = climbed
+        eta[live], value, stationary[live], iterations[live], hess = climbed
+        information[live] = -hess
         # Energies s . eta round relative to |s| . |eta|: far along a ridge
         # that outgrows the tolerance and can lift the value above its
         # facet's limit.
@@ -553,7 +555,7 @@ def _ascend_log_ratio(
             event = live[k]
             boundary[event] = _faces_reach((comp[0][event], comp[1][event]), full, facets,
                                            eta[event], float(reach[k]))
-    return eta, stationary & ~boundary, boundary, iterations
+    return eta, stationary & ~boundary, boundary, iterations, information
 
 
 def _std_errors_from_information(information: np.ndarray) -> Optional[tuple[float, ...]]:
@@ -567,38 +569,51 @@ def _std_errors_from_information(information: np.ndarray) -> Optional[tuple[floa
     return tuple(float(v) for v in np.sqrt(diag))
 
 
-def _bernoulli_fit(
-    spec: Family, data: ObservedData, kind: LikelihoodKind
-) -> tuple[tuple[float, ...], bool, int, int]:
-    """(theta_hat, boundary, m, d) of an independent-dyad family: the logit
-    closed form from the m edges among the d observed dyads, shifted to
-    theta at the size the likelihood evaluates.  With no edge or every
-    edge the data is boundary, and theta_hat is -inf or +inf; with no
-    dyad observed it is boundary with no direction, and theta_hat is nan."""
+class _Fit(NamedTuple):
+    """A fit of either kind of family: ``eta`` where it stopped, ``theta_hat``
+    its shift to theta, and ``information`` the observed information of its
+    event at ``eta``, None unless the fit converged."""
+
+    eta: np.ndarray
+    theta_hat: tuple[float, ...]
+    converged: bool
+    boundary: bool
+    iterations: int
+    information: Optional[np.ndarray]
+
+
+def _bernoulli_fit(spec: Family, data: ObservedData, kind: LikelihoodKind) -> _Fit:
+    """The fit of an independent-dyad family: the logit closed form from the
+    m edges among the d observed dyads, shifted to theta at the size the
+    likelihood evaluates, with information d * pi_hat * (1 - pi_hat).  With
+    no edge or every edge the data is boundary, and theta_hat is -inf or
+    +inf; with no dyad observed it is boundary with no direction, and
+    theta_hat is nan."""
     size, _, graphs = _observation(data, kind)
     m = sum(edge_count(g) for g in graphs)
     d = len(graphs) * dyad_count(graphs[0].n)
     if m == 0 or m == d:
-        return (math.nan if d == 0 else math.inf if m else -math.inf,), True, m, d
+        eta = math.nan if d == 0 else math.inf if m else -math.inf
+        return _Fit(np.array([eta]), (eta,), False, True, 0, None)
+    eta = math.log(m) - math.log(d - m)
     shift = math.log(size) if spec.offset_edges else 0.0
-    return (math.log(m) - math.log(d - m) + shift,), False, m, d
+    pi_hat = m / d
+    return _Fit(np.array([eta]), (eta + shift,), True, False, 0,
+                np.array([[d * pi_hat * (1.0 - pi_hat)]]))
 
 
 # Distinct events kept by the fit cache: a study's events, not its
 # replicates; also the most events that climb in one stack.
 _EVENT_FITS = 256
 
-# (eta, theta_hat, converged, boundary, iterations) of one event's fit.
-_Fit = tuple[np.ndarray, tuple[float, ...], bool, bool, int]
-
 
 def _fit_events(fam: Family, size: int, events: Sequence[bytes]) -> list[_Fit]:
     """The fit of each event by :func:`_ascend_log_ratio`, in input order,
-    with eta read-only and theta_hat its shift to theta.  A boundary fit
-    has NaN theta_hat and 0 iterations.  Events with equal row counts climb
-    in lock step, up to ``_EVENT_FITS`` at a time, which bounds the stack's
-    temporaries.  Callers validate the enumeration cap before reaching this
-    helper."""
+    with eta and the information read-only and theta_hat eta's shift to
+    theta.  A boundary fit has NaN theta_hat and 0 iterations.  Events with
+    equal row counts climb in lock step, up to ``_EVENT_FITS`` at a time,
+    which bounds the stack's temporaries.  Callers validate the enumeration
+    cap before reaching this helper."""
     full = _classes(fam, size)[1:]
     facets = _statistic_facets(fam, size)
     shift = natural_params(fam, ParamVector(theta=(0.0,) * fam.stat_dim), size)
@@ -610,15 +625,15 @@ def _fit_events(fam: Family, size: int, events: Sequence[bytes]) -> list[_Fit]:
         for lo in range(0, len(group), _EVENT_FITS):
             where = group[lo : lo + _EVENT_FITS]
             comp = _event_histograms(fam.stat_dim, [events[k] for k in where])
-            eta, converged, boundary, iterations = _ascend_log_ratio(comp, full, facets)
-            eta.flags.writeable = False
+            eta, converged, boundary, iterations, information = _ascend_log_ratio(
+                comp, full, facets)
+            eta.flags.writeable = information.flags.writeable = False
             theta = eta - shift
+            theta[boundary], iterations[boundary] = math.nan, 0
             for j, k in enumerate(where):
-                if boundary[j]:
-                    fits[k] = (eta[j], (math.nan,) * fam.stat_dim, False, True, 0)
-                else:
-                    fits[k] = (eta[j], tuple(theta[j].tolist()), bool(converged[j]), False,
-                               int(iterations[j]))
+                fits[k] = _Fit(eta[j], tuple(theta[j].tolist()), bool(converged[j]),
+                               bool(boundary[j]), int(iterations[j]),
+                               information[j] if converged[j] else None)
     return fits
 
 
@@ -746,45 +761,23 @@ def mle(
     proper subgraph likelihood, else one graph at the mean statistics,
     which solves the moment equation.  Whether the maximum is finite is
     decided exactly on the facets of the attainable-statistics hull (see
-    ``_ascend_log_ratio``).  The information is the number of observed
-    graphs times minus the log-ratio Hessian.  Either way the log
-    likelihood is :func:`log_likelihood` at the estimate.
+    ``_ascend_log_ratio``).  The standard errors read the fit's observed
+    information times the graphs its event stands for (R for the mean of R
+    replicates, else 1), and the log likelihood is :func:`log_likelihood`.
     """
     if spec.bernoulli:
         resolve_enum_cap(1, enum_cap)
-        theta_hat, boundary, m, d = _bernoulli_fit(spec, data, kind)
-        converged, iterations = True, 0
+        fit, count = _bernoulli_fit(spec, data, kind), 1
     else:
         size, event, graphs = _observed_event(spec, data, kind, enum_cap)
-        eta, theta_hat, converged, boundary, iterations = _event_fit.batch(
-            spec, size, (event,))[0]
-    if boundary:
-        return MLEResult(theta_hat, None, math.nan, False, True, 0)
+        fit, count = _event_fit.batch(spec, size, (event,))[0], len(graphs)
+    if fit.boundary:
+        return MLEResult(fit.theta_hat, None, math.nan, False, True, 0)
     std_err = None
-    if converged:
-        if spec.bernoulli:
-            pi_hat = m / d
-            information = np.array([[d * pi_hat * (1.0 - pi_hat)]])
-        else:
-            full = _classes(spec, size)[1:]
-            comp = _event_histograms(spec.stat_dim, (event,))
-            _, _, hess = _log_ratio_parts((comp[0][0], comp[1][0]), full, eta)
-            information = len(graphs) * -hess
-        std_err = _std_errors_from_information(information)
-    log_lik = log_likelihood(spec, ParamVector(theta=theta_hat), data, kind, enum_cap)
-    return MLEResult(theta_hat, std_err, log_lik, converged, False, iterations)
-
-
-# What a study summary reads of a fit: (theta_hat, boundary).
-_Estimate = tuple[tuple[float, ...], bool]
-
-
-def _event_estimates(spec: Family, size: int, events: Sequence[bytes]) -> list[_Estimate]:
-    """The estimate of each observed event of a dyad-dependent family at
-    model size ``size`` (see :func:`_event`); the distinct events are
-    fitted together."""
-    return [(theta_hat, boundary)
-            for _, theta_hat, _, boundary, _ in _event_fit.batch(spec, size, events)]
+    if fit.information is not None:
+        std_err = _std_errors_from_information(count * fit.information)
+    log_lik = log_likelihood(spec, ParamVector(theta=fit.theta_hat), data, kind, enum_cap)
+    return MLEResult(fit.theta_hat, std_err, log_lik, fit.converged, False, fit.iterations)
 
 
 def mle_csv_header(spec: Family) -> list[str]:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -394,17 +395,41 @@ def test_check_projectivity_refuses_a_nan_probability_table(capsys):
     ["sample", "--family", "edge-triangle", "--theta=1e308,-1e308", "--n", "4"],
     ["loglik", "--family", "edge-triangle", "--theta=1e308,0", "g.edgelist"],
     ["loglik", "--family", "bernoulli-offset", "--theta=1e308", "g.edgelist"],
-], ids=["sample", "loglik-edge-triangle", "loglik-bernoulli"])
+    *(["loglik", "--family", "edge-triangle", f"--theta={theta}", "--population-n", "5",
+       "g.edgelist"] for theta in ("1e308,0", "1e308,-1e308", "0,1e308")),
+], ids=["sample", "loglik-edge-triangle", "loglik-bernoulli",
+        *(f"loglik-population-{k}" for k in range(3))])
 def test_an_overflowing_theta_is_refused(tmp_path, capsys, monkeypatch, command):
     """An energy that overflows leaves the log normalizer infinite or NaN.
     Sampling then drew K4, which has the most triangles, where the limit puts
-    all mass on triangle-free graphs, and the log likelihood printed nan."""
+    all mass on triangle-free graphs, and the log likelihood printed nan, as
+    the proper one did from its own population normalizer."""
     (tmp_path / "g.edgelist").write_text("4\n0 1\n0 2\n1 2\n2 3\n")
     monkeypatch.chdir(tmp_path)
     assert main(command) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith(": the parameters overflow\n")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("population", [[], ["--population-n", "5"]],
+                         ids=["full", "population"])
+def test_a_theta_that_zeroes_the_observed_graph_prints_minus_inf(
+    tmp_path, capsys, monkeypatch, population
+):
+    """At theta_1 = -1e308 the energy of a graph with edges overflows to
+    -inf: the observed graph has probability 0, and its log likelihood is a
+    right -inf, printed with nothing on stderr."""
+    (tmp_path / "g.edgelist").write_text("4\n0 1\n0 2\n1 2\n2 3\n")
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["loglik", "--family", "edge-triangle", "--theta=-1e308,0", *population,
+                     "g.edgelist"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "file,kind,log_lik\ng.edgelist,proper,-inf\n"
+    assert captured.err == ""
 
 
 def test_check_projectivity_thread_invariance(capsys):

@@ -27,6 +27,7 @@ from projgraph import (
     ParamVector,
     build_distribution,
     complete_graph,
+    completion_log_likelihood,
     default_theta_grid,
     dyad_count,
     edge_count,
@@ -34,6 +35,7 @@ from projgraph import (
     enumerated_stats,
     expected_stats,
     exact_sample,
+    graph_from_edges,
     graph_from_index,
     graph_to_index,
     log_normalizer,
@@ -540,14 +542,38 @@ def test_projectivity_check_at_overflowing_energies_keeps_its_distances():
                                          (OFFSET, (1e308,)), (INVARIANT, (1e308,))])
 def test_a_log_normalizer_that_overflows_is_refused(spec, theta):
     """Neither the enumeration nor the Bernoulli closed form returns an
-    infinite or NaN normalizer, and neither warns on the way."""
+    infinite or NaN normalizer, and neither warns on the way; nor does the
+    proper likelihood's enumerated population normalizer.  An enumerated
+    family's moments are refused with their normalizer, while the closed
+    form's stay finite at any theta: at pi = 1 every dyad is an edge."""
     theta = ParamVector(theta=theta)
+    y_sub = graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="the parameters overflow"):
             log_normalizer(spec, theta, 4)
         with pytest.raises(ValueError, match="the parameters overflow"):
             build_distribution(spec, theta, 4)
+        with pytest.raises(ValueError, match="the parameters overflow"):
+            completion_log_likelihood(spec, theta, y_sub, 5)
+        if spec.bernoulli:
+            assert expected_stats(spec, theta, 4).values == (6.0,)
+            assert stat_covariance(spec, theta, 4).tolist() == [[0.0]]
+        else:
+            with pytest.raises(ValueError, match="the parameters overflow"):
+                expected_stats(spec, theta, 4)
+            with pytest.raises(ValueError, match="the parameters overflow"):
+                stat_covariance(spec, theta, 4)
+
+
+def test_moments_where_the_energies_overflow_to_zero_weight():
+    """At theta_1 = -1e308 every graph with an edge has weight 0, so the
+    moments are the empty graph's statistics, with no warning."""
+    theta = ParamVector(theta=(-1e308, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert expected_stats(EDGE_TRI, theta, 4).values == (0.0, 0.0)
+        assert stat_covariance(EDGE_TRI, theta, 4).tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
 
 # --------------------------------------------------------------------------

@@ -466,8 +466,7 @@ def _replication_by_substreams(cfg):
                 exact_sample(dist, substream(cfg.master_seed, "replication", cell_index, study, r))
                 for r in range(count)
             )
-            fit = mle(cfg.spec, Replicates(graphs), LikelihoodKind.PROPER)
-            results.append((fit.theta_hat, fit.boundary))
+            results.append(mle(cfg.spec, Replicates(graphs), LikelihoodKind.PROPER))
         row = {"cell": f"R={count}", "n": n, "R": count}
         row.update(_summarize_estimates(results, cfg.theta_star))
         rows.append(row)
@@ -653,8 +652,7 @@ def _subsample_by_mle(cfg):
             subset = NodeSubset(population_n, tuple(sorted(int(v) for v in members)))
             data = InducedSubgraph(induced_subgraph(g, subset), population_n)
             for kind, fits in results.items():
-                fit = mle(cfg.spec, data, kind)
-                fits.append((fit.theta_hat, fit.boundary))
+                fits.append(mle(cfg.spec, data, kind))
         for kind, fits in results.items():
             row = {"cell": f"N={population_n}|{kind.value}", "n": population_n,
                    "subsample_n": cfg.subsample_n, "kind": kind.value}
@@ -730,6 +728,7 @@ def test_table_subsample_cell_has_the_bits_of_per_replicate_subgraphs(cell):
     got = _table_subsample(dist, subsample_n, streams(), count)
     want = _subsample_cell_by_subgraphs(dist, subsample_n, streams(), count)
     assert [len(estimates) for estimates in got] == [count, count]
+    got = tuple([(fit.theta_hat, fit.boundary) for fit in fits] for fits in got)
     assert repr(got) == repr(want)
 
 

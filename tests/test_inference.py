@@ -304,9 +304,9 @@ def test_closed_form_estimate_equals_the_mle(spec, data, kind):
     """A study's estimate of an independent-dyad family is the estimate and
     boundary flag of ``mle``, bit for bit (``repr`` matches +/-inf too)."""
     result = mle(spec, data, kind)
-    theta_hat, boundary = _bernoulli_fit(spec, data, kind)[:2]
-    assert repr(theta_hat) == repr(result.theta_hat)
-    assert boundary is result.boundary
+    fit = _bernoulli_fit(spec, data, kind)
+    assert repr(fit.theta_hat) == repr(result.theta_hat)
+    assert fit.boundary is result.boundary
 
 
 def test_proper_likelihood_rejects_oversized_subgraph():
@@ -714,8 +714,8 @@ def test_converged_ascent_beats_every_facet_limit(case):
     points, log_counts = full
     comp = (points[rows], comp_log_counts)
     stack = (comp[0][None], comp[1][None])  # the ascent takes a stack of events
-    eta, converged, _, _ = (x[0] for x in _ascend_log_ratio(stack, full,
-                                                            _statistic_facets(EDGE_TRI, n)))
+    eta, converged, _, _, _ = (x[0] for x in _ascend_log_ratio(stack, full,
+                                                               _statistic_facets(EDGE_TRI, n)))
     if not converged:
         return
 
@@ -845,7 +845,7 @@ def test_cached_eta_is_read_only(proper):
     y = graph_from_edges(4, [(0, 1), (0, 2), (1, 2)])
     kind = LikelihoodKind.PROPER if proper else LikelihoodKind.MISSPECIFIED
     size, event, _ = _observed_event(EDGE_TRI, InducedSubgraph(y, 6), kind, None)
-    eta = _event_fit.batch(EDGE_TRI, size, (event,))[0][0]
+    eta = _event_fit.batch(EDGE_TRI, size, (event,))[0].eta
     assert not eta.flags.writeable
     with pytest.raises(ValueError):
         eta[0] = 1.0

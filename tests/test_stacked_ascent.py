@@ -257,16 +257,20 @@ def _proper_event(fam, size, counts):
     return _histogram_event(_classes(fam, size)[1][present], np.log(counts[present]))
 
 
+def _event_histogram(fam, event):
+    """The (rows, log counts) of an event, decoded from its bytes."""
+    flat = np.frombuffer(event)
+    rows = len(flat) // (fam.stat_dim + 1)
+    return (flat[: rows * fam.stat_dim].reshape(rows, fam.stat_dim).copy(),
+            flat[rows * fam.stat_dim :].copy())
+
+
 def _ref_fit(fam, size, event):
     """(eta bytes, theta_hat, converged, boundary, iterations) of one event,
     fitted alone; theta_hat as reprs, so that NaN compares equal."""
     full = _classes(fam, size)[1:]
-    flat = np.frombuffer(event)
-    rows = len(flat) // (fam.stat_dim + 1)
-    comp = (flat[: rows * fam.stat_dim].reshape(rows, fam.stat_dim).copy(),
-            flat[rows * fam.stat_dim :].copy())
     eta, converged, boundary, iterations = _ref_ascend_log_ratio(
-        comp, full, _statistic_facets(fam, size))
+        _event_histogram(fam, event), full, _statistic_facets(fam, size))
     if boundary:
         return eta.tobytes(), ("nan",) * fam.stat_dim, False, True, 0
     theta = eta - natural_params(fam, ParamVector(theta=(0.0,) * fam.stat_dim), size)
@@ -274,8 +278,8 @@ def _ref_fit(fam, size, event):
 
 
 def _fit_key(fit):
-    eta, theta_hat, converged, boundary, iterations = fit
-    return eta.tobytes(), tuple(map(repr, theta_hat)), converged, boundary, iterations
+    return (fit.eta.tobytes(), tuple(map(repr, fit.theta_hat)), fit.converged, fit.boundary,
+            fit.iterations)
 
 
 def _assert_batch_matches_reference(fam, size, events):
@@ -284,10 +288,16 @@ def _assert_batch_matches_reference(fam, size, events):
     assert _event_fit.cache_info().misses == len(set(events))
     assert _event_fit.cache_info().hits == len(events) - len(set(events))
     reference = {event: _ref_fit(fam, size, event) for event in set(events)}
+    full = _classes(fam, size)[1:]
     for k, (event, fit) in enumerate(zip(events, fits)):
         assert _fit_key(fit) == reference[event], (
             f"numpy {np.__version__}: event {k} of {len(events)}, {np.frombuffer(event)}")
-        assert type(fit[2]) is bool and type(fit[4]) is int
+        assert type(fit.converged) is bool and type(fit.iterations) is int
+        if fit.converged:  # the Hessian of the last step, re-derived at eta
+            want = -_log_ratio_parts(_event_histogram(fam, event), full, fit.eta)[2]
+            _assert_same_bits(fit.information, want, f"information of event {k}")
+        else:
+            assert fit.information is None
 
 
 @pytest.fixture(params=["EdgeTriangle", "over50"])
@@ -303,7 +313,7 @@ def test_every_statistic_class_fits_as_alone(family, n):
     boundary there."""
     events = [_mean_event(row) for row in _classes(family, n)[1]]
     _assert_batch_matches_reference(family, n, events)
-    boundary = [fit[3] for fit in _event_fit.batch(family, n, events)]
+    boundary = [fit.boundary for fit in _event_fit.batch(family, n, events)]
     assert any(boundary)
     assert not all(boundary) or (family.stat_dim == 3 and n < 6)
 
@@ -389,7 +399,7 @@ def test_a_stalled_event_leaves_the_others_alone():
     rows = np.array([[4.0, 1.0], [np.nan, np.nan], [6.5, 2.25], [3.0, 0.0]])
     start = np.zeros((len(rows), 2))
     with np.errstate(all="ignore"):
-        eta, value, stationary, iterations = _climb(
+        eta, value, stationary, iterations, _ = _climb(
             (rows[:, None, :], np.zeros((len(rows), 1))), full, -_SATURATION_TOL, start)
         for k, row in enumerate(rows):
             want = _ref_climb((row[None, :], np.zeros(1)), full, -_SATURATION_TOL, start[k])
