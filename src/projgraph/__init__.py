@@ -21,7 +21,8 @@ from .rng import *
 # The study layer is imported on first use of one of these names, or of the
 # submodule ``projgraph.experiments`` itself (PEP 562, see ``__getattr__``), so
 # that a process that only fits or checks neither compiles nor runs it.  This
-# list is kept by hand: reading ``experiments.__all__`` would load that layer.
+# list is the study layer's one declaration of them: ``experiments.__all__``
+# reads it, since reading that ``__all__`` here would load the layer.
 _STUDY_NAMES = (
     "EXPERIMENT_NAMES",
     "ExperimentConfig",

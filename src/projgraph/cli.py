@@ -1,11 +1,16 @@
 """Command-line front end.
 
 Subcommands: ``sample``, ``stats``, ``loglik``, ``mle``,
-``check-projectivity``, ``experiment``.  Quick operations are configured
-by flags; experiments are configured by an archivable JSON file whose
-keys match the ExperimentConfig field names.  Results are CSV on
-standard output by default, written to files only with ``--out`` (the
-experiment command then also writes a JSON metadata sidecar).
+``check-projectivity``, ``experiment``.  The parser is built from two
+tables: ``_OPTIONS`` declares each option once, with its help, and
+``_COMMANDS`` gives each subcommand its help, handler and options, so
+``projgraph <subcommand> --help`` documents every option it takes.
+
+Quick operations are configured by flags; experiments are configured by
+an archivable JSON file whose keys match the ExperimentConfig field
+names.  Results are CSV on standard output by default, written to files
+only with ``--out`` (the experiment command then also writes a JSON
+metadata sidecar).
 
 Exit codes: 0 success, 2 invalid input, 3 enumeration cap exceeded
 (and exact ``sample`` above n = 7, refused at any ``--enum-cap``), 4 I/O
@@ -60,14 +65,19 @@ from .rng import _streams
 __all__ = ["main"]
 
 
-def _parse_theta(text: str, spec: Family, flag: str = "--theta") -> ParamVector:
+def _floats(text: str, flag: str) -> tuple[float, ...]:
+    """The numbers of a comma-separated option value."""
     try:
-        values = tuple(float(part) for part in text.split(","))
+        return tuple(float(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+
+
+def _parse_theta(text: str, spec: Family) -> ParamVector:
+    values = _floats(text, "--theta")
     if len(values) != spec.stat_dim:
         raise ValueError(
-            f"{flag} must have {spec.stat_dim} component(s) for family "
+            f"--theta must have {spec.stat_dim} component(s) for family "
             f"{spec.name}, got {len(values)}"
         )
     return ParamVector(theta=values)
@@ -176,13 +186,7 @@ def _cmd_check_projectivity(args: argparse.Namespace) -> int:
     if args.theta_grid is None:
         grid = default_theta_grid(spec)
     else:
-        try:
-            axis = tuple(float(part) for part in args.theta_grid.split(","))
-        except ValueError:
-            raise ValueError(
-                f"--theta-grid must be comma-separated numbers, got {args.theta_grid!r}"
-            ) from None
-        grid = _product_grid(spec, axis)
+        grid = _product_grid(spec, _floats(args.theta_grid, "--theta-grid"))
     _validate_threads(args.threads)
     report = projectivity_check(
         spec,
@@ -224,6 +228,47 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
+# Each option's add_argument keywords, declared once for every subcommand.
+_OPTIONS = {
+    "--family": dict(required=True, help="model family, CamelCase or kebab-case"),
+    "--theta": dict(required=True, help="comma-separated parameter components"),
+    "--n": dict(type=int, required=True, help="node count"),
+    "--count": dict(type=int, default=1, help="number of draws"),
+    "--seed": dict(type=int, default=0, help="master seed"),
+    "--kind": dict(choices=[k.value for k in LikelihoodKind], default="proper",
+                   help="likelihood of subgraph data"),
+    "--population-n": dict(
+        type=int, help="population size; marks the data as an induced subgraph"),
+    "--n-sub": dict(type=int, required=True, help="node count of the subgraph"),
+    "--theta-grid": dict(help="comma-separated per-component axis values (product grid)"),
+    "--tolerance": dict(type=float, default=PROJECTIVITY_TOLERANCE,
+                        help="largest max_tv that is judged projective"),
+    "files": dict(nargs="+", help="edge-list files"),
+    "config": dict(help="JSON config file"),
+    "--enum-cap": dict(type=int, help="override the exhaustive-enumeration size cap (max 8)"),
+    "--out": dict(help="write output to this path (for sample, a directory of edge-list "
+                  "files, required if count > 1)"),
+    "--threads": dict(type=int,
+                      help="accepted for compatibility and validated; the work runs serially"),
+}
+
+# One row per subcommand: name, help, handler and its options, in the order
+# that its usage line and its missing-argument message list them.
+_COMMANDS = (
+    ("sample", "draw graphs from a model", _cmd_sample,
+     ("--family", "--theta", "--n", "--count", "--seed", "--out", "--enum-cap")),
+    ("stats", "graph statistics for edge-list files", _cmd_stats, ("files", "--out")),
+    ("loglik", "evaluate a log likelihood", _cmd_loglik,
+     ("--family", "--theta", "--kind", "--population-n", "files", "--enum-cap", "--out")),
+    ("mle", "maximum likelihood estimation", _cmd_mle,
+     ("--family", "--kind", "--population-n", "files", "--enum-cap", "--out")),
+    ("check-projectivity", "grid check of marginalization consistency",
+     _cmd_check_projectivity, ("--family", "--n", "--n-sub", "--theta-grid", "--tolerance",
+                               "--enum-cap", "--out", "--threads")),
+    ("experiment", "run a configured study", _cmd_experiment, ("config", "--out", "--threads")),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="projgraph",
@@ -233,89 +278,11 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, *, enum_cap: bool = True, out: bool = True):
-        if enum_cap:
-            p.add_argument(
-                "--enum-cap",
-                type=int,
-                default=None,
-                help="override the exhaustive-enumeration size cap (max 8)",
-            )
-        if out:
-            p.add_argument("--out", default=None, help="write output to this path")
-
-    p_sample = sub.add_parser("sample", help="draw graphs from a model")
-    p_sample.add_argument("--family", required=True)
-    p_sample.add_argument("--theta", required=True, help="comma-separated components")
-    p_sample.add_argument("--n", type=int, required=True, help="node count")
-    p_sample.add_argument("--count", type=int, default=1, help="number of draws")
-    p_sample.add_argument("--seed", type=int, default=0, help="master seed")
-    p_sample.add_argument(
-        "--out", default=None, help="directory for edge-list files (required if count > 1)"
-    )
-    p_sample.add_argument("--enum-cap", type=int, default=None)
-    p_sample.set_defaults(handler=_cmd_sample)
-
-    p_stats = sub.add_parser("stats", help="graph statistics for edge-list files")
-    p_stats.add_argument("files", nargs="+")
-    add_common(p_stats, enum_cap=False)
-    p_stats.set_defaults(handler=_cmd_stats)
-
-    p_loglik = sub.add_parser("loglik", help="evaluate a log likelihood")
-    p_loglik.add_argument("--family", required=True)
-    p_loglik.add_argument("--theta", required=True)
-    p_loglik.add_argument(
-        "--kind", choices=[k.value for k in LikelihoodKind], default="proper"
-    )
-    p_loglik.add_argument(
-        "--population-n",
-        type=int,
-        default=None,
-        help="population size; marks the data as an induced subgraph",
-    )
-    p_loglik.add_argument("files", nargs="+")
-    add_common(p_loglik)
-    p_loglik.set_defaults(handler=_cmd_loglik)
-
-    p_mle = sub.add_parser("mle", help="maximum likelihood estimation")
-    p_mle.add_argument("--family", required=True)
-    p_mle.add_argument(
-        "--kind", choices=[k.value for k in LikelihoodKind], default="proper"
-    )
-    p_mle.add_argument("--population-n", type=int, default=None)
-    p_mle.add_argument("files", nargs="+")
-    add_common(p_mle)
-    p_mle.set_defaults(handler=_cmd_mle)
-
-    p_proj = sub.add_parser(
-        "check-projectivity", help="grid check of marginalization consistency"
-    )
-    p_proj.add_argument("--family", required=True)
-    p_proj.add_argument("--n", type=int, required=True)
-    p_proj.add_argument("--n-sub", type=int, required=True)
-    p_proj.add_argument(
-        "--theta-grid",
-        default=None,
-        help="comma-separated per-component axis values (product grid)",
-    )
-    p_proj.add_argument("--tolerance", type=float, default=PROJECTIVITY_TOLERANCE)
-    add_common(p_proj)
-    p_proj.set_defaults(handler=_cmd_check_projectivity)
-
-    p_exp = sub.add_parser("experiment", help="run a configured study")
-    p_exp.add_argument("config", help="JSON config file")
-    add_common(p_exp, enum_cap=False)
-    p_exp.set_defaults(handler=_cmd_experiment)
-
-    for p in (p_proj, p_exp):
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="accepted for compatibility and validated; the work runs serially",
-        )
-
+    for name, help_text, handler, options in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
+        p.set_defaults(handler=handler)
     return parser
 
 

@@ -325,15 +325,13 @@ def _joint_counts(fam: Family, n: int, n_sub: int) -> tuple[np.ndarray, ...]:
     )
 
 
-def _completion_counts(
-    spec: Family, y_sub: Graph, population_n: int, enum_cap: Optional[int]
-) -> np.ndarray:
+def _completion_counts(spec: Family, y_sub: Graph, population_n: int) -> np.ndarray:
     """Number of population graphs completing y_sub in each statistic class
-    at ``population_n``.  All shipped families are exchangeable, so y_sub
-    may be embedded as the prefix of the population node set: its
-    completions are then the graph indices congruent to its index modulo
-    2^C(n',2), for n' = y_sub.n (see :func:`_joint_counts`)."""
-    resolve_enum_cap(population_n, enum_cap)
+    at ``population_n``, whose enumeration cap the caller has checked.  All
+    shipped families are exchangeable, so y_sub may be embedded as the
+    prefix of the population node set: its completions are then the graph
+    indices congruent to its index modulo 2^C(n',2), for n' = y_sub.n (see
+    :func:`_joint_counts`)."""
     codes, points, _ = _classes(spec, population_n)
     return np.bincount(codes[y_sub.dyads :: 1 << dyad_count(y_sub.n)], minlength=len(points))
 
@@ -348,6 +346,11 @@ def log_normalizer(
     normalizer that is not finite are refused for every family.
     """
     resolve_enum_cap(1 if spec.bernoulli else n, enum_cap)
+    return _log_normalizer(spec, theta, n)
+
+
+def _log_normalizer(spec: Family, theta: ParamVector, n: int) -> float:
+    """:func:`log_normalizer` at a size whose enumeration cap is checked."""
     eta = natural_params(spec, theta, n)
     if spec.bernoulli:
         # Python floats, so that an overflowing product is inf with no warning.

@@ -47,6 +47,7 @@ from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import _STUDY_NAMES
 from ._version import __version__
 from .exact import (
     ExactDistribution,
@@ -79,16 +80,9 @@ from .models import (
 )
 from .rng import _streams
 
-__all__ = [
-    "EXPERIMENT_NAMES",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "run_experiment",
-    "run_growth_consistency",
-    "run_replication_consistency",
-    "run_subsample_bias",
-    "run_connectivity_threshold",
-]
+# The package declares the study layer's public names, so that it can bind
+# them lazily without importing this module.
+__all__ = list(_STUDY_NAMES)
 
 
 def _count(value: Any, name: str) -> int:
@@ -483,7 +477,7 @@ def _table_subsample(
         subgraphs = ((parents >> _dyad_map(members) & 1) << sub_dyads).sum(axis=1)
         distinct, where = np.unique(subgraphs, return_inverse=True)
         where = where.tolist()
-        events = [_completion_event(spec, Graph(subsample_n, y), population_n, None)
+        events = [_completion_event(spec, Graph(subsample_n, y), population_n)
                   for y in distinct.tolist()]
         proper += _event_fit.batch(spec, population_n, [events[k] for k in where])
         events = _mean_events(points[codes[distinct]][:, None])

@@ -13,7 +13,10 @@ replicate graphs.  For subgraph data two likelihoods are available:
   marginals are size-consistent.
 
 A full graph or a set of replicates is evaluated at its own size.  Every
-likelihood and fit reads the data through one reader, ``_observation``.
+likelihood and fit reads the data through one reader, ``_observation``,
+and checks the enumeration cap once, where the public call enters; the
+private helpers behind it take sizes already checked, so a costly size
+warns once per call.
 
 Independent-dyad families admit closed forms everywhere (the proper
 likelihood is binomial in the population edge probability).  Other
@@ -56,11 +59,11 @@ import numpy as np
 from .exact import (
     _classes,
     _completion_counts,
+    _log_normalizer,
     _logsumexp,
     _mat_vec,
     _moments,
     _refuse_infinite_log_z,
-    log_normalizer,
     resolve_enum_cap,
     stat_covariance,
 )
@@ -185,15 +188,8 @@ def proper_log_likelihood(
     closed form in the population edge probability; other families sum
     the population model over all completions of the unobserved dyads.
     """
-    _refuse_sizes(y_sub, population_n)
-    if spec.bernoulli:
-        resolve_enum_cap(1, enum_cap)
-        eta = natural_params(spec, theta, population_n)[0]
-        # log pi and log(1 - pi) for pi = logistic(eta), computed stably
-        log_p, log_q = -float(np.logaddexp(0.0, -eta)), -float(np.logaddexp(0.0, eta))
-        m, d = edge_count(y_sub), dyad_count(y_sub.n)
-        return m * log_p + (d - m) * log_q
-    return completion_log_likelihood(spec, theta, y_sub, population_n, enum_cap)
+    return log_likelihood(spec, theta, InducedSubgraph(y_sub, population_n),
+                          enum_cap=enum_cap)
 
 
 def completion_log_likelihood(
@@ -212,7 +208,16 @@ def completion_log_likelihood(
     warning, as by :func:`~projgraph.exact.log_normalizer`.
     """
     _refuse_sizes(y_sub, population_n)
-    counts = _completion_counts(spec, y_sub, population_n, enum_cap)
+    resolve_enum_cap(population_n, enum_cap)
+    return _completion_log_likelihood(spec, theta, y_sub, population_n)
+
+
+def _completion_log_likelihood(
+    spec: Family, theta: ParamVector, y_sub: Graph, population_n: int
+) -> float:
+    """:func:`completion_log_likelihood` at a population size whose
+    enumeration cap is checked."""
+    counts = _completion_counts(spec, y_sub, population_n)
     _, points, log_counts = _classes(spec, population_n)
     present = counts > 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -270,11 +275,26 @@ def log_likelihood(
 
     Independent graphs have the sum of their log probabilities, from their
     statistic rows: for a family that enumerates, ``points[codes[k]]`` in
-    the cached class coding, read after the normalizer checked the cap."""
+    the cached class coding."""
     size, proper, graphs = _observation(data, kind)
+    resolve_enum_cap(1 if spec.bernoulli else size, enum_cap)
+    return _log_likelihood(spec, theta, size, proper, graphs)
+
+
+def _log_likelihood(
+    spec: Family, theta: ParamVector, size: int, proper: bool, graphs: tuple[Graph, ...]
+) -> float:
+    """:func:`log_likelihood` of an :func:`_observation` whose enumeration
+    cap is checked."""
+    if proper and spec.bernoulli:
+        eta = natural_params(spec, theta, size)[0]
+        # log pi and log(1 - pi) for pi = logistic(eta), computed stably
+        log_p, log_q = -float(np.logaddexp(0.0, -eta)), -float(np.logaddexp(0.0, eta))
+        m, d = edge_count(graphs[0]), dyad_count(graphs[0].n)
+        return m * log_p + (d - m) * log_q
     if proper:
-        return proper_log_likelihood(spec, theta, graphs[0], size, enum_cap)
-    log_z = log_normalizer(spec, theta, size, enum_cap)
+        return _completion_log_likelihood(spec, theta, graphs[0], size)
+    log_z = _log_normalizer(spec, theta, size)
     if spec.bernoulli:
         rows = [sufficient_stats(spec, g).as_array() for g in graphs]
     else:
@@ -596,9 +616,9 @@ def _bernoulli_fit(spec: Family, data: ObservedData, kind: LikelihoodKind) -> _F
         eta = math.nan if d == 0 else math.inf if m else -math.inf
         return _Fit(np.array([eta]), (eta,), False, True, 0, None)
     eta = math.log(m) - math.log(d - m)
-    shift = math.log(size) if spec.offset_edges else 0.0
+    shift = natural_params(spec, ParamVector(theta=(0.0,)), size)[0]
     pi_hat = m / d
-    return _Fit(np.array([eta]), (eta + shift,), True, False, 0,
+    return _Fit(np.array([eta]), (eta - shift,), True, False, 0,
                 np.array([[d * pi_hat * (1.0 - pi_hat)]]))
 
 
@@ -714,34 +734,28 @@ def _mean_events(rows: np.ndarray) -> list[bytes]:
 
 
 def _observed_event(
-    spec: Family,
-    data: ObservedData,
-    kind: LikelihoodKind,
-    enum_cap: Optional[int],
-) -> tuple[int, bytes, tuple[Graph, ...]]:
-    """(size, event, graphs): the observed event of ``data`` as
-    :func:`_event_fit` keys it, after the enumeration-cap check, and the
-    observed graphs.  The event is the statistic histogram the data
-    reaches: for the proper subgraph likelihood the classes its completions
-    fall in, with their counts; for independent graphs one graph at their
-    mean statistics, from their rows ``points[codes[k]]`` in the cached
-    class coding (so built from the rows whose hull decides finiteness).
-    """
-    size, proper, graphs = _observation(data, kind)
-    resolve_enum_cap(size, enum_cap)
-    if proper:
-        return size, _completion_event(spec, graphs[0], size, enum_cap), graphs
-    codes, points, _ = _classes(spec, size)
-    return size, _mean_events(points[codes[[g.dyads for g in graphs]]][None])[0], graphs
-
-
-def _completion_event(
-    spec: Family, y_sub: Graph, population_n: int, enum_cap: Optional[int]
+    spec: Family, size: int, proper: bool, graphs: tuple[Graph, ...]
 ) -> bytes:
+    """The event of an :func:`_observation` whose enumeration cap is
+    checked, as :func:`_event_fit` keys it: the statistic histogram the data
+    reaches.  For the proper subgraph likelihood that is the classes its
+    completions fall in, with their counts; for independent graphs one graph
+    at their mean statistics, from their rows ``points[codes[k]]`` in the
+    cached class coding (so built from the rows whose hull decides
+    finiteness).
+    """
+    if proper:
+        return _completion_event(spec, graphs[0], size)
+    codes, points, _ = _classes(spec, size)
+    return _mean_events(points[codes[[g.dyads for g in graphs]]][None])[0]
+
+
+def _completion_event(spec: Family, y_sub: Graph, population_n: int) -> bytes:
     """The proper event of the induced subgraph ``y_sub`` of a population
-    of ``population_n`` nodes, as :func:`_event_fit` keys it: the classes
-    its completions fall in, with their counts."""
-    counts = _completion_counts(spec, y_sub, population_n, enum_cap)
+    of ``population_n`` nodes, whose enumeration cap the caller has
+    checked, as :func:`_event_fit` keys it: the classes its completions
+    fall in, with their counts."""
+    counts = _completion_counts(spec, y_sub, population_n)
     present = counts > 0
     return _event(_classes(spec, population_n)[1][present], np.log(counts[present]))
 
@@ -764,19 +778,21 @@ def mle(
     ``_ascend_log_ratio``).  The standard errors read the fit's observed
     information times the graphs its event stands for (R for the mean of R
     replicates, else 1), and the log likelihood is :func:`log_likelihood`.
+    The enumeration cap is checked once, before any work.
     """
+    size, proper, graphs = _observation(data, kind)
+    resolve_enum_cap(1 if spec.bernoulli else size, enum_cap)
     if spec.bernoulli:
-        resolve_enum_cap(1, enum_cap)
         fit, count = _bernoulli_fit(spec, data, kind), 1
     else:
-        size, event, graphs = _observed_event(spec, data, kind, enum_cap)
+        event = _observed_event(spec, size, proper, graphs)
         fit, count = _event_fit.batch(spec, size, (event,))[0], len(graphs)
     if fit.boundary:
         return MLEResult(fit.theta_hat, None, math.nan, False, True, 0)
     std_err = None
     if fit.information is not None:
         std_err = _std_errors_from_information(count * fit.information)
-    log_lik = log_likelihood(spec, ParamVector(theta=fit.theta_hat), data, kind, enum_cap)
+    log_lik = _log_likelihood(spec, ParamVector(theta=fit.theta_hat), size, proper, graphs)
     return MLEResult(fit.theta_hat, std_err, log_lik, fit.converged, False, fit.iterations)
 
 

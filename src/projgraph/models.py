@@ -35,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .graph import Graph, dyad_count, dyad_index, edge_count, triangle_count
+from .graph import Graph, dyad_count, dyad_index, edge_count, graph_from_index, triangle_count
 
 __all__ = [
     "Family",
@@ -107,7 +107,10 @@ class Family:
     graph-index order; families without it fall back to a per-graph loop
     during enumeration.  ``bernoulli`` marks single-edge-statistic
     families with independent dyads, which unlocks closed-form
-    normalizers, marginals, and estimators at any size.
+    normalizers, marginals, and estimators at any size.  Those closed forms
+    hold only for the edge count, so a ``bernoulli`` family whose ``stats``
+    or ``bulk_stats`` differs from it on a graph of at most
+    ``_EDGE_CHECK_N`` nodes is refused with ``ValueError``.
 
     Equality and hashing are by identity: a family is the model, and every
     cache keyed on it holds entries for that object alone.  So a family
@@ -127,6 +130,30 @@ class Family:
             raise ValueError("stat_dim must be >= 1")
         if self.bernoulli and self.stat_dim != 1:
             raise ValueError("bernoulli families must have a single edge statistic")
+        if self.bernoulli:
+            _refuse_non_edge_statistic(self)
+
+
+# Graphs of up to this many nodes (75 in all) test a bernoulli family's statistic.
+_EDGE_CHECK_N = 4
+
+
+def _refuse_non_edge_statistic(family: Family) -> None:
+    """Raise ``ValueError`` unless ``family.stats``, and ``family.bulk_stats``
+    when given, are the edge count on every graph of at most
+    ``_EDGE_CHECK_N`` nodes."""
+    for n in range(1, _EDGE_CHECK_N + 1):
+        graphs = [graph_from_index(n, k) for k in range(1 << dyad_count(n))]
+        edges = np.array([[edge_count(g)] for g in graphs])
+        tables = [np.array([family.stats(g) for g in graphs], dtype=np.float64)]
+        if family.bulk_stats is not None:
+            tables.append(np.asarray(family.bulk_stats(n)))
+        for table in tables:
+            if table.shape != edges.shape or np.any(table != edges):
+                raise ValueError(
+                    f"family {family.name!r} is declared bernoulli=True, but its statistics "
+                    f"are not the edge count on the graphs of {n} nodes"
+                )
 
 
 _REGISTRY: dict[str, Family] = {}

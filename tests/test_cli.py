@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, and output formats."""
 
+import argparse
 import json
 import math
 import os
@@ -27,7 +28,7 @@ from projgraph import (
     proper_log_likelihood,
     substream,
 )
-from projgraph.cli import main
+from projgraph.cli import _build_parser, main
 
 OFFSET = model_spec("BernoulliOffset")
 
@@ -304,6 +305,25 @@ def test_mle_enumeration_cap(tmp_path, capsys):
         ["mle", "--family", "edge-triangle", "--population-n", "12", path]
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("command", ["loglik", "mle"])
+@pytest.mark.parametrize("population", [["--population-n", "6"], []])
+def test_a_costly_enumeration_warns_once_per_command(tmp_path, monkeypatch, command,
+                                                     population):
+    """The cap is checked where a public call enters, so one command above
+    the default cap gives one cost warning, counted under "always"."""
+    monkeypatch.setattr(projgraph.exact, "DEFAULT_ENUMERATION_CAP", 4)
+    n = 4 if population else 6
+    path = _write_graph(tmp_path, graph_from_edges(n, [(0, 1), (1, 2), (0, 2), (2, 3)]))
+    theta = ["--theta=0.1,0.2"] if command == "loglik" else []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--family", "edge-triangle", *theta, *population,
+                     "--enum-cap", "6", path])
+    assert code == 0
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "all 2^15 graphs on 6 nodes" in str(caught[0].message)
 
 
 # --------------------------------------------------------------------------
@@ -637,6 +657,72 @@ def test_threads_flag_validation(tmp_path, capsys):
     config = _growth_config(tmp_path)
     assert main(["experiment", config, "--threads", "0"]) == 2
     assert "--threads must be >= 1" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------
+# parser
+# --------------------------------------------------------------------------
+
+
+def test_every_subcommand_help_documents_each_of_its_options(capsys):
+    (commands,) = [action for action in _build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    parsers = commands.choices
+    assert list(parsers) == ["sample", "stats", "loglik", "mle", "check-projectivity",
+                             "experiment"]
+    for name, parser in parsers.items():
+        assert main([name, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for action in parser._actions:
+            assert action.help, (name, action.option_strings or action.dest)
+            assert " ".join(action.help.split()) in text, (name, action.help)
+
+
+_FILES = ["a.edgelist", "b.edgelist"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["sample", "--family", "f", "--theta", "0", "--n", "3"],
+     dict(family="f", theta="0", n=3, count=1, seed=0, out=None, enum_cap=None)),
+    (["sample", "--family", "f", "--theta=1,-2", "--n", "5", "--count", "3", "--seed", "9",
+      "--out", "d", "--enum-cap", "6"],
+     dict(family="f", theta="1,-2", n=5, count=3, seed=9, out="d", enum_cap=6)),
+    (["stats", "a.edgelist"], dict(files=["a.edgelist"], out=None)),
+    (["stats", *_FILES, "--out", "o.csv"], dict(files=_FILES, out="o.csv")),
+    (["loglik", "--family", "f", "--theta", "1", "a.edgelist"],
+     dict(family="f", theta="1", kind="proper", population_n=None, files=["a.edgelist"],
+          enum_cap=None, out=None)),
+    (["loglik", "--family", "f", "--theta", "1,2", "--kind", "misspecified",
+      "--population-n", "6", *_FILES, "--enum-cap", "7", "--out", "x"],
+     dict(family="f", theta="1,2", kind="misspecified", population_n=6, files=_FILES,
+          enum_cap=7, out="x")),
+    (["mle", "--family", "f", "a.edgelist"],
+     dict(family="f", kind="proper", population_n=None, files=["a.edgelist"], enum_cap=None,
+          out=None)),
+    (["mle", "--family", "f", "--kind", "misspecified", "--population-n", "6", *_FILES,
+      "--enum-cap", "8", "--out", "y"],
+     dict(family="f", kind="misspecified", population_n=6, files=_FILES, enum_cap=8,
+          out="y")),
+    (["check-projectivity", "--family", "f", "--n", "4", "--n-sub", "3"],
+     dict(family="f", n=4, n_sub=3, theta_grid=None, tolerance=1e-9, enum_cap=None,
+          out=None, threads=None)),
+    (["check-projectivity", "--family", "f", "--n", "5", "--n-sub", "2", "--theta-grid=-1,0",
+      "--tolerance", "1e-3", "--enum-cap", "5", "--out", "r.csv", "--threads", "2"],
+     dict(family="f", n=5, n_sub=2, theta_grid="-1,0", tolerance=1e-3, enum_cap=5,
+          out="r.csv", threads=2)),
+    (["experiment", "c.json"], dict(config="c.json", out=None, threads=None)),
+    (["experiment", "c.json", "--out", "o.csv", "--threads", "3"],
+     dict(config="c.json", out="o.csv", threads=3)),
+])
+def test_each_subcommand_parses_to_its_pinned_namespace(argv, expected):
+    """Dests, defaults and types of every option, for a minimal and a full
+    command line of each subcommand."""
+    parsed = vars(_build_parser().parse_args(argv))
+    handler = parsed.pop("handler")
+    assert parsed == {"command": argv[0], **expected}
+    assert [type(value) for value in parsed.values()] == [
+        type(value) for value in {"command": argv[0], **expected}.values()]
+    assert handler.__name__ == "_cmd_" + argv[0].replace("-", "_")
 
 
 # --------------------------------------------------------------------------

@@ -59,6 +59,7 @@ from projgraph.inference import (
     _event_fit,
     _hull_facets,
     _log_ratio_parts,
+    _observation,
     _observed_event,
     _statistic_facets,
     mle_csv_row,
@@ -828,7 +829,7 @@ def test_cached_fits_equal_cold_fits_for_every_group(n, n_sub):
     groups: dict = {}
     for k in range(1 << dyad_count(n_sub)):
         y = graph_from_index(n_sub, k)
-        key = (_completion_counts(EDGE_TRI, y, n, None).tobytes(), int(codes[k]))
+        key = (_completion_counts(EDGE_TRI, y, n).tobytes(), int(codes[k]))
         groups.setdefault(key, []).append(InducedSubgraph(y, n))
     assert len(groups) == len(_joint_counts(EDGE_TRI, n, n_sub)[0])
     for members in groups.values():
@@ -844,7 +845,8 @@ def test_cached_fits_equal_cold_fits_for_every_group(n, n_sub):
 def test_cached_eta_is_read_only(proper):
     y = graph_from_edges(4, [(0, 1), (0, 2), (1, 2)])
     kind = LikelihoodKind.PROPER if proper else LikelihoodKind.MISSPECIFIED
-    size, event, _ = _observed_event(EDGE_TRI, InducedSubgraph(y, 6), kind, None)
+    size, proper, graphs = _observation(InducedSubgraph(y, 6), kind)
+    event = _observed_event(EDGE_TRI, size, proper, graphs)
     eta = _event_fit.batch(EDGE_TRI, size, (event,))[0].eta
     assert not eta.flags.writeable
     with pytest.raises(ValueError):
@@ -856,8 +858,8 @@ def test_rescaled_family_never_shares_a_fit(edge_triangle_over_50):
     has the same completion counts under each: only the family tells their
     events apart."""
     y = graph_from_edges(4, [(0, 1), (0, 2), (1, 2)])
-    assert (_completion_counts(EDGE_TRI, y, 6, None).tobytes()
-            == _completion_counts(edge_triangle_over_50, y, 6, None).tobytes())
+    assert (_completion_counts(EDGE_TRI, y, 6).tobytes()
+            == _completion_counts(edge_triangle_over_50, y, 6).tobytes())
     data = InducedSubgraph(y, 6)
     _event_fit.cache_clear()
     base = mle(EDGE_TRI, data)

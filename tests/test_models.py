@@ -227,14 +227,7 @@ def _degree(g, v):
 
 
 def test_register_and_unregister_custom_family():
-    fam = Family(
-        name="TwoStars",
-        stat_dim=1,
-        offset_edges=False,
-        stats=lambda g: (
-            float(sum(_degree(g, v) * (_degree(g, v) - 1) // 2 for v in range(g.n))),
-        ),
-    )
+    fam = Family(name="TwoStars", stat_dim=1, offset_edges=False, stats=_two_stars)
     register_family(fam)
     try:
         assert resolve_family_name("TwoStars") == "TwoStars"
@@ -247,6 +240,31 @@ def test_register_and_unregister_custom_family():
         unregister_family("TwoStars")
     with pytest.raises(ValueError, match="unknown family"):
         resolve_family_name("TwoStars")
+
+
+def _two_stars(g):
+    return (float(sum(_degree(g, v) * (_degree(g, v) - 1) // 2 for v in range(g.n))),)
+
+
+def test_a_bernoulli_family_must_count_edges():
+    """The independent-dyad closed forms hold only for the edge count: a
+    two-star family declared ``bernoulli=True`` would get log Z 5.1261 at
+    theta = 0.3, n = 4, where enumeration gives 5.4563.  Such a family, or
+    one whose bulk table is not the edge count, is refused when built."""
+    with pytest.raises(ValueError, match="not the edge count"):
+        Family(name="TwoStars", stat_dim=1, offset_edges=False, stats=_two_stars,
+               bernoulli=True)
+    edges = INVARIANT.stats
+    with pytest.raises(ValueError, match="not the edge count on the graphs of 4 nodes"):
+        Family(name="Tmp", stat_dim=1, offset_edges=False, stats=edges, bernoulli=True,
+               bulk_stats=lambda n: INVARIANT.bulk_stats(n) % 6)
+    with pytest.raises(ValueError, match="not the edge count"):
+        Family(name="Tmp", stat_dim=1, offset_edges=False, stats=edges, bernoulli=True,
+               bulk_stats=lambda n: INVARIANT.bulk_stats(n)[:-1])
+    fam = Family(name="Tmp", stat_dim=1, offset_edges=True, stats=lambda g: (edge_count(g),),
+                 bulk_stats=INVARIANT.bulk_stats, bernoulli=True)
+    theta = ParamVector(theta=(0.3,))
+    assert log_normalizer(fam, theta, 6) == log_normalizer(OFFSET, theta, 6)
 
 
 def test_model_spec_is_the_registered_family():

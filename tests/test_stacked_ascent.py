@@ -347,7 +347,7 @@ def test_proper_events_fit_as_alone(dependent, n, n_sub):
     """Completion-set events, one per ``_joint_counts`` group."""
     events = []
     for k in range(1 << dyad_count(n_sub)):
-        counts = _completion_counts(dependent, graph_from_index(n_sub, k), n, None)
+        counts = _completion_counts(dependent, graph_from_index(n_sub, k), n)
         event = _proper_event(dependent, n, counts)
         if event not in events:
             events.append(event)
@@ -377,7 +377,7 @@ def test_a_mixed_batch_fits_every_event_as_alone(dependent):
     counts climbs in lock step, and every event keeps the bits of its fit
     alone, with one miss per distinct event and one hit per repeat."""
     proper = list(dict.fromkeys(
-        _proper_event(dependent, 6, _completion_counts(dependent, graph_from_index(4, k), 6, None))
+        _proper_event(dependent, 6, _completion_counts(dependent, graph_from_index(4, k), 6))
         for k in range(0, 1 << dyad_count(4), 5)))
     assert len({len(event) for event in proper}) >= 2
     means = list(dict.fromkeys(_random_mean_events(dependent, 6, 3, 8, seed=6)))
