@@ -17,9 +17,9 @@ moments valid at any size.
 Enumeration is capped at n <= 7 by default (2^21 graphs); the cap can be
 raised to n = 8 explicitly, which emits a memory warning: the statistic
 table and the class codes then hold 2^28 rows, so coding the classes peaks
-at about 810 MB and the projectivity check against n_sub = 7 at about
-1.6 GB.  Exact sampling stays refused above n = 7, since its CDF would hold
-one float per graph.  Larger sizes are refused.
+at about 810 MB, and the projectivity check against n_sub = 7, which keeps
+only the codes, at about 1.1 GB.  Exact sampling stays refused above n = 7,
+since its CDF would hold one float per graph.  Larger sizes are refused.
 """
 
 from __future__ import annotations
@@ -34,13 +34,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .graph import Graph, NodeSubset, _cell, _csv_text, _dyad_map, dyad_count, graph_from_index
-from .models import (
-    Family,
-    ParamVector,
-    StatsVector,
-    natural_params,
-    edge_prob,
-)
+from .models import Family, ParamVector, StatsVector, edge_prob, natural_params
 from .rng import _DRAW_CHUNK, _first_uniforms, _index_rows
 
 __all__ = [
@@ -103,16 +97,13 @@ def resolve_enum_cap(n: int, enum_cap: Optional[int] = None) -> int:
     if n > DEFAULT_ENUMERATION_CAP:
         warnings.warn(
             f"enumerating all 2^{dyad_count(n)} graphs on {n} nodes allocates "
-            "large tables: about 810 MB to code the classes at n=8 and 1.6 GB "
-            "at peak for the projectivity check",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+            "large tables: about 810 MB to code the classes at n=8 and 1.1 GB "
+            "at peak for the projectivity check", RuntimeWarning, stacklevel=2)
     return cap
 
 
-@lru_cache(maxsize=8)
-def _enumerated_stats_cached(fam: Family, n: int) -> np.ndarray:
+def _stats_table(fam: Family, n: int) -> np.ndarray:
+    """Statistic table of all graphs of size n, built afresh, uncached."""
     if fam.bulk_stats is not None:
         table = fam.bulk_stats(n)
     else:
@@ -121,20 +112,19 @@ def _enumerated_stats_cached(fam: Family, n: int) -> np.ndarray:
         for k in range(total):
             table[k] = fam.stats(graph_from_index(n, k))
     if table.shape != (1 << dyad_count(n), fam.stat_dim):
-        raise ValueError(
-            f"bulk statistics for family {fam.name!r} have shape "
-            f"{table.shape}, expected ({1 << dyad_count(n)}, {fam.stat_dim})"
-        )
-    table.flags.writeable = False
+        raise ValueError(f"bulk statistics for family {fam.name!r} have shape {table.shape}, "
+                         f"expected ({1 << dyad_count(n)}, {fam.stat_dim})")
     return table
 
 
-def enumerated_stats(
-    spec: Family, n: int, enum_cap: Optional[int] = None
-) -> np.ndarray:
-    """Statistic table for all graphs of size n, row k = stats of graph k."""
+def enumerated_stats(spec: Family, n: int, enum_cap: Optional[int] = None) -> np.ndarray:
+    """Statistic table for all graphs of size n, row k = stats of graph k, in
+    the family's dtype, read-only; regathered from the cached class coding."""
     resolve_enum_cap(n, enum_cap)
-    return _enumerated_stats_cached(spec, n)
+    coding = _classes(spec, n)
+    table = _gather(coding[1].astype(coding.dtype), coding[0])
+    table.flags.writeable = False
+    return table
 
 
 def _row_word(table: np.ndarray) -> Optional[np.dtype]:
@@ -142,6 +132,17 @@ def _row_word(table: np.ndarray) -> Optional[np.dtype]:
     whose rows take at most two bytes; None for any other table."""
     width = table.dtype.itemsize * table.shape[1]
     return np.dtype(f"u{width}") if table.dtype.kind == "u" and width <= 2 else None
+
+
+def _gather(lut: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``lut[index]`` along ``lut``'s first axis, ``_CODE_CHUNK`` indices at a
+    time, so that NumPy's intp copy of the indices never spans ``index``.
+    Every index lies in ``lut``: "clip" changes none, and writes unbuffered."""
+    out = np.empty(index.shape + lut.shape[1:], dtype=lut.dtype)
+    for lo in range(0, len(index), _CODE_CHUNK):
+        hi = lo + _CODE_CHUNK
+        np.take(lut, index[lo:hi], axis=0, out=out[lo:hi], mode="clip")
+    return out
 
 
 def _code_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -156,24 +157,15 @@ def _code_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     are gathered from it a chunk at a time, so no temporary spans the
     table.  Counts are integers and each code is one lookup, so the chunk
     size changes no bit of the result.
-    Other tables are coded by ``np.unique`` over rows, which orders them
-    lexicographically.
+    Other tables are sorted stably by columns, the first column first, and
+    a class starts at each row that differs from the one before it.
     """
     word = _row_word(table)
     if word is not None:
         key = np.ascontiguousarray(table).view(word).ravel()
-        # Counting and gathering take intp indices.  NumPy would widen each
-        # chunk into a fresh array; one cache-sized buffer is reused instead.
-        index = np.empty(min(_CODE_CHUNK, len(key)), dtype=np.intp)
-
-        def widened(lo: int) -> np.ndarray:
-            part = index[:len(key) - lo]
-            part[...] = key[lo:lo + len(part)]
-            return part
-
         counts = np.zeros(int(key.max()) + 1, dtype=np.intp)
         for lo in range(0, len(key), _CODE_CHUNK):
-            counts += np.bincount(widened(lo), minlength=len(counts))
+            counts += np.bincount(key[lo:lo + _CODE_CHUNK], minlength=len(counts))
         present = np.flatnonzero(counts)
         # Word order is byte order, not row order (little-endian (e, t) is
         # e + 256 t), so the present rows are ranked by a lexsort.
@@ -181,29 +173,35 @@ def _code_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         order = np.lexsort(rows.T[::-1])
         lut = np.zeros(len(counts), dtype=np.min_scalar_type(len(present) - 1))
         lut[present[order]] = np.arange(len(present))
-        codes = np.empty(len(key), dtype=lut.dtype)
-        for lo in range(0, len(key), _CODE_CHUNK):
-            part = widened(lo)
-            # Every word indexes the table; "clip" writes into ``out`` unbuffered.
-            np.take(lut, part, out=codes[lo:lo + len(part)], mode="clip")
-        return codes, rows[order].astype(np.float64), counts[present[order]]
-    # NumPy 2.x has changed the inverse's shape for an axis, so it is flattened.
-    rows, codes, counts = np.unique(table, axis=0, return_inverse=True, return_counts=True)
-    codes = codes.reshape(-1).astype(np.min_scalar_type(len(rows) - 1))
-    return codes, rows.astype(np.float64), counts
+        return _gather(lut, key), rows[order].astype(np.float64), counts[present[order]]
+    order = np.lexsort(table.T[::-1])
+    ordered = table[order]
+    starts = np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)]
+    first = np.flatnonzero(starts)
+    codes = np.empty(len(table), dtype=np.min_scalar_type(len(first) - 1))
+    codes[order] = np.cumsum(starts) - 1
+    return codes, ordered[first].astype(np.float64), np.diff(first, append=len(table))
+
+
+class _Coding(tuple):
+    """:func:`_classes`' ``(codes, points, log_counts)``; ``dtype`` is the table's."""
+
+    dtype: np.dtype
 
 
 @lru_cache(maxsize=8)
-def _classes(fam: Family, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _classes(fam: Family, n: int) -> _Coding:
     """The class coding of all graphs of size n, read-only: ``(codes,
     points, log_counts)`` of :func:`_code_table`, with the log of the
     counts.  Graph k's statistic row is ``points[codes[k]]``, and
-    ``(points, log_counts)`` is the statistic histogram."""
-    codes, points, counts = _code_table(_enumerated_stats_cached(fam, n))
-    log_counts = np.log(counts)
-    for array in (codes, points, log_counts):
+    ``(points, log_counts)`` is the statistic histogram.  No table is kept."""
+    table = _stats_table(fam, n)
+    codes, points, counts = _code_table(table)
+    coding = _Coding((codes, points, np.log(counts)))
+    for array in coding:
         array.flags.writeable = False
-    return codes, points, log_counts
+    coding.dtype = table.dtype
+    return coding
 
 
 def _logsumexp(a: np.ndarray) -> float | np.ndarray:

@@ -107,10 +107,11 @@ class Family:
     graph-index order; families without it fall back to a per-graph loop
     during enumeration.  ``bernoulli`` marks single-edge-statistic
     families with independent dyads, which unlocks closed-form
-    normalizers, marginals, and estimators at any size.  Those closed forms
-    hold only for the edge count, so a ``bernoulli`` family whose ``stats``
-    or ``bulk_stats`` differs from it on a graph of at most
-    ``_EDGE_CHECK_N`` nodes is refused with ``ValueError``.
+    normalizers, marginals, and estimators at any size.  A family is
+    refused with ``ValueError`` when, on a graph of at most
+    ``_EDGE_CHECK_N`` nodes, its ``bulk_stats`` differs from its
+    ``stats``, or, for a ``bernoulli`` family, either differs from the
+    edge count, the only statistic those closed forms hold for.
 
     Equality and hashing are by identity: a family is the model, and every
     cache keyed on it holds entries for that object alone.  So a family
@@ -130,30 +131,34 @@ class Family:
             raise ValueError("stat_dim must be >= 1")
         if self.bernoulli and self.stat_dim != 1:
             raise ValueError("bernoulli families must have a single edge statistic")
-        if self.bernoulli:
-            _refuse_non_edge_statistic(self)
+        if self.bernoulli or self.bulk_stats is not None:
+            _refuse_disagreeing_statistics(self)
 
 
-# Graphs of up to this many nodes (75 in all) test a bernoulli family's statistic.
+# Graphs of up to this many nodes (75 in all) test a family's statistics.
 _EDGE_CHECK_N = 4
 
 
-def _refuse_non_edge_statistic(family: Family) -> None:
-    """Raise ``ValueError`` unless ``family.stats``, and ``family.bulk_stats``
-    when given, are the edge count on every graph of at most
-    ``_EDGE_CHECK_N`` nodes."""
+def _refuse_disagreeing_statistics(family: Family) -> None:
+    """Raise ``ValueError`` unless, on every graph of at most ``_EDGE_CHECK_N``
+    nodes, ``family.bulk_stats``, when given, equals ``family.stats``, and,
+    for a ``bernoulli`` family, both are the edge count."""
     for n in range(1, _EDGE_CHECK_N + 1):
         graphs = [graph_from_index(n, k) for k in range(1 << dyad_count(n))]
-        edges = np.array([[edge_count(g)] for g in graphs])
-        tables = [np.array([family.stats(g) for g in graphs], dtype=np.float64)]
-        if family.bulk_stats is not None:
-            tables.append(np.asarray(family.bulk_stats(n)))
-        for table in tables:
-            if table.shape != edges.shape or np.any(table != edges):
-                raise ValueError(
-                    f"family {family.name!r} is declared bernoulli=True, but its statistics "
-                    f"are not the edge count on the graphs of {n} nodes"
-                )
+        per_graph = np.array([family.stats(g) for g in graphs], dtype=np.float64)
+        bulk = per_graph if family.bulk_stats is None else np.asarray(family.bulk_stats(n))
+        edges = [[edge_count(g)] for g in graphs]
+        if family.bernoulli and not (np.array_equal(per_graph, edges)
+                                     and np.array_equal(bulk, edges)):
+            raise ValueError(
+                f"family {family.name!r} is declared bernoulli=True, but its statistics "
+                f"are not the edge count on the graphs of {n} nodes"
+            )
+        if not np.array_equal(bulk, per_graph):
+            raise ValueError(
+                f"family {family.name!r} has bulk statistics that differ from its "
+                f"per-graph statistics on the graphs of {n} nodes"
+            )
 
 
 _REGISTRY: dict[str, Family] = {}

@@ -463,15 +463,15 @@ def test_check_projectivity_thread_invariance(capsys):
 
 
 def test_check_projectivity_enumeration_cap(capsys):
-    from projgraph.exact import _enumerated_stats_cached
+    from projgraph.exact import _classes
 
-    built = _enumerated_stats_cached.cache_info().misses
+    built = _classes.cache_info().misses
     code = main(["check-projectivity", "--family", "edge-triangle", "--n", "8", "--n-sub", "7"])
     assert code == 3
     err = capsys.readouterr().err
     assert "error: n=8 exceeds the enumeration cap 7" in err
     assert "override up to 8 is possible but costly" in err
-    assert _enumerated_stats_cached.cache_info().misses == built  # refused before building
+    assert _classes.cache_info().misses == built  # refused before building
 
 
 @pytest.mark.parametrize("cap", [[], ["--enum-cap", "8"]], ids=["default-cap", "cap-8"])
@@ -479,9 +479,8 @@ def test_exact_sample_above_n7_is_refused_before_any_coding(capsys, cap):
     """Exact sampling at n = 8 is refused with or without --enum-cap 8, with
     one error line and exit code 3, before the statistic table or its
     classes exist: no cap override is suggested, since none would help."""
-    from projgraph.exact import _classes, _enumerated_stats_cached
+    from projgraph.exact import _classes
 
-    built = _enumerated_stats_cached.cache_info().misses
     coded = _classes.cache_info().misses
     code = main(["sample", "--family", "edge-triangle", "--theta", "0,0", "--n", "8", *cap])
     assert code == 3
@@ -491,7 +490,6 @@ def test_exact_sample_above_n7_is_refused_before_any_coding(capsys, cap):
         "error: exact sampling is limited to n <= 7, got n=8: "
         "its CDF would hold 2^28 probabilities"
     ]
-    assert _enumerated_stats_cached.cache_info().misses == built
     assert _classes.cache_info().misses == coded
 
 

@@ -61,10 +61,10 @@ from projgraph.exact import (
     _bulk_sample,
     _classes,
     _code_table,
-    _enumerated_stats_cached,
     _joint_counts,
     _logsumexp,
     _product_grid,
+    _stats_table,
 )
 
 INVARIANT = model_spec("BernoulliInvariant")
@@ -160,6 +160,17 @@ def test_enumerated_stats_respects_cap():
 def test_enumerated_stats_table_is_read_only():
     table = enumerated_stats(EDGE_TRI, 4)
     assert table.shape == (64, 2)
+    assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.name)
+@pytest.mark.parametrize("n", range(1, 8))
+def test_enumerated_stats_regathers_the_built_table(spec, n):
+    """The public table, regathered from the class coding, is the table the
+    family builds: values, dtype and shape, and read-only."""
+    table, built = enumerated_stats(spec, n), _stats_table(spec, n)
+    assert table.dtype == built.dtype
+    assert np.array_equal(table, built)
     assert not table.flags.writeable
 
 
@@ -283,7 +294,7 @@ def test_coding_the_n7_table_allocates_little_beyond_the_codes():
     """The 2^21 EdgeTriangle rows are coded a chunk at a time: beyond the
     codes, at most one coder chunk's intp index and 1 MiB are allocated,
     where one int64 copy of a whole key would take 16 MiB."""
-    table = _enumerated_stats_cached(EDGE_TRI, 7)
+    table = _stats_table(EDGE_TRI, 7)
     tracemalloc.start()
     try:
         codes = _code_table(table)[0]
@@ -291,6 +302,20 @@ def test_coding_the_n7_table_allocates_little_beyond_the_codes():
     finally:
         tracemalloc.stop()
     assert peak <= codes.nbytes + _CODE_CHUNK * np.dtype(np.intp).itemsize + (1 << 20)
+
+
+def test_the_class_coding_keeps_no_statistic_table():
+    """A fresh coding of the 2^21 EdgeTriangle graphs on 7 nodes leaves its
+    codes and at most 1 MiB allocated: the 4 MiB statistic table it was
+    coded from is let go."""
+    _classes.cache_clear()
+    tracemalloc.start()
+    try:
+        codes = _classes(EDGE_TRI, 7)[0]
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept <= codes.nbytes + (1 << 20)
 
 
 def test_the_n7_sampling_cdf_allocates_one_per_graph_array():
@@ -312,7 +337,7 @@ def test_the_n7_sampling_cdf_allocates_one_per_graph_array():
 def test_the_coder_chunk_changes_no_bit_of_the_coding(spec, n):
     """Codes, rows, counts and their dtypes are the same whether the coder
     splits the table into many chunks, a few, or none."""
-    table = _enumerated_stats_cached(spec, n)
+    table = _stats_table(spec, n)
     codings = []
     for chunk in (1 << 10, 1 << 16, 1 << 20):
         with mock.patch.object(projgraph.exact, "_CODE_CHUNK", chunk):
@@ -331,9 +356,9 @@ resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 import numpy as np
 from projgraph import model_spec
-from projgraph.exact import _code_table, _enumerated_stats_cached
+from projgraph.exact import _code_table, _stats_table
 
-table = _enumerated_stats_cached(model_spec("EdgeTriangle"), 8)
+table = _stats_table(model_spec("EdgeTriangle"), 8)
 codes, points, counts = _code_table(table)
 rows = np.random.default_rng(8).integers(0, len(table), 1000)
 assert np.array_equal(points[codes[rows]], table[rows])

@@ -630,11 +630,11 @@ def test_table_studies_refuse_sizes_beyond_the_cap_before_any_fit(experiment):
                            theta_star=ParamVector(theta=(-0.5, 0.3)), sizes=(8,),
                            master_seed=1, **extra)
     misses = _event_fit.cache_info().misses
-    tables = exact._enumerated_stats_cached.cache_info().misses
+    coded = exact._classes.cache_info().misses
     with pytest.raises(EnumerationCapError):
         run_experiment(cfg)
     assert _event_fit.cache_info().misses == misses
-    assert exact._enumerated_stats_cached.cache_info().misses == tables  # no n=8 table
+    assert exact._classes.cache_info().misses == coded  # no n=8 table
 
 
 def _subsample_by_mle(cfg):

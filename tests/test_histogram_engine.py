@@ -40,10 +40,10 @@ from projgraph import (
 from projgraph.exact import (
     _classes,
     _code_table,
-    _enumerated_stats_cached,
     _logsumexp,
     _moments,
     _row_word,
+    _stats_table,
 )
 
 RTOL = 1e-12
@@ -217,26 +217,59 @@ def test_logsumexp_agrees_with_scipy(values, repeats):
 
 def _assert_same_coding(table):
     """The row-word coding of an unsigned table equals the sort path's on the
-    same table cast to float64: codes (and their dtype), rows, counts."""
+    same table cast to float64: codes (and their dtype), rows, counts.
+    Returns the sort path's coding."""
     assert _row_word(table) is not None
     floats = table.astype(np.float64)
     assert _row_word(floats) is None
-    for got, want in zip(_code_table(table), _code_table(floats)):
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+    want = _code_table(floats)
+    for got, expected in zip(_code_table(table), want):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+    return want
 
 
 @pytest.mark.parametrize("family", ["EdgeTriangle", "BernoulliInvariant", "BernoulliOffset"])
 @pytest.mark.parametrize("n", range(1, 8))
 def test_packed_key_coding_matches_the_sort_path(family, n):
     fam = model_spec(family)
-    table = _enumerated_stats_cached(fam, n)
-    _assert_same_coding(table)
-    codes, points, counts = _code_table(table.astype(np.float64))
+    codes, points, counts = _assert_same_coding(_stats_table(fam, n))
     got_codes, got_points, got_log_counts = _classes(fam, n)
     assert np.array_equal(got_codes, codes)
     assert np.array_equal(got_points, points)
     assert np.array_equal(got_log_counts, np.log(counts))
+
+
+def _unique_coding(table):
+    """``np.unique`` over rows, the independent oracle for the sort path:
+    codes in the coder's dtype, distinct rows as floats, counts."""
+    # NumPy 2.x has changed the inverse's shape for an axis, so it is flattened.
+    rows, codes, counts = np.unique(table, axis=0, return_inverse=True, return_counts=True)
+    return codes.reshape(-1).astype(np.min_scalar_type(len(rows) - 1)), rows.astype(np.float64), counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    table=st.sampled_from([np.float32, np.float64]).flatmap(
+        lambda dtype: arrays(
+            dtype, st.tuples(st.integers(1, 300), st.integers(1, 3)),
+            # Few values, so that rows repeat; both zeros, so that some rows
+            # differ only in the sign of a zero.
+            elements=st.sampled_from([0.0, -0.0, 1.0, -1.5, 0.25]) | st.floats(
+                width=np.dtype(dtype).itemsize * 8, allow_nan=False),
+        )
+    ),
+)
+@example(table=np.array([[0.0, 1.0], [-0.0, 1.0], [-0.0, -0.0], [0.0, 0.0], [0.0, 1.0]]))
+@example(table=np.array([[-0.0], [0.0], [np.inf], [-np.inf], [-0.0]], dtype=np.float32))
+def test_float_tables_code_like_np_unique(table):
+    """The sort path gives ``np.unique``'s codes (and their dtype), rows and
+    counts on float tables; rows that differ only in the sign of a zero are
+    one class, as they are equal."""
+    assert _row_word(table) is None
+    for got, want in zip(_code_table(table), _unique_coding(table)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -270,7 +303,7 @@ def test_a_full_byte_column_codes_like_the_sort_path():
 def test_float_tables_take_the_sort_path(edge_triangle_over_50):
     for spec in (edge_triangle_over_50, model_spec("FloatStatsProbe")):
         for n in range(1, 6):
-            assert _row_word(_enumerated_stats_cached(spec, n)) is None
+            assert _row_word(_stats_table(spec, n)) is None
 
 
 # The per-graph construction that distributions replaced, kept as the

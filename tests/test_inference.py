@@ -48,10 +48,10 @@ from projgraph.exact import (
     _classes,
     _code_table,
     _completion_counts,
-    _enumerated_stats_cached,
     _joint_counts,
     _logsumexp,
     _moments,
+    _stats_table,
 )
 from projgraph.inference import (
     _ascend_log_ratio,
@@ -550,10 +550,10 @@ def test_edge_triangle_boundary_full_graphs():
     ids=["full", "replicates", "misspecified"],
 )
 def test_enumerated_mle_refuses_graphs_beyond_the_cap(data, kind):
-    built = _enumerated_stats_cached.cache_info().misses
+    built = _classes.cache_info().misses
     with pytest.raises(EnumerationCapError, match="n=8 exceeds the enumeration cap 7"):
         mle(EDGE_TRI, data, kind)
-    assert _enumerated_stats_cached.cache_info().misses == built  # refused before building
+    assert _classes.cache_info().misses == built  # refused before building
 
 
 # --------------------------------------------------------------------------
@@ -932,7 +932,7 @@ def test_one_row_event_parts_equal_its_moments(picks, count, eta):
     """A one-row event (the mean of some rows of the n=5 table, with a log
     count) skips its ``_moments`` call and gets the same bits, signs of zero
     included."""
-    table = _enumerated_stats_cached(EDGE_TRI, 5)
+    table = _stats_table(EDGE_TRI, 5)
     comp = (table[picks].astype(np.float64).mean(axis=0)[None, :], np.log([float(count)]))
     full = _classes(EDGE_TRI, 5)[1:]
     eta = np.array(eta)

@@ -267,6 +267,20 @@ def test_a_bernoulli_family_must_count_edges():
     assert log_normalizer(fam, theta, 6) == log_normalizer(OFFSET, theta, 6)
 
 
+def test_a_family_whose_bulk_table_disagrees_with_its_stats_is_refused():
+    """A bulk table that is twice the per-graph edge count would answer one
+    question two ways: at theta = 0.3 on K4 the per-graph statistic gives
+    a log probability of -4.4249 and the table -2.6249.  Such a family, or
+    one whose table misses a row, is refused when built."""
+    edges = INVARIANT.stats
+    with pytest.raises(ValueError, match="bulk statistics that differ from its per-graph"):
+        Family(name="Tmp", stat_dim=1, offset_edges=False, stats=edges,
+               bulk_stats=lambda n: 2 * INVARIANT.bulk_stats(n))
+    with pytest.raises(ValueError, match="on the graphs of 1 nodes"):
+        Family(name="Tmp", stat_dim=1, offset_edges=False, stats=edges,
+               bulk_stats=lambda n: INVARIANT.bulk_stats(n)[:-1])
+
+
 def test_model_spec_is_the_registered_family():
     assert model_spec("edge-triangle") is model_spec("EdgeTriangle")
     assert isinstance(EDGE_TRI, Family)
