@@ -428,32 +428,32 @@ def build_distribution(
                              codes=codes, log_z=log_z)
 
 
-def expected_stats(
-    spec: Family, theta: ParamVector, n: int, enum_cap: Optional[int] = None
-) -> StatsVector:
-    """Mean sufficient statistics under the model at (theta, n).  An
-    enumerated family refuses a log normalizer that is not finite."""
+def _stat_moments(spec: Family, theta: ParamVector, n: int, enum_cap: Optional[int]) -> tuple:
+    """(mean, covariance) of the sufficient statistics at (theta, n): the
+    binomial closed form for an independent-dyad family, else the moments
+    of the class histogram, refused when the log normalizer is not finite."""
     resolve_enum_cap(1 if spec.bernoulli else n, enum_cap)
     if spec.bernoulli:
         pi = edge_prob(spec, theta, n)
-        return StatsVector(values=(dyad_count(n) * pi,))
-    log_z, mu, _ = _moments(*_classes(spec, n)[1:], natural_params(spec, theta, n))
+        return (dyad_count(n) * pi,), np.array([[dyad_count(n) * pi * (1.0 - pi)]])
+    log_z, mu, cov = _moments(*_classes(spec, n)[1:], natural_params(spec, theta, n))
     _refuse_infinite_log_z(log_z, theta)
-    return StatsVector(values=tuple(mu))
+    return mu, cov
+
+
+def expected_stats(
+    spec: Family, theta: ParamVector, n: int, enum_cap: Optional[int] = None
+) -> StatsVector:
+    """Mean sufficient statistics under the model at (theta, n)."""
+    return StatsVector(values=tuple(_stat_moments(spec, theta, n, enum_cap)[0]))
 
 
 def stat_covariance(
     spec: Family, theta: ParamVector, n: int, enum_cap: Optional[int] = None
 ) -> np.ndarray:
-    """Covariance matrix of the sufficient statistics at (theta, n).  An
-    enumerated family refuses a log normalizer that is not finite."""
-    resolve_enum_cap(1 if spec.bernoulli else n, enum_cap)
-    if spec.bernoulli:
-        pi = edge_prob(spec, theta, n)
-        return np.array([[dyad_count(n) * pi * (1.0 - pi)]])
-    log_z, _, cov = _moments(*_classes(spec, n)[1:], natural_params(spec, theta, n))
-    _refuse_infinite_log_z(log_z, theta)
-    return cov
+    """Covariance matrix of the sufficient statistics at (theta, n), the
+    Fisher information of theta."""
+    return _stat_moments(spec, theta, n, enum_cap)[1]
 
 
 def marginal_distribution(d: ExactDistribution, s: NodeSubset) -> np.ndarray:

@@ -17,7 +17,8 @@ not depend on execution order; report CSV bodies are byte-identical
 across runs.  A cell's streams come from one reused generator, keyed per
 replicate with the bits of its own substream.  Each replicate's fit is
 one record, ``inference._Fit``, for both kinds of family: an
-independent-dyad family's is its closed form, and a dyad-dependent family
+independent-dyad family's is its closed form, from the edge and dyad
+counts of what the replicate drew, and a dyad-dependent family
 fits each replicate's observed event, built from the class coding,
 through the cached event fit.  A summary reads only the record's estimate
 and boundary flag, so a study computes no log likelihood or standard
@@ -59,18 +60,8 @@ from .exact import (
 )
 from .graph import (Graph, NodeSubset, _cell, _csv_text, _dyad_map, dyad_count, edge_count,
                     induced_subgraph, is_connected, mean_degree)
-from .inference import (
-    FullGraph,
-    InducedSubgraph,
-    LikelihoodKind,
-    Replicates,
-    _EVENT_FITS,
-    _Fit,
-    _bernoulli_fit,
-    _completion_event,
-    _event_fit,
-    _mean_events,
-)
+from .inference import (_EVENT_FITS, _Fit, _bernoulli_fit, _completion_event, _event_fit,
+                        _mean_events)
 from .models import (
     BERNOULLI_OFFSET,
     Family,
@@ -342,9 +333,9 @@ def run_growth_consistency(cfg: ExperimentConfig, threads: int = 1) -> Experimen
         estimates, degrees, edges = [], [], []
         for rng in _replicate_streams(cfg, "growth", cell_index):
             g = sample_bernoulli(n, pi, rng)
-            estimates.append(_bernoulli_fit(cfg.spec, FullGraph(g), LikelihoodKind.PROPER))
-            degrees.append(mean_degree(g))
             edges.append(edge_count(g))
+            estimates.append(_bernoulli_fit(cfg.spec, n, edges[-1], dyad_count(n)))
+            degrees.append(mean_degree(g))
         row = {"cell": f"n={n}", "n": n}
         row.update(_summarize_estimates(estimates, cfg.theta_star))
         row["mean_degree"] = float(np.mean(degrees))
@@ -411,9 +402,9 @@ def run_replication_consistency(
         for cell, count in enumerate(cfg.replicates):
             shape = (cfg.studies_per_cell, count)
             streams = _streams(cfg.master_seed, ("replication", cell), shape)
-            cells.append([_bernoulli_fit(cfg.spec, Replicates(tuple(
-                sample_bernoulli(n, pi, next(streams)) for _ in range(count))),
-                LikelihoodKind.PROPER) for _ in range(shape[0])])
+            cells.append([_bernoulli_fit(cfg.spec, n, sum(
+                edge_count(sample_bernoulli(n, pi, next(streams))) for _ in range(count)),
+                count * dyad_count(n)) for _ in range(shape[0])])
     else:
         cells = _table_replication(cfg, n)
     rows = []
@@ -436,9 +427,9 @@ def _bernoulli_subsample(
         g = sample_bernoulli(population_n, pi, rng)
         members = rng.choice(population_n, size=cfg.subsample_n, replace=False)
         subset = NodeSubset(population_n, tuple(sorted(map(int, members))))
-        data = InducedSubgraph(induced_subgraph(g, subset), population_n)
-        proper.append(_bernoulli_fit(cfg.spec, data, LikelihoodKind.PROPER))
-        misspecified.append(_bernoulli_fit(cfg.spec, data, LikelihoodKind.MISSPECIFIED))
+        m, d = edge_count(induced_subgraph(g, subset)), dyad_count(cfg.subsample_n)
+        proper.append(_bernoulli_fit(cfg.spec, population_n, m, d))
+        misspecified.append(_bernoulli_fit(cfg.spec, cfg.subsample_n, m, d))
     return proper, misspecified
 
 

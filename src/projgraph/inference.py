@@ -38,8 +38,9 @@ are cached by event, and a batch's events with equal row counts climb in
 lock step, one stacked moment evaluation per step for every event still
 climbing; each event gets the bits of its fit alone, and a single fit is
 a stack of one.  A fit is one record, ``_Fit``, for both kinds of family:
-the closed form's (``_bernoulli_fit``) or a cached event's
-(``_event_fit.batch``), with a converged fit's observed information.  The
+the closed form's (``_bernoulli_fit``, from the data's edge and dyad
+counts) or a cached event's (``_event_fit.batch``), with a converged
+fit's observed information.  The
 simulation studies read only its estimate and boundary flag; :func:`mle`
 also its information, and :func:`log_likelihood` at the estimate.
 """
@@ -68,12 +69,7 @@ from .exact import (
     stat_covariance,
 )
 from .graph import Graph, _cell, _csv_text, dyad_count, edge_count
-from .models import (
-    Family,
-    ParamVector,
-    natural_params,
-    sufficient_stats,
-)
+from .models import Family, ParamVector, natural_params
 
 __all__ = [
     "FullGraph",
@@ -285,31 +281,35 @@ def _log_likelihood(
     spec: Family, theta: ParamVector, size: int, proper: bool, graphs: tuple[Graph, ...]
 ) -> float:
     """:func:`log_likelihood` of an :func:`_observation` whose enumeration
-    cap is checked."""
+    cap is checked.  An independent-dyad family reads only the data's
+    :func:`_edges_and_dyads`."""
     if proper and spec.bernoulli:
         eta = natural_params(spec, theta, size)[0]
         # log pi and log(1 - pi) for pi = logistic(eta), computed stably
         log_p, log_q = -float(np.logaddexp(0.0, -eta)), -float(np.logaddexp(0.0, eta))
-        m, d = edge_count(graphs[0]), dyad_count(graphs[0].n)
+        m, d = _edges_and_dyads(graphs)
         return m * log_p + (d - m) * log_q
     if proper:
         return _completion_log_likelihood(spec, theta, graphs[0], size)
     log_z = _log_normalizer(spec, theta, size)
     if spec.bernoulli:
-        rows = [sufficient_stats(spec, g).as_array() for g in graphs]
+        row_sum = [float(_edges_and_dyads(graphs)[0])]
     else:
         codes, points, _ = _classes(spec, size)
-        rows = points[codes[[g.dyads for g in graphs]]]
+        row_sum = np.sum(points[codes[[g.dyads for g in graphs]]], axis=0)
     eta = natural_params(spec, theta, size)
     with np.errstate(over="ignore", invalid="ignore"):  # to -inf only: log Z refused +inf
-        return float(eta @ np.sum(rows, axis=0)) - len(graphs) * log_z
+        return float(eta @ row_sum) - len(graphs) * log_z
 
 
-def fisher_information(
-    spec: Family, theta: ParamVector, n: int, enum_cap: Optional[int] = None
-) -> np.ndarray:
-    """Fisher information = covariance of the sufficient statistics."""
-    return stat_covariance(spec, theta, n, enum_cap)
+def _edges_and_dyads(graphs: Sequence[Graph]) -> tuple[int, int]:
+    """The edges among the observed dyads of ``graphs``, and those dyads:
+    the whole data of an independent-dyad family."""
+    return sum(map(edge_count, graphs)), len(graphs) * dyad_count(graphs[0].n)
+
+
+# The Fisher information of theta is the covariance of the sufficient statistics.
+fisher_information = stat_covariance
 
 
 _Histogram = tuple[np.ndarray, np.ndarray]
@@ -602,16 +602,13 @@ class _Fit(NamedTuple):
     information: Optional[np.ndarray]
 
 
-def _bernoulli_fit(spec: Family, data: ObservedData, kind: LikelihoodKind) -> _Fit:
+def _bernoulli_fit(spec: Family, size: int, m: int, d: int) -> _Fit:
     """The fit of an independent-dyad family: the logit closed form from the
-    m edges among the d observed dyads, shifted to theta at the size the
-    likelihood evaluates, with information d * pi_hat * (1 - pi_hat).  With
-    no edge or every edge the data is boundary, and theta_hat is -inf or
-    +inf; with no dyad observed it is boundary with no direction, and
+    m edges among the d observed dyads, shifted to theta at ``size``, the
+    size the likelihood evaluates, with information d * pi_hat * (1 - pi_hat).
+    With no edge or every edge the data is boundary, and theta_hat is -inf
+    or +inf; with no dyad observed it is boundary with no direction, and
     theta_hat is nan."""
-    size, _, graphs = _observation(data, kind)
-    m = sum(edge_count(g) for g in graphs)
-    d = len(graphs) * dyad_count(graphs[0].n)
     if m == 0 or m == d:
         eta = math.nan if d == 0 else math.inf if m else -math.inf
         return _Fit(np.array([eta]), (eta,), False, True, 0, None)
@@ -783,7 +780,7 @@ def mle(
     size, proper, graphs = _observation(data, kind)
     resolve_enum_cap(1 if spec.bernoulli else size, enum_cap)
     if spec.bernoulli:
-        fit, count = _bernoulli_fit(spec, data, kind), 1
+        fit, count = _bernoulli_fit(spec, size, *_edges_and_dyads(graphs)), 1
     else:
         event = _observed_event(spec, size, proper, graphs)
         fit, count = _event_fit.batch(spec, size, (event,))[0], len(graphs)

@@ -150,24 +150,24 @@ def test_replicates_likelihood_is_additive():
     ],
     ids=["full", "replicates", "misspecified"],
 )
-def test_enumerated_mle_computes_each_graphs_statistics_once(monkeypatch, data, kind):
+def test_enumerated_mle_computes_each_graphs_statistics_once(data, kind):
     """Each graph's statistics are computed once, when the cached statistic
-    table is built: a fit reads the observed rows from the table and
-    computes none itself, and its log likelihood is the direct one."""
-    import projgraph.inference as inference
-
+    table is built: a fit reads the observed rows from the table and calls
+    the family's ``stats`` on no graph, and its log likelihood is the
+    direct one."""
     calls = []
 
-    def counting(spec, g):
+    def counting(g):
         calls.append(g)
-        return sufficient_stats(spec, g)
+        return EDGE_TRI.stats(g)
 
-    monkeypatch.setattr(inference, "sufficient_stats", counting)
-    result = mle(EDGE_TRI, data, kind)
+    spec = Family(name="CountingEdgeTriangle", stat_dim=2, offset_edges=False,
+                  stats=counting, bulk_stats=EDGE_TRI.bulk_stats)
+    calls.clear()  # the statistics check at construction
+    result = mle(spec, data, kind)
     assert result.converged
     assert calls == []
-    monkeypatch.undo()
-    direct = log_likelihood(EDGE_TRI, ParamVector(theta=result.theta_hat), data, kind)
+    direct = log_likelihood(spec, ParamVector(theta=result.theta_hat), data, kind)
     assert result.log_lik == direct
 
 
@@ -303,9 +303,12 @@ _ONE_NODE_DATA = [(FullGraph(empty_graph(1)), LikelihoodKind.PROPER)] + [
 @pytest.mark.parametrize("data, kind", _CLOSED_FORM_DATA + _ONE_NODE_DATA)
 def test_closed_form_estimate_equals_the_mle(spec, data, kind):
     """A study's estimate of an independent-dyad family is the estimate and
-    boundary flag of ``mle``, bit for bit (``repr`` matches +/-inf too)."""
+    boundary flag of ``mle``, bit for bit (``repr`` matches +/-inf too): the
+    closed form from the edges and dyads of the graphs the study drew."""
     result = mle(spec, data, kind)
-    fit = _bernoulli_fit(spec, data, kind)
+    size, _, graphs = _observation(data, kind)
+    fit = _bernoulli_fit(spec, size, sum(edge_count(g) for g in graphs),
+                         len(graphs) * dyad_count(graphs[0].n))
     assert repr(fit.theta_hat) == repr(result.theta_hat)
     assert fit.boundary is result.boundary
 
