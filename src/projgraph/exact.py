@@ -17,8 +17,9 @@ moments valid at any size.
 Enumeration is capped at n <= 7 by default (2^21 graphs); the cap can be
 raised to n = 8 explicitly, which emits a memory warning: the statistic
 table and the class codes then hold 2^28 rows, so coding the classes peaks
-at about 810 MB, and the projectivity check against n_sub = 7, which keeps
-only the codes, at about 1.1 GB.  Exact sampling stays refused above n = 7,
+at about 810 MB.  That is also the peak of the projectivity check against
+n_sub = 7, which keeps only the codes and groups the prefix subgraphs in
+place.  Exact sampling stays refused above n = 7,
 since its CDF would hold one float per graph.  Larger sizes are refused.
 """
 
@@ -97,8 +98,8 @@ def resolve_enum_cap(n: int, enum_cap: Optional[int] = None) -> int:
     if n > DEFAULT_ENUMERATION_CAP:
         warnings.warn(
             f"enumerating all 2^{dyad_count(n)} graphs on {n} nodes allocates "
-            "large tables: about 810 MB to code the classes at n=8 and 1.1 GB "
-            "at peak for the projectivity check", RuntimeWarning, stacklevel=2)
+            "large tables: about 810 MB to code the classes at n=8",
+            RuntimeWarning, stacklevel=2)
     return cap
 
 
@@ -311,13 +312,16 @@ def _joint_counts(fam: Family, n: int, n_sub: int) -> tuple[np.ndarray, ...]:
     # NumPy radix-sorts small integers under kind="stable", several times
     # faster than its default introsort.
     rows[:, 1:].sort(axis=1, kind="stable")
+    # Sorting the rows as byte strings, in place, makes each group one run
+    # of equal rows, with no copy of them.
     key = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, multiplicity = np.unique(key, return_index=True, return_counts=True)
+    key.sort()
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     group = np.repeat(np.arange(len(first)), rows.shape[1] - 1)
     counts = np.bincount(group * classes + rows[first, 1:].ravel(),
                          minlength=len(first) * classes)
     return (
-        multiplicity.astype(np.float64),
+        np.diff(first, append=len(key)).astype(np.float64),
         counts.reshape(len(first), classes).astype(np.float64),
         rows[first, 0],
     )

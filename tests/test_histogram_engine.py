@@ -40,6 +40,7 @@ from projgraph import (
 from projgraph.exact import (
     _classes,
     _code_table,
+    _joint_counts,
     _logsumexp,
     _moments,
     _row_word,
@@ -304,6 +305,38 @@ def test_float_tables_take_the_sort_path(edge_triangle_over_50):
     for spec in (edge_triangle_over_50, model_spec("FloatStatsProbe")):
         for n in range(1, 6):
             assert _row_word(_stats_table(spec, n)) is None
+
+
+def _joint_counts_by_unique(fam, n, n_sub):
+    """``_joint_counts`` grouped by ``np.unique`` over the rows' bytes, which
+    copies the rows and orders the groups as one sort of the bytes: the
+    oracle for the in-place grouping."""
+    codes, sub_codes = _classes(fam, n)[0], _classes(fam, n_sub)[0]
+    classes = int(codes.max()) + 1
+    rows = np.empty((len(sub_codes), 1 + len(codes) // len(sub_codes)),
+                    dtype=np.min_scalar_type(max(classes - 1, int(sub_codes.max()))))
+    rows[:, 0] = sub_codes
+    rows[:, 1:] = np.sort(codes.reshape(-1, len(sub_codes)).T, axis=1)
+    key = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, multiplicity = np.unique(key, return_index=True, return_counts=True)
+    group = np.repeat(np.arange(len(first)), rows.shape[1] - 1)
+    counts = np.bincount(group * classes + rows[first, 1:].ravel(),
+                         minlength=len(first) * classes)
+    return (multiplicity.astype(np.float64),
+            counts.reshape(len(first), classes).astype(np.float64), rows[first, 0])
+
+
+@pytest.mark.parametrize("family", ["EdgeTriangle", "BernoulliInvariant", "BernoulliOffset",
+                                    "EdgeTriangleOver50", "FloatStatsProbe", "NodeZeroProbe"])
+@pytest.mark.parametrize("n, n_sub", [(n, n_sub) for n in range(2, 7) for n_sub in range(1, n)])
+def test_joint_counts_group_as_np_unique(request, family, n, n_sub):
+    """The same arrays, dtypes and group order as the ``np.unique`` grouping,
+    for every shipped family and the probe families."""
+    spec = (request.getfixturevalue("edge_triangle_over_50") if family == "EdgeTriangleOver50"
+            else model_spec(family))
+    for got, want in zip(_joint_counts(spec, n, n_sub), _joint_counts_by_unique(spec, n, n_sub)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 # The per-graph construction that distributions replaced, kept as the
