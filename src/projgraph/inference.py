@@ -40,9 +40,9 @@ climbing; each event gets the bits of its fit alone, and a single fit is
 a stack of one.  A fit is one record, ``_Fit``, for both kinds of family:
 the closed form's (``_bernoulli_fit``, from the data's edge and dyad
 counts) or a cached event's (``_event_fit.batch``), with a converged
-fit's observed information.  The
-simulation studies read only its estimate and boundary flag; :func:`mle`
-also its information, and :func:`log_likelihood` at the estimate.
+fit's observed information.  The simulation studies read only its
+estimate and boundary flag; :func:`mle` also its information, and
+:func:`log_likelihood` at the estimate.
 """
 
 from __future__ import annotations
@@ -282,22 +282,23 @@ def _log_likelihood(
 ) -> float:
     """:func:`log_likelihood` of an :func:`_observation` whose enumeration
     cap is checked.  An independent-dyad family reads only the data's
-    :func:`_edges_and_dyads`."""
-    if proper and spec.bernoulli:
-        eta = natural_params(spec, theta, size)[0]
-        # log pi and log(1 - pi) for pi = logistic(eta), computed stably
-        log_p, log_q = -float(np.logaddexp(0.0, -eta)), -float(np.logaddexp(0.0, eta))
-        m, d = _edges_and_dyads(graphs)
-        return m * log_p + (d - m) * log_q
-    if proper:
+    :func:`_edges_and_dyads`.  Its log normalizer is refused when it
+    overflows for either kind, though the proper closed form does not read
+    it, so that one theta gets one answer."""
+    if proper and not spec.bernoulli:
         return _completion_log_likelihood(spec, theta, graphs[0], size)
     log_z = _log_normalizer(spec, theta, size)
+    eta = natural_params(spec, theta, size)
     if spec.bernoulli:
-        row_sum = [float(_edges_and_dyads(graphs)[0])]
+        m, d = _edges_and_dyads(graphs)
+        if proper:
+            # log pi and log(1 - pi) for pi = logistic(eta), computed stably
+            log_p, log_q = -float(np.logaddexp(0.0, -eta[0])), -float(np.logaddexp(0.0, eta[0]))
+            return m * log_p + (d - m) * log_q
+        row_sum = [float(m)]
     else:
         codes, points, _ = _classes(spec, size)
         row_sum = np.sum(points[codes[[g.dyads for g in graphs]]], axis=0)
-    eta = natural_params(spec, theta, size)
     with np.errstate(over="ignore", invalid="ignore"):  # to -inf only: log Z refused +inf
         return float(eta @ row_sum) - len(graphs) * log_z
 

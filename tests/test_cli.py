@@ -433,6 +433,24 @@ def test_an_overflowing_theta_is_refused(tmp_path, capsys, monkeypatch, command)
     assert captured.err.count("\n") == 1
 
 
+def test_an_overflowing_bernoulli_theta_is_refused_for_either_kind(tmp_path, capsys,
+                                                                    monkeypatch):
+    """An independent-dyad family refuses an overflowing theta with one
+    message for a full graph and for a subgraph of a population, though the
+    proper closed form never forms the population normalizer."""
+    (tmp_path / "g.edgelist").write_text("3\n0 1\n0 2\n1 2\n")
+    monkeypatch.chdir(tmp_path)
+    errors = []
+    for population in ([], ["--population-n", "5"]):
+        assert main(["loglik", "--family", "bernoulli-offset", "--theta=1e308", *population,
+                     "g.edgelist"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert errors[0].endswith(": the parameters overflow\n")
+
+
 @pytest.mark.parametrize("population", [[], ["--population-n", "5"]],
                          ids=["full", "population"])
 def test_a_theta_that_zeroes_the_observed_graph_prints_minus_inf(
