@@ -19,8 +19,8 @@ raised to n = 8 explicitly, which emits a memory warning: the statistic
 table and the class codes then hold 2^28 rows, so coding the classes peaks
 at about 810 MB.  That is also the peak of the projectivity check against
 n_sub = 7, which keeps only the codes and groups the prefix subgraphs in
-place.  Exact sampling stays refused above n = 7,
-since its CDF would hold one float per graph.  Larger sizes are refused.
+place.  Exact sampling stays refused above n = 7, since its CDF would hold
+one float per graph.  Larger sizes are refused.
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graph import Graph, NodeSubset, _cell, _csv_text, _dyad_map, dyad_count, graph_from_index
-from .models import Family, ParamVector, StatsVector, edge_prob, natural_params
+from .graph import (Graph, NodeSubset, _cell, _csv_text, _dyad_map, dyad_count, dyad_index,
+                    graph_from_index)
+from .models import _EDGE_CHECK_N, Family, ParamVector, StatsVector, edge_prob, natural_params
 from .rng import _DRAW_CHUNK, _first_uniforms, _index_rows
 
 __all__ = [
@@ -327,13 +328,39 @@ def _joint_counts(fam: Family, n: int, n_sub: int) -> tuple[np.ndarray, ...]:
     )
 
 
+@lru_cache(maxsize=32)
+def _exchangeable(fam: Family) -> bool:
+    """Whether relabelling the nodes leaves the family's statistics
+    unchanged, as tested on the graphs of at most ``_EDGE_CHECK_N`` nodes:
+    whether each swap of two adjacent nodes, which together generate every
+    relabelling, maps the statistic table onto itself."""
+    for n in range(2, _EDGE_CHECK_N + 1):
+        table, index = _stats_table(fam, n), np.arange(1 << dyad_count(n))
+        for i in range(n - 1):
+            swap = {i: i + 1, i + 1: i}
+            image = np.zeros_like(index)  # the index of each graph with i, i + 1 swapped
+            for a, b in itertools.combinations(range(n), 2):
+                moved = sorted((swap.get(a, a), swap.get(b, b)))
+                image |= (index >> dyad_index(a, b) & 1) << dyad_index(*moved)
+            if not np.array_equal(table[image], table):
+                return False
+    return True
+
+
 def _completion_counts(spec: Family, y_sub: Graph, population_n: int) -> np.ndarray:
     """Number of population graphs completing y_sub in each statistic class
-    at ``population_n``, whose enumeration cap the caller has checked.  All
-    shipped families are exchangeable, so y_sub may be embedded as the
-    prefix of the population node set: its completions are then the graph
-    indices congruent to its index modulo 2^C(n',2), for n' = y_sub.n (see
-    :func:`_joint_counts`)."""
+    at ``population_n``, whose enumeration cap the caller has checked.
+    y_sub is embedded as the prefix of the population node set: its
+    completions are the graph indices congruent to its index modulo
+    2^C(n',2), for n' = y_sub.n (see :func:`_joint_counts`).  That stands
+    for every placement of the observed nodes only when the family is
+    exchangeable (:func:`_exchangeable`); any other is refused with
+    ``ValueError``."""
+    if not _exchangeable(spec):
+        raise ValueError(
+            f"family {spec.name!r} is not exchangeable: its statistics change when two "
+            "nodes swap labels, so an observed subgraph cannot stand for the population's "
+            "first nodes in the proper likelihood")
     codes, points, _ = _classes(spec, population_n)
     return np.bincount(codes[y_sub.dyads :: 1 << dyad_count(y_sub.n)], minlength=len(points))
 

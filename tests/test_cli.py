@@ -14,9 +14,12 @@ import pytest
 
 import projgraph
 from projgraph import (
+    Family,
     ParamVector,
     build_distribution,
     complete_graph,
+    degree_sequence,
+    edge_count,
     empty_graph,
     exact_sample,
     format_edge_list,
@@ -26,7 +29,9 @@ from projgraph import (
     model_spec,
     parse_edge_list,
     proper_log_likelihood,
+    register_family,
     substream,
+    unregister_family,
 )
 from projgraph.cli import _build_parser, main
 
@@ -449,6 +454,29 @@ def test_an_overflowing_bernoulli_theta_is_refused_for_either_kind(tmp_path, cap
         errors.append(captured.err)
     assert errors[0] == errors[1]
     assert errors[0].endswith(": the parameters overflow\n")
+
+
+def test_a_label_dependent_family_is_refused_the_proper_likelihood(tmp_path, capsys,
+                                                                    monkeypatch):
+    """A family whose statistics change when nodes swap labels has no proper
+    likelihood of a subgraph placed at the population's first nodes:
+    ``loglik`` and ``mle`` exit 2, while the full-graph ``loglik`` runs."""
+    register_family(Family(name="NodeZeroProbe", stat_dim=2, offset_edges=False,
+                           stats=lambda g: (float(degree_sequence(g)[0]),
+                                            float(edge_count(g) % 2))))
+    (tmp_path / "g.edgelist").write_text("3\n1 2\n")
+    monkeypatch.chdir(tmp_path)
+    try:
+        for command in (["loglik", "--theta=0.2,-0.4"], ["mle"]):
+            assert main([*command, "--family", "node-zero-probe", "--population-n", "5",
+                         "g.edgelist"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "family 'NodeZeroProbe' is not exchangeable" in captured.err
+        assert main(["loglik", "--family", "node-zero-probe", "--theta=0.2,-0.4",
+                     "g.edgelist"]) == 0
+    finally:
+        unregister_family("NodeZeroProbe")
 
 
 @pytest.mark.parametrize("population", [[], ["--population-n", "5"]],

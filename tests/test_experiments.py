@@ -22,12 +22,14 @@ from projgraph import (
     ParamVector,
     Replicates,
     build_distribution,
+    completion_log_likelihood,
     degree_sequence,
     edge_count,
     edge_prob,
     exact_sample,
     graph_from_index,
     induced_subgraph,
+    log_likelihood,
     marginal_distribution,
     mle,
     model_spec,
@@ -512,6 +514,37 @@ def test_replication_bulk_draws_match_one_stream_per_replicate(request, family, 
         studies_per_cell=4,
     )
     assert run_replication_consistency(cfg).csv_body() == _replication_by_substreams(cfg)
+
+
+def test_a_label_dependent_family_is_refused_the_prefix_embedding(node_zero_probe):
+    """The proper likelihood places an observed subgraph at the population's
+    first nodes, which stands for every placement only when relabelling the
+    nodes leaves the statistics unchanged.  NodeZeroProbe's degree of node 0
+    does not, so every proper path refuses it; its full-graph fits and
+    replication study, which embed nothing, still run."""
+    theta = ParamVector(theta=(0.2, -0.4))
+    y_sub = graph_from_index(3, 1)
+    refused = [
+        lambda: completion_log_likelihood(node_zero_probe, theta, y_sub, 5),
+        lambda: log_likelihood(node_zero_probe, theta, InducedSubgraph(y_sub, 5)),
+        lambda: mle(node_zero_probe, InducedSubgraph(y_sub, 5)),
+        lambda: run_subsample_bias(ExperimentConfig(
+            experiment="subsample", spec=node_zero_probe, theta_star=theta, sizes=(5,),
+            replicates=3, master_seed=1, subsample_n=3)),
+    ]
+    for call in refused:
+        with pytest.raises(ValueError, match="'NodeZeroProbe' is not exchangeable"):
+            call()
+    g = graph_from_index(5, 300)
+    assert math.isfinite(log_likelihood(node_zero_probe, theta, FullGraph(g)))
+    assert math.isfinite(log_likelihood(node_zero_probe, theta, InducedSubgraph(y_sub, 5),
+                                        LikelihoodKind.MISSPECIFIED))
+    for data in (FullGraph(g), Replicates((g, graph_from_index(5, 7)))):
+        mle(node_zero_probe, data)
+    mle(node_zero_probe, InducedSubgraph(y_sub, 5), LikelihoodKind.MISSPECIFIED)
+    run_replication_consistency(ExperimentConfig(
+        experiment="replication", spec=node_zero_probe, theta_star=theta, sizes=(5,),
+        replicates=(2,), master_seed=1, studies_per_cell=2))
 
 
 @pytest.mark.parametrize("chunk", [5, 13])

@@ -40,6 +40,7 @@ from projgraph import (
 from projgraph.exact import (
     _classes,
     _code_table,
+    _exchangeable,
     _joint_counts,
     _logsumexp,
     _moments,
@@ -305,6 +306,16 @@ def test_float_tables_take_the_sort_path(edge_triangle_over_50):
     for spec in (edge_triangle_over_50, model_spec("FloatStatsProbe")):
         for n in range(1, 6):
             assert _row_word(_stats_table(spec, n)) is None
+
+
+def test_exchangeability_is_computed_from_the_statistics(edge_triangle_over_50):
+    """The shipped families and the relabelling-invariant probes pass; the
+    degree of node 0 changes when nodes 0 and 1 swap, so NodeZeroProbe does
+    not."""
+    for spec in (*map(model_spec, ["BernoulliInvariant", "BernoulliOffset", *FAMILIES]),
+                 edge_triangle_over_50):
+        assert _exchangeable(spec), spec.name
+    assert not _exchangeable(model_spec("NodeZeroProbe"))
 
 
 def _joint_counts_by_unique(fam, n, n_sub):
