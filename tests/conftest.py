@@ -10,12 +10,7 @@ import re
 
 import pytest
 
-from projgraph import Family, exact, model_spec, register_family, unregister_family
-
-# test_stacked_ascent.py is kept unedited as the reference for the batched
-# ascent.  It reads the statistic-table builder by the name it had while the
-# table was cached, which the package no longer has, so it is bound here.
-exact._enumerated_stats_cached = exact._stats_table
+from projgraph import Family, model_spec, register_family, unregister_family
 
 
 @pytest.fixture

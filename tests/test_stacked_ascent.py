@@ -26,9 +26,9 @@ from projgraph import (
 from projgraph.exact import (
     _classes,
     _completion_counts,
-    _enumerated_stats_cached,
     _joint_counts,
     _moments,
+    _stats_table,
 )
 from projgraph.inference import (
     NEWTON_MAX_ITERATIONS,
@@ -319,7 +319,7 @@ def test_every_statistic_class_fits_as_alone(family, n):
 
 
 def _random_mean_events(fam, n, replicates, studies, seed):
-    table = _enumerated_stats_cached(fam, n).astype(np.float64)
+    table = _stats_table(fam, n).astype(np.float64)
     draws = np.random.default_rng(seed).integers(len(table), size=(studies, replicates))
     return [_mean_event(mean) for mean in table[draws].mean(axis=1)]
 
