@@ -309,8 +309,14 @@ def _edges_and_dyads(graphs: Sequence[Graph]) -> tuple[int, int]:
     return sum(map(edge_count, graphs)), len(graphs) * dyad_count(graphs[0].n)
 
 
-# The Fisher information of theta is the covariance of the sufficient statistics.
-fisher_information = stat_covariance
+def fisher_information(
+    spec: Family, theta: ParamVector, n: int, enum_cap: Optional[int] = None
+) -> np.ndarray:
+    """Fisher information = covariance of the sufficient statistics.  A
+    function of this module, not a second name for ``stat_covariance``, so
+    that per-layer tracing, which times each layer's own functions
+    (``perfbench/shims.py``), times it under this name."""
+    return stat_covariance(spec, theta, n, enum_cap)
 
 
 _Histogram = tuple[np.ndarray, np.ndarray]

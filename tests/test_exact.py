@@ -782,35 +782,6 @@ def test_stacked_projectivity_check_refuses_unnormalized_tables_as_tv_distance(t
     assert str(got.value).startswith(f"{table} table is not normalized (sum=")
 
 
-def _joint_counts_by_default_sort(fam, n, n_sub):
-    """``_joint_counts`` with every row of completion classes sorted by
-    NumPy's default sort: the reference for its stable (radix) sort."""
-    codes, sub_codes = _classes(fam, n)[0], _classes(fam, n_sub)[0]
-    classes = int(codes.max()) + 1
-    rows = np.empty((len(sub_codes), 1 + len(codes) // len(sub_codes)),
-                    dtype=np.min_scalar_type(max(classes - 1, int(sub_codes.max()))))
-    rows[:, 0] = sub_codes
-    rows[:, 1:] = codes.reshape(-1, len(sub_codes)).T
-    rows[:, 1:].sort(axis=1)
-    key = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, multiplicity = np.unique(key, return_index=True, return_counts=True)
-    group = np.repeat(np.arange(len(first)), rows.shape[1] - 1)
-    counts = np.bincount(group * classes + rows[first, 1:].ravel(),
-                         minlength=len(first) * classes)
-    return (multiplicity.astype(np.float64),
-            counts.reshape(len(first), classes).astype(np.float64), rows[first, 0])
-
-
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.name)
-@pytest.mark.parametrize("n, n_sub", [(n, n_sub) for n in range(2, 8) for n_sub in range(1, n)])
-def test_joint_counts_equal_the_default_sort_reference(spec, n, n_sub):
-    """The same arrays, dtypes and group order as with the default sort."""
-    for got, want in zip(_joint_counts(spec, n, n_sub),
-                         _joint_counts_by_default_sort(spec, n, n_sub)):
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
-
-
 # --------------------------------------------------------------------------
 # sampling
 # --------------------------------------------------------------------------
