@@ -181,8 +181,6 @@ def _cmd_mle(args: argparse.Namespace) -> int:
 
 def _cmd_check_projectivity(args: argparse.Namespace) -> int:
     spec = model_spec(args.family)
-    if args.n_sub < 1 or args.n_sub >= args.n:
-        raise ValueError("--n-sub must satisfy 1 <= n_sub < n")
     if args.theta_grid is None:
         grid = default_theta_grid(spec)
     else:

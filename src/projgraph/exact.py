@@ -34,9 +34,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graph import (Graph, NodeSubset, _cell, _csv_text, _dyad_map, dyad_count, dyad_index,
-                    graph_from_index)
-from .models import _EDGE_CHECK_N, Family, ParamVector, StatsVector, edge_prob, natural_params
+from .graph import Graph, NodeSubset, _cell, _csv_text, _dyad_map, dyad_count, graph_from_index
+from .models import Family, ParamVector, StatsVector, edge_prob, natural_params
 from .rng import _DRAW_CHUNK, _first_uniforms, _index_rows
 
 __all__ = [
@@ -121,7 +120,9 @@ def _stats_table(fam: Family, n: int) -> np.ndarray:
 
 def enumerated_stats(spec: Family, n: int, enum_cap: Optional[int] = None) -> np.ndarray:
     """Statistic table for all graphs of size n, row k = stats of graph k, in
-    the family's dtype, read-only; regathered from the cached class coding."""
+    the family's dtype, read-only; regathered from the cached class coding.
+    Each row is its class's representative, so rows equal but for the sign
+    of a zero share one sign."""
     resolve_enum_cap(n, enum_cap)
     coding = _classes(spec, n)
     table = _gather(coding[1].astype(coding.dtype), coding[0])
@@ -328,23 +329,13 @@ def _joint_counts(fam: Family, n: int, n_sub: int) -> tuple[np.ndarray, ...]:
     )
 
 
-@lru_cache(maxsize=32)
-def _exchangeable(fam: Family) -> bool:
-    """Whether relabelling the nodes leaves the family's statistics
-    unchanged, as tested on the graphs of at most ``_EDGE_CHECK_N`` nodes:
-    whether each swap of two adjacent nodes, which together generate every
-    relabelling, maps the statistic table onto itself."""
-    for n in range(2, _EDGE_CHECK_N + 1):
-        table, index = _stats_table(fam, n), np.arange(1 << dyad_count(n))
-        for i in range(n - 1):
-            swap = {i: i + 1, i + 1: i}
-            image = np.zeros_like(index)  # the index of each graph with i, i + 1 swapped
-            for a, b in itertools.combinations(range(n), 2):
-                moved = sorted((swap.get(a, a), swap.get(b, b)))
-                image |= (index >> dyad_index(a, b) & 1) << dyad_index(*moved)
-            if not np.array_equal(table[image], table):
-                return False
-    return True
+def _refuse_unexchangeable(spec: Family) -> None:
+    """Raise ``ValueError`` unless ``spec`` is exchangeable, as the prefix embedding assumes."""
+    if not spec.exchangeable:
+        raise ValueError(
+            f"family {spec.name!r} is not exchangeable: its statistics change when two "
+            "nodes swap labels, so an observed subgraph cannot stand for the population's "
+            "first nodes in the proper likelihood")
 
 
 def _completion_counts(spec: Family, y_sub: Graph, population_n: int) -> np.ndarray:
@@ -354,13 +345,9 @@ def _completion_counts(spec: Family, y_sub: Graph, population_n: int) -> np.ndar
     completions are the graph indices congruent to its index modulo
     2^C(n',2), for n' = y_sub.n (see :func:`_joint_counts`).  That stands
     for every placement of the observed nodes only when the family is
-    exchangeable (:func:`_exchangeable`); any other is refused with
-    ``ValueError``."""
-    if not _exchangeable(spec):
-        raise ValueError(
-            f"family {spec.name!r} is not exchangeable: its statistics change when two "
-            "nodes swap labels, so an observed subgraph cannot stand for the population's "
-            "first nodes in the proper likelihood")
+    exchangeable (``spec.exchangeable``, computed when it is built); any
+    other is refused with ``ValueError``."""
+    _refuse_unexchangeable(spec)
     codes, points, _ = _classes(spec, population_n)
     return np.bincount(codes[y_sub.dyads :: 1 << dyad_count(y_sub.n)], minlength=len(points))
 

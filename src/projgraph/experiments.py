@@ -55,6 +55,7 @@ from .exact import (
     _bulk_indices,
     _classes,
     _inverse_cdf,
+    _refuse_unexchangeable,
     build_distribution,
     sample_bernoulli,
 )
@@ -483,10 +484,11 @@ def run_subsample_bias(cfg: ExperimentConfig, threads: int = 1) -> ExperimentRep
     subset.  A table family's cell runs on graph indices, a batch of
     replicates at a time (see :func:`_table_subsample`); an
     independent-dyad family's builds each replicate's graph and induced
-    subgraph.
+    subgraph.  A family that is not exchangeable is refused before any draw.
     """
     if cfg.experiment != "subsample":
         raise ValueError(f"config is for {cfg.experiment!r}, expected 'subsample'")
+    _refuse_unexchangeable(cfg.spec)
     started = time.perf_counter()
     rows = []
     for cell_index, population_n in enumerate(cfg.sizes):

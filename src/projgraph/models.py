@@ -14,11 +14,12 @@ P(g) proportional to exp(eta(theta, n) . s(g)).  Three families ship:
 
 A registered :class:`Family` is the model: every function that takes a
 ``spec`` takes the ``Family`` object that :func:`model_spec` returns, and
-reads its statistics, tables and offset from it directly.  New families
-can be added through :func:`register_family`.  Natural-parameter maps are
-restricted to per-component shifts of theta (the offset applies to the
-edge term), which keeps theta-gradients equal to eta-gradients throughout
-the inference code.
+reads its statistics, tables and offset from it directly; what they
+determine (their number, exchangeability) is computed when it is built.
+New families can be added through :func:`register_family`.
+Natural-parameter maps are restricted to per-component shifts of theta
+(the offset applies to the edge term), which keeps theta-gradients equal
+to eta-gradients throughout the inference code.
 
 The built-in families also build the statistic table of all graphs of a
 size in bulk, as small unsigned integers: edge counts by popcount, and
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -96,6 +97,10 @@ class ParamVector:
         return np.asarray(self.theta, dtype=np.float64)
 
 
+# Graphs of up to this many nodes (75 in all) audit a family's statistics.
+_EDGE_CHECK_N = 4
+
+
 @dataclass(frozen=True, eq=False)
 class Family:
     """A model family, the ``spec`` that every layer takes.
@@ -107,11 +112,14 @@ class Family:
     graph-index order; families without it fall back to a per-graph loop
     during enumeration.  ``bernoulli`` marks single-edge-statistic
     families with independent dyads, which unlocks closed-form
-    normalizers, marginals, and estimators at any size.  A family is
-    refused with ``ValueError`` when, on a graph of at most
-    ``_EDGE_CHECK_N`` nodes, its ``bulk_stats`` differs from its
-    ``stats``, or, for a ``bernoulli`` family, either differs from the
-    edge count, the only statistic those closed forms hold for.
+    normalizers, marginals, and estimators at any size.  When the family
+    is built, its ``stats`` on the graphs of at most ``_EDGE_CHECK_N``
+    nodes set ``stat_dim``, their number, and ``exchangeable``, whether
+    each swap of two adjacent nodes (together they generate every
+    relabelling) maps their table onto itself.  It is refused with
+    ``ValueError`` if that number is 0 or varies, if ``bulk_stats`` differs
+    from ``stats``, or, for a ``bernoulli`` family, if either differs from
+    the edge count, the only statistic those closed forms hold for.
 
     Equality and hashing are by identity: a family is the model, and every
     cache keyed on it holds entries for that object alone.  So a family
@@ -120,45 +128,49 @@ class Family:
     """
 
     name: str
-    stat_dim: int
     offset_edges: bool
     stats: Callable[[Graph], tuple[float, ...]]
     bulk_stats: Optional[Callable[[int], np.ndarray]] = None
     bernoulli: bool = False
+    stat_dim: int = field(init=False)
+    exchangeable: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.stat_dim < 1:
-            raise ValueError("stat_dim must be >= 1")
-        if self.bernoulli and self.stat_dim != 1:
-            raise ValueError("bernoulli families must have a single edge statistic")
-        if self.bernoulli or self.bulk_stats is not None:
-            _refuse_disagreeing_statistics(self)
-
-
-# Graphs of up to this many nodes (75 in all) test a family's statistics.
-_EDGE_CHECK_N = 4
-
-
-def _refuse_disagreeing_statistics(family: Family) -> None:
-    """Raise ``ValueError`` unless, on every graph of at most ``_EDGE_CHECK_N``
-    nodes, ``family.bulk_stats``, when given, equals ``family.stats``, and,
-    for a ``bernoulli`` family, both are the edge count."""
-    for n in range(1, _EDGE_CHECK_N + 1):
-        graphs = [graph_from_index(n, k) for k in range(1 << dyad_count(n))]
-        per_graph = np.array([family.stats(g) for g in graphs], dtype=np.float64)
-        bulk = per_graph if family.bulk_stats is None else np.asarray(family.bulk_stats(n))
-        edges = [[edge_count(g)] for g in graphs]
-        if family.bernoulli and not (np.array_equal(per_graph, edges)
-                                     and np.array_equal(bulk, edges)):
-            raise ValueError(
-                f"family {family.name!r} is declared bernoulli=True, but its statistics "
-                f"are not the edge count on the graphs of {n} nodes"
-            )
-        if not np.array_equal(bulk, per_graph):
-            raise ValueError(
-                f"family {family.name!r} has bulk statistics that differ from its "
-                f"per-graph statistics on the graphs of {n} nodes"
-            )
+        lengths, exchangeable = set(), True
+        for n in range(1, _EDGE_CHECK_N + 1):
+            graphs = [graph_from_index(n, k) for k in range(1 << dyad_count(n))]
+            rows = [self.stats(g) for g in graphs]
+            lengths |= set(map(len, rows))
+            if len(lengths) > 1 or 0 in lengths:
+                raise ValueError(
+                    f"family {self.name!r} must give every graph the same number of "
+                    f"statistics, at least one, but gives {sorted(lengths)} on the graphs "
+                    f"of at most {n} nodes"
+                )
+            table = np.array(rows, dtype=np.float64)
+            bulk = table if self.bulk_stats is None else np.asarray(self.bulk_stats(n))
+            edges = [[edge_count(g)] for g in graphs]
+            if self.bernoulli and not (np.array_equal(table, edges)
+                                       and np.array_equal(bulk, edges)):
+                raise ValueError(
+                    f"family {self.name!r} is declared bernoulli=True, but its statistics "
+                    f"are not the edge count on the graphs of {n} nodes"
+                )
+            if not np.array_equal(bulk, table, equal_nan=True):
+                raise ValueError(
+                    f"family {self.name!r} has bulk statistics that differ from its "
+                    f"per-graph statistics on the graphs of {n} nodes"
+                )
+            index = np.arange(len(graphs))
+            for i in range(n - 1):
+                swap = {i: i + 1, i + 1: i}
+                image = np.zeros_like(index)  # the index of each graph with i, i + 1 swapped
+                for a, b in itertools.combinations(range(n), 2):
+                    moved = sorted((swap.get(a, a), swap.get(b, b)))
+                    image |= (index >> dyad_index(a, b) & 1) << dyad_index(*moved)
+                exchangeable = exchangeable and np.array_equal(table[image], table)
+        object.__setattr__(self, "stat_dim", lengths.pop())
+        object.__setattr__(self, "exchangeable", exchangeable)
 
 
 _REGISTRY: dict[str, Family] = {}
@@ -295,7 +307,6 @@ def _bulk_edge_triangle_counts(n: int) -> np.ndarray:
 register_family(
     Family(
         name=BERNOULLI_INVARIANT,
-        stat_dim=1,
         offset_edges=False,
         stats=lambda g: (float(edge_count(g)),),
         bulk_stats=_bulk_edge_counts,
@@ -306,7 +317,6 @@ register_family(
 register_family(
     Family(
         name=BERNOULLI_OFFSET,
-        stat_dim=1,
         offset_edges=True,
         stats=lambda g: (float(edge_count(g)),),
         bulk_stats=_bulk_edge_counts,
@@ -317,7 +327,6 @@ register_family(
 register_family(
     Family(
         name=EDGE_TRIANGLE,
-        stat_dim=2,
         offset_edges=False,
         stats=lambda g: (float(edge_count(g)), float(triangle_count(g))),
         bulk_stats=_bulk_edge_triangle_counts,

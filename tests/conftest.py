@@ -20,7 +20,6 @@ def edge_triangle_over_50():
     base = model_spec("EdgeTriangle")
     fam = Family(
         name="EdgeTriangleOver50",
-        stat_dim=2,
         offset_edges=False,
         stats=lambda g: tuple(v / 50.0 for v in base.stats(g)),
         bulk_stats=lambda n: base.bulk_stats(n) / 50.0,

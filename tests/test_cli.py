@@ -366,7 +366,7 @@ def test_check_projectivity_validation(capsys):
         ["check-projectivity", "--family", "bernoulli-offset", "--n", "4", "--n-sub", "4"]
     )
     assert code == 2
-    assert "--n-sub must satisfy 1 <= n_sub < n" in capsys.readouterr().err
+    assert "need 1 <= n_sub < n, got n_sub=4, n=4" in capsys.readouterr().err
     code = main(
         ["check-projectivity", "--family", "bernoulli-offset", "--n", "4",
          "--n-sub", "3", "--theta-grid", "0,x"]
@@ -461,7 +461,7 @@ def test_a_label_dependent_family_is_refused_the_proper_likelihood(tmp_path, cap
     """A family whose statistics change when nodes swap labels has no proper
     likelihood of a subgraph placed at the population's first nodes:
     ``loglik`` and ``mle`` exit 2, while the full-graph ``loglik`` runs."""
-    register_family(Family(name="NodeZeroProbe", stat_dim=2, offset_edges=False,
+    register_family(Family(name="NodeZeroProbe", offset_edges=False,
                            stats=lambda g: (float(degree_sequence(g)[0]),
                                             float(edge_count(g) % 2))))
     (tmp_path / "g.edgelist").write_text("3\n1 2\n")
@@ -794,7 +794,7 @@ def float_stats(g):
     m, t = edge_count(g), triangle_count(g)
     return (m / 3.0, math.sqrt(1.0 + t), 0.1 * m * t - 0.5)
 
-register_family(Family(name="FloatStatsProbe", stat_dim=3, offset_edges=False,
+register_family(Family(name="FloatStatsProbe", offset_edges=False,
                        stats=float_stats))
 fit = run(["mle", "--family", "float-stats-probe", "--population-n", "6", sys.argv[2]])
 assert ",true,false," in fit, fit

@@ -92,7 +92,6 @@ def edges_only():
     so every quantity goes through full enumeration."""
     fam = Family(
         name="EdgesOnlyClone",
-        stat_dim=1,
         offset_edges=False,
         stats=lambda g: (float(edge_count(g)),),
     )
@@ -219,7 +218,7 @@ def test_log_normalizer_edge_triangle_three_nodes():
 def test_reregistered_family_does_not_reuse_cached_statistics():
     """A name registered again with other statistics gets its own tables."""
     register_family(
-        Family(name="Tmp", stat_dim=1, offset_edges=False, stats=lambda g: (float(edge_count(g)),))
+        Family(name="Tmp", offset_edges=False, stats=lambda g: (float(edge_count(g)),))
     )
     try:
         edges = log_normalizer(model_spec("Tmp"), ParamVector(theta=(0.5,)), 4)
@@ -227,7 +226,7 @@ def test_reregistered_family_does_not_reuse_cached_statistics():
         unregister_family("Tmp")
     assert edges == pytest.approx(6 * math.log1p(math.exp(0.5)), abs=1e-12)
     register_family(
-        Family(name="Tmp", stat_dim=1, offset_edges=False, stats=lambda g: (float(triangle_count(g)),))
+        Family(name="Tmp", offset_edges=False, stats=lambda g: (float(triangle_count(g)),))
     )
     try:
         triangles = log_normalizer(model_spec("Tmp"), ParamVector(theta=(0.5,)), 4)

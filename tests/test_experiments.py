@@ -43,7 +43,7 @@ from projgraph import (
     substream,
     unregister_family,
 )
-from projgraph import exact
+from projgraph import exact, experiments
 from projgraph.experiments import _estimate_columns, _summarize_estimates, _table_subsample
 from projgraph.inference import _event_fit, _mean_events
 from projgraph.rng import _streams
@@ -483,7 +483,7 @@ def node_zero_probe():
     """A label-dependent family: the degree of node 0 and the parity of the
     edge count."""
     register_family(Family(
-        name="NodeZeroProbe", stat_dim=2, offset_edges=False,
+        name="NodeZeroProbe", offset_edges=False,
         stats=lambda g: (float(degree_sequence(g)[0]), float(edge_count(g) % 2)),
     ))
     yield model_spec("NodeZeroProbe")
@@ -545,6 +545,30 @@ def test_a_label_dependent_family_is_refused_the_prefix_embedding(node_zero_prob
     run_replication_consistency(ExperimentConfig(
         experiment="replication", spec=node_zero_probe, theta_star=theta, sizes=(5,),
         replicates=(2,), master_seed=1, studies_per_cell=2))
+
+
+def test_a_label_dependent_subsample_study_is_refused_before_any_work(monkeypatch,
+                                                                      node_zero_probe):
+    """The subsample study refuses a family that is not exchangeable before
+    it builds the population distribution or derives a stream."""
+    calls = []
+
+    def counted(name):
+        inner = getattr(experiments, name)
+
+        def call(*args):
+            calls.append(name)
+            return inner(*args)
+        return call
+
+    for name in ("build_distribution", "_replicate_streams"):
+        monkeypatch.setattr(experiments, name, counted(name))
+    cfg = ExperimentConfig(
+        experiment="subsample", spec=node_zero_probe, theta_star=ParamVector((0.2, -0.4)),
+        sizes=(5,), replicates=3, master_seed=1, subsample_n=3)
+    with pytest.raises(ValueError, match="'NodeZeroProbe' is not exchangeable"):
+        run_subsample_bias(cfg)
+    assert calls == []
 
 
 @pytest.mark.parametrize("chunk", [5, 13])

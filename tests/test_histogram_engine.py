@@ -40,7 +40,6 @@ from projgraph import (
 from projgraph.exact import (
     _classes,
     _code_table,
-    _exchangeable,
     _joint_counts,
     _logsumexp,
     _moments,
@@ -77,10 +76,10 @@ LABELLED = {"NodeZeroProbe": _node_zero_stats}
 @pytest.fixture(scope="module", autouse=True)
 def probe_families():
     register_family(
-        Family(name="FloatStatsProbe", stat_dim=3, offset_edges=False, stats=_float_stats)
+        Family(name="FloatStatsProbe", offset_edges=False, stats=_float_stats)
     )
     register_family(
-        Family(name="NodeZeroProbe", stat_dim=2, offset_edges=False, stats=_node_zero_stats)
+        Family(name="NodeZeroProbe", offset_edges=False, stats=_node_zero_stats)
     )
     yield
     unregister_family("FloatStatsProbe")
@@ -314,8 +313,8 @@ def test_exchangeability_is_computed_from_the_statistics(edge_triangle_over_50):
     not."""
     for spec in (*map(model_spec, ["BernoulliInvariant", "BernoulliOffset", *FAMILIES]),
                  edge_triangle_over_50):
-        assert _exchangeable(spec), spec.name
-    assert not _exchangeable(model_spec("NodeZeroProbe"))
+        assert spec.exchangeable, spec.name
+    assert not model_spec("NodeZeroProbe").exchangeable
 
 
 def _joint_counts_by_unique(fam, n, n_sub):

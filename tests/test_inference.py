@@ -80,7 +80,6 @@ def edges_newton():
     """Edge-count clone without the closed-form shortcut, to force the Newton path."""
     fam = Family(
         name="EdgesNewton",
-        stat_dim=1,
         offset_edges=False,
         stats=lambda g: (float(edge_count(g)),),
     )
@@ -161,7 +160,7 @@ def test_enumerated_mle_computes_each_graphs_statistics_once(data, kind):
         calls.append(g)
         return EDGE_TRI.stats(g)
 
-    spec = Family(name="CountingEdgeTriangle", stat_dim=2, offset_edges=False,
+    spec = Family(name="CountingEdgeTriangle", offset_edges=False,
                   stats=counting, bulk_stats=EDGE_TRI.bulk_stats)
     calls.clear()  # the statistics check at construction
     result = mle(spec, data, kind)

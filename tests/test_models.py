@@ -1,7 +1,9 @@
 """Model families: sufficient statistics, natural parameters, edge probabilities."""
 
+import dataclasses
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -21,6 +23,7 @@ from projgraph import (
     edge_count,
     edge_prob,
     empty_graph,
+    enumerated_stats,
     graph_from_edges,
     graph_from_index,
     log_normalizer,
@@ -227,7 +230,7 @@ def _degree(g, v):
 
 
 def test_register_and_unregister_custom_family():
-    fam = Family(name="TwoStars", stat_dim=1, offset_edges=False, stats=_two_stars)
+    fam = Family(name="TwoStars", offset_edges=False, stats=_two_stars)
     register_family(fam)
     try:
         assert resolve_family_name("TwoStars") == "TwoStars"
@@ -252,16 +255,16 @@ def test_a_bernoulli_family_must_count_edges():
     theta = 0.3, n = 4, where enumeration gives 5.4563.  Such a family, or
     one whose bulk table is not the edge count, is refused when built."""
     with pytest.raises(ValueError, match="not the edge count"):
-        Family(name="TwoStars", stat_dim=1, offset_edges=False, stats=_two_stars,
+        Family(name="TwoStars", offset_edges=False, stats=_two_stars,
                bernoulli=True)
     edges = INVARIANT.stats
     with pytest.raises(ValueError, match="not the edge count on the graphs of 4 nodes"):
-        Family(name="Tmp", stat_dim=1, offset_edges=False, stats=edges, bernoulli=True,
+        Family(name="Tmp", offset_edges=False, stats=edges, bernoulli=True,
                bulk_stats=lambda n: INVARIANT.bulk_stats(n) % 6)
     with pytest.raises(ValueError, match="not the edge count"):
-        Family(name="Tmp", stat_dim=1, offset_edges=False, stats=edges, bernoulli=True,
+        Family(name="Tmp", offset_edges=False, stats=edges, bernoulli=True,
                bulk_stats=lambda n: INVARIANT.bulk_stats(n)[:-1])
-    fam = Family(name="Tmp", stat_dim=1, offset_edges=True, stats=lambda g: (edge_count(g),),
+    fam = Family(name="Tmp", offset_edges=True, stats=lambda g: (edge_count(g),),
                  bulk_stats=INVARIANT.bulk_stats, bernoulli=True)
     theta = ParamVector(theta=(0.3,))
     assert log_normalizer(fam, theta, 6) == log_normalizer(OFFSET, theta, 6)
@@ -274,11 +277,45 @@ def test_a_family_whose_bulk_table_disagrees_with_its_stats_is_refused():
     one whose table misses a row, is refused when built."""
     edges = INVARIANT.stats
     with pytest.raises(ValueError, match="bulk statistics that differ from its per-graph"):
-        Family(name="Tmp", stat_dim=1, offset_edges=False, stats=edges,
+        Family(name="Tmp", offset_edges=False, stats=edges,
                bulk_stats=lambda n: 2 * INVARIANT.bulk_stats(n))
     with pytest.raises(ValueError, match="on the graphs of 1 nodes"):
-        Family(name="Tmp", stat_dim=1, offset_edges=False, stats=edges,
+        Family(name="Tmp", offset_edges=False, stats=edges,
                bulk_stats=lambda n: INVARIANT.bulk_stats(n)[:-1])
+
+
+def test_stat_dim_is_the_number_of_statistics_each_graph_gives():
+    """``stat_dim`` is computed from ``stats``, not declared: an edge-count
+    family has one statistic, and every row of its enumerated table is the
+    statistic vector of that graph.  A declared ``stat_dim`` of 2 once
+    broadcast the edge count into both columns of that table."""
+    fam = Family(name="X", offset_edges=False, stats=lambda g: (float(edge_count(g)),))
+    assert fam.stat_dim == 1 and EDGE_TRI.stat_dim == 2 and INVARIANT.stat_dim == 1
+    table = enumerated_stats(fam, 4)
+    assert table.shape == (1 << dyad_count(4), 1)
+    for k, row in enumerate(table):
+        assert tuple(row) == sufficient_stats(fam, graph_from_index(4, k)).values
+
+
+def test_stat_dim_and_exchangeable_cannot_be_set():
+    with pytest.raises(TypeError, match="stat_dim"):
+        Family(name="X", stat_dim=2, offset_edges=False, stats=INVARIANT.stats)
+    with pytest.raises(TypeError, match="exchangeable"):
+        Family(name="X", offset_edges=False, stats=INVARIANT.stats, exchangeable=False)
+    for field in ("stat_dim", "exchangeable"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(EDGE_TRI, field, 3)
+
+
+@pytest.mark.parametrize("stats, lengths", [
+    (lambda g: (), "[0]"),
+    (lambda g: (1.0,) * (1 + (g.n > 3)), "[1, 2]"),
+    (lambda g: (1.0,) * (1 + g.dyads % 2), "[1, 2]"),
+], ids=["empty", "by-size", "by-graph"])
+def test_statistics_of_differing_number_are_refused(stats, lengths):
+    with pytest.raises(ValueError, match=re.escape(f"same number of statistics, at least "
+                                                   f"one, but gives {lengths}")):
+        Family(name="X", offset_edges=False, stats=stats)
 
 
 def test_model_spec_is_the_registered_family():
@@ -304,9 +341,9 @@ class _UnhashableEdgeCount:
 def test_family_hashes_by_identity():
     """A family is a cache key even when its statistics are unhashable, and
     two families built alike are distinct keys."""
-    fam = Family(name="UnhashableProbe", stat_dim=1, offset_edges=False,
+    fam = Family(name="UnhashableProbe", offset_edges=False,
                  stats=_UnhashableEdgeCount())
-    twin = Family(name="UnhashableProbe", stat_dim=1, offset_edges=False,
+    twin = Family(name="UnhashableProbe", offset_edges=False,
                   stats=_UnhashableEdgeCount())
     keys = {fam: 1, twin: 2}
     assert len(keys) == 2 and keys[fam] == 1 and fam != twin
@@ -314,8 +351,8 @@ def test_family_hashes_by_identity():
     assert got == pytest.approx(6 * math.log1p(math.exp(0.5)), abs=1e-12)
 
 
-def _tmp_family(stats, stat_dim=1):
-    return Family(name="Tmp", stat_dim=stat_dim, offset_edges=False, stats=stats)
+def _tmp_family(stats):
+    return Family(name="Tmp", offset_edges=False, stats=stats)
 
 
 def test_spec_keeps_its_model_when_the_name_is_registered_again():
@@ -332,7 +369,7 @@ def test_spec_keeps_its_model_when_the_name_is_registered_again():
         assert log_normalizer(model_spec("Tmp"), theta, 4) != pytest.approx(before)
         assert log_normalizer(spec, theta, 4) == before
         unregister_family("Tmp")
-        register_family(_tmp_family(lambda g: (1.0, float(triangle_count(g))), stat_dim=2))
+        register_family(_tmp_family(lambda g: (1.0, float(triangle_count(g)))))
         assert log_normalizer(spec, theta, 4) == before
     finally:
         unregister_family("Tmp")

@@ -62,10 +62,10 @@ def probes():
         return np.column_stack([m / 3.0, np.sqrt(1.0 + t), 0.1 * m * t - 0.5])
 
     families = [
-        Family(name="EdgeCountProbe", stat_dim=1, offset_edges=False,
+        Family(name="EdgeCountProbe", offset_edges=False,
                stats=lambda g: (float(edge_count(g)),),
                bulk_stats=lambda n: EDGE_TRI.bulk_stats(n)[:, :1].astype(np.float64)),
-        Family(name="StackedFloatProbe", stat_dim=3, offset_edges=False,
+        Family(name="StackedFloatProbe", offset_edges=False,
                stats=lambda g: tuple(float_stats(np.array([EDGE_TRI.stats(g)]))[0]),
                bulk_stats=lambda n: float_stats(EDGE_TRI.bulk_stats(n))),
     ]
