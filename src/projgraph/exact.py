@@ -34,8 +34,9 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graph import Graph, NodeSubset, _cell, _csv_text, _dyad_map, dyad_count, graph_from_index
-from .models import Family, ParamVector, StatsVector, edge_prob, natural_params
+from .graph import (Graph, NodeSubset, _cell, _csv_text, _dyad_map, _relabellings, dyad_count,
+                    graph_from_index)
+from .models import Family, ParamVector, StatsVector, _statistics, edge_prob, natural_params
 from .rng import _DRAW_CHUNK, _first_uniforms, _index_rows
 
 __all__ = [
@@ -64,8 +65,9 @@ MAX_ENUMERATION_CAP = 8
 PROJECTIVITY_TOLERANCE = 1e-9
 
 _CHUNK = 1 << 20
-# Rows the class coder and marginal_distribution read at a time: an int64
-# or intp array of a chunk then takes 512 KiB, which stays in cache.
+# Rows the class coder, marginal_distribution and the exchangeability check
+# read at a time: an int64 or intp array of a chunk then takes 512 KiB, which
+# stays in cache, and each chunk lies in one block of graph._relabellings.
 _CODE_CHUNK = 1 << 16
 
 
@@ -105,13 +107,9 @@ def resolve_enum_cap(n: int, enum_cap: Optional[int] = None) -> int:
 
 def _stats_table(fam: Family, n: int) -> np.ndarray:
     """Statistic table of all graphs of size n, built afresh, uncached."""
-    if fam.bulk_stats is not None:
-        table = fam.bulk_stats(n)
-    else:
-        total = 1 << dyad_count(n)
-        table = np.empty((total, fam.stat_dim), dtype=np.float64)
-        for k in range(total):
-            table[k] = fam.stats(graph_from_index(n, k))
+    if fam.bulk_stats is None:
+        return _statistics(fam, n)
+    table = fam.bulk_stats(n)
     if table.shape != (1 << dyad_count(n), fam.stat_dim):
         raise ValueError(f"bulk statistics for family {fam.name!r} have shape {table.shape}, "
                          f"expected ({1 << dyad_count(n)}, {fam.stat_dim})")
@@ -329,9 +327,25 @@ def _joint_counts(fam: Family, n: int, n_sub: int) -> tuple[np.ndarray, ...]:
     )
 
 
-def _refuse_unexchangeable(spec: Family) -> None:
-    """Raise ``ValueError`` unless ``spec`` is exchangeable, as the prefix embedding assumes."""
-    if not spec.exchangeable:
+@lru_cache(maxsize=8)
+def _exchangeable_at(fam: Family, n: int) -> bool:
+    """Whether relabelling the nodes keeps every graph on n nodes in its
+    statistic class, read from the class codes ``_CODE_CHUNK`` graphs at a
+    time against the two relabellings of
+    :func:`~projgraph.graph._relabellings`, which generate every one."""
+    codes = _classes(fam, n)[0]
+    return all(np.array_equal(codes[image], codes[lo:lo + _CODE_CHUNK])
+               for lo in range(0, len(codes), _CODE_CHUNK)
+               for image in _relabellings(n, lo, min(lo + _CODE_CHUNK, len(codes))))
+
+
+def _refuse_unexchangeable(spec: Family, n: int) -> None:
+    """Raise ``ValueError`` unless relabelling the nodes leaves ``spec``'s
+    statistics unchanged, as the prefix embedding assumes: on the graphs of
+    at most 4 nodes (``spec.exchangeable``) and on those of n nodes, whose
+    enumeration cap the caller has checked.  The size-n verdict is
+    computed once per (family, n)."""
+    if not (spec.exchangeable and _exchangeable_at(spec, n)):
         raise ValueError(
             f"family {spec.name!r} is not exchangeable: its statistics change when two "
             "nodes swap labels, so an observed subgraph cannot stand for the population's "
@@ -345,9 +359,9 @@ def _completion_counts(spec: Family, y_sub: Graph, population_n: int) -> np.ndar
     completions are the graph indices congruent to its index modulo
     2^C(n',2), for n' = y_sub.n (see :func:`_joint_counts`).  That stands
     for every placement of the observed nodes only when the family is
-    exchangeable (``spec.exchangeable``, computed when it is built); any
-    other is refused with ``ValueError``."""
-    _refuse_unexchangeable(spec)
+    exchangeable at ``population_n``; any other is refused with
+    ``ValueError`` (see :func:`_refuse_unexchangeable`)."""
+    _refuse_unexchangeable(spec, population_n)
     codes, points, _ = _classes(spec, population_n)
     return np.bincount(codes[y_sub.dyads :: 1 << dyad_count(y_sub.n)], minlength=len(points))
 

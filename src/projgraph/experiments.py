@@ -57,6 +57,7 @@ from .exact import (
     _inverse_cdf,
     _refuse_unexchangeable,
     build_distribution,
+    resolve_enum_cap,
     sample_bernoulli,
 )
 from .graph import (Graph, NodeSubset, _cell, _csv_text, _dyad_map, dyad_count, edge_count,
@@ -484,11 +485,15 @@ def run_subsample_bias(cfg: ExperimentConfig, threads: int = 1) -> ExperimentRep
     subset.  A table family's cell runs on graph indices, a batch of
     replicates at a time (see :func:`_table_subsample`); an
     independent-dyad family's builds each replicate's graph and induced
-    subgraph.  A family that is not exchangeable is refused before any draw.
+    subgraph.  A table family that is not exchangeable at some population
+    size is refused before any table is built for a cell or any draw.
     """
     if cfg.experiment != "subsample":
         raise ValueError(f"config is for {cfg.experiment!r}, expected 'subsample'")
-    _refuse_unexchangeable(cfg.spec)
+    if not cfg.spec.bernoulli:  # the independent-dyad arm reads no statistic table
+        for population_n in cfg.sizes:
+            resolve_enum_cap(population_n)
+            _refuse_unexchangeable(cfg.spec, population_n)
     started = time.perf_counter()
     rows = []
     for cell_index, population_n in enumerate(cfg.sizes):

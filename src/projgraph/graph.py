@@ -17,6 +17,7 @@ import io
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -226,6 +227,51 @@ def _dyad_map(members) -> np.ndarray:
     b = np.repeat(np.arange(m), np.arange(m))
     a = np.arange(m * (m - 1) // 2) - b * (b - 1) // 2
     return (members * (members - 1) // 2)[..., b] + members[..., a]
+
+
+# Index bits that one lookup table of _relabellings moves at a time.
+_RELABEL_BITS = 16
+
+
+@lru_cache(maxsize=8)
+def _relabel_tables(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """For each relabelling of :func:`_relabellings`, one lookup table per
+    ``_RELABEL_BITS`` index bits: entry v of table t is the image of the
+    graph whose index is v shifted up by t * ``_RELABEL_BITS`` bits."""
+    tables = []
+    for perm in ((1, 0, *range(2, n)), (*range(1, n), 0)):
+        # Dyad (a, b) of a graph is dyad (perm[a], perm[b]) of its image.
+        moved = [dyad_index(*sorted((perm[a], perm[b])))
+                 for a, b in map(dyad_endpoints, range(dyad_count(n)))]
+        luts = []
+        for lo in range(0, max(len(moved), 1), _RELABEL_BITS):  # one table at n = 1
+            group = moved[lo:lo + _RELABEL_BITS]
+            bits = np.arange(1 << len(group), dtype=np.intp)
+            lut = np.zeros_like(bits)
+            for j, target in enumerate(group):
+                lut |= (bits >> j & 1) << target
+            luts.append(lut)
+        tables.append(tuple(luts))
+    return tuple(tables)
+
+
+def _relabellings(n: int, lo: int, hi: int) -> Iterator[np.ndarray]:
+    """For the transposition (0 1), then for the cycle (0 1 ... n-1), the
+    index of each graph lo, ..., hi - 1 on n nodes after that relabelling of
+    its nodes.  The two generate every relabelling, so a function of the
+    graphs is unchanged by every relabelling iff it is by both.
+
+    The range must lie in one block of 2^``_RELABEL_BITS`` indices, whose
+    graphs share the dyads above the block's bits: each image is then a
+    slice of the first lookup table joined with one value."""
+    if lo >> _RELABEL_BITS != (hi - 1) >> _RELABEL_BITS:
+        raise ValueError(f"graphs {lo} to {hi - 1} span more than one block of "
+                         f"2^{_RELABEL_BITS} indices")
+    for low, *high in _relabel_tables(n):
+        start, top = lo & len(low) - 1, 0
+        for t, lut in enumerate(high, 1):
+            top |= int(lut[lo >> t * _RELABEL_BITS & len(lut) - 1])
+        yield low[start:start + hi - lo] | top
 
 
 def induced_subgraph(g: Graph, s: NodeSubset) -> Graph:

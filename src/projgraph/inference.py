@@ -182,7 +182,10 @@ def proper_log_likelihood(
 
     Independent-dyad families marginalize dyad-wise, giving a binomial
     closed form in the population edge probability; other families sum
-    the population model over all completions of the unobserved dyads.
+    the population model over all completions of the unobserved dyads,
+    which stands for every placement of the observed nodes only when the
+    family is exchangeable at ``population_n``: any other is refused with
+    ``ValueError``.
     """
     return log_likelihood(spec, theta, InducedSubgraph(y_sub, population_n),
                           enum_cap=enum_cap)
@@ -199,7 +202,8 @@ def completion_log_likelihood(
 
     Valid for every family; ``proper_log_likelihood`` routes here for
     families without closed-form marginals.  The completions are counted
-    per statistic class by :func:`projgraph.exact._completion_counts`.  A
+    per statistic class by :func:`projgraph.exact._completion_counts`, which
+    refuses a family that is not exchangeable at ``population_n``.  A
     population log normalizer that is not finite is refused, with no
     warning, as by :func:`~projgraph.exact.log_normalizer`.
     """
@@ -782,7 +786,9 @@ def mle(
     ``_ascend_log_ratio``).  The standard errors read the fit's observed
     information times the graphs its event stands for (R for the mean of R
     replicates, else 1), and the log likelihood is :func:`log_likelihood`.
-    The enumeration cap is checked once, before any work.
+    The enumeration cap is checked once, before any work.  The proper
+    subgraph fit of a family that is not exchangeable at the population
+    size is refused with ``ValueError``, as by :func:`proper_log_likelihood`.
     """
     size, proper, graphs = _observation(data, kind)
     resolve_enum_cap(1 if spec.bernoulli else size, enum_cap)

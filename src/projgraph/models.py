@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .graph import Graph, dyad_count, dyad_index, edge_count, graph_from_index, triangle_count
+from .graph import Graph, _relabellings, dyad_count, dyad_index, edge_count, triangle_count
 
 __all__ = [
     "Family",
@@ -112,14 +112,11 @@ class Family:
     graph-index order; families without it fall back to a per-graph loop
     during enumeration.  ``bernoulli`` marks single-edge-statistic
     families with independent dyads, which unlocks closed-form
-    normalizers, marginals, and estimators at any size.  When the family
-    is built, its ``stats`` on the graphs of at most ``_EDGE_CHECK_N``
-    nodes set ``stat_dim``, their number, and ``exchangeable``, whether
-    each swap of two adjacent nodes (together they generate every
-    relabelling) maps their table onto itself.  It is refused with
-    ``ValueError`` if that number is 0 or varies, if ``bulk_stats`` differs
-    from ``stats``, or, for a ``bernoulli`` family, if either differs from
-    the edge count, the only statistic those closed forms hold for.
+    normalizers, marginals, and estimators at any size.  When a family is
+    built, its 1-node graph's number of statistics sets ``stat_dim`` (see
+    :func:`_statistics`), its tables on at most ``_EDGE_CHECK_N`` nodes set
+    ``exchangeable``, and it is refused with ``ValueError`` if ``bulk_stats``
+    differs there from ``stats`` or, if ``bernoulli``, from the edge count.
 
     Equality and hashing are by identity: a family is the model, and every
     cache keyed on it holds entries for that object alone.  So a family
@@ -136,22 +133,13 @@ class Family:
     exchangeable: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        lengths, exchangeable = set(), True
+        object.__setattr__(self, "stat_dim", _statistics(self, 1).shape[1])
+        exchangeable = True
         for n in range(1, _EDGE_CHECK_N + 1):
-            graphs = [graph_from_index(n, k) for k in range(1 << dyad_count(n))]
-            rows = [self.stats(g) for g in graphs]
-            lengths |= set(map(len, rows))
-            if len(lengths) > 1 or 0 in lengths:
-                raise ValueError(
-                    f"family {self.name!r} must give every graph the same number of "
-                    f"statistics, at least one, but gives {sorted(lengths)} on the graphs "
-                    f"of at most {n} nodes"
-                )
-            table = np.array(rows, dtype=np.float64)
+            table = _statistics(self, n)
             bulk = table if self.bulk_stats is None else np.asarray(self.bulk_stats(n))
-            edges = [[edge_count(g)] for g in graphs]
-            if self.bernoulli and not (np.array_equal(table, edges)
-                                       and np.array_equal(bulk, edges)):
+            edges = _bulk_edge_counts(n)
+            if self.bernoulli and not all(np.array_equal(t, edges) for t in (table, bulk)):
                 raise ValueError(
                     f"family {self.name!r} is declared bernoulli=True, but its statistics "
                     f"are not the edge count on the graphs of {n} nodes"
@@ -161,16 +149,27 @@ class Family:
                     f"family {self.name!r} has bulk statistics that differ from its "
                     f"per-graph statistics on the graphs of {n} nodes"
                 )
-            index = np.arange(len(graphs))
-            for i in range(n - 1):
-                swap = {i: i + 1, i + 1: i}
-                image = np.zeros_like(index)  # the index of each graph with i, i + 1 swapped
-                for a, b in itertools.combinations(range(n), 2):
-                    moved = sorted((swap.get(a, a), swap.get(b, b)))
-                    image |= (index >> dyad_index(a, b) & 1) << dyad_index(*moved)
-                exchangeable = exchangeable and np.array_equal(table[image], table)
-        object.__setattr__(self, "stat_dim", lengths.pop())
+            exchangeable = exchangeable and all(
+                np.array_equal(table[image], table) for image in _relabellings(n, 0, len(table)))
         object.__setattr__(self, "exchangeable", exchangeable)
+
+
+def _statistics(fam: Family, graphs: Graph | int) -> np.ndarray:
+    """Float64 rows of ``fam.stats``, its one call: one graph's, or every graph's on
+    ``graphs`` nodes by index; a count other than ``stat_dim``, or 0, is refused."""
+    n, first, total = ((graphs.n, graphs.dyads, 1) if isinstance(graphs, Graph)
+                       else (graphs, 0, 1 << dyad_count(graphs)))
+    for k in range(total):
+        values = fam.stats(Graph(n, first + k))
+        if k == 0:  # while the family is built, its 1-node graph sets stat_dim
+            table = np.empty((total, getattr(fam, "stat_dim", len(values))))
+        if not len(values) == table.shape[1] > 0:
+            raise ValueError(
+                f"family {fam.name!r} must give every graph the same number of statistics, at "
+                f"least one, but gives {sorted({table.shape[1], len(values)})}: "
+                f"{len(values)} on graph {first + k} of {n} nodes")
+        table[k] = values
+    return table
 
 
 _REGISTRY: dict[str, Family] = {}
@@ -259,16 +258,14 @@ def edge_prob(spec: Family, theta: ParamVector, n: int) -> float:
 
 
 def sufficient_stats(spec: Family, g: Graph) -> StatsVector:
-    return StatsVector(values=tuple(spec.stats(g)))
+    return StatsVector(values=tuple(_statistics(spec, g)[0]))
 
 
 def log_unnormalized(spec: Family, theta: ParamVector, n: int, g: Graph) -> float:
     """Exponential-family kernel eta(theta, n) . s(g)."""
     if g.n != n:
         raise ValueError(f"graph has {g.n} nodes, expected {n}")
-    eta = natural_params(spec, theta, n)
-    s = sufficient_stats(spec, g).as_array()
-    return float(eta @ s)
+    return float(natural_params(spec, theta, n) @ _statistics(spec, g)[0])
 
 
 _ENUM_CHUNK = 1 << 20

@@ -24,6 +24,8 @@ from projgraph import (
     build_distribution,
     completion_log_likelihood,
     degree_sequence,
+    dyad_count,
+    dyad_index,
     edge_count,
     edge_prob,
     exact_sample,
@@ -33,6 +35,8 @@ from projgraph import (
     marginal_distribution,
     mle,
     model_spec,
+    projectivity_check,
+    proper_log_likelihood,
     register_family,
     run_connectivity_threshold,
     run_experiment,
@@ -490,6 +494,28 @@ def node_zero_probe():
     unregister_family("NodeZeroProbe")
 
 
+def _node_four_table(n):
+    """(edges, degree of node 4) of every graph on n nodes, by popcounts."""
+    index = np.arange(1 << dyad_count(n), dtype=np.uint64)
+    star = sum(1 << dyad_index(*sorted((i, 4))) for i in range(n) if i != 4) if n > 4 else 0
+    return np.stack([np.bitwise_count(index), np.bitwise_count(index & np.uint64(star))],
+                    axis=1)
+
+
+@pytest.fixture(scope="module")
+def node_four_probe():
+    """A label-dependent family that the construction audit cannot see: the
+    edge count and the degree of node 4, which is 0 on the graphs of at
+    most 4 nodes."""
+    register_family(Family(
+        name="NodeFourProbe", offset_edges=False,
+        stats=lambda g: (float(edge_count(g)), float(degree_sequence(g)[4]) if g.n > 4 else 0.0),
+        bulk_stats=_node_four_table,
+    ))
+    yield model_spec("NodeFourProbe")
+    unregister_family("NodeFourProbe")
+
+
 @pytest.mark.parametrize("seed", [0, 7, (1 << 63) + 17, (1 << 64) - 1])
 @pytest.mark.parametrize(
     "family, theta",
@@ -547,10 +573,46 @@ def test_a_label_dependent_family_is_refused_the_prefix_embedding(node_zero_prob
         replicates=(2,), master_seed=1, studies_per_cell=2))
 
 
-def test_a_label_dependent_subsample_study_is_refused_before_any_work(monkeypatch,
-                                                                      node_zero_probe):
-    """The subsample study refuses a family that is not exchangeable before
-    it builds the population distribution or derives a stream."""
+@pytest.mark.parametrize("population_n", [5, 6, 7])
+def test_a_family_exchangeable_only_on_4_nodes_is_refused_at_its_population_size(
+        node_four_probe, population_n):
+    """NodeFourProbe passes the construction audit, whose graphs have no node
+    4, so its proper likelihood is refused at the population size instead:
+    at N = 5 it once gave -1.994 for the 3-node path.  Its full-graph
+    likelihood and the projectivity check, which embed nothing, still run."""
+    assert node_four_probe.exchangeable
+    theta = ParamVector(theta=(0.2, 0.3))
+    path = graph_from_index(3, 0b101)
+    refused = [
+        lambda: proper_log_likelihood(node_four_probe, theta, path, population_n),
+        lambda: mle(node_four_probe, InducedSubgraph(path, population_n)),
+        lambda: run_subsample_bias(ExperimentConfig(
+            experiment="subsample", spec=node_four_probe, theta_star=theta,
+            sizes=(population_n,), replicates=3, master_seed=1, subsample_n=3)),
+    ]
+    for call in refused:
+        with pytest.raises(ValueError, match="'NodeFourProbe' is not exchangeable"):
+            call()
+    g = graph_from_index(population_n, 300)
+    assert math.isfinite(log_likelihood(node_four_probe, theta, FullGraph(g)))
+    report = projectivity_check(node_four_probe, [theta], n=population_n, n_sub=3)
+    assert report.max_tv >= 0.0
+
+
+@pytest.mark.parametrize("probe, sizes", [
+    ("node_zero_probe", (5,)),
+    ("node_four_probe", (5,)),
+    ("node_four_probe", (6,)),
+    ("node_four_probe", (7,)),
+    ("node_four_probe", (3, 4, 7)),
+], ids=["NodeZeroProbe-5", "NodeFourProbe-5", "NodeFourProbe-6", "NodeFourProbe-7",
+        "NodeFourProbe-3-4-7"])
+def test_a_label_dependent_subsample_study_is_refused_before_any_work(monkeypatch, request,
+                                                                      probe, sizes):
+    """The subsample study refuses a family that is not exchangeable at one
+    of its population sizes before it builds a population distribution or
+    derives a stream, even when the sizes before that one pass."""
+    spec = request.getfixturevalue(probe)
     calls = []
 
     def counted(name):
@@ -564,9 +626,9 @@ def test_a_label_dependent_subsample_study_is_refused_before_any_work(monkeypatc
     for name in ("build_distribution", "_replicate_streams"):
         monkeypatch.setattr(experiments, name, counted(name))
     cfg = ExperimentConfig(
-        experiment="subsample", spec=node_zero_probe, theta_star=ParamVector((0.2, -0.4)),
-        sizes=(5,), replicates=3, master_seed=1, subsample_n=3)
-    with pytest.raises(ValueError, match="'NodeZeroProbe' is not exchangeable"):
+        experiment="subsample", spec=spec, theta_star=ParamVector((0.2, -0.4)),
+        sizes=sizes, replicates=3, master_seed=1, subsample_n=2)
+    with pytest.raises(ValueError, match=f"{spec.name!r} is not exchangeable"):
         run_subsample_bias(cfg)
     assert calls == []
 

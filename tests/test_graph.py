@@ -29,7 +29,7 @@ from projgraph import (
     triangle_count,
     write_edge_list,
 )
-from projgraph.graph import _dyad_map
+from projgraph.graph import _dyad_map, _relabellings
 
 
 def _path_graph(n):
@@ -282,6 +282,35 @@ def test_induced_subgraph_matches_a_per_pair_oracle():
                 for members in {tuple(range(size)), tuple(range(n - size, n)), drawn}:
                     got = induced_subgraph(g, NodeSubset(n, members))
                     assert got == _induced_subgraph_oracle(g, members), (n, members)
+
+
+def _relabelled(g, perm):
+    return graph_from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_relabellings_move_each_edge_to_its_relabelled_ends(n):
+    """Graph k's image under the transposition (0 1), then under the cycle
+    (0 1 ... n-1), is the graph with each edge (a, b) moved to (perm[a],
+    perm[b]), in any range of indices."""
+    perms = ((1, 0, *range(2, n)), tuple((i + 1) % n for i in range(n)))
+    total = 1 << dyad_count(n)
+    for lo, hi in ((0, total), (total // 3, min(total // 3 + 5, total))):
+        for perm, image in zip(perms, _relabellings(n, lo, hi), strict=True):
+            assert image.tolist() == [_relabelled(Graph(n, k), perm).dyads
+                                      for k in range(lo, hi)]
+
+
+def test_relabellings_read_every_index_bit_at_n8():
+    """At n = 8 each index takes two lookup tables; sampled graphs from the
+    top and the bottom of the range move as their edges do."""
+    perms = ((1, 0, *range(2, 8)), (*range(1, 8), 0))
+    total = 1 << dyad_count(8)
+    for lo in (0, 1 << 16, total - 100):
+        images = list(_relabellings(8, lo, lo + 100))
+        for k in range(lo, lo + 100, 7):
+            for perm, image in zip(perms, images):
+                assert image[k - lo] == _relabelled(Graph(8, k), perm).dyads
 
 
 def test_dyad_map_reads_stacked_members_row_by_row():

@@ -40,6 +40,7 @@ from projgraph import (
 from projgraph.exact import (
     _classes,
     _code_table,
+    _exchangeable_at,
     _joint_counts,
     _logsumexp,
     _moments,
@@ -315,6 +316,19 @@ def test_exchangeability_is_computed_from_the_statistics(edge_triangle_over_50):
                  edge_triangle_over_50):
         assert spec.exchangeable, spec.name
     assert not model_spec("NodeZeroProbe").exchangeable
+
+
+def test_exchangeability_at_a_size_is_read_from_its_class_codes(edge_triangle_over_50):
+    """At every size up to the enumeration cap, relabelling the nodes keeps
+    each graph of the shipped families and of the float-table
+    EdgeTriangleOver50 in its class.  The degree of node 0 is unchanged by
+    every relabelling of 2 nodes only."""
+    for spec in (*map(model_spec, ["BernoulliInvariant", "BernoulliOffset", "EdgeTriangle"]),
+                 edge_triangle_over_50):
+        for n in range(2, 8):
+            assert _exchangeable_at(spec, n), (spec.name, n)
+    probe = model_spec("NodeZeroProbe")
+    assert [_exchangeable_at(probe, n) for n in range(2, 7)] == [True] + [False] * 4
 
 
 def _joint_counts_by_unique(fam, n, n_sub):

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from projgraph import (
     BERNOULLI_INVARIANT,
+    FullGraph,
     BERNOULLI_OFFSET,
     EDGE_TRIANGLE,
     Family,
@@ -37,6 +38,8 @@ from projgraph import (
     triangle_count,
     unregister_family,
 )
+from projgraph.exact import build_distribution
+from projgraph.inference import log_likelihood
 
 INVARIANT = model_spec("BernoulliInvariant")
 OFFSET = model_spec("BernoulliOffset")
@@ -316,6 +319,60 @@ def test_statistics_of_differing_number_are_refused(stats, lengths):
     with pytest.raises(ValueError, match=re.escape(f"same number of statistics, at least "
                                                    f"one, but gives {lengths}")):
         Family(name="X", offset_edges=False, stats=stats)
+
+
+def test_a_number_of_statistics_that_changes_above_4_nodes_is_refused_there():
+    """A statistic tuple that shrinks on the graphs of 5 nodes passes the
+    construction audit, which reads at most 4 nodes, but every table or row
+    built at 5 nodes refuses it; the per-graph table once broadcast its
+    1-tuple into both columns, so that the last row read [10., 10.]."""
+    fam = Family(name="X", offset_edges=False,
+                 stats=lambda g: (float(edge_count(g)),) * (1 if g.n > 4 else 2))
+    assert fam.stat_dim == 2
+    theta = ParamVector(theta=(0.2, 0.3))
+    k5 = complete_graph(5)
+    message = re.escape("same number of statistics, at least one, but gives [1, 2]: 1 on "
+                        "graph 0 of 5 nodes")
+    for call in (lambda: enumerated_stats(fam, 5), lambda: build_distribution(fam, theta, 5),
+                 lambda: log_likelihood(fam, theta, FullGraph(k5))):
+        with pytest.raises(ValueError, match=message):
+            call()
+    with pytest.raises(ValueError, match=re.escape("1 on graph 1023 of 5 nodes")):
+        sufficient_stats(fam, k5)
+    assert enumerated_stats(fam, 4).shape == (1 << dyad_count(4), 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(first=st.integers(2, 6), index=st.integers(0, (1 << dyad_count(2)) - 1),
+       dim=st.integers(1, 3), changed=st.integers(0, 3))
+def test_a_number_of_statistics_is_refused_at_every_size_from_where_it_changes(
+        first, index, dim, changed):
+    """The number of statistics first changes at size ``first``, on graph
+    ``index`` (which every size from ``first`` up has): each table and row
+    below that size is built, and each from that size up is refused, when
+    the family is built if the size is at most 4."""
+    changed += changed >= dim  # any other number, 0 included
+
+    def stats(g):
+        return (1.0,) * (changed if g.n >= first and g.dyads >= index else dim)
+
+    if first <= 4:
+        with pytest.raises(ValueError, match="same number of statistics"):
+            Family(name="X", offset_edges=False, stats=stats)
+        return
+    fam = Family(name="X", offset_edges=False, stats=stats)
+    assert fam.stat_dim == dim
+    for n in range(1, 7):
+        if n < first:
+            assert enumerated_stats(fam, n).shape == (1 << dyad_count(n), dim)
+            assert len(sufficient_stats(fam, complete_graph(n))) == dim
+            continue
+        message = re.escape(f"but gives {sorted({dim, changed})}: {changed} on graph "
+                            f"{index} of {n} nodes")
+        with pytest.raises(ValueError, match=message):
+            enumerated_stats(fam, n)
+        with pytest.raises(ValueError, match=message):
+            sufficient_stats(fam, graph_from_index(n, index))
 
 
 def test_model_spec_is_the_registered_family():
