@@ -36,7 +36,7 @@ import numpy as np
 
 from .graph import (Graph, NodeSubset, _cell, _csv_text, _dyad_map, _relabellings, dyad_count,
                     graph_from_index)
-from .models import Family, ParamVector, StatsVector, _statistics, edge_prob, natural_params
+from .models import Family, ParamVector, StatsVector, _stats_table, edge_prob, natural_params
 from .rng import _DRAW_CHUNK, _first_uniforms, _index_rows
 
 __all__ = [
@@ -103,17 +103,6 @@ def resolve_enum_cap(n: int, enum_cap: Optional[int] = None) -> int:
             "large tables: about 810 MB to code the classes at n=8",
             RuntimeWarning, stacklevel=2)
     return cap
-
-
-def _stats_table(fam: Family, n: int) -> np.ndarray:
-    """Statistic table of all graphs of size n, built afresh, uncached."""
-    if fam.bulk_stats is None:
-        return _statistics(fam, n)
-    table = fam.bulk_stats(n)
-    if table.shape != (1 << dyad_count(n), fam.stat_dim):
-        raise ValueError(f"bulk statistics for family {fam.name!r} have shape {table.shape}, "
-                         f"expected ({1 << dyad_count(n)}, {fam.stat_dim})")
-    return table
 
 
 def enumerated_stats(spec: Family, n: int, enum_cap: Optional[int] = None) -> np.ndarray:
@@ -341,11 +330,10 @@ def _exchangeable_at(fam: Family, n: int) -> bool:
 
 def _refuse_unexchangeable(spec: Family, n: int) -> None:
     """Raise ``ValueError`` unless relabelling the nodes leaves ``spec``'s
-    statistics unchanged, as the prefix embedding assumes: on the graphs of
-    at most 4 nodes (``spec.exchangeable``) and on those of n nodes, whose
-    enumeration cap the caller has checked.  The size-n verdict is
-    computed once per (family, n)."""
-    if not (spec.exchangeable and _exchangeable_at(spec, n)):
+    statistics unchanged on the graphs of n nodes, the population size whose
+    enumeration cap the caller has checked: the only size the prefix
+    embedding reads.  The verdict is computed once per (family, n)."""
+    if not _exchangeable_at(spec, n):
         raise ValueError(
             f"family {spec.name!r} is not exchangeable: its statistics change when two "
             "nodes swap labels, so an observed subgraph cannot stand for the population's "

@@ -14,8 +14,10 @@ P(g) proportional to exp(eta(theta, n) . s(g)).  Three families ship:
 
 A registered :class:`Family` is the model: every function that takes a
 ``spec`` takes the ``Family`` object that :func:`model_spec` returns, and
-reads its statistics, tables and offset from it directly; what they
-determine (their number, exchangeability) is computed when it is built.
+reads its statistics, tables and offset from it directly.  A family
+declares only those; their number and whether its dyads are independent
+are derived from them, and every statistic table is checked where it is
+built (exchangeability, at the population size, in :mod:`projgraph.exact`).
 New families can be added through :func:`register_family`.
 Natural-parameter maps are restricted to per-component shifts of theta
 (the offset applies to the edge term), which keeps theta-gradients equal
@@ -36,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .graph import Graph, _relabellings, dyad_count, dyad_index, edge_count, triangle_count
+from .graph import Graph, dyad_count, dyad_index, edge_count, triangle_count
 
 __all__ = [
     "Family",
@@ -97,8 +99,11 @@ class ParamVector:
         return np.asarray(self.theta, dtype=np.float64)
 
 
-# Graphs of up to this many nodes (75 in all) audit a family's statistics.
-_EDGE_CHECK_N = 4
+# Building a family builds its statistic tables on up to this many nodes (75
+# graphs in all), and a bulk table of these sizes is checked on every graph;
+# a larger one is checked on _BULK_SAMPLES fixed graphs.
+_CHECKED_N = 4
+_BULK_SAMPLES = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,13 +115,14 @@ class Family:
     tuple.  ``bulk_stats``, when provided, returns the full
     (2^C(n,2), stat_dim) statistic table for all graphs of size n in
     graph-index order; families without it fall back to a per-graph loop
-    during enumeration.  ``bernoulli`` marks single-edge-statistic
-    families with independent dyads, which unlocks closed-form
-    normalizers, marginals, and estimators at any size.  When a family is
-    built, its 1-node graph's number of statistics sets ``stat_dim`` (see
-    :func:`_statistics`), its tables on at most ``_EDGE_CHECK_N`` nodes set
-    ``exchangeable``, and it is refused with ``ValueError`` if ``bulk_stats``
-    differs there from ``stats`` or, if ``bernoulli``, from the edge count.
+    during enumeration.  Everything else is derived: the 1-node graph's
+    number of statistics sets ``stat_dim`` (see :func:`_statistics`), and
+    ``bernoulli``, which unlocks the independent-dyad closed forms at any
+    size, is whether ``stats`` is the shipped edge count
+    :func:`_edge_statistics`.  Building a family builds its tables on at most
+    ``_CHECKED_N`` nodes (see :func:`_stats_table`), so one that gives a
+    graph a different number of statistics, or a ``bulk_stats`` that differs
+    from ``stats``, is refused there with ``ValueError``.
 
     Equality and hashing are by identity: a family is the model, and every
     cache keyed on it holds entries for that object alone.  So a family
@@ -128,30 +134,14 @@ class Family:
     offset_edges: bool
     stats: Callable[[Graph], tuple[float, ...]]
     bulk_stats: Optional[Callable[[int], np.ndarray]] = None
-    bernoulli: bool = False
     stat_dim: int = field(init=False)
-    exchangeable: bool = field(init=False)
+    bernoulli: bool = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stat_dim", _statistics(self, 1).shape[1])
-        exchangeable = True
-        for n in range(1, _EDGE_CHECK_N + 1):
-            table = _statistics(self, n)
-            bulk = table if self.bulk_stats is None else np.asarray(self.bulk_stats(n))
-            edges = _bulk_edge_counts(n)
-            if self.bernoulli and not all(np.array_equal(t, edges) for t in (table, bulk)):
-                raise ValueError(
-                    f"family {self.name!r} is declared bernoulli=True, but its statistics "
-                    f"are not the edge count on the graphs of {n} nodes"
-                )
-            if not np.array_equal(bulk, table, equal_nan=True):
-                raise ValueError(
-                    f"family {self.name!r} has bulk statistics that differ from its "
-                    f"per-graph statistics on the graphs of {n} nodes"
-                )
-            exchangeable = exchangeable and all(
-                np.array_equal(table[image], table) for image in _relabellings(n, 0, len(table)))
-        object.__setattr__(self, "exchangeable", exchangeable)
+        object.__setattr__(self, "bernoulli", self.stats is _edge_statistics)
+        for n in range(1, _CHECKED_N + 1):
+            _stats_table(self, n)
 
 
 def _statistics(fam: Family, graphs: Graph | int) -> np.ndarray:
@@ -170,6 +160,37 @@ def _statistics(fam: Family, graphs: Graph | int) -> np.ndarray:
                 f"{len(values)} on graph {first + k} of {n} nodes")
         table[k] = values
     return table
+
+
+def _stats_table(fam: Family, n: int) -> np.ndarray:
+    """Statistic table of all graphs of size n, built afresh, uncached: the rows
+    of :func:`_statistics`, or the ``bulk_stats`` table, refused with
+    ``ValueError`` unless it has their shape and their values: on every graph
+    of at most ``_CHECKED_N`` nodes, and above that on ``_BULK_SAMPLES``
+    fixed graphs, the empty and the complete graph among them."""
+    if fam.bulk_stats is None:
+        return _statistics(fam, n)
+    table, total = np.asarray(fam.bulk_stats(n)), 1 << dyad_count(n)
+    if table.shape != (total, fam.stat_dim):
+        raise ValueError(f"family {fam.name!r} has bulk statistics of shape {table.shape} on "
+                         f"the graphs of {n} nodes, expected ({total}, {fam.stat_dim})")
+    if n <= _CHECKED_N:
+        graphs, rows = np.arange(total), _statistics(fam, n)
+    else:  # the empty and complete graphs, and k * 2^64 / phi for k = 1, 2, ... scaled down
+        steps = np.arange(1, _BULK_SAMPLES - 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        graphs = np.r_[0, total - 1, steps >> np.uint64(64 - dyad_count(n))]
+        rows = np.concatenate([_statistics(fam, Graph(n, int(k))) for k in graphs])
+    bulk = table[graphs]
+    differ = ~((bulk == rows) | np.isnan(bulk) & np.isnan(rows)).all(axis=1)
+    if differ.any():
+        raise ValueError(f"family {fam.name!r} has bulk statistics that differ from its "
+                         f"per-graph statistics on graph {graphs[differ.argmax()]} of {n} nodes")
+    return table
+
+
+def _edge_statistics(g: Graph) -> tuple[float]:
+    """The edge count, the statistic of both shipped independent-dyad families."""
+    return (float(edge_count(g)),)
 
 
 _REGISTRY: dict[str, Family] = {}
@@ -305,9 +326,8 @@ register_family(
     Family(
         name=BERNOULLI_INVARIANT,
         offset_edges=False,
-        stats=lambda g: (float(edge_count(g)),),
+        stats=_edge_statistics,
         bulk_stats=_bulk_edge_counts,
-        bernoulli=True,
     )
 )
 
@@ -315,9 +335,8 @@ register_family(
     Family(
         name=BERNOULLI_OFFSET,
         offset_edges=True,
-        stats=lambda g: (float(edge_count(g)),),
+        stats=_edge_statistics,
         bulk_stats=_bulk_edge_counts,
-        bernoulli=True,
     )
 )
 
@@ -327,6 +346,5 @@ register_family(
         offset_edges=False,
         stats=lambda g: (float(edge_count(g)), float(triangle_count(g))),
         bulk_stats=_bulk_edge_triangle_counts,
-        bernoulli=False,
     )
 )

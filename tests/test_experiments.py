@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import example, given, settings, strategies as st
 
 from projgraph import (
@@ -45,9 +46,11 @@ from projgraph import (
     run_subsample_bias,
     sample_bernoulli,
     substream,
+    triangle_count,
     unregister_family,
 )
 from projgraph import exact, experiments
+from projgraph.exact import _exchangeable_at
 from projgraph.experiments import _estimate_columns, _summarize_estimates, _table_subsample
 from projgraph.inference import _event_fit, _mean_events
 from projgraph.rng import _streams
@@ -504,9 +507,8 @@ def _node_four_table(n):
 
 @pytest.fixture(scope="module")
 def node_four_probe():
-    """A label-dependent family that the construction audit cannot see: the
-    edge count and the degree of node 4, which is 0 on the graphs of at
-    most 4 nodes."""
+    """A label-dependent family that the graphs of at most 4 nodes cannot
+    show: the edge count and the degree of node 4, which is 0 on them."""
     register_family(Family(
         name="NodeFourProbe", offset_edges=False,
         stats=lambda g: (float(edge_count(g)), float(degree_sequence(g)[4]) if g.n > 4 else 0.0),
@@ -576,11 +578,11 @@ def test_a_label_dependent_family_is_refused_the_prefix_embedding(node_zero_prob
 @pytest.mark.parametrize("population_n", [5, 6, 7])
 def test_a_family_exchangeable_only_on_4_nodes_is_refused_at_its_population_size(
         node_four_probe, population_n):
-    """NodeFourProbe passes the construction audit, whose graphs have no node
-    4, so its proper likelihood is refused at the population size instead:
-    at N = 5 it once gave -1.994 for the 3-node path.  Its full-graph
+    """NodeFourProbe is exchangeable on 4 nodes, which have no node 4, but
+    not at the population size, where its proper likelihood is refused: at
+    N = 5 it once gave -1.994 for the 3-node path.  Its full-graph
     likelihood and the projectivity check, which embed nothing, still run."""
-    assert node_four_probe.exchangeable
+    assert _exchangeable_at(node_four_probe, 4)
     theta = ParamVector(theta=(0.2, 0.3))
     path = graph_from_index(3, 0b101)
     refused = [
@@ -597,6 +599,37 @@ def test_a_family_exchangeable_only_on_4_nodes_is_refused_at_its_population_size
     assert math.isfinite(log_likelihood(node_four_probe, theta, FullGraph(g)))
     report = projectivity_check(node_four_probe, [theta], n=population_n, n_sub=3)
     assert report.max_tv >= 0.0
+
+
+def _node_zero_then_triangles(g):
+    """The edge count and, on at most 4 nodes the degree of node 0, above
+    that the triangle count: not exchangeable on 4 nodes, but at 5 and up."""
+    return (float(edge_count(g)),
+            float(degree_sequence(g)[0] if g.n <= 4 else triangle_count(g)))
+
+
+@pytest.mark.parametrize("population_n", [5, 6])
+def test_a_family_exchangeable_at_its_population_size_gets_its_proper_likelihood(
+        population_n):
+    """Exchangeability is checked at the population size alone, the only one
+    the prefix embedding reads: a family that reads node 0 on 4 nodes only,
+    once refused for it, gets the proper log likelihood of the 3-node path
+    that every placement of the observed nodes gets by brute force."""
+    fam = Family(name="NodeZeroThenTriangles", offset_edges=False,
+                 stats=_node_zero_then_triangles)
+    assert not _exchangeable_at(fam, 4)
+    theta, path = ParamVector(theta=(0.2, 0.3)), graph_from_index(3, 0b101)
+    graphs = [graph_from_index(population_n, k) for k in range(1 << dyad_count(population_n))]
+    log_weights = np.array([theta.as_array() @ fam.stats(g) for g in graphs])
+    log_z = scipy.special.logsumexp(log_weights)
+    proper = proper_log_likelihood(fam, theta, path, population_n)
+    for members in [(0, 1, 2), (1, 3, 4), (0, 2, 4)]:
+        nodes = NodeSubset(population_n, members)
+        placed = [induced_subgraph(g, nodes) == path for g in graphs]
+        assert proper == pytest.approx(scipy.special.logsumexp(log_weights[placed]) - log_z,
+                                       abs=1e-12)
+    if population_n == 5:
+        assert proper == pytest.approx(-2.0144080899531343, abs=1e-12)
 
 
 @pytest.mark.parametrize("probe, sizes", [

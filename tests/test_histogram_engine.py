@@ -308,22 +308,12 @@ def test_float_tables_take_the_sort_path(edge_triangle_over_50):
             assert _row_word(_stats_table(spec, n)) is None
 
 
-def test_exchangeability_is_computed_from_the_statistics(edge_triangle_over_50):
-    """The shipped families and the relabelling-invariant probes pass; the
-    degree of node 0 changes when nodes 0 and 1 swap, so NodeZeroProbe does
-    not."""
-    for spec in (*map(model_spec, ["BernoulliInvariant", "BernoulliOffset", *FAMILIES]),
-                 edge_triangle_over_50):
-        assert spec.exchangeable, spec.name
-    assert not model_spec("NodeZeroProbe").exchangeable
-
-
 def test_exchangeability_at_a_size_is_read_from_its_class_codes(edge_triangle_over_50):
     """At every size up to the enumeration cap, relabelling the nodes keeps
-    each graph of the shipped families and of the float-table
-    EdgeTriangleOver50 in its class.  The degree of node 0 is unchanged by
-    every relabelling of 2 nodes only."""
-    for spec in (*map(model_spec, ["BernoulliInvariant", "BernoulliOffset", "EdgeTriangle"]),
+    each graph of the shipped families, of FloatStatsProbe and of the
+    float-table EdgeTriangleOver50 in its class.  The degree of node 0 is
+    unchanged by every relabelling of 2 nodes only."""
+    for spec in (*map(model_spec, ["BernoulliInvariant", "BernoulliOffset", *FAMILIES]),
                  edge_triangle_over_50):
         for n in range(2, 8):
             assert _exchangeable_at(spec, n), (spec.name, n)

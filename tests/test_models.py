@@ -38,8 +38,9 @@ from projgraph import (
     triangle_count,
     unregister_family,
 )
-from projgraph.exact import build_distribution
-from projgraph.inference import log_likelihood
+from projgraph.exact import EnumerationCapError, build_distribution
+from projgraph.inference import (completion_log_likelihood, log_likelihood, mle,
+                                  proper_log_likelihood)
 
 INVARIANT = model_spec("BernoulliInvariant")
 OFFSET = model_spec("BernoulliOffset")
@@ -252,25 +253,47 @@ def _two_stars(g):
     return (float(sum(_degree(g, v) * (_degree(g, v) - 1) // 2 for v in range(g.n))),)
 
 
-def test_a_bernoulli_family_must_count_edges():
-    """The independent-dyad closed forms hold only for the edge count: a
-    two-star family declared ``bernoulli=True`` would get log Z 5.1261 at
-    theta = 0.3, n = 4, where enumeration gives 5.4563.  Such a family, or
-    one whose bulk table is not the edge count, is refused when built."""
-    with pytest.raises(ValueError, match="not the edge count"):
-        Family(name="TwoStars", offset_edges=False, stats=_two_stars,
-               bernoulli=True)
-    edges = INVARIANT.stats
-    with pytest.raises(ValueError, match="not the edge count on the graphs of 4 nodes"):
-        Family(name="Tmp", offset_edges=False, stats=edges, bernoulli=True,
-               bulk_stats=lambda n: INVARIANT.bulk_stats(n) % 6)
-    with pytest.raises(ValueError, match="not the edge count"):
-        Family(name="Tmp", offset_edges=False, stats=edges, bernoulli=True,
-               bulk_stats=lambda n: INVARIANT.bulk_stats(n)[:-1])
-    fam = Family(name="Tmp", offset_edges=True, stats=lambda g: (edge_count(g),),
-                 bulk_stats=INVARIANT.bulk_stats, bernoulli=True)
+def test_bernoulli_is_whether_stats_is_the_shipped_edge_count():
+    """``bernoulli`` reads True for the two shipped independent-dyad families
+    and any family built from their ``stats``, which then gets the closed
+    forms at any size."""
+    assert [spec.bernoulli for spec in (INVARIANT, OFFSET, EDGE_TRI)] == [True, True, False]
+    fam = Family(name="X", offset_edges=True, stats=OFFSET.stats)
+    assert fam.bernoulli
+    theta, n = ParamVector(theta=(0.3,)), 2000
+    closed = dyad_count(n) * math.log1p(math.exp(0.3 - math.log(n)))
+    assert log_normalizer(fam, theta, n) == pytest.approx(closed, rel=1e-12)
+    assert edge_prob(fam, theta, n) == edge_prob(OFFSET, theta, n)
+    y = graph_from_edges(3, [(0, 1)])
+    assert proper_log_likelihood(fam, theta, y, n) == proper_log_likelihood(OFFSET, theta, y, n)
+
+
+def test_a_family_that_leaves_the_edge_count_above_4_nodes_gets_one_answer():
+    """Twice the edge count above 4 nodes once passed a ``bernoulli=True``
+    declaration, so that the closed form answered -2.26307 and enumeration
+    -2.51246 at N = 5.  Such a family is no longer independent-dyad, and
+    both routes enumerate."""
+    fam = Family(name="X", offset_edges=False,
+                 stats=lambda g: (float(edge_count(g) * (1 if g.n <= 4 else 2)),))
+    assert not fam.bernoulli
+    theta, y = ParamVector(theta=(0.3,)), graph_from_edges(3, [(0, 1)])
+    assert proper_log_likelihood(fam, theta, y, 5) == pytest.approx(-2.5124638514576567,
+                                                                    abs=1e-12)
+    assert completion_log_likelihood(fam, theta, y, 5) == pytest.approx(-2.5124638514576567,
+                                                                        abs=1e-12)
+
+
+def test_a_family_that_counts_edges_its_own_way_enumerates():
+    """Only the shipped edge count unlocks the closed forms: an edge count
+    of the family's own is enumerated, under the cap, to the same answer."""
+    fam = Family(name="X", offset_edges=True, stats=lambda g: (float(edge_count(g)),),
+                 bulk_stats=INVARIANT.bulk_stats)
+    assert not fam.bernoulli
     theta = ParamVector(theta=(0.3,))
-    assert log_normalizer(fam, theta, 6) == log_normalizer(OFFSET, theta, 6)
+    closed = dyad_count(6) * math.log1p(math.exp(0.3 - math.log(6)))
+    assert log_normalizer(fam, theta, 6) == pytest.approx(closed, abs=1e-12)
+    with pytest.raises(EnumerationCapError):
+        log_normalizer(fam, theta, 8)
 
 
 def test_a_family_whose_bulk_table_disagrees_with_its_stats_is_refused():
@@ -287,6 +310,44 @@ def test_a_family_whose_bulk_table_disagrees_with_its_stats_is_refused():
                bulk_stats=lambda n: INVARIANT.bulk_stats(n)[:-1])
 
 
+def test_a_bulk_table_that_leaves_stats_above_4_nodes_is_refused_there():
+    """A bulk table of twice the edge count above 4 nodes once passed the
+    check on at most 4 nodes, and ``enumerated_stats(fam, 5)[-1]`` read
+    [20], where K5 has 10 edges.  Every table built at 5 nodes now refuses
+    it, naming the complete graph, while the tables below still build."""
+    fam = Family(name="X", offset_edges=False, stats=lambda g: (float(edge_count(g)),),
+                 bulk_stats=lambda n: INVARIANT.bulk_stats(n) * (1 if n <= 4 else 2))
+    theta, k5 = ParamVector(theta=(0.3,)), FullGraph(complete_graph(5))
+    message = re.escape("family 'X' has bulk statistics that differ from its per-graph "
+                        "statistics on graph 1023 of 5 nodes")
+    for call in (lambda: enumerated_stats(fam, 5), lambda: build_distribution(fam, theta, 5),
+                 lambda: log_likelihood(fam, theta, k5), lambda: mle(fam, k5)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert enumerated_stats(fam, 4)[-1].tolist() == [6]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 6), index=st.integers(0, (1 << dyad_count(6)) - 1))
+def test_a_bulk_table_is_checked_on_every_graph_up_to_4_nodes_and_the_extremes_above(n, index):
+    """One row of a bulk table is off by one: on at most 4 nodes, whichever
+    row it is, the family is refused when built; above that, a wrong empty
+    or complete graph is refused by the table built at that size."""
+    total = 1 << dyad_count(n)
+    wrong = index % total if n <= 4 else (0, total - 1)[index % 2]
+
+    def bulk(size):
+        table = INVARIANT.bulk_stats(size).astype(np.int16)
+        if size == n:
+            table[wrong] += 1
+        return table
+
+    message = re.escape(f"per-graph statistics on graph {wrong} of {n} nodes")
+    with pytest.raises(ValueError, match=message):
+        fam = Family(name="X", offset_edges=False, stats=INVARIANT.stats, bulk_stats=bulk)
+        enumerated_stats(fam, n)
+
+
 def test_stat_dim_is_the_number_of_statistics_each_graph_gives():
     """``stat_dim`` is computed from ``stats``, not declared: an edge-count
     family has one statistic, and every row of its enumerated table is the
@@ -300,12 +361,15 @@ def test_stat_dim_is_the_number_of_statistics_each_graph_gives():
         assert tuple(row) == sufficient_stats(fam, graph_from_index(4, k)).values
 
 
-def test_stat_dim_and_exchangeable_cannot_be_set():
-    with pytest.raises(TypeError, match="stat_dim"):
-        Family(name="X", stat_dim=2, offset_edges=False, stats=INVARIANT.stats)
-    with pytest.raises(TypeError, match="exchangeable"):
-        Family(name="X", offset_edges=False, stats=INVARIANT.stats, exchangeable=False)
-    for field in ("stat_dim", "exchangeable"):
+def test_a_family_declares_only_its_statistics_and_offset():
+    """The init fields are the declared ones; ``stat_dim`` and ``bernoulli``
+    are derived, and nothing can be set."""
+    assert [f.name for f in dataclasses.fields(Family) if f.init] == [
+        "name", "offset_edges", "stats", "bulk_stats"]
+    for field in ("stat_dim", "bernoulli"):
+        with pytest.raises(TypeError, match=field):
+            Family(name="X", offset_edges=False, stats=INVARIANT.stats, **{field: 1})
+    for field in ("stat_dim", "bernoulli", "stats"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(EDGE_TRI, field, 3)
 
