@@ -40,7 +40,6 @@ from .exact import (
     projectivity_check,
     resolve_enum_cap,
     sample_bernoulli,
-    PROJECTIVITY_TOLERANCE,
 )
 from .graph import (
     _csv_text,
@@ -186,14 +185,7 @@ def _cmd_check_projectivity(args: argparse.Namespace) -> int:
     else:
         grid = _product_grid(spec, _floats(args.theta_grid, "--theta-grid"))
     _validate_threads(args.threads)
-    report = projectivity_check(
-        spec,
-        grid,
-        n=args.n,
-        n_sub=args.n_sub,
-        tolerance=args.tolerance,
-        enum_cap=args.enum_cap,
-    )
+    report = projectivity_check(spec, grid, n=args.n, n_sub=args.n_sub, enum_cap=args.enum_cap)
     _emit(report.to_csv(), args.out)
     return 0
 
@@ -239,8 +231,6 @@ _OPTIONS = {
         type=int, help="population size; marks the data as an induced subgraph"),
     "--n-sub": dict(type=int, required=True, help="node count of the subgraph"),
     "--theta-grid": dict(help="comma-separated per-component axis values (product grid)"),
-    "--tolerance": dict(type=float, default=PROJECTIVITY_TOLERANCE,
-                        help="largest max_tv that is judged projective"),
     "files": dict(nargs="+", help="edge-list files"),
     "config": dict(help="JSON config file"),
     "--enum-cap": dict(type=int, help="override the exhaustive-enumeration size cap (max 8)"),
@@ -261,8 +251,8 @@ _COMMANDS = (
     ("mle", "maximum likelihood estimation", _cmd_mle,
      ("--family", "--kind", "--population-n", "files", "--enum-cap", "--out")),
     ("check-projectivity", "grid check of marginalization consistency",
-     _cmd_check_projectivity, ("--family", "--n", "--n-sub", "--theta-grid", "--tolerance",
-                               "--enum-cap", "--out", "--threads")),
+     _cmd_check_projectivity,
+     ("--family", "--n", "--n-sub", "--theta-grid", "--enum-cap", "--out", "--threads")),
     ("experiment", "run a configured study", _cmd_experiment, ("config", "--out", "--threads")),
 )
 

@@ -15,7 +15,9 @@ Independent-dyad families additionally get closed-form normalizers and
 moments valid at any size.
 
 Enumeration is capped at n <= 7 by default (2^21 graphs); the cap can be
-raised to n = 8 explicitly, which emits a memory warning: the statistic
+raised to n = 8 explicitly.  Every public function checks the cap itself,
+and the memory warning comes where the cost is paid, when a class coding
+above n = 7 is built, so once per coding a process builds: the statistic
 table and the class codes then hold 2^28 rows, so coding the classes peaks
 at about 810 MB.  That is also the peak of the projectivity check against
 n_sub = 7, which keeps only the codes and groups the prefix subgraphs in
@@ -80,8 +82,8 @@ def resolve_enum_cap(n: int, enum_cap: Optional[int] = None) -> int:
 
     Returns the effective cap.  Raises ``ValueError`` for an invalid cap
     request and :class:`EnumerationCapError` when ``n`` exceeds the cap.
-    Enumerating at n = 8 is allowed only by explicit override and warns:
-    the tables hold 2^28 entries.
+    Enumerating at n = 8 is allowed only by explicit override; its cost
+    warning comes from :func:`_classes`, which pays it.
     """
     cap = DEFAULT_ENUMERATION_CAP if enum_cap is None else enum_cap
     if enum_cap is not None and not 1 <= enum_cap <= MAX_ENUMERATION_CAP:
@@ -97,11 +99,6 @@ def resolve_enum_cap(n: int, enum_cap: Optional[int] = None) -> int:
                 else ""
             )
         )
-    if n > DEFAULT_ENUMERATION_CAP:
-        warnings.warn(
-            f"enumerating all 2^{dyad_count(n)} graphs on {n} nodes allocates "
-            "large tables: about 810 MB to code the classes at n=8",
-            RuntimeWarning, stacklevel=2)
     return cap
 
 
@@ -184,7 +181,14 @@ def _classes(fam: Family, n: int) -> _Coding:
     """The class coding of all graphs of size n, read-only: ``(codes,
     points, log_counts)`` of :func:`_code_table`, with the log of the
     counts.  Graph k's statistic row is ``points[codes[k]]``, and
-    ``(points, log_counts)`` is the statistic histogram.  No table is kept."""
+    ``(points, log_counts)`` is the statistic histogram.  No table is kept.
+    A coding above the default cap warns before it is built: a cache hit
+    costs nothing, so it does not warn."""
+    if n > DEFAULT_ENUMERATION_CAP:
+        warnings.warn(
+            f"enumerating all 2^{dyad_count(n)} graphs on {n} nodes allocates "
+            "large tables: about 810 MB to code the classes at n=8",
+            RuntimeWarning, stacklevel=2)
     table = _stats_table(fam, n)
     codes, points, counts = _code_table(table)
     coding = _Coding((codes, points, np.log(counts)))
@@ -364,11 +368,6 @@ def log_normalizer(
     normalizer that is not finite are refused for every family.
     """
     resolve_enum_cap(1 if spec.bernoulli else n, enum_cap)
-    return _log_normalizer(spec, theta, n)
-
-
-def _log_normalizer(spec: Family, theta: ParamVector, n: int) -> float:
-    """:func:`log_normalizer` at a size whose enumeration cap is checked."""
     eta = natural_params(spec, theta, n)
     if spec.bernoulli:
         # Python floats, so that an overflowing product is inf with no warning.
@@ -579,7 +578,6 @@ def projectivity_check(
     *,
     n: int,
     n_sub: int,
-    tolerance: float = PROJECTIVITY_TOLERANCE,
     enum_cap: Optional[int] = None,
 ) -> ProjectivityReport:
     """Compare the size-n_sub model with the size-n marginal over a theta grid.
@@ -595,12 +593,12 @@ def projectivity_check(
     evaluation: products are per point and sums run along each point's
     own row.  A table whose sum is off 1 by more than 1e-8, or is NaN, is
     refused as :func:`tv_distance` refuses it, at the first point and table
-    in grid order.
+    in grid order.  The verdict is projective on the grid when the natural
+    parameters agree at both sizes and no distance exceeds
+    ``PROJECTIVITY_TOLERANCE``.
     """
     if not 1 <= n_sub < n:
         raise ValueError(f"need 1 <= n_sub < n, got n_sub={n_sub}, n={n}")
-    if not (math.isfinite(tolerance) and tolerance >= 0):
-        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     grid = tuple(theta_grid) if theta_grid is not None else default_theta_grid(spec)
     if not grid:
         raise ValueError("theta grid must be non-empty")
@@ -628,7 +626,7 @@ def projectivity_check(
         tvs += (0.5 * np.abs(marginal - model).sum(axis=1)).tolist()
     param_equal = np.array_equal(sub_etas, etas)
     max_tv = max(tvs)
-    projective = param_equal and max_tv <= tolerance
+    projective = param_equal and max_tv <= PROJECTIVITY_TOLERANCE
     return ProjectivityReport(
         n=n,
         n_sub=n_sub,

@@ -62,8 +62,7 @@ from .exact import (
 )
 from .graph import (Graph, NodeSubset, _cell, _csv_text, _dyad_map, dyad_count, edge_count,
                     induced_subgraph, is_connected, mean_degree)
-from .inference import (_EVENT_FITS, _Fit, _bernoulli_fit, _completion_event, _event_fit,
-                        _mean_events)
+from .inference import _Fit, _bernoulli_fit, _completion_event, _event_fit, _mean_events
 from .models import (
     BERNOULLI_OFFSET,
     Family,
@@ -447,43 +446,40 @@ def _table_subsample(
     of the graph ``exact_sample(dist, rng)``, on the sorted nodes of the
     ``rng.choice(dist.n, subsample_n, replace=False)`` that follows it.
 
-    No graph is built.  A batch of at most ``_EVENT_FITS`` replicates
-    takes each stream's uniform and node draw, then finds every parent
-    graph index by one inverse-CDF search and every subgraph index by bit
-    gathers at :func:`~projgraph.graph._dyad_map` of the sorted members.
-    Each distinct subgraph index gets its events once, and each kind's
-    events are fitted by one ``_event_fit.batch`` call.
+    No graph is built.  The whole cell takes each stream's uniform and node
+    draw, then finds every parent graph index by one inverse-CDF search and
+    every subgraph index by bit gathers at
+    :func:`~projgraph.graph._dyad_map` of the sorted members.  Each
+    distinct subgraph index gets its events once, and each kind's events
+    are fitted by one ``_event_fit.batch`` call, which climbs them in
+    bounded stacks.  Memory stays linear in ``count``, as the fit lists are.
     """
     spec, population_n = dist.spec, dist.n
     codes, points, _ = _classes(spec, subsample_n)
-    sub_dyads = np.arange(dyad_count(subsample_n))
-    proper, misspecified = [], []
-    for lo in range(0, count, _EVENT_FITS):
-        batch = min(_EVENT_FITS, count - lo)
-        uniforms = np.empty(batch)
-        members = np.empty((batch, subsample_n), dtype=np.int64)
-        for k, rng in zip(range(batch), streams):
-            uniforms[k] = rng.random()
-            members[k] = rng.choice(population_n, size=subsample_n, replace=False)
-        members.sort(axis=1)
-        parents = _inverse_cdf(dist, uniforms)[:, None]
-        subgraphs = ((parents >> _dyad_map(members) & 1) << sub_dyads).sum(axis=1)
-        distinct, where = np.unique(subgraphs, return_inverse=True)
-        where = where.tolist()
-        events = [_completion_event(spec, Graph(subsample_n, y), population_n)
-                  for y in distinct.tolist()]
-        proper += _event_fit.batch(spec, population_n, [events[k] for k in where])
-        events = _mean_events(points[codes[distinct]][:, None])
-        misspecified += _event_fit.batch(spec, subsample_n, [events[k] for k in where])
-    return proper, misspecified
+    uniforms = np.empty(count)
+    members = np.empty((count, subsample_n), dtype=np.int64)
+    for k, rng in zip(range(count), streams):
+        uniforms[k] = rng.random()
+        members[k] = rng.choice(population_n, size=subsample_n, replace=False)
+    members.sort(axis=1)
+    parents = _inverse_cdf(dist, uniforms)[:, None]
+    subgraphs = ((parents >> _dyad_map(members) & 1)
+                 << np.arange(dyad_count(subsample_n))).sum(axis=1)
+    distinct, where = np.unique(subgraphs, return_inverse=True)
+    where = where.tolist()
+    events = [_completion_event(spec, Graph(subsample_n, y), population_n)
+              for y in distinct.tolist()]
+    proper = _event_fit.batch(spec, population_n, [events[k] for k in where])
+    events = _mean_events(points[codes[distinct]][:, None])
+    return proper, _event_fit.batch(spec, subsample_n, [events[k] for k in where])
 
 
 def run_subsample_bias(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Proper versus misspecified estimation from induced subgraphs.
 
     Each replicate's stream draws the population graph, then the node
-    subset.  A table family's cell runs on graph indices, a batch of
-    replicates at a time (see :func:`_table_subsample`); an
+    subset.  A table family's cell runs on graph indices, all its
+    replicates in one pass (see :func:`_table_subsample`); an
     independent-dyad family's builds each replicate's graph and induced
     subgraph.  A table family that is not exchangeable at some population
     size is refused before any table is built for a cell or any draw.

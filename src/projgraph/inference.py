@@ -13,10 +13,11 @@ replicate graphs.  For subgraph data two likelihoods are available:
   marginals are size-consistent.
 
 A full graph or a set of replicates is evaluated at its own size.  Every
-likelihood and fit reads the data through one reader, ``_observation``,
-and checks the enumeration cap once, where the public call enters; the
-private helpers behind it take sizes already checked, so a costly size
-warns once per call.
+likelihood and fit reads the data through one reader, ``_observation``.
+Each public function checks the enumeration cap itself, before any work,
+and may call another public one, which checks it again at no cost; a
+costly size warns only when its class coding is built (see
+:func:`projgraph.exact._classes`).
 
 Independent-dyad families admit closed forms everywhere (the proper
 likelihood is binomial in the population edge probability).  Other
@@ -60,11 +61,11 @@ import numpy as np
 from .exact import (
     _classes,
     _completion_counts,
-    _log_normalizer,
     _logsumexp,
     _mat_vec,
     _moments,
     _refuse_infinite_log_z,
+    log_normalizer,
     resolve_enum_cap,
     stat_covariance,
 )
@@ -209,14 +210,6 @@ def completion_log_likelihood(
     """
     _refuse_sizes(y_sub, population_n)
     resolve_enum_cap(population_n, enum_cap)
-    return _completion_log_likelihood(spec, theta, y_sub, population_n)
-
-
-def _completion_log_likelihood(
-    spec: Family, theta: ParamVector, y_sub: Graph, population_n: int
-) -> float:
-    """:func:`completion_log_likelihood` at a population size whose
-    enumeration cap is checked."""
     counts = _completion_counts(spec, y_sub, population_n)
     _, points, log_counts = _classes(spec, population_n)
     present = counts > 0
@@ -275,23 +268,15 @@ def log_likelihood(
 
     Independent graphs have the sum of their log probabilities, from their
     statistic rows: for a family that enumerates, ``points[codes[k]]`` in
-    the cached class coding."""
-    size, proper, graphs = _observation(data, kind)
-    resolve_enum_cap(1 if spec.bernoulli else size, enum_cap)
-    return _log_likelihood(spec, theta, size, proper, graphs)
-
-
-def _log_likelihood(
-    spec: Family, theta: ParamVector, size: int, proper: bool, graphs: tuple[Graph, ...]
-) -> float:
-    """:func:`log_likelihood` of an :func:`_observation` whose enumeration
-    cap is checked.  An independent-dyad family reads only the data's
-    :func:`_edges_and_dyads`.  Its log normalizer is refused when it
+    the cached class coding.  An independent-dyad family reads only the
+    data's :func:`_edges_and_dyads`.  Its log normalizer is refused when it
     overflows for either kind, though the proper closed form does not read
     it, so that one theta gets one answer."""
+    size, proper, graphs = _observation(data, kind)
+    resolve_enum_cap(1 if spec.bernoulli else size, enum_cap)
     if proper and not spec.bernoulli:
-        return _completion_log_likelihood(spec, theta, graphs[0], size)
-    log_z = _log_normalizer(spec, theta, size)
+        return completion_log_likelihood(spec, theta, graphs[0], size, enum_cap)
+    log_z = log_normalizer(spec, theta, size, enum_cap)
     eta = natural_params(spec, theta, size)
     if spec.bernoulli:
         m, d = _edges_and_dyads(graphs)
@@ -786,7 +771,7 @@ def mle(
     ``_ascend_log_ratio``).  The standard errors read the fit's observed
     information times the graphs its event stands for (R for the mean of R
     replicates, else 1), and the log likelihood is :func:`log_likelihood`.
-    The enumeration cap is checked once, before any work.  The proper
+    The enumeration cap is checked before any work.  The proper
     subgraph fit of a family that is not exchangeable at the population
     size is refused with ``ValueError``, as by :func:`proper_log_likelihood`.
     """
@@ -802,7 +787,7 @@ def mle(
     std_err = None
     if fit.information is not None:
         std_err = _std_errors_from_information(count * fit.information)
-    log_lik = _log_likelihood(spec, ParamVector(theta=fit.theta_hat), size, proper, graphs)
+    log_lik = log_likelihood(spec, ParamVector(theta=fit.theta_hat), data, kind, enum_cap)
     return MLEResult(fit.theta_hat, std_err, log_lik, fit.converged, False, fit.iterations)
 
 

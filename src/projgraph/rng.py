@@ -112,11 +112,9 @@ def _hash_consts(init: int, mult: int, count: int) -> list[int]:
 _FINAL = np.array(_hash_consts(_INIT_B, _MULT_B, _POOL + 1), dtype=np.uint32)[:, None]
 
 
-def _mix(x, y):
-    """SeedSequence's mix of pool words ``x`` and ``y``: 32-bit integers or
-    ``uint32`` arrays.  An integer ``x * MIX_L - y * MIX_R`` may be negative,
-    so it is masked before the shift."""
-    result = (x * _MIX_L - y * _MIX_R) & _MASK32
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of the ``uint32`` arrays of pool words ``x`` and ``y``."""
+    result = x * _MIX_L - y * _MIX_R
     return result ^ (result >> 16)
 
 
@@ -129,8 +127,9 @@ def _stream_keys(
 
     Every tail part is then one 32-bit word of the spawn key.  The seed
     words, the pool's cross-mix and the prefix words are the same for every
-    row, so SeedSequence's hash runs on them once, in Python integers; only
-    the tail words are mixed on arrays, all four pool lanes at once.
+    row: they give the pool of the prefix's own SeedSequence, which NumPy
+    fills once.  Only the tail words are mixed on arrays, all four pool
+    lanes at once.
     """
     _check_seed(master_seed)
     tails = np.asarray(tails)
@@ -138,31 +137,18 @@ def _stream_keys(
         raise ValueError("tails must be a 2-D integer array")
     if tails.size and not (tails.min() >= 0 and tails.max() <= _MASK32):
         raise ValueError("tail parts must lie in [0, 2**32)")
-    fixed = _words(master_seed)
-    fixed += [0] * (_POOL - len(fixed))  # as SeedSequence pads, or hashes 0
-    for part in prefix:
-        fixed += _words(_part_key(part))
+    keys = [_part_key(part) for part in prefix]
+    pool = np.random.SeedSequence(master_seed, spawn_key=keys).pool
+    lanes = pool[:, None].repeat(len(tails), axis=1)
     # Four hashes fill the pool and twelve cross-mix it; each later word is
-    # hashed once per pool lane.
-    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * (len(fixed) + tails.shape[1]) + 1)
-    calls = itertools.count()
-
-    def hashmix(value: int) -> int:
-        k = next(calls)
-        value = (value ^ consts[k]) * consts[k + 1] & _MASK32
-        return value ^ (value >> 16)
-
-    pool = [hashmix(word) for word in fixed[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in fixed[_POOL:]:
-        pool = [_mix(lane, hashmix(word)) for lane in pool]
-    table = np.array(consts, dtype=np.uint32)[:, None]
-    lanes = np.array(pool, dtype=np.uint32)[:, None].repeat(len(tails), axis=1)
+    # hashed once per pool lane.  A spawn key pads the seed words to the
+    # pool size, and an empty one hashes 0 for each missing word instead,
+    # which gives the same pool.
+    start = _POOL * (max(len(_words(master_seed)), _POOL) + sum(len(_words(k)) for k in keys))
+    table = np.array(_hash_consts(_INIT_A, _MULT_A, start + _POOL * tails.shape[1] + 1),
+                     dtype=np.uint32)[:, None]
     for j, column in enumerate(tails.T.astype(np.uint32)):
-        k = _POOL * (len(fixed) + j)
+        k = start + _POOL * j
         hashed = (column ^ table[k : k + _POOL]) * table[k + 1 : k + _POOL + 1]
         lanes = _mix(lanes, hashed ^ (hashed >> 16))
     state = (lanes ^ _FINAL[:-1]) * _FINAL[1:]

@@ -870,7 +870,8 @@ def _subsample_cells(draw):
 def test_table_subsample_cell_has_the_bits_of_per_replicate_subgraphs(cell):
     """The index-based cell gives each replicate the estimates, in order, of
     ``mle`` on its own ``InducedSubgraph``, with each stream drawing
-    the graph before the node subset, across batches of ``_EVENT_FITS``."""
+    the graph before the node subset, for counts on both sides of one
+    stack of ``_EVENT_FITS`` events."""
     population_n, subsample_n, count, theta, seed = cell
     dist = build_distribution(EDGE_TRI, ParamVector(theta=theta), population_n)
 
@@ -884,11 +885,11 @@ def test_table_subsample_cell_has_the_bits_of_per_replicate_subgraphs(cell):
     assert repr(got) == repr(want)
 
 
-@pytest.mark.parametrize("replicates, batches", [(200, 1), (300, 2)])
-def test_subsample_cell_fits_each_kind_in_one_batch(monkeypatch, replicates, batches):
+@pytest.mark.parametrize("replicates", [200, 300])
+def test_subsample_cell_fits_each_kind_in_one_batch(monkeypatch, replicates):
     """From a cold fit cache a cell fits each kind's distinct events in one
-    ``_fit_events`` call per batch of at most ``_EVENT_FITS`` replicates,
-    with the bytes of one ``mle`` call per replicate."""
+    ``_fit_events`` call, for more replicates than one stack climbs
+    (``_EVENT_FITS``) too, with the bytes of one ``mle`` call per replicate."""
     from projgraph import inference
 
     calls = []
@@ -900,10 +901,8 @@ def test_subsample_cell_fits_each_kind_in_one_batch(monkeypatch, replicates, bat
                            replicates=replicates, master_seed=12, subsample_n=4)
     _event_fit.cache_clear()
     body = run_subsample_bias(cfg).csv_body()
-    assert len(calls) <= 2 * batches
+    assert len(calls) == 2
     assert sum(calls) == _event_fit.cache_info().misses
-    if batches == 1:
-        assert len(calls) == 2
     assert body == _subsample_by_mle(cfg)
 
 
