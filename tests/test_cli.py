@@ -337,6 +337,27 @@ def test_a_costly_enumeration_warns_once_per_coding_built(tmp_path, monkeypatch,
     assert again == []
 
 
+def test_a_costly_projectivity_check_warns_once_per_coding_built(capsys, monkeypatch):
+    """check-projectivity above the default cap warns once, for the coding at
+    ``--n`` (the one at ``--n-sub`` is within the cap), and the same command
+    again in the process warns none."""
+    monkeypatch.setattr(projgraph.exact, "DEFAULT_ENUMERATION_CAP", 4)
+    projgraph.exact._classes.cache_clear()
+    argv = ["check-projectivity", "--family", "edge-triangle", "--n", "5", "--n-sub", "4",
+            "--theta-grid=0", "--enum-cap", "5"]
+    runs = []
+    for _ in range(2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        runs.append([(w.category, str(w.message)) for w in caught])
+    first, again = runs
+    assert [category for category, _ in first] == [RuntimeWarning]
+    assert "all 2^10 graphs on 5 nodes" in first[0][1]
+    assert again == []
+    assert capsys.readouterr().out.count("max_tv,verdict") == 2
+
+
 # --------------------------------------------------------------------------
 # check-projectivity
 # --------------------------------------------------------------------------
@@ -385,6 +406,19 @@ def test_check_projectivity_validation(capsys):
     )
     assert code == 2
     assert "--theta-grid must be comma-separated numbers, got ''" in capsys.readouterr().err
+
+
+def test_check_projectivity_has_no_tolerance_option(capsys):
+    """The verdict's tolerance is ``PROJECTIVITY_TOLERANCE``; the removed
+    ``--tolerance`` option is refused as unknown, with no report."""
+    code = main(
+        ["check-projectivity", "--family", "edge-triangle", "--n", "4", "--n-sub", "3",
+         "--theta-grid=0", "--tolerance", "0"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --tolerance 0" in captured.err
 
 
 def test_check_projectivity_refuses_a_nan_probability_table(capsys):

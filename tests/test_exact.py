@@ -21,6 +21,7 @@ from projgraph import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
     Family,
+    InducedSubgraph,
     MAX_ENUMERATION_CAP,
     PROJECTIVITY_TOLERANCE,
     NodeSubset,
@@ -38,8 +39,10 @@ from projgraph import (
     graph_from_edges,
     graph_from_index,
     graph_to_index,
+    log_likelihood,
     log_normalizer,
     marginal_distribution,
+    mle,
     model_spec,
     natural_params,
     projectivity_check,
@@ -154,6 +157,33 @@ def test_a_costly_coding_warns_once_under_default_filters():
     assert done.returncode == 0, done.stderr
     assert done.stderr.count("RuntimeWarning: enumerating all 2^10 graphs on 5 nodes") == 1
     assert "about 810 MB to code the classes at n=8" in done.stderr
+
+
+_Y4 = graph_from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+_THETA = ParamVector(theta=(0.1, 0.2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: log_normalizer(EDGE_TRI, _THETA, 5, enum_cap=5),
+    lambda: completion_log_likelihood(EDGE_TRI, _THETA, _Y4, 5, enum_cap=5),
+    lambda: log_likelihood(EDGE_TRI, _THETA, InducedSubgraph(_Y4, 5), enum_cap=5),
+    lambda: mle(EDGE_TRI, InducedSubgraph(_Y4, 5), enum_cap=5),
+], ids=["log_normalizer", "completion_log_likelihood", "log_likelihood", "mle"])
+def test_each_public_call_warns_once_for_the_coding_it_builds(monkeypatch, call):
+    """Each public call checks the cap itself and reads codings through the
+    cache, so from a cold cache it warns once above the default cap, however
+    many of the others it calls, and a repeat in the process warns none."""
+    monkeypatch.setattr(projgraph.exact, "DEFAULT_ENUMERATION_CAP", 4)
+    _classes.cache_clear()
+    runs = []
+    for _ in range(2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        runs.append([str(w.message) for w in caught if w.category is RuntimeWarning])
+    first, again = runs
+    assert len(first) == 1 and "all 2^10 graphs on 5 nodes" in first[0]
+    assert again == []
 
 
 def test_cap_request_validation():
@@ -656,6 +686,29 @@ def test_projectivity_check_validates_sizes():
         projectivity_check(INVARIANT, None, n=4, n_sub=4)
     with pytest.raises(ValueError, match="need 1 <= n_sub < n"):
         projectivity_check(INVARIANT, None, n=4, n_sub=0)
+
+
+@pytest.mark.parametrize("spec, theta, tolerance, verdict", [
+    (INVARIANT, (0.0,), -1.0, "non-projective"),
+    (EDGE_TRI, (0.0, 0.5), 1.0, "projective-on-grid"),
+], ids=["below-every-distance", "above-every-distance"])
+def test_projectivity_verdict_reads_the_module_tolerance(monkeypatch, spec, theta,
+                                                         tolerance, verdict):
+    """The verdict compares the largest distance with
+    ``PROJECTIVITY_TOLERANCE`` as it stands when the check runs."""
+    theta = ParamVector(theta=theta)
+    before = projectivity_check(spec, [theta], n=4, n_sub=3)
+    assert before.verdict != verdict
+    monkeypatch.setattr(projgraph.exact, "PROJECTIVITY_TOLERANCE", tolerance)
+    report = projectivity_check(spec, [theta], n=4, n_sub=3)
+    assert report.verdict == verdict
+    assert report.tv_per_theta == before.tv_per_theta
+
+
+def test_projectivity_check_takes_no_tolerance_argument():
+    with pytest.raises(TypeError, match="tolerance"):
+        projectivity_check(EDGE_TRI, [ParamVector(theta=(0.0, 0.0))], n=4, n_sub=3,
+                           tolerance=0.0)
 
 
 def test_default_theta_grid_shape():
