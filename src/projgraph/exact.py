@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
@@ -36,8 +37,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graph import (Graph, NodeSubset, _cell, _csv_text, _dyad_map, _relabellings, dyad_count,
-                    graph_from_index)
+from .graph import (_RELABEL_BITS, Graph, NodeSubset, _cell, _csv_text, _dyad_map,
+                    _relabellings, dyad_count, graph_from_index)
 from .models import Family, ParamVector, StatsVector, _stats_table, edge_prob, natural_params
 from .rng import _DRAW_CHUNK, _first_uniforms, _index_rows
 
@@ -67,9 +68,8 @@ MAX_ENUMERATION_CAP = 8
 PROJECTIVITY_TOLERANCE = 1e-9
 
 _CHUNK = 1 << 20
-# Rows the class coder, marginal_distribution and the exchangeability check
-# read at a time: an int64 or intp array of a chunk then takes 512 KiB, which
-# stays in cache, and each chunk lies in one block of graph._relabellings.
+# Rows the class coder and marginal_distribution read at a time: an int64 or
+# intp array of a chunk then takes 512 KiB, which stays in cache.
 _CODE_CHUNK = 1 << 16
 
 
@@ -176,6 +176,11 @@ class _Coding(tuple):
     dtype: np.dtype
 
 
+# Modules whose frames the cost warning of _classes passes over.
+_COMPUTING = frozenset(f"{__package__}.{name}" for name in
+                       ("exact", "experiments", "graph", "inference", "models", "rng"))
+
+
 @lru_cache(maxsize=8)
 def _classes(fam: Family, n: int) -> _Coding:
     """The class coding of all graphs of size n, read-only: ``(codes,
@@ -183,12 +188,17 @@ def _classes(fam: Family, n: int) -> _Coding:
     counts.  Graph k's statistic row is ``points[codes[k]]``, and
     ``(points, log_counts)`` is the statistic histogram.  No table is kept.
     A coding above the default cap warns before it is built: a cache hit
-    costs nothing, so it does not warn."""
+    costs nothing, so it does not warn.  The warning names the first line
+    outside the computing modules: the caller's, or the CLI's."""
     if n > DEFAULT_ENUMERATION_CAP:
+        # warnings.warn's skip_file_prefixes needs Python 3.12.
+        frame, level = sys._getframe(), 1
+        while frame.f_back is not None and frame.f_globals.get("__name__") in _COMPUTING:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"enumerating all 2^{dyad_count(n)} graphs on {n} nodes allocates "
             "large tables: about 810 MB to code the classes at n=8",
-            RuntimeWarning, stacklevel=2)
+            RuntimeWarning, stacklevel=level)
     table = _stats_table(fam, n)
     codes, points, counts = _code_table(table)
     coding = _Coding((codes, points, np.log(counts)))
@@ -323,13 +333,14 @@ def _joint_counts(fam: Family, n: int, n_sub: int) -> tuple[np.ndarray, ...]:
 @lru_cache(maxsize=8)
 def _exchangeable_at(fam: Family, n: int) -> bool:
     """Whether relabelling the nodes keeps every graph on n nodes in its
-    statistic class, read from the class codes ``_CODE_CHUNK`` graphs at a
-    time against the two relabellings of
-    :func:`~projgraph.graph._relabellings`, which generate every one."""
+    statistic class, read from the class codes one block of
+    :func:`~projgraph.graph._relabellings` at a time against its two
+    relabellings, which generate every one."""
     codes = _classes(fam, n)[0]
-    return all(np.array_equal(codes[image], codes[lo:lo + _CODE_CHUNK])
-               for lo in range(0, len(codes), _CODE_CHUNK)
-               for image in _relabellings(n, lo, min(lo + _CODE_CHUNK, len(codes))))
+    block = 1 << _RELABEL_BITS
+    return all(np.array_equal(codes[image], codes[lo:lo + block])
+               for lo in range(0, len(codes), block)
+               for image in _relabellings(n, lo, min(lo + block, len(codes))))
 
 
 def _refuse_unexchangeable(spec: Family, n: int) -> None:
@@ -384,9 +395,10 @@ class ExactDistribution:
 
     ``class_log_probs[c]`` is the log probability of one graph in class c,
     and ``codes[k]`` the class of ``graph_from_index(n, k)`` (the cached
-    class codes).  The per-graph ``log_probs`` and ``probs()`` are gathered
-    through ``codes``; the sampling CDF ``_cdf`` is summed on the first
-    draw and kept, and refused above n = 7.
+    class codes), so ``class_log_probs[codes]`` is the log probability of
+    each graph.  ``probs()`` is gathered through ``codes``; the sampling
+    CDF ``_cdf`` is summed on the first draw and kept, and refused above
+    n = 7.
     """
 
     n: int
@@ -395,13 +407,6 @@ class ExactDistribution:
     class_log_probs: np.ndarray
     codes: np.ndarray
     log_z: float
-
-    @property
-    def log_probs(self) -> np.ndarray:
-        """Log probability of each graph, by graph index; read-only."""
-        table = self.class_log_probs[self.codes]
-        table.flags.writeable = False
-        return table
 
     def probs(self) -> np.ndarray:
         """Probability of each graph, by graph index."""

@@ -33,7 +33,6 @@ __all__ = [
     "complete_graph",
     "graph_from_edges",
     "graph_from_index",
-    "graph_to_index",
     "edge_count",
     "triangle_count",
     "degree_sequence",
@@ -43,7 +42,6 @@ __all__ = [
     "parse_edge_list",
     "format_edge_list",
     "read_edge_list",
-    "write_edge_list",
 ]
 
 
@@ -166,11 +164,6 @@ def graph_from_index(n: int, k: int) -> Graph:
     if not 0 <= k < (1 << dyad_count(n)):
         raise ValueError(f"graph index {k} out of range for n={n}")
     return Graph(n, k)
-
-
-def graph_to_index(g: Graph) -> int:
-    """Integer whose binary digits are the dyad bits of ``g``."""
-    return g.dyads
 
 
 def edge_count(g: Graph) -> int:
@@ -351,10 +344,6 @@ def format_edge_list(g: Graph) -> str:
 
 def read_edge_list(path: str | Path) -> Graph:
     return parse_edge_list(Path(path).read_text(encoding="utf-8"))
-
-
-def write_edge_list(g: Graph, path: str | Path) -> None:
-    Path(path).write_text(format_edge_list(g), encoding="utf-8")
 
 
 def _cell(value: Any) -> str:

@@ -52,7 +52,6 @@ __all__ = [
     "natural_params",
     "edge_prob",
     "sufficient_stats",
-    "log_unnormalized",
     "BERNOULLI_INVARIANT",
     "BERNOULLI_OFFSET",
     "EDGE_TRIANGLE",
@@ -280,13 +279,6 @@ def edge_prob(spec: Family, theta: ParamVector, n: int) -> float:
 
 def sufficient_stats(spec: Family, g: Graph) -> StatsVector:
     return StatsVector(values=tuple(_statistics(spec, g)[0]))
-
-
-def log_unnormalized(spec: Family, theta: ParamVector, n: int, g: Graph) -> float:
-    """Exponential-family kernel eta(theta, n) . s(g)."""
-    if g.n != n:
-        raise ValueError(f"graph has {g.n} nodes, expected {n}")
-    return float(natural_params(spec, theta, n) @ _statistics(spec, g)[0])
 
 
 _ENUM_CHUNK = 1 << 20

@@ -339,8 +339,8 @@ def test_a_costly_enumeration_warns_once_per_coding_built(tmp_path, monkeypatch,
 
 def test_a_costly_projectivity_check_warns_once_per_coding_built(capsys, monkeypatch):
     """check-projectivity above the default cap warns once, for the coding at
-    ``--n`` (the one at ``--n-sub`` is within the cap), and the same command
-    again in the process warns none."""
+    ``--n`` (the one at ``--n-sub`` is within the cap), at the command's line
+    in cli.py, and the same command again in the process warns none."""
     monkeypatch.setattr(projgraph.exact, "DEFAULT_ENUMERATION_CAP", 4)
     projgraph.exact._classes.cache_clear()
     argv = ["check-projectivity", "--family", "edge-triangle", "--n", "5", "--n-sub", "4",
@@ -350,9 +350,10 @@ def test_a_costly_projectivity_check_warns_once_per_coding_built(capsys, monkeyp
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(argv) == 0
-        runs.append([(w.category, str(w.message)) for w in caught])
+        runs.append([(w.category, str(w.message), w.filename) for w in caught])
     first, again = runs
-    assert [category for category, _ in first] == [RuntimeWarning]
+    assert [(category, filename) for category, _, filename in first] == [
+        (RuntimeWarning, projgraph.cli.__file__)]
     assert "all 2^10 graphs on 5 nodes" in first[0][1]
     assert again == []
     assert capsys.readouterr().out.count("max_tv,verdict") == 2
@@ -902,3 +903,21 @@ def test_every_public_name_resolves_to_its_submodule_object():
     names are the study layer's ``__all__``."""
     done = _child(["-c", textwrap.dedent(_PUBLIC_NAMES_SCRIPT)])
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("name, layer", [
+    ("graph_to_index", projgraph.graph),
+    ("write_edge_list", projgraph.graph),
+    ("log_unnormalized", projgraph.models),
+    ("log_probs", projgraph.exact),
+])
+def test_a_removed_second_way_is_no_public_name(name, layer):
+    """``g.dyads`` is a graph's index, ``format_edge_list`` gives the text an
+    edge-list file holds, ``natural_params @ sufficient_stats`` is the
+    unnormalized log density and ``class_log_probs[codes]`` a distribution's
+    per-graph table: the names that restated them are gone, and the package's
+    PEP 562 hook refuses them as it does any unknown name."""
+    assert name not in dir(projgraph) and name not in layer.__all__
+    assert not hasattr(layer, name) and not hasattr(projgraph.ExactDistribution, name)
+    with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
+        getattr(projgraph, name)

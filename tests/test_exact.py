@@ -38,7 +38,6 @@ from projgraph import (
     exact_sample,
     graph_from_edges,
     graph_from_index,
-    graph_to_index,
     log_likelihood,
     log_normalizer,
     marginal_distribution,
@@ -164,15 +163,20 @@ _THETA = ParamVector(theta=(0.1, 0.2))
 
 
 @pytest.mark.parametrize("call", [
+    lambda: enumerated_stats(EDGE_TRI, 5, enum_cap=5),
     lambda: log_normalizer(EDGE_TRI, _THETA, 5, enum_cap=5),
+    lambda: build_distribution(EDGE_TRI, _THETA, 5, enum_cap=5),
+    lambda: projectivity_check(EDGE_TRI, [_THETA], n=5, n_sub=4, enum_cap=5),
     lambda: completion_log_likelihood(EDGE_TRI, _THETA, _Y4, 5, enum_cap=5),
     lambda: log_likelihood(EDGE_TRI, _THETA, InducedSubgraph(_Y4, 5), enum_cap=5),
     lambda: mle(EDGE_TRI, InducedSubgraph(_Y4, 5), enum_cap=5),
-], ids=["log_normalizer", "completion_log_likelihood", "log_likelihood", "mle"])
+], ids=["enumerated_stats", "log_normalizer", "build_distribution", "projectivity_check",
+        "completion_log_likelihood", "log_likelihood", "mle"])
 def test_each_public_call_warns_once_for_the_coding_it_builds(monkeypatch, call):
     """Each public call checks the cap itself and reads codings through the
     cache, so from a cold cache it warns once above the default cap, however
-    many of the others it calls, and a repeat in the process warns none."""
+    many of the others it calls, and a repeat in the process warns none.
+    The warning names the caller's line, not one inside the package."""
     monkeypatch.setattr(projgraph.exact, "DEFAULT_ENUMERATION_CAP", 4)
     _classes.cache_clear()
     runs = []
@@ -180,9 +184,10 @@ def test_each_public_call_warns_once_for_the_coding_it_builds(monkeypatch, call)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             call()
-        runs.append([str(w.message) for w in caught if w.category is RuntimeWarning])
+        runs.append([w for w in caught if w.category is RuntimeWarning])
     first, again = runs
-    assert len(first) == 1 and "all 2^10 graphs on 5 nodes" in first[0]
+    assert len(first) == 1 and "all 2^10 graphs on 5 nodes" in str(first[0].message)
+    assert first[0].filename == __file__
     assert again == []
 
 
@@ -307,7 +312,7 @@ def test_distribution_examples():
     assert d.probs()[7] == pytest.approx(0.008, abs=1e-12)
     # edge-triangle at (0, 1): P(K3) = e / (7 + e)
     d = build_distribution(EDGE_TRI, ParamVector(theta=(0.0, 1.0)), 3)
-    k3 = graph_to_index(complete_graph(3))
+    k3 = complete_graph(3).dyads
     assert d.probs()[k3] == pytest.approx(math.e / (7 + math.e), abs=1e-12)
     assert d.probs()[k3] == pytest.approx(0.2797081, abs=1e-6)
 
@@ -892,7 +897,7 @@ def test_exact_sample_uniform_goodness_of_fit():
     rng = substream(123, "gof")
     counts = np.zeros(8, dtype=np.int64)
     for _ in range(80_000):
-        counts[graph_to_index(exact_sample(d, rng))] += 1
+        counts[exact_sample(d, rng).dyads] += 1
     freqs = counts / counts.sum()
     assert np.max(np.abs(freqs - 0.125)) <= 0.005
     result = chisquare(counts)

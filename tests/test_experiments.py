@@ -601,6 +601,19 @@ def test_a_family_exchangeable_only_on_4_nodes_is_refused_at_its_population_size
     assert report.max_tv >= 0.0
 
 
+@pytest.mark.parametrize("chunk", [1 << 10, 1 << 16, 1 << 20])
+def test_the_exchangeability_verdicts_do_not_depend_on_the_coder_chunk(monkeypatch,
+                                                                     node_four_probe, chunk):
+    """The exchangeability scan steps through the class codes by the blocks
+    that graph._relabellings reads, whatever rows the class coder takes at a
+    time: at 2^20 rows it once refused every range at n = 7."""
+    monkeypatch.setattr(exact, "_CODE_CHUNK", chunk)
+    _exchangeable_at.cache_clear()
+    for n in (5, 6, 7):
+        assert all(_exchangeable_at(spec, n) for spec in (INVARIANT, OFFSET, EDGE_TRI)), n
+        assert not _exchangeable_at(node_four_probe, n), n
+
+
 def _node_zero_then_triangles(g):
     """The edge count and, on at most 4 nodes the degree of node 0, above
     that the triangle count: not exchangeable on 4 nodes, but at 5 and up."""

@@ -401,8 +401,9 @@ _TABLE_FAMILIES = ["EdgeTriangle", "BernoulliInvariant", "BernoulliOffset", "Edg
     + [(family, n) for family in ("FloatStatsProbe", "NodeZeroProbe") for n in range(1, 7)],
 )
 def test_class_distribution_has_the_bits_of_the_per_graph_table(request, family, n):
-    """log_probs, probs(), the sampling CDF and marginals on prefix and
-    non-prefix subsets equal the per-graph construction exactly."""
+    """The per-graph log probabilities, probs(), the sampling CDF and
+    marginals on prefix and non-prefix subsets equal the per-graph
+    construction exactly."""
     if family == "EdgeTriangleOver50":
         spec, scale = request.getfixturevalue("edge_triangle_over_50"), 50.0
     else:
@@ -414,7 +415,7 @@ def test_class_distribution_has_the_bits_of_the_per_graph_table(request, family,
         d = build_distribution(spec, theta, n)
         log_z, log_probs = _per_graph_log_probs(spec, theta, n)
         assert d.log_z == log_z
-        assert np.array_equal(d.log_probs, log_probs)
+        assert np.array_equal(d.class_log_probs[d.codes], log_probs)
         assert np.array_equal(d.probs(), np.exp(log_probs))
         assert np.array_equal(d._cdf, np.cumsum(np.exp(log_probs)))
         for members in sorted(subsets):

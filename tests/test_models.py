@@ -28,7 +28,6 @@ from projgraph import (
     graph_from_edges,
     graph_from_index,
     log_normalizer,
-    log_unnormalized,
     model_spec,
     natural_params,
     register_family,
@@ -175,21 +174,21 @@ def test_edge_prob_rejects_dyad_dependent_family():
 # --------------------------------------------------------------------------
 
 
+def _log_unnormalized(spec, theta, g):
+    """The exponential-family kernel eta(theta, n) . s(g) of a graph on n nodes."""
+    return float(natural_params(spec, theta, g.n) @ sufficient_stats(spec, g).as_array())
+
+
 def test_log_unnormalized_examples():
     k3 = complete_graph(3)
     # eta . s(y) with s = (edges, triangles)
-    value = log_unnormalized(EDGE_TRI, ParamVector(theta=(0.5, -1.0)), 3, k3)
+    value = _log_unnormalized(EDGE_TRI, ParamVector(theta=(0.5, -1.0)), k3)
     assert value == pytest.approx(0.5 * 3 - 1.0, abs=1e-15)
     # offset family: (theta - log n) * edges; theta=1, n=10, 3 edges
     g = graph_from_edges(10, [(0, 1), (2, 3), (4, 5)])
-    value = log_unnormalized(OFFSET, ParamVector(theta=(1.0,)), 10, g)
+    value = _log_unnormalized(OFFSET, ParamVector(theta=(1.0,)), g)
     assert value == pytest.approx(3 * (1 - math.log(10)), abs=1e-12)
     assert value == pytest.approx(-3.9077552789821366, abs=1e-12)
-
-
-def test_log_unnormalized_checks_graph_size():
-    with pytest.raises(ValueError, match="graph has 3 nodes, expected 4"):
-        log_unnormalized(INVARIANT, ParamVector(theta=(0.0,)), 4, complete_graph(3))
 
 
 def test_edge_triangle_with_zero_triangle_weight_matches_invariant():
@@ -201,8 +200,8 @@ def test_edge_triangle_with_zero_triangle_weight_matches_invariant():
         for n in range(2, 6):
             for k in range(1 << dyad_count(n)):
                 g = graph_from_index(n, k)
-                assert log_unnormalized(EDGE_TRI, theta_et, n, g) == pytest.approx(
-                    log_unnormalized(INVARIANT, theta_inv, n, g), abs=1e-12
+                assert _log_unnormalized(EDGE_TRI, theta_et, g) == pytest.approx(
+                    _log_unnormalized(INVARIANT, theta_inv, g), abs=1e-12
                 )
 
 
