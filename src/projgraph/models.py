@@ -14,19 +14,21 @@ P(g) proportional to exp(eta(theta, n) . s(g)).  Three families ship:
 
 A registered :class:`Family` is the model: every function that takes a
 ``spec`` takes the ``Family`` object that :func:`model_spec` returns, and
-reads its statistics, tables and offset from it directly.  A family
-declares only those; their number and whether its dyads are independent
-are derived from them, and every statistic table is checked where it is
-built (exchangeability, at the population size, in :mod:`projgraph.exact`).
+reads its statistics and offset from it directly.  A family declares only
+those; their number and whether its dyads are independent are derived from
+them, and every statistic row is checked where it is built
+(exchangeability, at the population size, in :mod:`projgraph.exact`).
 New families can be added through :func:`register_family`.
 Natural-parameter maps are restricted to per-component shifts of theta
 (the offset applies to the edge term), which keeps theta-gradients equal
 to eta-gradients throughout the inference code.
 
-The built-in families also build the statistic table of all graphs of a
-size in bulk, as small unsigned integers: edge counts by popcount, and
-EdgeTriangle's table node by node from the table one size down.  The
-logistic is computed here, so importing this module needs NumPy only.
+The statistic table of all graphs of a size is the rows of ``stats``, one
+graph at a time, except for the statistic functions shipped here: their
+tables are built in bulk (``_TABLES``), as small unsigned integers: edge
+counts by popcount, and EdgeTriangle's table node by node from the table
+one size down.  The logistic is computed here, so importing this module
+needs NumPy only.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -99,10 +101,8 @@ class ParamVector:
 
 
 # Building a family builds its statistic tables on up to this many nodes (75
-# graphs in all), and a bulk table of these sizes is checked on every graph;
-# a larger one is checked on _BULK_SAMPLES fixed graphs.
+# graphs in all).
 _CHECKED_N = 4
-_BULK_SAMPLES = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,17 +111,14 @@ class Family:
 
     ``offset_edges`` fixes the natural-parameter map (see
     :func:`natural_params`).  ``stats`` maps a graph to its statistic
-    tuple.  ``bulk_stats``, when provided, returns the full
-    (2^C(n,2), stat_dim) statistic table for all graphs of size n in
-    graph-index order; families without it fall back to a per-graph loop
-    during enumeration.  Everything else is derived: the 1-node graph's
-    number of statistics sets ``stat_dim`` (see :func:`_statistics`), and
+    tuple.  Everything else is derived: the 1-node graph's number of
+    statistics sets ``stat_dim`` (see :func:`_statistics`), and
     ``bernoulli``, which unlocks the independent-dyad closed forms at any
     size, is whether ``stats`` is the shipped edge count
     :func:`_edge_statistics`.  Building a family builds its tables on at most
     ``_CHECKED_N`` nodes (see :func:`_stats_table`), so one that gives a
-    graph a different number of statistics, or a ``bulk_stats`` that differs
-    from ``stats``, is refused there with ``ValueError``.
+    graph a different number of statistics is refused there with
+    ``ValueError``.
 
     Equality and hashing are by identity: a family is the model, and every
     cache keyed on it holds entries for that object alone.  So a family
@@ -132,7 +129,6 @@ class Family:
     name: str
     offset_edges: bool
     stats: Callable[[Graph], tuple[float, ...]]
-    bulk_stats: Optional[Callable[[int], np.ndarray]] = None
     stat_dim: int = field(init=False)
     bernoulli: bool = field(init=False)
 
@@ -162,34 +158,23 @@ def _statistics(fam: Family, graphs: Graph | int) -> np.ndarray:
 
 
 def _stats_table(fam: Family, n: int) -> np.ndarray:
-    """Statistic table of all graphs of size n, built afresh, uncached: the rows
-    of :func:`_statistics`, or the ``bulk_stats`` table, refused with
-    ``ValueError`` unless it has their shape and their values: on every graph
-    of at most ``_CHECKED_N`` nodes, and above that on ``_BULK_SAMPLES``
-    fixed graphs, the empty and the complete graph among them."""
-    if fam.bulk_stats is None:
-        return _statistics(fam, n)
-    table, total = np.asarray(fam.bulk_stats(n)), 1 << dyad_count(n)
-    if table.shape != (total, fam.stat_dim):
-        raise ValueError(f"family {fam.name!r} has bulk statistics of shape {table.shape} on "
-                         f"the graphs of {n} nodes, expected ({total}, {fam.stat_dim})")
-    if n <= _CHECKED_N:
-        graphs, rows = np.arange(total), _statistics(fam, n)
-    else:  # the empty and complete graphs, and k * 2^64 / phi for k = 1, 2, ... scaled down
-        steps = np.arange(1, _BULK_SAMPLES - 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        graphs = np.r_[0, total - 1, steps >> np.uint64(64 - dyad_count(n))]
-        rows = np.concatenate([_statistics(fam, Graph(n, int(k))) for k in graphs])
-    bulk = table[graphs]
-    differ = ~((bulk == rows) | np.isnan(bulk) & np.isnan(rows)).all(axis=1)
-    if differ.any():
-        raise ValueError(f"family {fam.name!r} has bulk statistics that differ from its "
-                         f"per-graph statistics on graph {graphs[differ.argmax()]} of {n} nodes")
-    return table
+    """Statistic table of all graphs of size n, built afresh, uncached: the
+    ``_TABLES`` builder of ``fam.stats``, found by identity so that the
+    statistics need not be hashable, else the rows of :func:`_statistics`."""
+    for stats, build in _TABLES.items():
+        if stats is fam.stats:
+            return build(n)
+    return _statistics(fam, n)
 
 
 def _edge_statistics(g: Graph) -> tuple[float]:
     """The edge count, the statistic of both shipped independent-dyad families."""
     return (float(edge_count(g)),)
+
+
+def _edge_triangle_statistics(g: Graph) -> tuple[float, float]:
+    """The edge and triangle counts, EdgeTriangle's statistics."""
+    return (float(edge_count(g)), float(triangle_count(g)))
 
 
 _REGISTRY: dict[str, Family] = {}
@@ -314,12 +299,19 @@ def _bulk_edge_triangle_counts(n: int) -> np.ndarray:
     return out.reshape(-1, 2)
 
 
+# The bulk table builders of the shipped statistic functions, keyed by the
+# function; tests check each against its function on every graph.
+_TABLES: dict[Callable, Callable[[int], np.ndarray]] = {
+    _edge_statistics: _bulk_edge_counts,
+    _edge_triangle_statistics: _bulk_edge_triangle_counts,
+}
+
+
 register_family(
     Family(
         name=BERNOULLI_INVARIANT,
         offset_edges=False,
         stats=_edge_statistics,
-        bulk_stats=_bulk_edge_counts,
     )
 )
 
@@ -328,7 +320,6 @@ register_family(
         name=BERNOULLI_OFFSET,
         offset_edges=True,
         stats=_edge_statistics,
-        bulk_stats=_bulk_edge_counts,
     )
 )
 
@@ -336,7 +327,6 @@ register_family(
     Family(
         name=EDGE_TRIANGLE,
         offset_edges=False,
-        stats=lambda g: (float(edge_count(g)), float(triangle_count(g))),
-        bulk_stats=_bulk_edge_triangle_counts,
+        stats=_edge_triangle_statistics,
     )
 )

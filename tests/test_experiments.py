@@ -26,7 +26,6 @@ from projgraph import (
     completion_log_likelihood,
     degree_sequence,
     dyad_count,
-    dyad_index,
     edge_count,
     edge_prob,
     exact_sample,
@@ -495,27 +494,6 @@ def node_zero_probe():
     ))
     yield model_spec("NodeZeroProbe")
     unregister_family("NodeZeroProbe")
-
-
-def _node_four_table(n):
-    """(edges, degree of node 4) of every graph on n nodes, by popcounts."""
-    index = np.arange(1 << dyad_count(n), dtype=np.uint64)
-    star = sum(1 << dyad_index(*sorted((i, 4))) for i in range(n) if i != 4) if n > 4 else 0
-    return np.stack([np.bitwise_count(index), np.bitwise_count(index & np.uint64(star))],
-                    axis=1)
-
-
-@pytest.fixture(scope="module")
-def node_four_probe():
-    """A label-dependent family that the graphs of at most 4 nodes cannot
-    show: the edge count and the degree of node 4, which is 0 on them."""
-    register_family(Family(
-        name="NodeFourProbe", offset_edges=False,
-        stats=lambda g: (float(edge_count(g)), float(degree_sequence(g)[4]) if g.n > 4 else 0.0),
-        bulk_stats=_node_four_table,
-    ))
-    yield model_spec("NodeFourProbe")
-    unregister_family("NodeFourProbe")
 
 
 @pytest.mark.parametrize("seed", [0, 7, (1 << 63) + 17, (1 << 64) - 1])

@@ -151,19 +151,18 @@ def test_replicates_likelihood_is_additive():
 )
 def test_enumerated_mle_computes_each_graphs_statistics_once(data, kind):
     """Each graph's statistics are computed when the cached statistic table
-    is built, where a sample of them also checks the bulk table: a fit reads
-    the observed rows from the table and calls the family's ``stats`` on no
-    graph, and its log likelihood is the direct one."""
+    is built: a fit reads the observed rows from the table and calls the
+    family's ``stats`` on no graph, and its log likelihood is the direct
+    one."""
     calls = []
 
     def counting(g):
         calls.append(g)
         return EDGE_TRI.stats(g)
 
-    spec = Family(name="CountingEdgeTriangle", offset_edges=False,
-                  stats=counting, bulk_stats=EDGE_TRI.bulk_stats)
+    spec = Family(name="CountingEdgeTriangle", offset_edges=False, stats=counting)
     _classes(spec, 5)
-    calls.clear()  # the statistics checks at construction and on the 5-node table
+    calls.clear()  # the tables built at construction and the 5-node table
     result = mle(spec, data, kind)
     assert result.converged
     assert calls == []

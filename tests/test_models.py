@@ -37,9 +37,10 @@ from projgraph import (
     triangle_count,
     unregister_family,
 )
+from projgraph import models
 from projgraph.exact import EnumerationCapError, build_distribution
-from projgraph.inference import (completion_log_likelihood, log_likelihood, mle,
-                                  proper_log_likelihood)
+from projgraph.inference import completion_log_likelihood, log_likelihood, proper_log_likelihood
+from projgraph.models import _statistics, _stats_table
 
 INVARIANT = model_spec("BernoulliInvariant")
 OFFSET = model_spec("BernoulliOffset")
@@ -285,8 +286,7 @@ def test_a_family_that_leaves_the_edge_count_above_4_nodes_gets_one_answer():
 def test_a_family_that_counts_edges_its_own_way_enumerates():
     """Only the shipped edge count unlocks the closed forms: an edge count
     of the family's own is enumerated, under the cap, to the same answer."""
-    fam = Family(name="X", offset_edges=True, stats=lambda g: (float(edge_count(g)),),
-                 bulk_stats=INVARIANT.bulk_stats)
+    fam = Family(name="X", offset_edges=True, stats=lambda g: (float(edge_count(g)),))
     assert not fam.bernoulli
     theta = ParamVector(theta=(0.3,))
     closed = dyad_count(6) * math.log1p(math.exp(0.3 - math.log(6)))
@@ -295,77 +295,28 @@ def test_a_family_that_counts_edges_its_own_way_enumerates():
         log_normalizer(fam, theta, 8)
 
 
-def test_a_family_whose_bulk_table_disagrees_with_its_stats_is_refused():
-    """A bulk table that is twice the per-graph edge count would answer one
-    question two ways: at theta = 0.3 on K4 the per-graph statistic gives
-    a log probability of -4.4249 and the table -2.6249.  Such a family, or
-    one whose table misses a row, is refused when built."""
-    edges = INVARIANT.stats
-    with pytest.raises(ValueError, match="bulk statistics that differ from its per-graph"):
-        Family(name="Tmp", offset_edges=False, stats=edges,
-               bulk_stats=lambda n: 2 * INVARIANT.bulk_stats(n))
-    with pytest.raises(ValueError, match="on the graphs of 1 nodes"):
-        Family(name="Tmp", offset_edges=False, stats=edges,
-               bulk_stats=lambda n: INVARIANT.bulk_stats(n)[:-1])
-
-
-def test_a_bulk_table_that_leaves_stats_above_4_nodes_is_refused_there():
-    """A bulk table of twice the edge count above 4 nodes once passed the
-    check on at most 4 nodes, and ``enumerated_stats(fam, 5)[-1]`` read
-    [20], where K5 has 10 edges.  Every table built at 5 nodes now refuses
-    it, naming the complete graph, while the tables below still build."""
-    fam = Family(name="X", offset_edges=False, stats=lambda g: (float(edge_count(g)),),
-                 bulk_stats=lambda n: INVARIANT.bulk_stats(n) * (1 if n <= 4 else 2))
-    theta, k5 = ParamVector(theta=(0.3,)), FullGraph(complete_graph(5))
-    message = re.escape("family 'X' has bulk statistics that differ from its per-graph "
-                        "statistics on graph 1023 of 5 nodes")
-    for call in (lambda: enumerated_stats(fam, 5), lambda: build_distribution(fam, theta, 5),
-                 lambda: log_likelihood(fam, theta, k5), lambda: mle(fam, k5)):
-        with pytest.raises(ValueError, match=message):
-            call()
-    assert enumerated_stats(fam, 4)[-1].tolist() == [6]
-
-
-@settings(max_examples=30, deadline=None)
-@given(n=st.integers(1, 6), index=st.integers(0, (1 << dyad_count(6)) - 1))
-def test_a_bulk_table_is_checked_on_every_graph_up_to_4_nodes_and_the_extremes_above(n, index):
-    """One row of a bulk table is off by one: on at most 4 nodes, whichever
-    row it is, the family is refused when built; above that, a wrong empty
-    or complete graph is refused by the table built at that size."""
-    total = 1 << dyad_count(n)
-    wrong = index % total if n <= 4 else (0, total - 1)[index % 2]
-
-    def bulk(size):
-        table = INVARIANT.bulk_stats(size).astype(np.int16)
-        if size == n:
-            table[wrong] += 1
-        return table
-
-    message = re.escape(f"per-graph statistics on graph {wrong} of {n} nodes")
-    with pytest.raises(ValueError, match=message):
-        fam = Family(name="X", offset_edges=False, stats=INVARIANT.stats, bulk_stats=bulk)
-        enumerated_stats(fam, n)
-
-
 def test_stat_dim_is_the_number_of_statistics_each_graph_gives():
     """``stat_dim`` is computed from ``stats``, not declared: an edge-count
     family has one statistic, and every row of its enumerated table is the
     statistic vector of that graph.  A declared ``stat_dim`` of 2 once
-    broadcast the edge count into both columns of that table."""
+    broadcast the edge count into both columns of that table.  At 5 nodes,
+    a bulk table of the family's own, then checked on only 32 graphs, once
+    read [2] for graph 1, whose edge count is 1."""
     fam = Family(name="X", offset_edges=False, stats=lambda g: (float(edge_count(g)),))
     assert fam.stat_dim == 1 and EDGE_TRI.stat_dim == 2 and INVARIANT.stat_dim == 1
-    table = enumerated_stats(fam, 4)
-    assert table.shape == (1 << dyad_count(4), 1)
-    for k, row in enumerate(table):
-        assert tuple(row) == sufficient_stats(fam, graph_from_index(4, k)).values
+    for n in (4, 5):
+        table = enumerated_stats(fam, n)
+        assert table.shape == (1 << dyad_count(n), 1)
+        for k, row in enumerate(table):
+            assert tuple(row) == sufficient_stats(fam, graph_from_index(n, k)).values
 
 
 def test_a_family_declares_only_its_statistics_and_offset():
     """The init fields are the declared ones; ``stat_dim`` and ``bernoulli``
-    are derived, and nothing can be set."""
+    are derived, a statistic table is not declared, and nothing can be set."""
     assert [f.name for f in dataclasses.fields(Family) if f.init] == [
-        "name", "offset_edges", "stats", "bulk_stats"]
-    for field in ("stat_dim", "bernoulli"):
+        "name", "offset_edges", "stats"]
+    for field in ("stat_dim", "bernoulli", "bulk_stats"):
         with pytest.raises(TypeError, match=field):
             Family(name="X", offset_edges=False, stats=INVARIANT.stats, **{field: 1})
     for field in ("stat_dim", "bernoulli", "stats"):
@@ -501,20 +452,6 @@ def test_builtin_families_cannot_be_unregistered():
         unregister_family("BernoulliOffset")
 
 
-def test_bulk_stats_agree_with_scalar_stats():
-    """The vectorized statistic tables must match the per-graph definitions."""
-    for spec in (INVARIANT, OFFSET, EDGE_TRI):
-        bulk = spec.bulk_stats
-        if bulk is None:
-            continue
-        for n in range(2, 6):
-            table = np.asarray(bulk(n), dtype=float)
-            assert table.shape == (1 << dyad_count(n), spec.stat_dim)
-            for k in range(table.shape[0]):
-                expected = sufficient_stats(spec, graph_from_index(n, k)).values
-                assert tuple(table[k]) == expected
-
-
 def _mask_loop_edge_triangle_counts(n):
     """The EdgeTriangle table by one mask compare per node triple and row,
     the builder the node-recursive one replaced."""
@@ -530,16 +467,34 @@ def _mask_loop_edge_triangle_counts(n):
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_edge_triangle_table_matches_per_graph_counts(n):
-    table = EDGE_TRI.bulk_stats(n)
+@pytest.mark.parametrize("stats", list(models._TABLES), ids=lambda stats: stats.__name__)
+def test_the_shipped_tables_are_their_statistics_on_every_graph(stats, n):
+    """Each bulk table the package ships holds small unsigned integers equal,
+    row for row, to its statistic function on every graph."""
+    table = models._TABLES[stats](n)
     assert table.dtype == np.uint8
-    want = [(edge_count(g), triangle_count(g))
-            for g in (graph_from_index(n, k) for k in range(1 << dyad_count(n)))]
-    assert table.tolist() == [list(row) for row in want]
+    want = [stats(graph_from_index(n, k)) for k in range(1 << dyad_count(n))]
+    assert np.array_equal(table, np.array(want))
 
 
 def test_edge_triangle_table_matches_the_mask_loop_at_seven_nodes():
-    table = EDGE_TRI.bulk_stats(7)
+    table = _stats_table(EDGE_TRI, 7)
     want = _mask_loop_edge_triangle_counts(7)
     assert table.dtype == want.dtype
     assert np.array_equal(table, want)
+
+
+@pytest.mark.parametrize("probe", ["edge_triangle_over_50", "edge_count_probe",
+                                   "stacked_float_probe", "node_four_probe"])
+def test_a_table_a_test_registers_is_its_statistics_on_every_graph(request, probe):
+    """The test families that register a fast table in ``models._TABLES``
+    (see conftest) are answered from it with no check, so each table must
+    be, bit for bit, its family's per-graph statistics on every graph of at
+    most 6 nodes."""
+    fam = request.getfixturevalue(probe)
+    assert fam.stats in models._TABLES
+    for n in range(1, 7):
+        table, rows = np.asarray(_stats_table(fam, n), dtype=np.float64), _statistics(fam, n)
+        assert table.shape == rows.shape, n
+        assert np.array_equal(table, rows) and np.array_equal(np.signbit(table),
+                                                              np.signbit(rows)), n

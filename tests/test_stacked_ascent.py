@@ -14,15 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from projgraph import (
-    Family,
-    dyad_count,
-    edge_count,
-    graph_from_index,
-    model_spec,
-    register_family,
-    unregister_family,
-)
+from projgraph import dyad_count, graph_from_index, model_spec
 from projgraph.exact import (
     _classes,
     _completion_counts,
@@ -51,38 +43,13 @@ from projgraph.models import ParamVector, natural_params
 EDGE_TRI = model_spec("EdgeTriangle")
 
 
-@pytest.fixture(scope="module")
-def probes():
-    """A one-statistic family without the closed form, and the three
-    non-integer statistics of test_histogram_engine's FloatStatsProbe, both
-    built from the EdgeTriangle table."""
-
-    def float_stats(table):
-        m, t = table[:, 0].astype(np.float64), table[:, 1].astype(np.float64)
-        return np.column_stack([m / 3.0, np.sqrt(1.0 + t), 0.1 * m * t - 0.5])
-
-    families = [
-        Family(name="EdgeCountProbe", offset_edges=False,
-               stats=lambda g: (float(edge_count(g)),),
-               bulk_stats=lambda n: EDGE_TRI.bulk_stats(n)[:, :1].astype(np.float64)),
-        Family(name="StackedFloatProbe", offset_edges=False,
-               stats=lambda g: tuple(float_stats(np.array([EDGE_TRI.stats(g)]))[0]),
-               bulk_stats=lambda n: float_stats(EDGE_TRI.bulk_stats(n))),
-    ]
-    for family in families:
-        register_family(family)
-    yield {family.name: model_spec(family.name) for family in families}
-    for family in families:
-        unregister_family(family.name)
-
-
-@pytest.fixture(params=["EdgeTriangle", "over50", "EdgeCountProbe", "StackedFloatProbe"])
-def family(request, probes, edge_triangle_over_50):
+@pytest.fixture(params=["EdgeTriangle", "edge_triangle_over_50", "edge_count_probe",
+                        "stacked_float_probe"],
+                ids=["EdgeTriangle", "over50", "EdgeCountProbe", "StackedFloatProbe"])
+def family(request):
     if request.param == "EdgeTriangle":
         return EDGE_TRI
-    if request.param == "over50":
-        return edge_triangle_over_50
-    return probes[request.param]
+    return request.getfixturevalue(request.param)
 
 
 def _assert_same_bits(got, want, what):
