@@ -37,7 +37,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graph import (_RELABEL_BITS, Graph, NodeSubset, _cell, _csv_text, _dyad_map,
+from .graph import (Graph, NodeSubset, _cell, _csv_text, _dyad_map,
                     _relabellings, dyad_count, graph_from_index)
 from .models import Family, ParamVector, StatsVector, _stats_table, edge_prob, natural_params
 from .rng import _DRAW_CHUNK, _first_uniforms, _index_rows
@@ -337,10 +337,8 @@ def _exchangeable_at(fam: Family, n: int) -> bool:
     :func:`~projgraph.graph._relabellings` at a time against its two
     relabellings, which generate every one."""
     codes = _classes(fam, n)[0]
-    block = 1 << _RELABEL_BITS
-    return all(np.array_equal(codes[image], codes[lo:lo + block])
-               for lo in range(0, len(codes), block)
-               for image in _relabellings(n, lo, min(lo + block, len(codes))))
+    return all(np.array_equal(codes[image], codes[lo:lo + len(image)])
+               for lo, *images in _relabellings(n) for image in images)
 
 
 def _refuse_unexchangeable(spec: Family, n: int) -> None:

@@ -213,7 +213,9 @@ def mean_degree(g: Graph) -> float:
 def _dyad_map(members) -> np.ndarray:
     """Parent dyad index of each subgraph dyad, in subgraph dyad order, for
     sorted members of shape (..., m): subgraph dyad (a, b) is parent dyad
-    (m_a, m_b).  Every node-subset gather reads its dyads from this map."""
+    (m_a, m_b).  Every node-subset gather reads its dyads from this map, and
+    so do the star masks of the shipped statistic tables in
+    :mod:`projgraph.models`."""
     members = np.asarray(members, dtype=np.int64)
     # Dyad k is the pair (a, b), a < b, with k = b(b-1)/2 + a: node b ends b dyads.
     m = members.shape[-1]
@@ -248,23 +250,18 @@ def _relabel_tables(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
     return tuple(tables)
 
 
-def _relabellings(n: int, lo: int, hi: int) -> Iterator[np.ndarray]:
-    """For the transposition (0 1), then for the cycle (0 1 ... n-1), the
-    index of each graph lo, ..., hi - 1 on n nodes after that relabelling of
-    its nodes.  The two generate every relabelling, so a function of the
-    graphs is unchanged by every relabelling iff it is by both.
-
-    The range must lie in one block of 2^``_RELABEL_BITS`` indices, whose
-    graphs share the dyads above the block's bits: each image is then a
-    slice of the first lookup table joined with one value."""
-    if lo >> _RELABEL_BITS != (hi - 1) >> _RELABEL_BITS:
-        raise ValueError(f"graphs {lo} to {hi - 1} span more than one block of "
-                         f"2^{_RELABEL_BITS} indices")
-    for low, *high in _relabel_tables(n):
-        start, top = lo & len(low) - 1, 0
-        for t, lut in enumerate(high, 1):
-            top |= int(lut[lo >> t * _RELABEL_BITS & len(lut) - 1])
-        yield low[start:start + hi - lo] | top
+def _relabellings(n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """For each block of 2^``_RELABEL_BITS`` graphs on n nodes (one block
+    when there are fewer), its first index, then the indices of its graphs
+    after the transposition (0 1), then after the cycle (0 1 ... n-1), of
+    their nodes.  The two generate every relabelling, so a function of the
+    graphs is unchanged by every relabelling iff it is by both.  A block's
+    graphs share the dyads above its bits, so each image is the first lookup
+    table joined with the other tables' entries, whose bits are disjoint."""
+    for lo in range(0, 1 << dyad_count(n), 1 << _RELABEL_BITS):
+        yield lo, *(low | sum(int(lut[lo >> t * _RELABEL_BITS & len(lut) - 1])
+                              for t, lut in enumerate(high, 1))
+                    for low, *high in _relabel_tables(n))
 
 
 def induced_subgraph(g: Graph, s: NodeSubset) -> Graph:

@@ -69,7 +69,7 @@ from .exact import (
     resolve_enum_cap,
     stat_covariance,
 )
-from .graph import Graph, _cell, _csv_text, dyad_count, edge_count
+from .graph import Graph, _csv_text, dyad_count, edge_count
 from .models import Family, ParamVector, natural_params
 
 __all__ = [
@@ -85,8 +85,6 @@ __all__ = [
     "log_likelihood",
     "mle",
     "fisher_information",
-    "mle_csv_header",
-    "mle_csv_row",
     "format_mle_csv",
     "NEWTON_TOLERANCE",
     "NEWTON_MAX_ITERATIONS",
@@ -791,28 +789,16 @@ def mle(
     return MLEResult(fit.theta_hat, std_err, log_lik, fit.converged, False, fit.iterations)
 
 
-def mle_csv_header(spec: Family) -> list[str]:
-    dim = spec.stat_dim
-    return (
-        ["family", "kind"]
-        + [f"theta_hat_{k + 1}" for k in range(dim)]
-        + [f"std_err_{k + 1}" for k in range(dim)]
-        + ["log_lik", "converged", "boundary", "iterations"]
-    )
-
-
-def mle_csv_row(spec: Family, kind: LikelihoodKind, result: MLEResult) -> list[str]:
-    std = (None,) * spec.stat_dim if result.std_err is None else result.std_err
-    return [
-        _cell(value)
-        for value in (spec.name, LikelihoodKind(kind).value, *result.theta_hat, *std,
-                      result.log_lik, result.converged, result.boundary, result.iterations)
-    ]
-
-
 def format_mle_csv(
     spec: Family,
     entries: Sequence[tuple[LikelihoodKind, MLEResult]],
 ) -> str:
-    return _csv_text([mle_csv_header(spec)]
-                     + [mle_csv_row(spec, kind, result) for kind, result in entries])
+    dim = spec.stat_dim
+    header = (["family", "kind"] + [f"theta_hat_{k + 1}" for k in range(dim)]
+              + [f"std_err_{k + 1}" for k in range(dim)]
+              + ["log_lik", "converged", "boundary", "iterations"])
+    return _csv_text([header] + [
+        (spec.name, LikelihoodKind(kind).value, *result.theta_hat,
+         *((None,) * dim if result.std_err is None else result.std_err),
+         result.log_lik, result.converged, result.boundary, result.iterations)
+        for kind, result in entries])

@@ -25,22 +25,22 @@ to eta-gradients throughout the inference code.
 
 The statistic table of all graphs of a size is the rows of ``stats``, one
 graph at a time, except for the statistic functions shipped here: their
-tables are built in bulk (``_TABLES``), as small unsigned integers: edge
-counts by popcount, and EdgeTriangle's table node by node from the table
-one size down.  The logistic is computed here, so importing this module
-needs NumPy only.
+tables are built in bulk (``_TABLES``), as small unsigned integers, by one
+recursion that extends the table one size down by each star of the last
+node.  The logistic is computed here, so importing this module needs NumPy
+only.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .graph import Graph, dyad_count, dyad_index, edge_count, triangle_count
+from .graph import Graph, _dyad_map, dyad_count, edge_count, triangle_count
 
 __all__ = [
     "Family",
@@ -266,44 +266,40 @@ def sufficient_stats(spec: Family, g: Graph) -> StatsVector:
     return StatsVector(values=tuple(_statistics(spec, g)[0]))
 
 
-_ENUM_CHUNK = 1 << 20
-
-
-def _bulk_edge_counts(n: int) -> np.ndarray:
-    total = 1 << dyad_count(n)
-    out = np.empty((total, 1), dtype=np.uint8)
-    for lo in range(0, total, _ENUM_CHUNK):
-        hi = min(lo + _ENUM_CHUNK, total)
-        idx = np.arange(lo, hi, dtype=np.uint64)
-        out[lo:hi, 0] = np.bitwise_count(idx).astype(np.uint8)
-    return out
-
-
-def _bulk_edge_triangle_counts(n: int) -> np.ndarray:
-    """(edges, triangles) of every graph on n nodes, built from the table on
-    n - 1 nodes.  Graph k is a prefix p, its low C(n-1, 2) bits, plus the
-    star S of dyads (i, n-1) in its top n - 1 bits, so its edges are
-    e(p) + |S| and its triangles t(p) + popcount(p & M_S), where M_S masks
-    the dyads with both ends in S."""
-    if n == 1:
-        return np.zeros((1, 2), dtype=np.uint8)
-    prefix = _bulk_edge_triangle_counts(n - 1)
-    edges, triangles = prefix.T.copy()
-    p = np.arange(len(prefix), dtype=np.min_scalar_type(len(prefix) - 1))
-    out = np.empty((1 << (n - 1), len(prefix), 2), dtype=np.uint8)
-    for star in range(1 << (n - 1)):
-        ends = [i for i in range(n - 1) if star >> i & 1]
-        inside = sum(1 << dyad_index(i, j) for i, j in itertools.combinations(ends, 2))
-        np.add(edges, len(ends), out=out[star, :, 0])
-        np.add(triangles, np.bitwise_count(p & p.dtype.type(inside)), out=out[star, :, 1])
-    return out.reshape(-1, 2)
+def _star_counts(n: int, triangles: bool) -> np.ndarray:
+    """Edge counts, then with ``triangles`` triangle counts, of every graph on
+    n nodes as uint8 columns, built node by node.  Graph k on m nodes is a
+    prefix p, its low C(m-1, 2) bits, plus the star S of dyads (i, m-1) in
+    its top m - 1 bits, so its edges are e(p) + |S| and its triangles
+    t(p) + popcount(p & M_S), where M_S masks the dyads with both ends in S."""
+    masks = np.zeros(1 << (n - 1), dtype=np.int64)
+    if triangles:
+        # Row s of ``ends`` marks the ends of star s.  The stars of one size
+        # stack into one _dyad_map call, a few instead of one per star.
+        ends = np.arange(len(masks))[:, None] >> np.arange(n - 1) & 1
+        for size in range(2, n):
+            stars = np.flatnonzero(ends.sum(axis=1) == size)
+            members = np.nonzero(ends[stars])[1].reshape(-1, size)
+            masks[stars] = np.sum(1 << _dyad_map(members), axis=1)
+    table = np.zeros((1, 1 + triangles), dtype=np.uint8)
+    for m in range(2, n + 1):
+        columns = table.T.copy()
+        p = np.arange(len(table), dtype=np.min_scalar_type(len(table) - 1))
+        out = np.empty((1 << (m - 1), *table.shape), dtype=np.uint8)
+        for star in range(1 << (m - 1)):
+            np.add(columns[0], star.bit_count(), out=out[star, :, 0])
+            if triangles:
+                np.add(columns[1], np.bitwise_count(p & p.dtype.type(masks[star])),
+                       out=out[star, :, 1])
+        table = out.reshape(-1, table.shape[1])
+    return table
 
 
 # The bulk table builders of the shipped statistic functions, keyed by the
 # function; tests check each against its function on every graph.
 _TABLES: dict[Callable, Callable[[int], np.ndarray]] = {
-    _edge_statistics: _bulk_edge_counts,
-    _edge_triangle_statistics: _bulk_edge_triangle_counts,
+    _edge_statistics: partial(_star_counts, triangles=False),
+    _edge_triangle_statistics: partial(_star_counts, triangles=True),
 }
 
 

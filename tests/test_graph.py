@@ -288,27 +288,34 @@ def _relabelled(g, perm):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_relabellings_move_each_edge_to_its_relabelled_ends(n):
-    """Graph k's image under the transposition (0 1), then under the cycle
-    (0 1 ... n-1), is the graph with each edge (a, b) moved to (perm[a],
-    perm[b]), in any range of indices."""
+    """Every graph k's image under the transposition (0 1), then under the
+    cycle (0 1 ... n-1), is the graph with each edge (a, b) moved to
+    (perm[a], perm[b]); below 2^16 graphs there is one block, from 0."""
     perms = ((1, 0, *range(2, n)), tuple((i + 1) % n for i in range(n)))
     total = 1 << dyad_count(n)
-    for lo, hi in ((0, total), (total // 3, min(total // 3 + 5, total))):
-        for perm, image in zip(perms, _relabellings(n, lo, hi), strict=True):
-            assert image.tolist() == [_relabelled(Graph(n, k), perm).dyads
-                                      for k in range(lo, hi)]
+    ((lo, *images),) = _relabellings(n)
+    assert lo == 0
+    for perm, image in zip(perms, images, strict=True):
+        assert image.tolist() == [_relabelled(Graph(n, k), perm).dyads for k in range(total)]
 
 
 def test_relabellings_read_every_index_bit_at_n8():
-    """At n = 8 each index takes two lookup tables; sampled graphs from the
-    top and the bottom of the range move as their edges do."""
+    """At n = 8 each index takes two lookup tables, and the blocks of 2^16
+    graphs run in order; sampled graphs of the first, second and last
+    blocks move as their edges do."""
     perms = ((1, 0, *range(2, 8)), (*range(1, 8), 0))
-    total = 1 << dyad_count(8)
-    for lo in (0, 1 << 16, total - 100):
-        images = list(_relabellings(8, lo, lo + 100))
-        for k in range(lo, lo + 100, 7):
-            for perm, image in zip(perms, images):
-                assert image[k - lo] == _relabelled(Graph(8, k), perm).dyads
+    starts, sampled = [], []
+    for lo, *images in _relabellings(8):
+        starts.append(lo)
+        if lo in (0, 1 << 16, (1 << dyad_count(8)) - (1 << 16)):
+            sampled.append((lo, *images))
+    assert starts == list(range(0, 1 << dyad_count(8), 1 << 16))
+    assert len(sampled) == 3
+    for lo, *images in sampled:
+        for perm, image in zip(perms, images, strict=True):
+            assert len(image) == 1 << 16
+            for offset in range(0, 1 << 16, 997):
+                assert image[offset] == _relabelled(Graph(8, lo + offset), perm).dyads
 
 
 def test_dyad_map_reads_stacked_members_row_by_row():

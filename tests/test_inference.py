@@ -61,7 +61,6 @@ from projgraph.inference import (
     _observation,
     _observed_event,
     _statistic_facets,
-    mle_csv_row,
 )
 
 INVARIANT = model_spec("BernoulliInvariant")
@@ -841,7 +840,8 @@ def test_cached_fits_equal_cold_fits_for_every_group(n, n_sub):
             cold = mle(EDGE_TRI, members[0], kind)
             warm = mle(EDGE_TRI, members[-1], kind)
             assert _event_fit.cache_info().hits == 1
-            assert mle_csv_row(EDGE_TRI, kind, warm) == mle_csv_row(EDGE_TRI, kind, cold)
+            assert (format_mle_csv(EDGE_TRI, [(kind, warm)])
+                    == format_mle_csv(EDGE_TRI, [(kind, cold)]))
 
 
 @pytest.mark.parametrize("proper", [True, False])
