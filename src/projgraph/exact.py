@@ -17,12 +17,14 @@ moments valid at any size.
 Enumeration is capped at n <= 7 by default (2^21 graphs); the cap can be
 raised to n = 8 explicitly.  Every public function checks the cap itself,
 and the memory warning comes where the cost is paid, when a class coding
-above n = 7 is built, so once per coding a process builds: the statistic
-table and the class codes then hold 2^28 rows, so coding the classes peaks
-at about 810 MB.  That is also the peak of the projectivity check against
-n_sub = 7, which keeps only the codes and groups the prefix subgraphs in
-place.  Exact sampling stays refused above n = 7, since its CDF would hold
-one float per graph.  Larger sizes are refused.
+above n = 7 is built, so once per coding a process builds.  A shipped
+family's class codes then take 256 MB, one byte for each of 2^28 graphs,
+and are built with no statistic table.  The projectivity check against
+n_sub = 7 adds one row of 129 bytes for each of the 2^21 prefix subgraphs,
+grouped in place, so it peaks at about 550 MB; a custom family's float
+statistic table alone takes 2 GiB per statistic.  Exact sampling stays
+refused above n = 7, since its CDF would hold one float per graph.  Larger
+sizes are refused.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ import numpy as np
 
 from .graph import (Graph, NodeSubset, _cell, _csv_text, _dyad_map,
                     _relabellings, dyad_count, graph_from_index)
-from .models import Family, ParamVector, StatsVector, _stats_table, edge_prob, natural_params
+from .models import (_STAR_STATISTICS, Family, ParamVector, StatsVector, _star_counts,
+                     _stats_table, edge_prob, natural_params)
 from .rng import _DRAW_CHUNK, _first_uniforms, _index_rows
 
 __all__ = [
@@ -114,13 +117,6 @@ def enumerated_stats(spec: Family, n: int, enum_cap: Optional[int] = None) -> np
     return table
 
 
-def _row_word(table: np.ndarray) -> Optional[np.dtype]:
-    """The unsigned word that holds one row of an unsigned-integer table
-    whose rows take at most two bytes; None for any other table."""
-    width = table.dtype.itemsize * table.shape[1]
-    return np.dtype(f"u{width}") if table.dtype.kind == "u" and width <= 2 else None
-
-
 def _gather(lut: np.ndarray, index: np.ndarray) -> np.ndarray:
     """``lut[index]`` along ``lut``'s first axis, ``_CODE_CHUNK`` indices at a
     time, so that NumPy's intp copy of the indices never spans ``index``.
@@ -135,32 +131,9 @@ def _gather(lut: np.ndarray, index: np.ndarray) -> np.ndarray:
 def _code_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Class codes of a statistic table's rows, its distinct rows in
     lexicographic order (row c is class c) as floats, and each row's count.
-
-    An unsigned-integer table whose rows take at most two bytes (the
-    built-in families') is keyed by each row's bytes read as one word,
-    with no copy.  The words are counted ``_CODE_CHUNK`` rows at a time
-    into ``max(word) + 1`` bins, the present words are decoded back into
-    rows and ranked lexicographically into a lookup table, and the codes
-    are gathered from it a chunk at a time, so no temporary spans the
-    table.  Counts are integers and each code is one lookup, so the chunk
-    size changes no bit of the result.
-    Other tables are sorted stably by columns, the first column first, and
-    a class starts at each row that differs from the one before it.
+    The rows are sorted stably by columns, the first column first, and a
+    class starts at each row that differs from the one before it.
     """
-    word = _row_word(table)
-    if word is not None:
-        key = np.ascontiguousarray(table).view(word).ravel()
-        counts = np.zeros(int(key.max()) + 1, dtype=np.intp)
-        for lo in range(0, len(key), _CODE_CHUNK):
-            counts += np.bincount(key[lo:lo + _CODE_CHUNK], minlength=len(counts))
-        present = np.flatnonzero(counts)
-        # Word order is byte order, not row order (little-endian (e, t) is
-        # e + 256 t), so the present rows are ranked by a lexsort.
-        rows = present.astype(word).view(table.dtype).reshape(len(present), -1)
-        order = np.lexsort(rows.T[::-1])
-        lut = np.zeros(len(counts), dtype=np.min_scalar_type(len(present) - 1))
-        lut[present[order]] = np.arange(len(present))
-        return _gather(lut, key), rows[order].astype(np.float64), counts[present[order]]
     order = np.lexsort(table.T[::-1])
     ordered = table[order]
     starts = np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)]
@@ -168,6 +141,61 @@ def _code_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     codes = np.empty(len(table), dtype=np.min_scalar_type(len(first) - 1))
     codes[order] = np.cumsum(starts) - 1
     return codes, ordered[first].astype(np.float64), np.diff(first, append=len(table))
+
+
+def _star_coding(n: int, triangles: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_code_table` of the table ``_star_counts(n, triangles)``, with
+    no table on n nodes.  Row (e, t) is keyed by its word e + 256 t, and row
+    (e) by e.  Graph k on n nodes is a prefix p' on n - 2 nodes, the star S'
+    of node n - 2 and the star S of node n - 1, so its word is
+
+        W1[S', p'] + W2[S - {n - 2}, p'] + W3[S, S'],
+
+    where W1 is the word table on n - 1 nodes, W2[X] = W1[X] - W1[{}] - |X|
+    is 256 times the prefix's edges inside X, and W3 = |S| + 256 [n - 2 in
+    S] |S' & S|.  Relabelling keeps every edge and triangle count, so the
+    counts come from one star S per size s, weighted by C(n - 1, s).  The
+    present words are ranked lexicographically into a lookup table, and the
+    codes gathered from it about ``_CODE_CHUNK`` rows at a time."""
+    # At n = 1 the table on 0 nodes is the 1-node one: one empty graph.
+    table = _star_counts(max(n - 1, 1), triangles)
+    w1 = table[:, 0].astype(np.uint16).reshape(1 << max(n - 2, 0), -1)
+    if triangles:
+        w1 += table[:, 1].reshape(w1.shape).astype(np.uint16) << 8
+    low = np.arange(len(w1))
+    w2 = w1 - w1[0] - np.bitwise_count(low)[:, None]
+    stars = np.arange(1 << (n - 1))
+    x = stars & (len(w1) - 1)
+    w3 = (np.bitwise_count(stars)[:, None]
+          + 256 * triangles * (stars >= len(w1))[:, None] * np.bitwise_count(x[:, None] & low)
+          ).astype(np.uint16)
+
+    # Blocks of about _CODE_CHUNK rows, whole stars or parts of one, so that
+    # no temporary, nor NumPy's intp copy of a block, spans a star at n = 8.
+    per_star, per_prime = max(1, _CODE_CHUNK // w1.size), max(1, _CODE_CHUNK // w1.shape[1])
+
+    def blocks(lo: int, hi: int) -> Iterator[tuple[slice, slice]]:
+        for star in range(lo, hi, per_star):
+            for prime in range(0, len(w1), per_prime):
+                yield slice(star, min(star + per_star, hi)), slice(prime, prime + per_prime)
+
+    def words(s: slice, p: slice) -> np.ndarray:
+        """The words of stars S in ``s`` and S' in ``p``, shape (S, S', p')."""
+        return w1[p] + w2[x[s], None] + w3[s, p, None]
+
+    # No word exceeds the complete graph's; star 2^s - 1 has the s lowest nodes.
+    top = math.comb(n, 2) + 256 * triangles * math.comb(n, 3) + 1
+    counts = sum(math.comb(n - 1, s) * np.bincount(words(*block).reshape(-1), minlength=top)
+                 for s in range(n) for block in blocks((1 << s) - 1, 1 << s))
+    present = np.flatnonzero(counts)
+    rows = present[:, None] >> 8 * np.arange(1 + triangles) & 255
+    order = np.lexsort(rows.T[::-1])
+    lut = np.zeros(len(counts), dtype=np.min_scalar_type(len(present) - 1))
+    lut[present[order]] = np.arange(len(present))
+    codes = np.empty((len(stars), *w1.shape), dtype=lut.dtype)
+    for block in blocks(0, len(stars)):
+        np.take(lut, words(*block), out=codes[block], mode="clip")
+    return codes.reshape(-1), rows[order].astype(np.float64), counts[present[order]]
 
 
 class _Coding(tuple):
@@ -184,9 +212,11 @@ _COMPUTING = frozenset(f"{__package__}.{name}" for name in
 @lru_cache(maxsize=8)
 def _classes(fam: Family, n: int) -> _Coding:
     """The class coding of all graphs of size n, read-only: ``(codes,
-    points, log_counts)`` of :func:`_code_table`, with the log of the
-    counts.  Graph k's statistic row is ``points[codes[k]]``, and
-    ``(points, log_counts)`` is the statistic histogram.  No table is kept.
+    points, log_counts)`` of :func:`_code_table` on the family's statistic
+    table, with the log of the counts; the shipped statistic functions take
+    :func:`_star_coding`, which builds no table on n nodes.  Graph k's
+    statistic row is ``points[codes[k]]``, and ``(points, log_counts)`` is
+    the statistic histogram.  No table is kept.
     A coding above the default cap warns before it is built: a cache hit
     costs nothing, so it does not warn.  The warning names the first line
     outside the computing modules: the caller's, or the CLI's."""
@@ -197,14 +227,22 @@ def _classes(fam: Family, n: int) -> _Coding:
             frame, level = frame.f_back, level + 1
         warnings.warn(
             f"enumerating all 2^{dyad_count(n)} graphs on {n} nodes allocates "
-            "large tables: about 810 MB to code the classes at n=8",
+            "large tables: about 550 MB at n=8 for a shipped family",
             RuntimeWarning, stacklevel=level)
-    table = _stats_table(fam, n)
-    codes, points, counts = _code_table(table)
+    # Found by identity, as _stats_table finds a builder, so that the
+    # statistics need not be hashable.
+    triangles = next((t for stats, t in _STAR_STATISTICS if stats is fam.stats), None)
+    if triangles is None:
+        table = _stats_table(fam, n)
+        codes, points, counts = _code_table(table)
+        dtype = table.dtype
+    else:
+        codes, points, counts = _star_coding(n, triangles)
+        dtype = np.dtype(np.uint8)  # _star_counts' table
     coding = _Coding((codes, points, np.log(counts)))
     for array in coding:
         array.flags.writeable = False
-    coding.dtype = table.dtype
+    coding.dtype = dtype
     return coding
 
 

@@ -27,8 +27,9 @@ The statistic table of all graphs of a size is the rows of ``stats``, one
 graph at a time, except for the statistic functions shipped here: their
 tables are built in bulk (``_TABLES``), as small unsigned integers, by one
 recursion that extends the table one size down by each star of the last
-node.  The logistic is computed here, so importing this module needs NumPy
-only.
+node.  Their classes are coded from that recursion one size further down,
+with no table of the size itself (``exact._star_coding``).  The logistic
+is computed here, so importing this module needs NumPy only.
 """
 
 from __future__ import annotations
@@ -271,7 +272,9 @@ def _star_counts(n: int, triangles: bool) -> np.ndarray:
     n nodes as uint8 columns, built node by node.  Graph k on m nodes is a
     prefix p, its low C(m-1, 2) bits, plus the star S of dyads (i, m-1) in
     its top m - 1 bits, so its edges are e(p) + |S| and its triangles
-    t(p) + popcount(p & M_S), where M_S masks the dyads with both ends in S."""
+    t(p) + popcount(p & M_S), where M_S masks the dyads with both ends in S.
+    Class coding reads the table on n - 1 nodes only: ``exact._star_coding``
+    adds the last two stars with no popcount."""
     masks = np.zeros(1 << (n - 1), dtype=np.int64)
     if triangles:
         # Row s of ``ends`` marks the ends of star s.  The stars of one size
@@ -295,11 +298,12 @@ def _star_counts(n: int, triangles: bool) -> np.ndarray:
     return table
 
 
-# The bulk table builders of the shipped statistic functions, keyed by the
-# function; tests check each against its function on every graph.
+# The shipped statistic functions, each with whether it counts triangles, and
+# their bulk table builders, keyed by the function; tests check each against
+# its function on every graph.  exact codes their classes with no table.
+_STAR_STATISTICS = ((_edge_statistics, False), (_edge_triangle_statistics, True))
 _TABLES: dict[Callable, Callable[[int], np.ndarray]] = {
-    _edge_statistics: partial(_star_counts, triangles=False),
-    _edge_triangle_statistics: partial(_star_counts, triangles=True),
+    stats: partial(_star_counts, triangles=triangles) for stats, triangles in _STAR_STATISTICS
 }
 
 

@@ -62,7 +62,6 @@ from projgraph.exact import (
     ExactDistribution,
     _bulk_sample,
     _classes,
-    _code_table,
     _joint_counts,
     _logsumexp,
     _product_grid,
@@ -155,7 +154,7 @@ def test_a_costly_coding_warns_once_under_default_filters():
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stderr.count("RuntimeWarning: enumerating all 2^10 graphs on 5 nodes") == 1
-    assert "about 810 MB to code the classes at n=8" in done.stderr
+    assert "about 550 MB at n=8 for a shipped family" in done.stderr
 
 
 _Y4 = graph_from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
@@ -336,14 +335,15 @@ def test_offset_distribution_equals_invariant_at_shifted_parameter():
 # --------------------------------------------------------------------------
 
 
-def test_coding_the_n7_table_allocates_little_beyond_the_codes():
-    """The 2^21 EdgeTriangle rows are coded a chunk at a time: beyond the
-    codes, at most one coder chunk's intp index and 1 MiB are allocated,
-    where one int64 copy of a whole key would take 16 MiB."""
-    table = _stats_table(EDGE_TRI, 7)
+def test_coding_the_n7_classes_allocates_little_beyond_the_codes():
+    """The 2^21 EdgeTriangle graphs on 7 nodes are coded a block at a time
+    from the 6-node table: beyond the codes, at most one coder chunk's intp
+    index and 1 MiB are allocated, where the 7-node table would take 4 MiB
+    and one int64 copy of a whole key 16 MiB."""
+    _classes.cache_clear()
     tracemalloc.start()
     try:
-        codes = _code_table(table)[0]
+        codes = _classes(EDGE_TRI, 7)[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -381,14 +381,15 @@ def test_the_n7_sampling_cdf_allocates_one_per_graph_array():
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.name)
 @pytest.mark.parametrize("n", range(1, 8))
 def test_the_coder_chunk_changes_no_bit_of_the_coding(spec, n):
-    """Codes, rows, counts and their dtypes are the same whether the coder
-    splits the table into many chunks, a few, or none."""
-    table = _stats_table(spec, n)
+    """Codes, rows, log counts and their dtypes are the same whether the
+    coder splits the graphs into many blocks, a few, or one."""
     codings = []
     for chunk in (1 << 10, 1 << 16, 1 << 20):
+        _classes.cache_clear()
         with mock.patch.object(projgraph.exact, "_CODE_CHUNK", chunk):
-            codings.append(_code_table(table))
+            codings.append(_classes(spec, n))
     for coding in codings[1:]:
+        assert coding.dtype == codings[0].dtype
         for got, want in zip(coding, codings[0]):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
@@ -400,22 +401,26 @@ import resource
 limit = 3 << 29  # 1.5 GiB of address space
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-import numpy as np
-from projgraph import model_spec
-from projgraph.exact import _code_table, _stats_table
+import warnings
 
-table = _stats_table(model_spec("EdgeTriangle"), 8)
-codes, points, counts = _code_table(table)
-rows = np.random.default_rng(8).integers(0, len(table), 1000)
-assert np.array_equal(points[codes[rows]], table[rows])
+import numpy as np
+from projgraph import graph_from_index, model_spec, sufficient_stats
+from projgraph.exact import _classes
+
+warnings.simplefilter("ignore", RuntimeWarning)  # the cost warning of n = 8
+fam = model_spec("EdgeTriangle")
+codes, points, log_counts = _classes(fam, 8)
+for k in np.random.default_rng(8).integers(0, len(codes), 1000):
+    assert tuple(points[codes[k]]) == sufficient_stats(fam, graph_from_index(8, int(k))).values
 assert np.all(np.diff(points @ [1 << 8, 1]) > 0)  # lexicographic, distinct
-print(codes.dtype, len(points), int(counts.sum()))
+print(codes.dtype, len(points), int(np.rint(np.exp(log_counts)).sum()))
 """
 
 
 def test_the_n8_table_codes_within_1_5_gib_of_address_space():
     """In a child process whose own address space is capped at 1.5 GiB, the
-    2^28-row EdgeTriangle table on 8 nodes (512 MiB) is built and coded."""
+    2^28 EdgeTriangle graphs on 8 nodes are coded, each sampled graph to
+    its own statistics, and the class counts sum to 2^28."""
     pytest.importorskip("resource")
     src = str(Path(projgraph.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(

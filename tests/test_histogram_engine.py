@@ -33,10 +33,12 @@ from projgraph import (
     natural_params,
     projectivity_check,
     register_family,
+    registered_families,
     stat_covariance,
     triangle_count,
     unregister_family,
 )
+from projgraph import models
 from projgraph.exact import (
     _classes,
     _code_table,
@@ -44,7 +46,6 @@ from projgraph.exact import (
     _joint_counts,
     _logsumexp,
     _moments,
-    _row_word,
     _stats_table,
 )
 
@@ -217,37 +218,48 @@ def test_logsumexp_agrees_with_scipy(values, repeats):
     assert abs(got - want) <= 2 * np.spacing(max(abs(got), abs(want)))
 
 
-def _assert_same_coding(table):
-    """The row-word coding of an unsigned table equals the sort path's on the
-    same table cast to float64: codes (and their dtype), rows, counts.
-    Returns the sort path's coding."""
-    assert _row_word(table) is not None
-    floats = table.astype(np.float64)
-    assert _row_word(floats) is None
-    want = _code_table(floats)
-    for got, expected in zip(_code_table(table), want):
-        assert got.dtype == expected.dtype
-        assert np.array_equal(got, expected)
-    return want
-
-
-@pytest.mark.parametrize("family", ["EdgeTriangle", "BernoulliInvariant", "BernoulliOffset"])
-@pytest.mark.parametrize("n", range(1, 8))
-def test_packed_key_coding_matches_the_sort_path(family, n):
-    fam = model_spec(family)
-    codes, points, counts = _assert_same_coding(_stats_table(fam, n))
-    got_codes, got_points, got_log_counts = _classes(fam, n)
-    assert np.array_equal(got_codes, codes)
-    assert np.array_equal(got_points, points)
-    assert np.array_equal(got_log_counts, np.log(counts))
-
-
 def _unique_coding(table):
     """``np.unique`` over rows, the independent oracle for the sort path:
     codes in the coder's dtype, distinct rows as floats, counts."""
     # NumPy 2.x has changed the inverse's shape for an axis, so it is flattened.
     rows, codes, counts = np.unique(table, axis=0, return_inverse=True, return_counts=True)
     return codes.reshape(-1).astype(np.min_scalar_type(len(rows) - 1)), rows.astype(np.float64), counts
+
+
+def _shipped(stats):
+    """The first registered family whose statistics are ``stats``."""
+    return next(spec for spec in map(model_spec, registered_families()) if spec.stats is stats)
+
+
+@pytest.mark.parametrize("stats", list(models._TABLES), ids=lambda stats: stats.__name__)
+@pytest.mark.parametrize("n", range(1, 8))
+def test_star_coding_matches_the_sort_path(stats, n):
+    """A shipped statistic function's classes, coded with no table on n
+    nodes, are the sort path's coding of its table as floats and
+    ``np.unique``'s: codes (and their dtype), rows and counts."""
+    fam = _shipped(stats)
+    table = _stats_table(fam, n)
+    got = _classes(fam, n)
+    for want in (_code_table(table.astype(np.float64)), _unique_coding(table)):
+        assert got[0].dtype == want[0].dtype
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], np.log(want[2]))
+
+
+@pytest.mark.parametrize("stats", list(models._TABLES), ids=lambda stats: stats.__name__)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_statistics_equal_to_shipped_ones_are_coded_from_their_own_table(stats, n):
+    """The star coder is found by identity: a family whose statistics only
+    equal a shipped function's is coded from its float table by the sort
+    path, into the same classes."""
+    shipped = _shipped(stats)
+    copy = Family(name="Copy", offset_edges=False, stats=lambda g: stats(g))
+    got, want = _classes(copy, n), _classes(shipped, n)
+    assert (got.dtype, want.dtype) == (np.float64, np.uint8)
+    for array, expected in zip(got, want):
+        assert array.dtype == expected.dtype
+        assert np.array_equal(array, expected)
 
 
 @settings(max_examples=200, deadline=None)
@@ -268,44 +280,9 @@ def test_float_tables_code_like_np_unique(table):
     """The sort path gives ``np.unique``'s codes (and their dtype), rows and
     counts on float tables; rows that differ only in the sign of a zero are
     one class, as they are equal."""
-    assert _row_word(table) is None
     for got, want in zip(_code_table(table), _unique_coding(table)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    table=st.sampled_from([np.uint8, np.uint16]).flatmap(
-        lambda dtype: st.sampled_from([16, int(np.iinfo(dtype).max)]).flatmap(
-            lambda top: arrays(dtype, st.tuples(st.integers(1, 300), st.integers(1, 3)),
-                               elements=st.integers(0, top))
-        )
-    ),
-)
-@example(table=np.array([[3, 0], [0, 1], [3, 0], [1, 1], [2, 0], [0, 0], [1, 0], [3, 1]],
-                        dtype=np.uint8))
-# Byte order is not row order: little-endian words 1, 256 and 255.
-@example(table=np.array([[1, 0], [0, 1], [255, 0]], dtype=np.uint8))
-@example(table=np.array([[65535], [0], [256], [1]], dtype=np.uint16))
-def test_small_unsigned_tables_code_like_the_sort_path(table):
-    """Unsigned tables whose rows fit in two bytes code like the sort path;
-    wider rows, such as three uint8 or two uint16 columns, take it."""
-    fits = table.dtype.itemsize * table.shape[1] <= 2
-    assert (_row_word(table) is not None) == fits
-    if fits:
-        _assert_same_coding(table)
-
-
-def test_a_full_byte_column_codes_like_the_sort_path():
-    """Every byte value present: 256 classes, whose codes still fit a uint8."""
-    _assert_same_coding(np.random.default_rng(0).permutation(256).astype(np.uint8)[:, None])
-
-
-def test_float_tables_take_the_sort_path(edge_triangle_over_50):
-    for spec in (edge_triangle_over_50, model_spec("FloatStatsProbe")):
-        for n in range(1, 6):
-            assert _row_word(_stats_table(spec, n)) is None
 
 
 def test_exchangeability_at_a_size_is_read_from_its_class_codes(edge_triangle_over_50):
