@@ -41,8 +41,8 @@ import numpy as np
 
 from .graph import (Graph, NodeSubset, _cell, _csv_text, _dyad_map,
                     _relabellings, dyad_count, graph_from_index)
-from .models import (_STAR_STATISTICS, Family, ParamVector, StatsVector, _star_counts,
-                     _stats_table, edge_prob, natural_params)
+from .models import (Family, ParamVector, StatsVector, _edge_statistics,
+                     _edge_triangle_statistics, _statistics, edge_prob, natural_params)
 from .rng import _DRAW_CHUNK, _first_uniforms, _index_rows
 
 __all__ = [
@@ -143,32 +143,43 @@ def _code_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return codes, ordered[first].astype(np.float64), np.diff(first, append=len(table))
 
 
-def _star_coding(n: int, triangles: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_code_table` of the table ``_star_counts(n, triangles)``, with
-    no table on n nodes.  Row (e, t) is keyed by its word e + 256 t, and row
-    (e) by e.  Graph k on n nodes is a prefix p' on n - 2 nodes, the star S'
-    of node n - 2 and the star S of node n - 1, so its word is
+def _star_words(w1: np.ndarray, m: int, triangles: bool) -> Callable[[slice, slice], np.ndarray]:
+    """The words of the graphs on m nodes, from the word table ``w1`` on
+    m - 1 nodes, shape (S', p'), as a function of slices of the stars S and
+    S' that returns shape (S, S', p').  Graph k on m nodes is a prefix p' on
+    m - 2 nodes, the star S' of node m - 2 and the star S of node m - 1, so
+    its word is
 
-        W1[S', p'] + W2[S - {n - 2}, p'] + W3[S, S'],
+        W1[S', p'] + W2[S - {m - 2}, p'] + W3[S, S'],
 
-    where W1 is the word table on n - 1 nodes, W2[X] = W1[X] - W1[{}] - |X|
-    is 256 times the prefix's edges inside X, and W3 = |S| + 256 [n - 2 in
-    S] |S' & S|.  Relabelling keeps every edge and triangle count, so the
-    counts come from one star S per size s, weighted by C(n - 1, s).  The
-    present words are ranked lexicographically into a lookup table, and the
-    codes gathered from it about ``_CODE_CHUNK`` rows at a time."""
-    # At n = 1 the table on 0 nodes is the 1-node one: one empty graph.
-    table = _star_counts(max(n - 1, 1), triangles)
-    w1 = table[:, 0].astype(np.uint16).reshape(1 << max(n - 2, 0), -1)
-    if triangles:
-        w1 += table[:, 1].reshape(w1.shape).astype(np.uint16) << 8
+    where W2[X] = W1[X] - W1[{}] - |X| is 256 times the prefix's edges
+    inside X, and W3 = |S| + 256 [m - 2 in S] |S' & S|.  At m = 1 the
+    1-node table stands for the one on 0 nodes."""
     low = np.arange(len(w1))
     w2 = w1 - w1[0] - np.bitwise_count(low)[:, None]
-    stars = np.arange(1 << (n - 1))
+    stars = np.arange(1 << (m - 1))
     x = stars & (len(w1) - 1)
     w3 = (np.bitwise_count(stars)[:, None]
           + 256 * triangles * (stars >= len(w1))[:, None] * np.bitwise_count(x[:, None] & low)
           ).astype(np.uint16)
+    return lambda s, p: w1[p] + w2[x[s], None] + w3[s, p, None]
+
+
+def _star_coding(n: int, triangles: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_code_table` of the edge counts, then with ``triangles`` the
+    triangle counts, of every graph on n nodes, with no table on n nodes.
+    Row (e, t) is keyed by its word e + 256 t, and row (e) by e.  The word
+    table on n - 1 nodes is built from the one graph on 1 node, one
+    :func:`_star_words` step per size.  Relabelling keeps every edge and
+    triangle count, so the counts on n nodes come from one star S per size
+    s, weighted by C(n - 1, s).  The present words are ranked
+    lexicographically into a lookup table, and the codes gathered from it
+    about ``_CODE_CHUNK`` rows at a time."""
+    w1 = np.zeros((1, 1), dtype=np.uint16)
+    for m in range(1, n):
+        w1 = _star_words(w1, m, triangles)(slice(None), slice(None)).reshape(1 << (m - 1), -1)
+    words = _star_words(w1, n, triangles)
+    stars = 1 << (n - 1)
 
     # Blocks of about _CODE_CHUNK rows, whole stars or parts of one, so that
     # no temporary, nor NumPy's intp copy of a block, spans a star at n = 8.
@@ -179,10 +190,6 @@ def _star_coding(n: int, triangles: bool) -> tuple[np.ndarray, np.ndarray, np.nd
             for prime in range(0, len(w1), per_prime):
                 yield slice(star, min(star + per_star, hi)), slice(prime, prime + per_prime)
 
-    def words(s: slice, p: slice) -> np.ndarray:
-        """The words of stars S in ``s`` and S' in ``p``, shape (S, S', p')."""
-        return w1[p] + w2[x[s], None] + w3[s, p, None]
-
     # No word exceeds the complete graph's; star 2^s - 1 has the s lowest nodes.
     top = math.comb(n, 2) + 256 * triangles * math.comb(n, 3) + 1
     counts = sum(math.comb(n - 1, s) * np.bincount(words(*block).reshape(-1), minlength=top)
@@ -192,8 +199,8 @@ def _star_coding(n: int, triangles: bool) -> tuple[np.ndarray, np.ndarray, np.nd
     order = np.lexsort(rows.T[::-1])
     lut = np.zeros(len(counts), dtype=np.min_scalar_type(len(present) - 1))
     lut[present[order]] = np.arange(len(present))
-    codes = np.empty((len(stars), *w1.shape), dtype=lut.dtype)
-    for block in blocks(0, len(stars)):
+    codes = np.empty((stars, *w1.shape), dtype=lut.dtype)
+    for block in blocks(0, stars):
         np.take(lut, words(*block), out=codes[block], mode="clip")
     return codes.reshape(-1), rows[order].astype(np.float64), counts[present[order]]
 
@@ -204,6 +211,10 @@ class _Coding(tuple):
     dtype: np.dtype
 
 
+# The shipped statistic functions, each with whether it counts triangles;
+# _classes finds them by identity, so that statistics need not be hashable.
+_STAR_STATISTICS = ((_edge_statistics, False), (_edge_triangle_statistics, True))
+
 # Modules whose frames the cost warning of _classes passes over.
 _COMPUTING = frozenset(f"{__package__}.{name}" for name in
                        ("exact", "experiments", "graph", "inference", "models", "rng"))
@@ -213,10 +224,11 @@ _COMPUTING = frozenset(f"{__package__}.{name}" for name in
 def _classes(fam: Family, n: int) -> _Coding:
     """The class coding of all graphs of size n, read-only: ``(codes,
     points, log_counts)`` of :func:`_code_table` on the family's statistic
-    table, with the log of the counts; the shipped statistic functions take
-    :func:`_star_coding`, which builds no table on n nodes.  Graph k's
-    statistic row is ``points[codes[k]]``, and ``(points, log_counts)`` is
-    the statistic histogram.  No table is kept.
+    table (:func:`~projgraph.models._statistics`), with the log of the
+    counts; the shipped statistic functions take :func:`_star_coding`,
+    which builds no table on n nodes.  Graph k's statistic row is
+    ``points[codes[k]]``, and ``(points, log_counts)`` is the statistic
+    histogram.  No table is kept.
     A coding above the default cap warns before it is built: a cache hit
     costs nothing, so it does not warn.  The warning names the first line
     outside the computing modules: the caller's, or the CLI's."""
@@ -229,16 +241,14 @@ def _classes(fam: Family, n: int) -> _Coding:
             f"enumerating all 2^{dyad_count(n)} graphs on {n} nodes allocates "
             "large tables: about 550 MB at n=8 for a shipped family",
             RuntimeWarning, stacklevel=level)
-    # Found by identity, as _stats_table finds a builder, so that the
-    # statistics need not be hashable.
     triangles = next((t for stats, t in _STAR_STATISTICS if stats is fam.stats), None)
     if triangles is None:
-        table = _stats_table(fam, n)
+        table = _statistics(fam, n)
         codes, points, counts = _code_table(table)
         dtype = table.dtype
     else:
         codes, points, counts = _star_coding(n, triangles)
-        dtype = np.dtype(np.uint8)  # _star_counts' table
+        dtype = np.dtype(np.uint8)  # every count fits: at most 56 triangles on 8 nodes
     coding = _Coding((codes, points, np.log(counts)))
     for array in coding:
         array.flags.writeable = False

@@ -213,9 +213,7 @@ def mean_degree(g: Graph) -> float:
 def _dyad_map(members) -> np.ndarray:
     """Parent dyad index of each subgraph dyad, in subgraph dyad order, for
     sorted members of shape (..., m): subgraph dyad (a, b) is parent dyad
-    (m_a, m_b).  Every node-subset gather reads its dyads from this map, and
-    so do the star masks of the shipped statistic tables in
-    :mod:`projgraph.models`."""
+    (m_a, m_b).  Every node-subset gather reads its dyads from this map."""
     members = np.asarray(members, dtype=np.int64)
     # Dyad k is the pair (a, b), a < b, with k = b(b-1)/2 + a: node b ends b dyads.
     m = members.shape[-1]

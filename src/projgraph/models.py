@@ -24,24 +24,22 @@ Natural-parameter maps are restricted to per-component shifts of theta
 to eta-gradients throughout the inference code.
 
 The statistic table of all graphs of a size is the rows of ``stats``, one
-graph at a time, except for the statistic functions shipped here: their
-tables are built in bulk (``_TABLES``), as small unsigned integers, by one
-recursion that extends the table one size down by each star of the last
-node.  Their classes are coded from that recursion one size further down,
-with no table of the size itself (``exact._star_coding``).  The logistic
-is computed here, so importing this module needs NumPy only.
+graph at a time (:func:`_statistics`).  The statistic functions shipped
+here need no table: :mod:`projgraph.exact` codes their classes from their
+edge and triangle counts, extended size by size by each star of the last
+node (``exact._star_coding``).  The logistic is computed here, so
+importing this module needs NumPy only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .graph import Graph, _dyad_map, dyad_count, edge_count, triangle_count
+from .graph import Graph, dyad_count, edge_count, triangle_count
 
 __all__ = [
     "Family",
@@ -101,8 +99,8 @@ class ParamVector:
         return np.asarray(self.theta, dtype=np.float64)
 
 
-# Building a family builds its statistic tables on up to this many nodes (75
-# graphs in all).
+# Building a family computes its statistics on every graph of up to this many
+# nodes (75 graphs in all).
 _CHECKED_N = 4
 
 
@@ -116,10 +114,10 @@ class Family:
     statistics sets ``stat_dim`` (see :func:`_statistics`), and
     ``bernoulli``, which unlocks the independent-dyad closed forms at any
     size, is whether ``stats`` is the shipped edge count
-    :func:`_edge_statistics`.  Building a family builds its tables on at most
-    ``_CHECKED_N`` nodes (see :func:`_stats_table`), so one that gives a
-    graph a different number of statistics is refused there with
-    ``ValueError``.
+    :func:`_edge_statistics`.  Building a family computes its statistics on
+    every graph of at most ``_CHECKED_N`` nodes (see :func:`_statistics`),
+    so one that gives a graph a different number of statistics is refused
+    there with ``ValueError``.
 
     Equality and hashing are by identity: a family is the model, and every
     cache keyed on it holds entries for that object alone.  So a family
@@ -136,8 +134,8 @@ class Family:
     def __post_init__(self) -> None:
         object.__setattr__(self, "stat_dim", _statistics(self, 1).shape[1])
         object.__setattr__(self, "bernoulli", self.stats is _edge_statistics)
-        for n in range(1, _CHECKED_N + 1):
-            _stats_table(self, n)
+        for n in range(2, _CHECKED_N + 1):
+            _statistics(self, n)
 
 
 def _statistics(fam: Family, graphs: Graph | int) -> np.ndarray:
@@ -156,16 +154,6 @@ def _statistics(fam: Family, graphs: Graph | int) -> np.ndarray:
                 f"{len(values)} on graph {first + k} of {n} nodes")
         table[k] = values
     return table
-
-
-def _stats_table(fam: Family, n: int) -> np.ndarray:
-    """Statistic table of all graphs of size n, built afresh, uncached: the
-    ``_TABLES`` builder of ``fam.stats``, found by identity so that the
-    statistics need not be hashable, else the rows of :func:`_statistics`."""
-    for stats, build in _TABLES.items():
-        if stats is fam.stats:
-            return build(n)
-    return _statistics(fam, n)
 
 
 def _edge_statistics(g: Graph) -> tuple[float]:
@@ -215,6 +203,8 @@ def _kebab(name: str) -> str:
 
 def resolve_family_name(name: str) -> str:
     """Accept either the canonical CamelCase name or its kebab-case form."""
+    if not isinstance(name, str):
+        raise ValueError(f"family name must be a string, got {name!r}")
     if name in _REGISTRY:
         return name
     for canonical in _REGISTRY:
@@ -265,46 +255,6 @@ def edge_prob(spec: Family, theta: ParamVector, n: int) -> float:
 
 def sufficient_stats(spec: Family, g: Graph) -> StatsVector:
     return StatsVector(values=tuple(_statistics(spec, g)[0]))
-
-
-def _star_counts(n: int, triangles: bool) -> np.ndarray:
-    """Edge counts, then with ``triangles`` triangle counts, of every graph on
-    n nodes as uint8 columns, built node by node.  Graph k on m nodes is a
-    prefix p, its low C(m-1, 2) bits, plus the star S of dyads (i, m-1) in
-    its top m - 1 bits, so its edges are e(p) + |S| and its triangles
-    t(p) + popcount(p & M_S), where M_S masks the dyads with both ends in S.
-    Class coding reads the table on n - 1 nodes only: ``exact._star_coding``
-    adds the last two stars with no popcount."""
-    masks = np.zeros(1 << (n - 1), dtype=np.int64)
-    if triangles:
-        # Row s of ``ends`` marks the ends of star s.  The stars of one size
-        # stack into one _dyad_map call, a few instead of one per star.
-        ends = np.arange(len(masks))[:, None] >> np.arange(n - 1) & 1
-        for size in range(2, n):
-            stars = np.flatnonzero(ends.sum(axis=1) == size)
-            members = np.nonzero(ends[stars])[1].reshape(-1, size)
-            masks[stars] = np.sum(1 << _dyad_map(members), axis=1)
-    table = np.zeros((1, 1 + triangles), dtype=np.uint8)
-    for m in range(2, n + 1):
-        columns = table.T.copy()
-        p = np.arange(len(table), dtype=np.min_scalar_type(len(table) - 1))
-        out = np.empty((1 << (m - 1), *table.shape), dtype=np.uint8)
-        for star in range(1 << (m - 1)):
-            np.add(columns[0], star.bit_count(), out=out[star, :, 0])
-            if triangles:
-                np.add(columns[1], np.bitwise_count(p & p.dtype.type(masks[star])),
-                       out=out[star, :, 1])
-        table = out.reshape(-1, table.shape[1])
-    return table
-
-
-# The shipped statistic functions, each with whether it counts triangles, and
-# their bulk table builders, keyed by the function; tests check each against
-# its function on every graph.  exact codes their classes with no table.
-_STAR_STATISTICS = ((_edge_statistics, False), (_edge_triangle_statistics, True))
-_TABLES: dict[Callable, Callable[[int], np.ndarray]] = {
-    stats: partial(_star_counts, triangles=triangles) for stats, triangles in _STAR_STATISTICS
-}
 
 
 register_family(

@@ -4,10 +4,11 @@ Collects the outcome of every ``test_criterion_*`` test in
 ``test_acceptance.py`` and prints one PASS/FAIL line per criterion at the
 end of the run, so the acceptance gate is readable at a glance.  Also
 holds fixtures shared by several test modules, among them every test
-family that registers a fast statistic table.
+family whose class coding reads a fast statistic table.
 """
 
 import contextlib
+import itertools
 import re
 
 import numpy as np
@@ -19,28 +20,53 @@ from projgraph import (
     dyad_count,
     dyad_index,
     edge_count,
+    enumerated_stats,
     model_spec,
     register_family,
     unregister_family,
 )
-from projgraph import models
+from projgraph import exact
 
 EDGE_TRI = model_spec("EdgeTriangle")
-_edge_triangle_table = models._TABLES[EDGE_TRI.stats]
+
+
+def _mask_loop_edge_triangle_counts(n):
+    """The EdgeTriangle table by one mask compare per node triple and row,
+    independent of the class coder; its first column is the popcount of each
+    graph, its edge count."""
+    idx = np.arange(1 << dyad_count(n), dtype=np.uint64)
+    out = np.empty((len(idx), 2), dtype=np.uint8)
+    out[:, 0] = np.bitwise_count(idx)
+    tri = np.zeros(len(idx), dtype=np.uint8)
+    for i, j, k in itertools.combinations(range(n), 3):
+        mask = np.uint64(sum(1 << dyad_index(a, b) for a, b in ((i, j), (i, k), (j, k))))
+        tri += (idx & mask) == mask
+    out[:, 1] = tri
+    return out
+
+
+@pytest.fixture(scope="session")
+def mask_loop_seven():
+    """The edge and triangle counts of every graph on 7 nodes, as uint8
+    columns, by the mask loop: the n = 7 oracle of the shipped codings,
+    where per-graph rows would take seconds per family."""
+    return _mask_loop_edge_triangle_counts(7)
 
 
 @contextlib.contextmanager
 def _tabled_family(name, stats, table):
-    """Register a family named ``name`` whose statistics ``stats`` build their
-    table of every graph on n nodes as ``table(n)`` in ``models._TABLES``, as
-    the shipped statistic functions do, for as long as the context lasts.
-    Such a table is read with no check, so every fixture built on this one
-    is listed in test_models' check of each table on every graph."""
+    """Register a family named ``name`` whose statistics ``stats`` the class
+    coder reads as ``table(n)``, the table of every graph on n nodes, in
+    place of its per-graph rows (``exact._statistics``), for as long as the
+    context lasts.  Such a table is read with no check, so every fixture
+    built on this one is listed in test_models' check of each table on
+    every graph."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setitem(models._TABLES, stats, table)
         register_family(Family(name=name, offset_edges=False, stats=stats))
+        fam, rows = model_spec(name), exact._statistics
+        patch.setattr(exact, "_statistics", lambda f, n: table(n) if f is fam else rows(f, n))
         try:
-            yield model_spec(name)
+            yield fam
         finally:
             unregister_family(name)
 
@@ -51,7 +77,7 @@ def edge_triangle_over_50():
     natural parameters 50 times as large."""
     with _tabled_family("EdgeTriangleOver50",
                         lambda g: tuple(v / 50.0 for v in EDGE_TRI.stats(g)),
-                        lambda n: _edge_triangle_table(n) / 50.0) as fam:
+                        lambda n: enumerated_stats(EDGE_TRI, n) / 50.0) as fam:
         yield fam
 
 
@@ -59,7 +85,7 @@ def edge_triangle_over_50():
 def edge_count_probe():
     """A one-statistic family without the closed form, with a float table."""
     with _tabled_family("EdgeCountProbe", lambda g: (float(edge_count(g)),),
-                        lambda n: _edge_triangle_table(n)[:, :1].astype(np.float64)) as fam:
+                        lambda n: enumerated_stats(EDGE_TRI, n)[:, :1].astype(np.float64)) as fam:
         yield fam
 
 
@@ -74,7 +100,7 @@ def stacked_float_probe():
     FloatStatsProbe, built from the EdgeTriangle table."""
     with _tabled_family("StackedFloatProbe",
                         lambda g: tuple(_float_stats(np.array([EDGE_TRI.stats(g)]))[0]),
-                        lambda n: _float_stats(_edge_triangle_table(n))) as fam:
+                        lambda n: _float_stats(enumerated_stats(EDGE_TRI, n))) as fam:
         yield fam
 
 

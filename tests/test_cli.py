@@ -690,6 +690,19 @@ def test_experiment_refuses_counts_outside_one_stream_word(tmp_path, capsys, pay
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("family, message", [
+    (["BernoulliOffset"], "['BernoulliOffset']"),
+    ({"name": "BernoulliOffset"}, "{'name': 'BernoulliOffset'}"),
+], ids=["list", "dict"])
+def test_experiment_refuses_a_family_name_that_is_not_a_string(tmp_path, capsys, family,
+                                                                message):
+    """An unhashable family value once escaped the registry lookup as a
+    TypeError traceback; it exits 2 naming the value."""
+    config = _growth_config(tmp_path, spec={"family": family}, sizes=[10], replicates=2)
+    assert main(["experiment", config]) == 2
+    assert capsys.readouterr().err == f"error: family name must be a string, got {message}\n"
+
+
 def test_experiment_accepts_integer_reals(tmp_path, capsys):
     config = _growth_config(tmp_path, **{**_THRESHOLD, "multipliers": [1, 2.5]})
     assert main(["experiment", config]) == 0

@@ -65,8 +65,8 @@ from projgraph.exact import (
     _joint_counts,
     _logsumexp,
     _product_grid,
-    _stats_table,
 )
+from projgraph.models import _statistics
 
 INVARIANT = model_spec("BernoulliInvariant")
 OFFSET = model_spec("BernoulliOffset")
@@ -210,12 +210,16 @@ def test_enumerated_stats_table_is_read_only():
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.name)
 @pytest.mark.parametrize("n", range(1, 8))
-def test_enumerated_stats_regathers_the_built_table(spec, n):
-    """The public table, regathered from the class coding, is the table the
-    family builds: values, dtype and shape, and read-only."""
-    table, built = enumerated_stats(spec, n), _stats_table(spec, n)
-    assert table.dtype == built.dtype
-    assert np.array_equal(table, built)
+def test_enumerated_stats_regathers_the_built_table(request, spec, n):
+    """The public table, regathered from the class coding, is the family's
+    per-graph rows, or at n = 7 the mask loop's table, as uint8: values and
+    shape, and read-only."""
+    table = enumerated_stats(spec, n)
+    want = (_statistics(spec, n) if n < 7
+            else request.getfixturevalue("mask_loop_seven")[:, :spec.stat_dim])
+    assert table.dtype == np.uint8
+    assert table.shape == want.shape
+    assert np.array_equal(table, want)
     assert not table.flags.writeable
 
 

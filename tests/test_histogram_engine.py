@@ -38,16 +38,16 @@ from projgraph import (
     triangle_count,
     unregister_family,
 )
-from projgraph import models
 from projgraph.exact import (
+    _STAR_STATISTICS,
     _classes,
     _code_table,
     _exchangeable_at,
     _joint_counts,
     _logsumexp,
     _moments,
-    _stats_table,
 )
+from projgraph.models import _statistics
 
 RTOL = 1e-12
 
@@ -226,19 +226,24 @@ def _unique_coding(table):
     return codes.reshape(-1).astype(np.min_scalar_type(len(rows) - 1)), rows.astype(np.float64), counts
 
 
+_SHIPPED_STATS = [stats for stats, _ in _STAR_STATISTICS]
+
+
 def _shipped(stats):
     """The first registered family whose statistics are ``stats``."""
     return next(spec for spec in map(model_spec, registered_families()) if spec.stats is stats)
 
 
-@pytest.mark.parametrize("stats", list(models._TABLES), ids=lambda stats: stats.__name__)
+@pytest.mark.parametrize("stats", _SHIPPED_STATS, ids=lambda stats: stats.__name__)
 @pytest.mark.parametrize("n", range(1, 8))
-def test_star_coding_matches_the_sort_path(stats, n):
+def test_star_coding_matches_the_sort_path(request, stats, n):
     """A shipped statistic function's classes, coded with no table on n
-    nodes, are the sort path's coding of its table as floats and
-    ``np.unique``'s: codes (and their dtype), rows and counts."""
+    nodes, are the sort path's coding and ``np.unique``'s of its per-graph
+    rows, or at n = 7 of the mask loop's table: codes (and their dtype),
+    rows and counts."""
     fam = _shipped(stats)
-    table = _stats_table(fam, n)
+    table = (_statistics(fam, n) if n < 7
+             else request.getfixturevalue("mask_loop_seven")[:, :fam.stat_dim])
     got = _classes(fam, n)
     for want in (_code_table(table.astype(np.float64)), _unique_coding(table)):
         assert got[0].dtype == want[0].dtype
@@ -247,7 +252,7 @@ def test_star_coding_matches_the_sort_path(stats, n):
         assert np.array_equal(got[2], np.log(want[2]))
 
 
-@pytest.mark.parametrize("stats", list(models._TABLES), ids=lambda stats: stats.__name__)
+@pytest.mark.parametrize("stats", _SHIPPED_STATS, ids=lambda stats: stats.__name__)
 @pytest.mark.parametrize("n", range(1, 7))
 def test_statistics_equal_to_shipped_ones_are_coded_from_their_own_table(stats, n):
     """The star coder is found by identity: a family whose statistics only

@@ -50,7 +50,6 @@ from projgraph.exact import (
     _joint_counts,
     _logsumexp,
     _moments,
-    _stats_table,
 )
 from projgraph.inference import (
     _ascend_log_ratio,
@@ -62,6 +61,7 @@ from projgraph.inference import (
     _observed_event,
     _statistic_facets,
 )
+from projgraph.models import _statistics
 
 INVARIANT = model_spec("BernoulliInvariant")
 OFFSET = model_spec("BernoulliOffset")
@@ -935,7 +935,7 @@ def test_one_row_event_parts_equal_its_moments(picks, count, eta):
     """A one-row event (the mean of some rows of the n=5 table, with a log
     count) skips its ``_moments`` call and gets the same bits, signs of zero
     included."""
-    table = _stats_table(EDGE_TRI, 5)
+    table = _statistics(EDGE_TRI, 5)
     comp = (table[picks].astype(np.float64).mean(axis=0)[None, :], np.log([float(count)]))
     full = _classes(EDGE_TRI, 5)[1:]
     eta = np.array(eta)

@@ -1,7 +1,6 @@
 """Model families: sufficient statistics, natural parameters, edge probabilities."""
 
 import dataclasses
-import itertools
 import math
 import re
 import warnings
@@ -20,7 +19,6 @@ from projgraph import (
     ParamVector,
     complete_graph,
     dyad_count,
-    dyad_index,
     edge_count,
     edge_prob,
     empty_graph,
@@ -37,10 +35,10 @@ from projgraph import (
     triangle_count,
     unregister_family,
 )
-from projgraph import models
+from projgraph import exact
 from projgraph.exact import EnumerationCapError, build_distribution
 from projgraph.inference import completion_log_likelihood, log_likelihood, proper_log_likelihood
-from projgraph.models import _statistics, _stats_table
+from projgraph.models import _statistics
 
 INVARIANT = model_spec("BernoulliInvariant")
 OFFSET = model_spec("BernoulliOffset")
@@ -452,54 +450,50 @@ def test_builtin_families_cannot_be_unregistered():
         unregister_family("BernoulliOffset")
 
 
-def _mask_loop_edge_triangle_counts(n):
-    """The EdgeTriangle table by one mask compare per node triple and row,
-    the builder the node-recursive one replaced; its first column is the
-    popcount that built the edge-count table before the recursion did."""
-    idx = np.arange(1 << dyad_count(n), dtype=np.uint64)
-    out = np.empty((len(idx), 2), dtype=np.uint8)
-    out[:, 0] = np.bitwise_count(idx)
-    tri = np.zeros(len(idx), dtype=np.uint8)
-    for i, j, k in itertools.combinations(range(n), 3):
-        mask = np.uint64(sum(1 << dyad_index(a, b) for a, b in ((i, j), (i, k), (j, k))))
-        tri += (idx & mask) == mask
-    out[:, 1] = tri
-    return out
+def _shipped_families(stats):
+    """The registered families whose statistics are ``stats``."""
+    return [spec for spec in map(model_spec, registered_families()) if spec.stats is stats]
+
+
+_SHIPPED_STATS = [stats for stats, _ in exact._STAR_STATISTICS]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-@pytest.mark.parametrize("stats", list(models._TABLES), ids=lambda stats: stats.__name__)
+@pytest.mark.parametrize("stats", _SHIPPED_STATS, ids=lambda stats: stats.__name__)
 def test_the_shipped_tables_are_their_statistics_on_every_graph(stats, n):
-    """Each bulk table the package ships holds small unsigned integers equal,
-    row for row, to its statistic function on every graph."""
-    table = models._TABLES[stats](n)
-    assert table.dtype == np.uint8
-    want = [stats(graph_from_index(n, k)) for k in range(1 << dyad_count(n))]
-    assert np.array_equal(table, np.array(want))
+    """The table of each family with a shipped statistic function, gathered
+    from its star coding, holds small unsigned integers equal, row for row,
+    to the function on every graph."""
+    want = np.array([stats(graph_from_index(n, k)) for k in range(1 << dyad_count(n))])
+    for fam in _shipped_families(stats):
+        table = enumerated_stats(fam, n)
+        assert table.dtype == np.uint8
+        assert np.array_equal(table, want)
 
 
-@pytest.mark.parametrize("stats", list(models._TABLES), ids=lambda stats: stats.__name__)
-def test_edge_triangle_table_matches_the_mask_loop_at_seven_nodes(stats):
-    """Each shipped table equals its columns of the mask loop on every graph
-    of 7 nodes: the edge counts its popcount column, the edge and triangle
-    counts both columns."""
-    table = models._TABLES[stats](7)
-    want = _mask_loop_edge_triangle_counts(7)[:, :len(stats(graph_from_index(1, 0)))]
-    assert table.dtype == want.dtype == np.uint8
-    assert np.array_equal(table, want)
+@pytest.mark.parametrize("stats", _SHIPPED_STATS, ids=lambda stats: stats.__name__)
+def test_edge_triangle_table_matches_the_mask_loop_at_seven_nodes(stats, mask_loop_seven):
+    """Each shipped function's table on 7 nodes equals its columns of the
+    mask loop on every graph: the edge counts its popcount column, the edge
+    and triangle counts both columns."""
+    for fam in _shipped_families(stats):
+        table = enumerated_stats(fam, 7)
+        want = mask_loop_seven[:, :fam.stat_dim]
+        assert table.dtype == want.dtype == np.uint8
+        assert np.array_equal(table, want)
 
 
 @pytest.mark.parametrize("probe", ["edge_triangle_over_50", "edge_count_probe",
                                    "stacked_float_probe", "node_four_probe"])
 def test_a_table_a_test_registers_is_its_statistics_on_every_graph(request, probe):
-    """The test families that register a fast table in ``models._TABLES``
-    (see conftest) are answered from it with no check, so each table must
-    be, bit for bit, its family's per-graph statistics on every graph of at
-    most 6 nodes."""
+    """The test families whose class coding reads a fast table in place of
+    ``exact._statistics`` (see conftest) are answered from it with no check,
+    so each table must be, bit for bit, its family's per-graph statistics on
+    every graph of at most 6 nodes."""
     fam = request.getfixturevalue(probe)
-    assert fam.stats in models._TABLES
+    assert exact._statistics is not _statistics
     for n in range(1, 7):
-        table, rows = np.asarray(_stats_table(fam, n), dtype=np.float64), _statistics(fam, n)
+        table, rows = np.asarray(exact._statistics(fam, n), dtype=np.float64), _statistics(fam, n)
         assert table.shape == rows.shape, n
         assert np.array_equal(table, rows) and np.array_equal(np.signbit(table),
                                                               np.signbit(rows)), n

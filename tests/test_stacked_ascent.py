@@ -15,12 +15,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from projgraph import dyad_count, graph_from_index, model_spec
+from projgraph import exact
 from projgraph.exact import (
     _classes,
     _completion_counts,
     _joint_counts,
     _moments,
-    _stats_table,
 )
 from projgraph.inference import (
     NEWTON_MAX_ITERATIONS,
@@ -286,7 +286,7 @@ def test_every_statistic_class_fits_as_alone(family, n):
 
 
 def _random_mean_events(fam, n, replicates, studies, seed):
-    table = _stats_table(fam, n).astype(np.float64)
+    table = exact._statistics(fam, n).astype(np.float64)
     draws = np.random.default_rng(seed).integers(len(table), size=(studies, replicates))
     return [_mean_event(mean) for mean in table[draws].mean(axis=1)]
 
